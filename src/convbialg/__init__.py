@@ -40,8 +40,11 @@ from .groupoid import (
     AffineMap,
     Bisection,
     Diffeo1D,
+    EtaleActionModel,
     GermArrow,
+    GroupModel,
     GroupoidModel,
+    PairModel,
     bisection_germ_eq,
     bisection_inv,
     bisection_mul,

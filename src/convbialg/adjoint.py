@@ -8,8 +8,6 @@ or numeric differentiation of C_E) and cross-checked.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .coeffs import CoeffFn, Polynomial, Q
 from .errors import DomainError, UnsupportedComposition, VerificationFailed
 from .groupoid import Bisection, GermArrow
@@ -22,7 +20,7 @@ def conjugate_arrow(E: Bisection, h):
     model = E.model
     sx, tx = model.s_of(h), model.t_of(h)
     for x in (sx, tx):
-        if model.kind != "group" and not E.contains_source(x):
+        if not E.contains_source(x):
             raise DomainError("arrow endpoints outside s(E)")
     left = E.alpha(tx)
     right = model.inv_arrow(E.alpha(sx))
@@ -62,10 +60,6 @@ def ad_matrix(E: Bisection):
     A = model.algebroid
     if A.rank == 0:
         return []
-    if model.kind == "pair":
-        M = _pair_matrix(E)
-        _crosscheck_pair(E, M)
-        return M
     if model.kind == "group":
         M = _group_matrix_derived(E)
         stored = model.stored_ad_matrix(E.element)
@@ -76,7 +70,9 @@ def ad_matrix(E: Bisection):
                         f"Ad matrix mismatch at ({i},{j}) for {E.bid}"
                     )
         return M
-    raise ValueError("etale models have a rank-0 algebroid")
+    M = _pair_matrix(E)
+    _crosscheck_pair(E, M)
+    return M
 
 
 def _crosscheck_pair(E: Bisection, M):
@@ -137,7 +133,7 @@ def ad_uea(E: Bisection, u: UEAElement) -> UEAElement:
 def ad_germ(e: GermArrow, model, germ_u: GermUEA) -> GermUEA:
     """Ad_e on germs; independent of the representative bisection."""
     E = e.bisection(model)
-    if model.kind != "group" and tuple(germ_u.base_point) != e.source:
+    if tuple(germ_u.base_point) != e.source:
         raise DomainError("germ base point must be the source of e")
     image = model.t_of(E.alpha(e.source))
     return uea_germ(ad_uea(E, germ_u.elem), image)

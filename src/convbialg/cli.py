@@ -4,7 +4,8 @@
     convbialg eval EXPR [--model FILE] [--output text|json]
     convbialg demo {kernel-example,cartier-gabriel,etale-iso} [--output text|json]
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage or input error.
+Exit codes: 0 all checks pass, 1 a check failed, 2 usage or input error or
+any other library error.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ import argparse
 import json
 import sys
 
-from .coeffs import CoeffFn, Polynomial, Q
+from .coeffs import Q
 from .conv import conv_mul
 from .dist import dist_eval_at
-from .errors import ParseError
-from .models import builtin_models, load_model
+from .errors import ConvBialgError, ParseError
+from .models import load_model_doc, model_from_json, pair_model
 from .phi import phi as phi_map
 from .suites import SUITES, run_all, run_suite
 from .textform import parse_conv, parse_dist, split_top
@@ -62,14 +63,12 @@ def _emit_json(doc) -> None:
                                 default=str) + "\n")
 
 
-def _load_models(args):
-    models = builtin_models()
-    model = None
-    if args.model:
-        model = load_model(args.model)
-        key = {"pair": "pair", "group": "heisenberg", "etale_action": "etale"}[model.kind]
-        models[key] = model
-    return models, model
+def _load_model(args):
+    """The --model document and its model, or (None, None)."""
+    if not args.model:
+        return None, None
+    doc = load_model_doc(args.model)
+    return doc, model_from_json(doc)
 
 
 def _print_checks(report, indent="  "):
@@ -82,13 +81,15 @@ def _print_checks(report, indent="  "):
 
 
 def cmd_check(args) -> int:
-    models, _ = _load_models(args)
+    doc, model = _load_model(args)
     if args.suite:
+        models = {model.doc_key: model} if model else None
         report = {"pass": None, "suites": [run_suite(args.suite, seed=args.seed,
                                                      models=models)]}
         report["pass"] = report["suites"][0]["pass"]
     else:
-        report = run_all(seed=args.seed, models=models, jobs=args.jobs)
+        docs = {model.doc_key: doc} if model else None
+        report = run_all(seed=args.seed, docs=docs, jobs=args.jobs)
     if args.output == "json":
         _emit_json(report)
     else:
@@ -97,16 +98,6 @@ def cmd_check(args) -> int:
             _print_checks(s)
         print(f"overall: {'PASS' if report['pass'] else 'FAIL'}")
     return 0 if report["pass"] else 1
-
-
-class _ConstTable:
-    """Same test function for every arrow component (etale evaluation)."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def get(self, key, default=None):
-        return self.fn
 
 
 def _eval_expr(model, expr: str):
@@ -128,19 +119,14 @@ def _eval_expr(model, expr: str):
                 raise ParseError("dist_eval takes three arguments")
             T = parse_dist(model, parts[0])
             x = Q(parts[2])
-            if model.kind == "etale_action":
-                F = _ConstTable(CoeffFn(model.base, Polynomial.parse(parts[1], 1)))
-            else:
-                F = Polynomial.parse(parts[1], model.arrow_chart.dim)
+            F = model.parse_test_function(parts[1])
             return str(dist_eval_at(T, F, x))
     raise ParseError(f"unknown expression head in {expr!r}", 0)
 
 
 def cmd_eval(args) -> int:
-    models, model = _load_models(args)
-    if model is None:
-        model = models["pair"]
-    value = _eval_expr(model, args.expr)
+    _, model = _load_model(args)
+    value = _eval_expr(model or pair_model(), args.expr)
     if args.output == "json":
         _emit_json({"expr": args.expr, "value": value})
     else:
@@ -149,7 +135,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    models, _ = _load_models(args)
+    _, model = _load_model(args)
+    models = {model.doc_key: model} if model else None
     report = run_suite(args.name, seed=args.seed, models=models)
     if args.output == "json":
         _emit_json(report)
@@ -174,10 +161,7 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return cmd_eval(args)
         return cmd_demo(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, KeyError) as exc:
+    except (ConvBialgError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -82,10 +82,6 @@ class Region:
         return Region(dim, tuple(boxes))
 
     @property
-    def is_empty(self) -> bool:
-        return not self.boxes
-
-    @property
     def is_whole(self) -> bool:
         return any(all(lo is None and hi is None for lo, hi in box) for box in self.boxes)
 
@@ -143,23 +139,6 @@ class Region:
             else:
                 boxes.append(((b, a),))
         return Region(1, tuple(boxes))
-
-    def sample_points(self):
-        """One rational point per box (interior); unbounded sides clamped."""
-        pts = []
-        for box in self.boxes:
-            pt = []
-            for lo, hi in box:
-                if lo is None and hi is None:
-                    pt.append(Q(0))
-                elif lo is None:
-                    pt.append(hi - 1)
-                elif hi is None:
-                    pt.append(lo + 1)
-                else:
-                    pt.append((lo + hi) / 2)
-            pts.append(tuple(pt))
-        return pts
 
 
 @dataclass(frozen=True)
@@ -416,7 +395,8 @@ def _flat_derive(a: dict) -> dict:
 
 def _flat_eval(a: dict, t) -> float:
     tf = float(t)
-    if tf == 0.0:
+    if tf * tf < 1 / 746:
+        # exp(-1/t^2) underflows to 0.0 past 1/t^2 = 745.13
         return 0.0
     damp = math.exp(-1.0 / (tf * tf))
     return sum(float(c) * tf ** (-k) for k, c in a.items()) * damp
@@ -458,10 +438,6 @@ class CoeffFn:
         self.flat_pos = flat_pos
 
     # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def from_poly(chart: Chart, poly: Polynomial) -> "CoeffFn":
-        return CoeffFn(chart, poly)
 
     @staticmethod
     def const(chart: Chart, c) -> "CoeffFn":
@@ -716,33 +692,3 @@ def germ_eq(a: Germ, b: Germ) -> bool:
     if a.base_point != b.base_point:
         raise ChartMismatch("germs at different base points")
     return (a.fn - b.fn).has_zero_germ_at(a.base_point)
-
-
-# ---------------------------------------------------------------------------
-# Named operation wrappers (module interface)
-# ---------------------------------------------------------------------------
-
-
-def poly_arith(f: CoeffFn, g, op: str) -> CoeffFn:
-    """add / mul / neg on coefficient functions; mul also accepts a rational."""
-    if op == "neg":
-        return -f
-    if isinstance(g, (int, Fraction)):
-        g = CoeffFn.const(f.chart, g)
-    if op == "add":
-        return f + g
-    if op == "mul":
-        return f * g
-    raise ValueError(f"unknown op {op!r}")
-
-
-def derive(f: CoeffFn, axis: int = 0) -> CoeffFn:
-    return f.derive(axis)
-
-
-def compose(f: CoeffFn, inner: Sequence[CoeffFn]) -> CoeffFn:
-    return f.compose(inner)
-
-
-def eval_fn(f: CoeffFn, point: Sequence):
-    return f.eval(point)

@@ -98,17 +98,6 @@ class ConvElement:
             and self.terms == other.terms
         )
 
-    def to_pairs(self):
-        """The tensor picture: (bisection id, u) pairs in canonical order."""
-        return sorted(self.terms.items())
-
-    @staticmethod
-    def from_pairs(model, pairs) -> "ConvElement":
-        return ConvElement(model, dict(pairs))
-
-    def max_degree(self) -> int:
-        return max((u.degree() for u in self.terms.values()), default=-1)
-
     def text(self) -> str:
         if not self.terms:
             return "0"
@@ -133,7 +122,7 @@ def eval_germ(a: ConvElement, e: GermArrow) -> GermUEA:
     total = UEAElement.zero(model.algebroid)
     for bid, u in a.terms.items():
         E = model.registry[bid]
-        if model.kind != "group" and not E.contains_source(e.source):
+        if not E.contains_source(e.source):
             continue
         if bisection_germ_eq(E, Ee, e.source):
             total = total + u
@@ -347,32 +336,10 @@ def conv_is_zero(a: ConvElement) -> bool:
             if total.is_zero:
                 continue
             # the sum is a function of the target point tau(x), x in stratum
-            if not _vanishes_on_image(total, model, stratum, cls[0]):
+            if not stratum.image(cls[0]).vanishes(total):
                 return False
     return True
 
 
 def conv_eq(a: ConvElement, b: ConvElement) -> bool:
     return conv_is_zero(a - b)
-
-
-def _vanishes_on_image(u: UEAElement, model, stratum, E) -> bool:
-    if model.kind == "group":
-        return u.is_zero
-    if stratum.kind == "point":
-        t0 = E.tau_apply(stratum.point)
-        return GermUEA((t0,), u).is_zero
-    lo, hi = _image_interval(E, stratum.lo, stratum.hi)
-    return all(f.is_zero_on(lo, hi) for f in u.terms.values())
-
-
-def _image_interval(E, lo, hi):
-    aff = E.tau_diffeo().affine_parts()
-    if aff is not None:
-        a, b = aff
-        ilo = None if lo is None else a * lo + b
-        ihi = None if hi is None else a * hi + b
-        return (ilo, ihi) if a > 0 else (ihi, ilo)
-    # flat kinks fix 0 and preserve order, so sign intervals map into
-    # themselves; the vanishing test only looks at which side of 0 is met
-    return lo, hi

@@ -1,13 +1,18 @@
 """Groupoid models, local bisections and the germ groupoid.
 
-Three model families are supported:
+Each model kind is one subclass of GroupoidModel:
 
-* pair groupoid over the line (arrows (y, x), bisections = graphs of
-  diffeomorphisms of a restricted class),
-* a Lie group over a point (bisections = group elements), and
-* the action groupoid of a finitely generated group of affine maps acting
-  on the line (an etale groupoid; bisections = group elements restricted
-  to open domains).
+* PairModel: the pair groupoid over the line (arrows (y, x), bisections =
+  graphs of diffeomorphisms of a restricted class),
+* GroupModel: a Lie group over a point (bisections = group elements), and
+* EtaleActionModel: the action groupoid of a finitely generated group of
+  affine maps acting on the line (an etale groupoid; bisections = group
+  elements restricted to open domains).
+
+A subclass owns everything that depends on its kind: the arrow arithmetic,
+the checks, ids, sections, products, inverses and germ equality of its
+bisections, their JSON form, and the form of its test functions.  Shared
+code asks the model or the bisection instead of testing the kind.
 
 All bisections live in a per-model registry keyed by a canonical content
 key, so that products of registered bisections merge syntactically.
@@ -15,7 +20,6 @@ key, so that products of registered bisections merge syntactically.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -217,7 +221,7 @@ class AffineMap:
 
 
 # ---------------------------------------------------------------------------
-# Groupoid models
+# Regions in ids and documents
 # ---------------------------------------------------------------------------
 
 
@@ -236,26 +240,108 @@ def _region_text(r: Region) -> str:
     )
 
 
-class GroupoidModel:
-    """A concrete groupoid with polynomial structure maps."""
+def _region_to_json(r: Region):
+    if r.is_whole:
+        return "R"
+    return [
+        [None if lo is None else str(lo), None if hi is None else str(hi)]
+        for ((lo, hi),) in r.boxes
+    ]
 
-    def __init__(self, kind, base, arrow_chart, s_map, t_map, unit_map, inv_map, mult_map, name):
-        self.kind = kind
+
+def _region_from_json(data) -> Region:
+    if data in (None, "R"):
+        return Region.whole(1)
+    return Region.union(*(Region.interval(lo, hi) for lo, hi in data))
+
+
+def _point(x) -> tuple:
+    """A base point as a coordinate tuple; a bare number is a point of the line."""
+    return tuple(x) if isinstance(x, (tuple, list)) else (x,)
+
+
+def _coord(x):
+    """The coordinate of a point of the line, given bare or as a 1-tuple."""
+    return x[0] if isinstance(x, (tuple, list)) else x
+
+
+# ---------------------------------------------------------------------------
+# Groupoid models, one class per kind
+# ---------------------------------------------------------------------------
+
+
+class GroupoidModel:
+    """A groupoid over a base chart, with a registry of its local bisections.
+
+    Each subclass is one model kind and supplies everything that depends on
+    the kind:
+
+    * `kind`, `doc_key` (the "model" value of its JSON document) and
+      `unit_alias` (the name of the unit bisection in a document);
+    * the arrow arithmetic `s_of`, `t_of`, `unit_of`, `inv_arrow` and
+      `_mult`, which `mult_arrow` calls once the arrows compose;
+    * the bisection hooks `init_bisection` (validation and the content id),
+      `alpha`, `beta`, `contains_arrow`, `unit_bisection`, `bisection_mul`,
+      `bisection_inv` and `germ_eq`;
+    * the JSON form of one bisection, `bisection_to_json` and
+      `bisection_from_json`;
+    * `parse_test_function`, a test function on the arrows read from one
+      polynomial expression.
+    """
+
+    kind = None
+    doc_key = None
+    unit_alias = "M"
+
+    def __init__(self, name, base, arrow_chart, algebroid):
+        self.name = name
         self.base = base
         self.arrow_chart = arrow_chart
+        self.algebroid = algebroid
+        self.registry = {}
+        self.aliases = {}
+
+    def mult_arrow(self, g2, g1):
+        """g2 * g1, defined when s(g2) = t(g1)."""
+        if self.s_of(g2) != self.t_of(g1):
+            raise NotComposable("arrows do not compose")
+        return self._mult(g2, g1)
+
+    # -- registry ------------------------------------------------------------
+
+    def register(self, E: "Bisection", alias=None) -> "Bisection":
+        existing = self.registry.get(E.bid)
+        if existing is None:
+            self.registry[E.bid] = E
+        if alias:
+            self.aliases[alias] = E.bid
+        return self.registry[E.bid]
+
+    def lookup(self, name: str) -> "Bisection":
+        bid = self.aliases.get(name, name)
+        if bid not in self.registry:
+            raise KeyError(f"unknown bisection {name!r}")
+        return self.registry[bid]
+
+    def __repr__(self):
+        return f"GroupoidModel({self.name}, {len(self.registry)} bisections)"
+
+
+class PolynomialGroupoid(GroupoidModel):
+    """A groupoid whose structure maps are polynomials on the arrow chart,
+    verified on construction, with a left-invariant frame of its algebroid."""
+
+    def __init__(self, name, base, arrow_chart, algebroid, s_map, t_map, unit_map,
+                 inv_map, mult_map, frame, unit_frame):
+        super().__init__(name, base, arrow_chart, algebroid)
         self.s_map = s_map
         self.t_map = t_map
         self.unit_map = unit_map
         self.inv_map = inv_map
         self.mult_map = mult_map
-        self.name = name
-        self.algebroid = None  # set by the model constructors
-        self.registry = {}
-        self.aliases = {}
-        if kind in ("pair", "group"):
-            self._verify_structure()
-
-    # -- structure-map algebra ----------------------------------------------
+        self.frame = frame
+        self.unit_frame = unit_frame
+        self._verify_structure()
 
     def _verify_structure(self):
         n = self.arrow_chart.dim
@@ -296,54 +382,257 @@ class GroupoidModel:
         ]:
             raise VerificationFailed("mult is not associative")
 
-    # -- arrow arithmetic ----------------------------------------------------
-
     def s_of(self, g):
-        if self.kind == "etale_action":
-            return (g[1],)
         return tuple(p.eval(g) for p in self.s_map)
 
     def t_of(self, g):
-        if self.kind == "etale_action":
-            return (g[0](g[1]),)
         return tuple(p.eval(g) for p in self.t_map)
 
     def unit_of(self, x):
-        if self.kind == "etale_action":
-            return (AffineMap.of(1, 0), x[0])
         return tuple(p.eval(x) for p in self.unit_map)
 
-    def mult_arrow(self, g2, g1):
-        """g2 * g1, defined when s(g2) = t(g1)."""
-        if self.s_of(g2) != self.t_of(g1):
-            raise NotComposable("arrows do not compose")
-        if self.kind == "etale_action":
-            return (g2[0].after(g1[0]), g1[1])
+    def _mult(self, g2, g1):
         return tuple(p.eval(tuple(g2) + tuple(g1)) for p in self.mult_map)
 
     def inv_arrow(self, g):
-        if self.kind == "etale_action":
-            return (g[0].inverse(), g[0](g[1]))
         return tuple(p.eval(g) for p in self.inv_map)
 
-    # -- registry ------------------------------------------------------------
+    def parse_test_function(self, text):
+        return Polynomial.parse(text, self.arrow_chart.dim)
 
-    def register(self, E: "Bisection", alias=None) -> "Bisection":
-        existing = self.registry.get(E.bid)
-        if existing is None:
-            self.registry[E.bid] = E
-        if alias:
-            self.aliases[alias] = E.bid
-        return self.registry[E.bid]
 
-    def lookup(self, name: str) -> "Bisection":
-        bid = self.aliases.get(name, name)
-        if bid not in self.registry:
-            raise KeyError(f"unknown bisection {name!r}")
-        return self.registry[bid]
+def _product_domain(E2, E1) -> Region:
+    """s(E2 . E1) = s(E1) meet tau_1^{-1}(s(E2)) for bisections over the line."""
+    if E2.domain.is_whole:
+        return E1.domain
+    aff = E1.tau.affine_parts()
+    if aff is None:
+        raise UnsupportedRegistry("flat bisection composed with a restricted domain")
+    a, b = aff
+    return E1.domain.intersect(E2.domain.affine_image(1 / a, -b / a))
 
-    def __repr__(self):
-        return f"GroupoidModel({self.name}, {len(self.registry)} bisections)"
+
+def _flat_powers(fn: CoeffFn):
+    """(i, j) with tau = t + 2^i phi (t<=0), t + 2^j phi (t>=0), if so shaped."""
+    pc = fn.phi_coeffs()
+    if pc is None or fn.poly != Polynomial.var(1, 0):
+        return None
+    out = []
+    for c in pc:
+        i = 0
+        while c > 1 and c % 2 == 0:
+            c, i = c / 2, i + 1
+        if c != 1:
+            return None
+        out.append(i)
+    return tuple(out)
+
+
+class PairModel(PolynomialGroupoid):
+    """The pair groupoid of the line: arrows (y, x) from x to y; a bisection
+    is the graph {(tau(x), x) : x in domain} of a diffeomorphism tau."""
+
+    kind = "pair"
+    doc_key = "pair"
+
+    def init_bisection(self, E, domain):
+        if E.tau is None:
+            raise ValueError("pair bisection needs a diffeomorphism")
+        E.domain = domain if domain is not None else Region.whole(1)
+        if E.is_flat and not E.domain.is_whole:
+            # flat-kink maps are only tracked on the full line
+            raise UnsupportedRegistry("flat bisections must have full-line domain")
+        E.bid = f"pair[{E.tau.text()}]@{_region_text(E.domain)}"
+
+    def alpha(self, E, x):
+        x0 = _coord(x)
+        return (E.tau_apply(x0), x0)
+
+    def beta(self, E, y):
+        y0 = _coord(y)
+        return (y0, E.tau_inv_apply(y0))
+
+    def contains_arrow(self, E, g):
+        y, x = g
+        if not E.domain.contains((x,)):
+            return False
+        diff = E.tau_diffeo()
+        if diff.fwd is not None:
+            gap = diff.fwd - CoeffFn.const(diff.chart, y)
+            return gap.value_is_zero_exact(x)
+        gap = diff.inv - CoeffFn.const(diff.chart, x)
+        return gap.value_is_zero_exact(y)
+
+    def unit_bisection(self):
+        return Bisection(self, tau=Diffeo1D.identity(self.base))
+
+    def bisection_mul(self, E2, E1):
+        return Bisection(self, tau=E2.tau.compose(E1.tau), domain=_product_domain(E2, E1))
+
+    def bisection_inv(self, E):
+        return Bisection(self, tau=E.tau.inverse(), domain=E.target_domain())
+
+    def germ_eq(self, E1, E2, x):
+        d1, d2 = E1.tau, E2.tau
+        if d1.fwd is not None and d2.fwd is not None:
+            return (d1.fwd - d2.fwd).has_zero_germ_at(x)
+        if d1.fwd is None and d2.fwd is None:
+            y = (d1.apply(x[0]),)
+            # compare the inverse maps at the (shared) image point
+            return (d1.inv - d2.inv).has_zero_germ_at(y)
+        return False
+
+    def bisection_to_json(self, E):
+        aff = E.tau.affine_parts()
+        if aff is not None:
+            tau = {"kind": "affine", "a": str(aff[0]), "b": str(aff[1])}
+        else:
+            powers = _flat_powers(E.tau.coeff())
+            if powers is not None:
+                tau = {"kind": "flat", "i": powers[0], "j": powers[1]}
+            else:
+                pc = E.tau.coeff().phi_coeffs()
+                tau = {"kind": "flat", "c_neg": str(pc[0]), "c_pos": str(pc[1])}
+        out = {"tau": tau}
+        if not E.domain.is_whole:
+            out["domain"] = _region_to_json(E.domain)
+        return out
+
+    def bisection_from_json(self, entry):
+        tau = entry["tau"]
+        domain = _region_from_json(entry.get("domain")) if entry.get("domain") else None
+        if tau["kind"] == "affine":
+            d = Diffeo1D.affine(self.base, Q(tau["a"]), Q(tau["b"]))
+        elif tau["kind"] == "flat":
+            if "i" in tau:
+                c_neg, c_pos = Q(2) ** int(tau["i"]), Q(2) ** int(tau["j"])
+            else:
+                c_neg, c_pos = Q(tau["c_neg"]), Q(tau["c_pos"])
+            d = Diffeo1D.flat_kink(self.base, c_neg, c_pos)
+        else:
+            raise ValueError(f"unknown tau kind {tau['kind']!r}")
+        return Bisection(self, tau=d, domain=domain)
+
+
+class GroupModel(PolynomialGroupoid):
+    """A Lie group over a point: a bisection is one group element.  The
+    closed form of Ad_k is stored to be checked against its derivation."""
+
+    kind = "group"
+    doc_key = "heisenberg"
+    unit_alias = "e"
+
+    def __init__(self, stored_ad_matrix, **structure):
+        super().__init__(**structure)
+        self.stored_ad_matrix = stored_ad_matrix
+
+    def init_bisection(self, E, domain):
+        if E.element is None:
+            raise ValueError("group bisection needs a group element")
+        E.element = tuple(Q(c) for c in E.element)
+        E.domain = self.base.domain
+        E.bid = "k[" + ",".join(str(c) for c in E.element) + "]"
+
+    def alpha(self, E, x):
+        return E.element
+
+    beta = alpha
+
+    def contains_arrow(self, E, g):
+        return tuple(g) == E.element
+
+    def unit_bisection(self):
+        return Bisection(self, element=self.unit_of(()))
+
+    def bisection_mul(self, E2, E1):
+        return Bisection(self, element=self.mult_arrow(E2.element, E1.element))
+
+    def bisection_inv(self, E):
+        return Bisection(self, element=self.inv_arrow(E.element))
+
+    def germ_eq(self, E1, E2, x):
+        return E1.element == E2.element
+
+    def bisection_to_json(self, E):
+        return {"k": [str(c) for c in E.element]}
+
+    def bisection_from_json(self, entry):
+        return Bisection(self, element=tuple(Q(c) for c in entry["k"]))
+
+
+class _SameOnEveryComponent:
+    """A test function on the etale arrows that is one function of the
+    source point on every component gamma; read like a dict keyed by gamma."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def get(self, gamma, default=None):
+        return self.fn
+
+
+class EtaleActionModel(GroupoidModel):
+    """The action groupoid of a group of affine maps of the line: arrows
+    (gamma, x) from x to gamma(x); a bisection is a group element gamma
+    restricted to an open domain, and its tau is the affine map gamma."""
+
+    kind = "etale_action"
+    doc_key = "etale"
+
+    def s_of(self, g):
+        return (g[1],)
+
+    def t_of(self, g):
+        return (g[0](g[1]),)
+
+    def unit_of(self, x):
+        return (AffineMap.of(1, 0), x[0])
+
+    def _mult(self, g2, g1):
+        return (g2[0].after(g1[0]), g1[1])
+
+    def inv_arrow(self, g):
+        return (g[0].inverse(), g[0](g[1]))
+
+    def init_bisection(self, E, domain):
+        if E.gamma is None:
+            raise ValueError("etale bisection needs a group element")
+        E.tau = Diffeo1D.affine(self.base, E.gamma.p, E.gamma.q)
+        E.domain = domain if domain is not None else Region.whole(1)
+        E.bid = f"g{E.gamma.text()}@{_region_text(E.domain)}"
+
+    def alpha(self, E, x):
+        return (E.gamma, _coord(x))
+
+    def beta(self, E, y):
+        return (E.gamma, E.gamma.inverse()(_coord(y)))
+
+    def contains_arrow(self, E, g):
+        return g[0] == E.gamma and E.domain.contains((g[1],))
+
+    def unit_bisection(self):
+        return Bisection(self, gamma=AffineMap.of(1, 0))
+
+    def bisection_mul(self, E2, E1):
+        return Bisection(self, gamma=E2.gamma.after(E1.gamma), domain=_product_domain(E2, E1))
+
+    def bisection_inv(self, E):
+        return Bisection(self, gamma=E.gamma.inverse(), domain=E.target_domain())
+
+    def germ_eq(self, E1, E2, x):
+        return E1.gamma == E2.gamma
+
+    def bisection_to_json(self, E):
+        return {"gamma": [str(E.gamma.p), str(E.gamma.q)],
+                "domain": _region_to_json(E.domain)}
+
+    def bisection_from_json(self, entry):
+        p, q = entry["gamma"]
+        return Bisection(self, gamma=AffineMap.of(Q(p), Q(q)),
+                         domain=_region_from_json(entry.get("domain")))
+
+    def parse_test_function(self, text):
+        return _SameOnEveryComponent(CoeffFn(self.base, Polynomial.parse(text, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -352,12 +641,10 @@ class GroupoidModel:
 
 
 class Bisection:
-    """A local bisection of a groupoid model.
-
-    pair:  the graph {(tau(x), x) : x in domain} of a diffeomorphism.
-    group: a single group element (the base is a point).
-    etale: a group element gamma restricted to an open domain.
-    """
+    """A local bisection of a groupoid model, given by a diffeomorphism tau
+    (pair), a group element (group) or a group element gamma and a domain
+    (etale).  The model checks the data and derives the content id; the
+    kind-specific methods hand off to it."""
 
     __slots__ = ("model", "bid", "tau", "domain", "element", "gamma")
 
@@ -366,28 +653,7 @@ class Bisection:
         self.tau = tau
         self.element = element
         self.gamma = gamma
-        if model.kind == "pair":
-            if tau is None:
-                raise ValueError("pair bisection needs a diffeomorphism")
-            domain = domain if domain is not None else Region.whole(1)
-            if tau.affine_parts() is None and not domain.is_whole:
-                # flat-kink maps are only tracked on the full line
-                raise UnsupportedRegistry("flat bisections must have full-line domain")
-            self.domain = domain
-            self.bid = f"pair[{tau.text()}]@{_region_text(domain)}"
-        elif model.kind == "group":
-            if element is None:
-                raise ValueError("group bisection needs a group element")
-            self.element = tuple(Q(c) for c in element)
-            self.domain = model.base.domain
-            self.bid = "k[" + ",".join(str(c) for c in self.element) + "]"
-        elif model.kind == "etale_action":
-            if gamma is None:
-                raise ValueError("etale bisection needs a group element")
-            self.domain = domain if domain is not None else Region.whole(1)
-            self.bid = f"g{gamma.text()}@{_region_text(self.domain)}"
-        else:
-            raise ValueError(f"unknown model kind {model.kind!r}")
+        model.init_bisection(self, domain)
 
     def __eq__(self, other):
         return isinstance(other, Bisection) and self.model is other.model and self.bid == other.bid
@@ -401,11 +667,14 @@ class Bisection:
     # -- the partial diffeomorphism tau_E ------------------------------------
 
     def tau_diffeo(self) -> Diffeo1D:
-        if self.model.kind == "pair":
-            return self.tau
-        if self.model.kind == "etale_action":
-            return Diffeo1D.affine(self.model.base, self.gamma.p, self.gamma.q)
-        raise ValueError("point-base bisections have no tau")
+        if self.tau is None:
+            raise ValueError("point-base bisections have no tau")
+        return self.tau
+
+    @property
+    def is_flat(self) -> bool:
+        """Is tau a flat kink rather than an affine map?"""
+        return self.tau is not None and self.tau.affine_parts() is None
 
     def tau_coeff(self) -> CoeffFn:
         return self.tau_diffeo().coeff()
@@ -421,98 +690,46 @@ class Bisection:
 
     def target_domain(self) -> Region:
         """t(E) as a region of the base."""
-        if self.model.kind == "group":
-            return self.domain
-        aff = self.tau_diffeo().affine_parts()
-        if aff is not None:
-            return self.domain.affine_image(*aff)
-        return self.domain  # flat kinks are bijections of the full line
+        aff = None if self.tau is None else self.tau.affine_parts()
+        if aff is None:
+            return self.domain  # a point base, or a flat kink of the full line
+        return self.domain.affine_image(*aff)
 
     # -- sections of s and t --------------------------------------------------
 
     def alpha(self, x):
         """The arrow of E with source x."""
-        x0 = x[0] if isinstance(x, (tuple, list)) else x
-        if self.model.kind == "pair":
-            return (self.tau_apply(x0), x0)
-        if self.model.kind == "group":
-            return self.element
-        return (self.gamma, x0)
+        return self.model.alpha(self, x)
 
     def beta(self, y):
         """The arrow of E with target y."""
-        y0 = y[0] if isinstance(y, (tuple, list)) else y
-        if self.model.kind == "pair":
-            return (y0, self.tau_inv_apply(y0))
-        if self.model.kind == "group":
-            return self.element
-        return (self.gamma, self.gamma.inverse()(y0))
+        return self.model.beta(self, y)
 
     def contains_source(self, x) -> bool:
-        x0 = x[0] if isinstance(x, (tuple, list)) else x
-        if self.model.kind == "group":
-            return True
-        return self.domain.contains((x0,)) or self.domain.is_whole
+        return self.domain.is_whole or self.domain.contains(_point(x))
+
+    def contains_target(self, y) -> bool:
+        tdom = self.target_domain()
+        return tdom.is_whole or tdom.contains(_point(y))
 
     def contains_arrow(self, g) -> bool:
         """Is the arrow g on this bisection?  Exact for rational data."""
-        if self.model.kind == "group":
-            return tuple(g) == self.element
-        if self.model.kind == "etale_action":
-            return g[0] == self.gamma and self.domain.contains((g[1],))
-        y, x = g
-        if not self.domain.contains((x,)):
-            return False
-        diff = self.tau_diffeo()
-        if diff.fwd is not None:
-            gap = diff.fwd - CoeffFn.const(diff.chart, y)
-            return gap.value_is_zero_exact(x)
-        gap = diff.inv - CoeffFn.const(diff.chart, x)
-        return gap.value_is_zero_exact(y)
+        return self.model.contains_arrow(self, g)
 
 
 def unit_bisection(model) -> Bisection:
-    if model.kind == "pair":
-        return Bisection(model, tau=Diffeo1D.identity(model.base))
-    if model.kind == "group":
-        return Bisection(model, element=(0,) * model.arrow_chart.dim)
-    return Bisection(model, gamma=AffineMap.of(1, 0))
+    return model.unit_bisection()
 
 
 def bisection_mul(E2: Bisection, E1: Bisection) -> Bisection:
     """E2 . E1 = {g2 g1 : g1 in E1, g2 in E2, s(g2) = t(g1)}."""
-    model = E2.model
-    if model is not E1.model:
+    if E2.model is not E1.model:
         raise ChartMismatch("bisections of different models")
-    if model.kind == "group":
-        k = model.mult_arrow(E2.element, E1.element)
-        return Bisection(model, element=k)
-    if model.kind == "etale_action":
-        gamma = E2.gamma.after(E1.gamma)
-        inv1 = E1.gamma.inverse()
-        pulled = E2.domain.affine_image(inv1.p, inv1.q)
-        return Bisection(model, gamma=gamma, domain=E1.domain.intersect(pulled))
-    # pair model
-    tau = E2.tau.compose(E1.tau)
-    aff1 = E1.tau.affine_parts()
-    if E2.domain.is_whole:
-        domain = E1.domain
-    elif aff1 is not None:
-        a, b = aff1
-        domain = E1.domain.intersect(E2.domain.affine_image(1 / a, -b / a))
-    else:
-        raise UnsupportedRegistry("flat bisection composed with a restricted domain")
-    return Bisection(model, tau=tau, domain=domain)
+    return E2.model.bisection_mul(E2, E1)
 
 
 def bisection_inv(E: Bisection) -> Bisection:
-    model = E.model
-    if model.kind == "group":
-        return Bisection(model, element=model.inv_arrow(E.element))
-    if model.kind == "etale_action":
-        g = E.gamma
-        return Bisection(model, gamma=g.inverse(), domain=E.domain.affine_image(g.p, g.q))
-    return Bisection(model, tau=E.tau.inverse(), domain=E.target_domain())
+    return E.model.bisection_inv(E)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +749,7 @@ class GermArrow:
 
 
 def germ_of(E: Bisection, x) -> GermArrow:
-    x = tuple(x) if isinstance(x, (tuple, list)) else (x,)
+    x = _point(x)
     if not E.contains_source(x):
         raise DomainError("source point outside the bisection domain")
     return GermArrow(E.bid, x)
@@ -545,32 +762,12 @@ def theta(model, e: GermArrow):
 
 def bisection_germ_eq(E1: Bisection, E2: Bisection, x) -> bool:
     """Do E1 and E2 have the same germ at the arrow over source point x?"""
-    model = E1.model
-    x = tuple(x) if isinstance(x, (tuple, list)) else (x,)
-    if model.kind == "group":
-        return E1.element == E2.element
-    if model.kind == "etale_action":
-        return E1.gamma == E2.gamma
-    d1, d2 = E1.tau, E2.tau
-    if d1.fwd is not None and d2.fwd is not None:
-        return (d1.fwd - d2.fwd).has_zero_germ_at(x)
-    if d1.fwd is None and d2.fwd is None:
-        y = (d1.apply(x[0]),)
-        # compare the inverse maps at the (shared) image point
-        return (d1.inv - d2.inv).has_zero_germ_at(y)
-    return False
-
-
-def germ_arrow_eq(model, e1: GermArrow, e2: GermArrow) -> bool:
-    if e1.source != e2.source:
-        return False
-    E1, E2 = e1.bisection(model), e2.bisection(model)
-    return bisection_germ_eq(E1, E2, e1.source)
+    return E1.model.germ_eq(E1, E2, _point(x))
 
 
 def germ_mul(model, e2: GermArrow, e1: GermArrow) -> GermArrow:
     E2, E1 = e2.bisection(model), e1.bisection(model)
-    if model.kind != "group" and e2.source != (E1.tau_apply(e1.source[0]),):
+    if e2.source != model.t_of(E1.alpha(e1.source)):
         raise NotComposable("germ sources do not match targets")
     prod = model.register(bisection_mul(E2, E1))
     return GermArrow(prod.bid, e1.source)
@@ -579,9 +776,7 @@ def germ_mul(model, e2: GermArrow, e1: GermArrow) -> GermArrow:
 def germ_inv(model, e: GermArrow) -> GermArrow:
     E = e.bisection(model)
     inv = model.register(bisection_inv(E))
-    if model.kind == "group":
-        return GermArrow(inv.bid, e.source)
-    return GermArrow(inv.bid, (E.tau_apply(e.source[0]),))
+    return GermArrow(inv.bid, model.t_of(E.alpha(e.source)))
 
 
 def germ_fiber(model, g, bisections=None):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import random
-from fractions import Fraction
 
 from .coeffs import Chart, CoeffFn, Polynomial, Q
 from .errors import ParentMismatch, VerificationFailed

@@ -15,9 +15,18 @@ from __future__ import annotations
 
 import json
 
-from .coeffs import Chart, CoeffFn, Polynomial, Q, Region
+from .coeffs import Chart, Polynomial, Q, Region
 from .errors import ParseError
-from .groupoid import AffineMap, Bisection, Diffeo1D, GroupoidModel, unit_bisection
+from .groupoid import (
+    AffineMap,
+    Bisection,
+    Diffeo1D,
+    EtaleActionModel,
+    GroupModel,
+    GroupoidModel,
+    PairModel,
+    unit_bisection,
+)
 from .lie_rinehart import (
     algebroid_of_groupoid,
     heisenberg_algebra,
@@ -37,21 +46,19 @@ def pair_model(register_defaults: bool = True) -> GroupoidModel:
     v2 = [Polynomial.var(2, i) for i in range(2)]
     v4 = [Polynomial.var(4, i) for i in range(4)]
     x = Polynomial.var(1, 0)
-    model = GroupoidModel(
-        kind="pair",
+    model = PairModel(
+        name="pair-line",
         base=base,
         arrow_chart=Chart.space(2, "PairG"),
+        algebroid=A,
         s_map=[v2[1]],
         t_map=[v2[0]],
         unit_map=[x, x],
         inv_map=[v2[1], v2[0]],
         mult_map=[v4[0], v4[3]],
-        name="pair-line",
+        frame=[[Polynomial(2, {}), Polynomial.const(2, 1)]],
+        unit_frame=[[Polynomial.const(1, 0), Polynomial.const(1, 1)]],
     )
-    model.algebroid = A
-    model.frame = [[Polynomial(2, {}), Polynomial.const(2, 1)]]
-    model.unit_frame = [[Polynomial.const(1, 0), Polynomial.const(1, 1)]]
-    model.stored_ad_matrix = None
     algebroid_of_groupoid(model)
     if register_defaults:
         model.register(unit_bisection(model), alias="M")
@@ -74,36 +81,35 @@ def heisenberg_model(register_defaults: bool = True) -> GroupoidModel:
     A = heisenberg_algebra()
     v3 = [Polynomial.var(3, i) for i in range(3)]
     v6 = [Polynomial.var(6, i) for i in range(6)]
-    model = GroupoidModel(
-        kind="group",
-        base=A.chart,
-        arrow_chart=Chart.space(3, "H3"),
-        s_map=[],
-        t_map=[],
-        unit_map=[Polynomial.const(0, 0)] * 3,
-        inv_map=[-v3[0], -v3[1], -v3[2] + v3[0] * v3[1]],
-        mult_map=[v6[0] + v6[3], v6[1] + v6[4], v6[2] + v6[5] + v6[0] * v6[4]],
-        name="heisenberg",
-    )
-    model.algebroid = A
     zero3 = Polynomial(3, {})
     one3 = Polynomial.const(3, 1)
-    model.frame = [
-        [one3, zero3, zero3],
-        [zero3, one3, Polynomial.var(3, 0)],
-        [zero3, zero3, one3],
-    ]
-    model.unit_frame = [
-        [Polynomial.const(0, 1), Polynomial.const(0, 0), Polynomial.const(0, 0)],
-        [Polynomial.const(0, 0), Polynomial.const(0, 1), Polynomial.const(0, 0)],
-        [Polynomial.const(0, 0), Polynomial.const(0, 0), Polynomial.const(0, 1)],
-    ]
 
     def stored_ad(element):
         a, b, _ = element
         return [[1, 0, 0], [0, 1, 0], [-b, a, 1]]
 
-    model.stored_ad_matrix = stored_ad
+    model = GroupModel(
+        name="heisenberg",
+        base=A.chart,
+        arrow_chart=Chart.space(3, "H3"),
+        algebroid=A,
+        s_map=[],
+        t_map=[],
+        unit_map=[Polynomial.const(0, 0)] * 3,
+        inv_map=[-v3[0], -v3[1], -v3[2] + v3[0] * v3[1]],
+        mult_map=[v6[0] + v6[3], v6[1] + v6[4], v6[2] + v6[5] + v6[0] * v6[4]],
+        frame=[
+            [one3, zero3, zero3],
+            [zero3, one3, Polynomial.var(3, 0)],
+            [zero3, zero3, one3],
+        ],
+        unit_frame=[
+            [Polynomial.const(0, 1), Polynomial.const(0, 0), Polynomial.const(0, 0)],
+            [Polynomial.const(0, 0), Polynomial.const(0, 1), Polynomial.const(0, 0)],
+            [Polynomial.const(0, 0), Polynomial.const(0, 0), Polynomial.const(0, 1)],
+        ],
+        stored_ad_matrix=stored_ad,
+    )
     algebroid_of_groupoid(model)
     if register_defaults:
         model.register(unit_bisection(model), alias="e")
@@ -121,21 +127,12 @@ def heisenberg_model(register_defaults: bool = True) -> GroupoidModel:
 
 def etale_model(register_defaults: bool = True) -> GroupoidModel:
     base = Chart.line("M")
-    model = GroupoidModel(
-        kind="etale_action",
+    model = EtaleActionModel(
+        name="affine-action",
         base=base,
         arrow_chart=Chart.space(2, "EtaleG"),
-        s_map=None,
-        t_map=None,
-        unit_map=None,
-        inv_map=None,
-        mult_map=None,
-        name="affine-action",
+        algebroid=rank_zero_algebroid(base),
     )
-    model.algebroid = rank_zero_algebroid(base)
-    model.frame = []
-    model.unit_frame = []
-    model.stored_ad_matrix = None
     algebroid_of_groupoid(model)
     if register_defaults:
         model.register(unit_bisection(model), alias="M")
@@ -148,17 +145,13 @@ def etale_model(register_defaults: bool = True) -> GroupoidModel:
     return model
 
 
-_FACTORIES = {
-    "pair": pair_model,
-    "group": heisenberg_model,
-    "heisenberg": heisenberg_model,
-    "etale": etale_model,
-    "etale_action": etale_model,
-}
+# Factories by document key.  Documents may also name a model by its kind.
+FACTORIES = {"pair": pair_model, "heisenberg": heisenberg_model, "etale": etale_model}
+_DOC_MODELS = {**FACTORIES, "group": heisenberg_model, "etale_action": etale_model}
 
 
 def builtin_models():
-    return {"pair": pair_model(), "heisenberg": heisenberg_model(), "etale": etale_model()}
+    return {key: factory() for key, factory in FACTORIES.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -166,70 +159,12 @@ def builtin_models():
 # ---------------------------------------------------------------------------
 
 
-def _region_to_json(r: Region):
-    if r.is_whole:
-        return "R"
-    return [
-        [None if lo is None else str(lo), None if hi is None else str(hi)]
-        for ((lo, hi),) in r.boxes
-    ]
-
-
-def _region_from_json(data) -> Region:
-    if data in (None, "R"):
-        return Region.whole(1)
-    return Region.union(*(Region.interval(lo, hi) for lo, hi in data))
-
-
-def _flat_powers(fn: CoeffFn):
-    """(i, j) with tau = t + 2^i phi (t<=0), t + 2^j phi (t>=0), if so shaped."""
-    pc = fn.phi_coeffs()
-    if pc is None or fn.poly != Polynomial.var(1, 0):
-        return None
-    out = []
-    for c in pc:
-        i = 0
-        while c > 1 and c % 2 == 0:
-            c, i = c / 2, i + 1
-        if c != 1:
-            return None
-        out.append(i)
-    return tuple(out)
-
-
-def _bisection_to_json(alias: str, E: Bisection) -> dict:
-    model = E.model
-    if model.kind == "group":
-        return {"id": alias, "k": [str(c) for c in E.element]}
-    if model.kind == "etale_action":
-        return {
-            "id": alias,
-            "gamma": [str(E.gamma.p), str(E.gamma.q)],
-            "domain": _region_to_json(E.domain),
-        }
-    aff = E.tau.affine_parts()
-    if aff is not None:
-        tau = {"kind": "affine", "a": str(aff[0]), "b": str(aff[1])}
-    else:
-        powers = _flat_powers(E.tau.coeff())
-        if powers is not None:
-            tau = {"kind": "flat", "i": powers[0], "j": powers[1]}
-        else:
-            pc = E.tau.coeff().phi_coeffs()
-            tau = {"kind": "flat", "c_neg": str(pc[0]), "c_pos": str(pc[1])}
-    out = {"id": alias, "tau": tau}
-    if not E.domain.is_whole:
-        out["domain"] = _region_to_json(E.domain)
-    return out
-
-
 def model_to_json(model: GroupoidModel) -> dict:
-    kind = {"pair": "pair", "group": "heisenberg", "etale_action": "etale"}[model.kind]
     names = {bid: alias for alias, bid in model.aliases.items()}
     return {
-        "model": kind,
+        "model": model.doc_key,
         "bisections": [
-            _bisection_to_json(names.get(bid, bid), E)
+            {"id": names.get(bid, bid), **model.bisection_to_json(E)}
             for bid, E in sorted(model.registry.items())
         ],
     }
@@ -239,50 +174,26 @@ def model_from_json(data) -> GroupoidModel:
     if isinstance(data, str):
         data = json.loads(data)
     try:
-        kind = data["model"]
-        factory = _FACTORIES[kind]
+        factory = _DOC_MODELS[data["model"]]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad model document: {exc}")
     model = factory(register_defaults=False)
-    model.register(unit_bisection(model), alias="M" if model.kind != "group" else "e")
+    model.register(unit_bisection(model), alias=model.unit_alias)
     for entry in data.get("bisections", []):
         try:
-            E = _bisection_from_json(model, entry)
-            model.register(E, alias=entry["id"])
+            model.register(model.bisection_from_json(entry), alias=entry["id"])
         except (KeyError, ValueError, TypeError) as exc:
             raise ParseError(f"bad bisection entry {entry!r}: {exc}")
     return model
 
 
-def _bisection_from_json(model, entry) -> Bisection:
-    if model.kind == "group":
-        return Bisection(model, element=tuple(Q(c) for c in entry["k"]))
-    if model.kind == "etale_action":
-        p, q = entry["gamma"]
-        return Bisection(
-            model,
-            gamma=AffineMap.of(Q(p), Q(q)),
-            domain=_region_from_json(entry.get("domain")),
-        )
-    tau = entry["tau"]
-    domain = _region_from_json(entry.get("domain")) if entry.get("domain") else None
-    if tau["kind"] == "affine":
-        d = Diffeo1D.affine(model.base, Q(tau["a"]), Q(tau["b"]))
-    elif tau["kind"] == "flat":
-        if "i" in tau:
-            c_neg, c_pos = Q(2) ** int(tau["i"]), Q(2) ** int(tau["j"])
-        else:
-            c_neg, c_pos = Q(tau["c_neg"]), Q(tau["c_pos"])
-        d = Diffeo1D.flat_kink(model.base, c_neg, c_pos)
-    else:
-        raise ValueError(f"unknown tau kind {tau['kind']!r}")
-    return Bisection(model, tau=d, domain=domain)
+def load_model_doc(path: str) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"malformed model JSON: {exc}")
 
 
 def load_model(path: str) -> GroupoidModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed model JSON: {exc}")
-    return model_from_json(doc)
+    return model_from_json(load_model_doc(path))

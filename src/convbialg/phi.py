@@ -20,7 +20,7 @@ from typing import Optional
 from .adjoint import ad_uea
 from .coeffs import CoeffFn, Polynomial, Q
 from .conv import ConvElement, conv_is_zero, conv_mul, eval_germ
-from .errors import UnsupportedComposition, UnsupportedRegistry, VerificationFailed
+from .errors import UnsupportedComposition, UnsupportedRegistry
 from .groupoid import (
     Bisection,
     bisection_germ_eq,
@@ -66,6 +66,28 @@ class Stratum:
         if self.hi is None:
             return s + 1
         return (s + self.hi) / 2
+
+    def vanishes(self, v: UEAElement) -> bool:
+        """Does v, an element over the base, vanish on this stratum?"""
+        if self.kind == "interval":
+            return all(f.is_zero_on(self.lo, self.hi) for f in v.terms.values())
+        if self.point is None:  # the point base
+            return v.is_zero
+        return GermUEA((self.point,), v).is_zero
+
+    def image(self, E: Bisection) -> "Stratum":
+        """tau_E of this stratum.  Flat kinks fix 0 and preserve order, so
+        they map each sign interval into itself; that is all vanishing on
+        an interval needs to know."""
+        if self.kind == "point":
+            return self if self.point is None else Stratum("point", point=E.tau_apply(self.point))
+        aff = E.tau_diffeo().affine_parts()
+        if aff is None:
+            return self
+        a, b = aff
+        lo = None if self.lo is None else a * self.lo + b
+        hi = None if self.hi is None else a * self.hi + b
+        return Stratum("interval", lo=lo, hi=hi) if a > 0 else Stratum("interval", lo=hi, hi=lo)
 
     def text(self) -> str:
         if self.kind == "point":
@@ -190,10 +212,8 @@ def phi(a: ConvElement) -> TransvDist:
 
 
 def _same_arrow_at(E: Bisection, F: Bisection, x0) -> bool:
-    """Exact test: do E and F pass through the same arrow over source x0?"""
-    model = E.model
-    if model.kind == "etale_action":
-        return E.gamma == F.gamma
+    """Exact test: do the pair-model bisections E and F pass through the
+    same arrow over source x0?"""
     try:
         gap = E.tau_coeff() - F.tau_coeff()
     except UnsupportedComposition:
@@ -203,15 +223,6 @@ def _same_arrow_at(E: Bisection, F: Bisection, x0) -> bool:
             "cannot decide arrow coincidence for inverted flat bisections"
         )
     return gap.value_is_zero_exact(x0)
-
-
-def _vanishes_source_side(model, v: UEAElement, st: Stratum) -> bool:
-    """Does v (a function of the source point) vanish on the stratum?"""
-    if model.kind == "group":
-        return v.is_zero
-    if st.kind == "point":
-        return GermUEA((st.point,), v).is_zero
-    return all(f.is_zero_on(st.lo, st.hi) for f in v.terms.values())
 
 
 def _stratified_zero(model, terms):
@@ -242,7 +253,7 @@ def _stratified_zero(model, terms):
             for cls in grp:
                 for E in cls:
                     total = total + terms[E.bid]
-            if not _vanishes_source_side(model, total, st):
+            if not st.vanishes(total):  # a function of the source point
                 witness = {
                     "stratum": st.text(),
                     "classes": [[E.bid for E in cls] for cls in grp],

@@ -2,15 +2,15 @@
 
 Every suite returns a deterministic report dict
     {"suite": name, "pass": bool, "checks": [{"name", "pass", ...}, ...]}
-computed from a seed; no global state.
+computed from a seed; no global state.  A suite reads only the models it
+is given or builds, so its report does not depend on what ran before it.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+from itertools import repeat
 
-from .adjoint import ad_uea
 from .coeffs import CoeffFn, Polynomial, Q
 from .conv import (
     ConvElement,
@@ -28,9 +28,7 @@ from .dist import (
     dist_eval_at,
     dist_mul,
     dist_mul_defcheck,
-    test_bank,
 )
-from .errors import UnsupportedComposition, UnsupportedProduct
 from .groupoid import bisection_inv, bisection_mul, unit_bisection
 from .lie_rinehart import (
     check_axioms,
@@ -39,7 +37,7 @@ from .lie_rinehart import (
     rank_zero_algebroid,
     tangent_line_algebroid,
 )
-from .models import builtin_models
+from .models import FACTORIES, model_from_json
 from .phi import (
     phi,
     scenario_cartier_gabriel,
@@ -50,13 +48,18 @@ from .uea import (
     TensorElement,
     UEAElement,
     coproduct,
-    counit,
     uea_mul,
 )
 
 
-def _models(models=None):
-    return models if models is not None else builtin_models()
+def _model(models, key):
+    """The model a suite reads under a document key: the given one, or one
+    newly built from the factory."""
+    return models[key] if models and key in models else FACTORIES[key]()
+
+
+def _all_models(models):
+    return {key: _model(models, key) for key in FACTORIES}
 
 
 def _random_uea(rng, A, max_deg=2, nterms=2):
@@ -206,7 +209,7 @@ def _random_etale_element(rng, model, nterms=2) -> ConvElement:
 
 
 def suite_hopf_etale(seed=0xC0FFEE, models=None):
-    model = _models(models)["etale"]
+    model = _model(models, "etale")
     A = model.algebroid
     rng = random.Random(seed)
     elements = [_random_etale_element(rng, model) for _ in range(30)]
@@ -279,12 +282,12 @@ def suite_hopf_etale(seed=0xC0FFEE, models=None):
 def suite_commuting_square(seed=0xC0FFEE, models=None, nu=20, nf=5):
     rng = random.Random(seed)
     checks = []
-    for mname, model in sorted(_models(models).items()):
+    for mname, model in sorted(_all_models(models).items()):
         A = model.algebroid
         n = model.arrow_chart.dim
         ok, witness, exact_count, numeric_count, worst = True, None, 0, 0, 0.0
         for E in list(model.registry.values()):
-            flat = model.kind == "pair" and E.tau.affine_parts() is None
+            flat = E.is_flat
             for iu in range(nu):
                 u = _random_uea(rng, A, max_deg=2)
                 for jf in range(nf):
@@ -325,7 +328,7 @@ def _term_bank(model, rng):
                 out.append((E, UEAElement.from_coeff(A, CoeffFn(A.chart, P))))
         return out
     for E in model.registry.values():
-        if model.kind == "pair" and E.tau.affine_parts() is None:
+        if E.is_flat:
             continue  # the defining formula needs a polynomial beta
         us = [UEAElement.from_coeff(A, CoeffFn(A.chart, random_polynomial(rng, A.chart.dim, 2)))]
         if A.rank:
@@ -341,7 +344,7 @@ def suite_prop43(seed=0xC0FFEE, models=None):
     rng = random.Random(seed)
     checks = []
     total_pairs = 0
-    for mname, model in sorted(_models(models).items()):
+    for mname, model in sorted(_all_models(models).items()):
         bank = _term_bank(model, rng)
         n = model.arrow_chart.dim
         if model.kind == "etale_action":
@@ -383,10 +386,7 @@ def suite_prop43(seed=0xC0FFEE, models=None):
 
 def _random_conv_element(rng, model, poly_only=True) -> ConvElement:
     A = model.algebroid
-    pool = [
-        E for E in model.registry.values()
-        if model.kind != "pair" or E.tau.affine_parts() is not None
-    ]
+    pool = [E for E in model.registry.values() if not E.is_flat]
     a = ConvElement.zero(model)
     for _ in range(rng.randint(1, 2)):
         E = rng.choice(pool)
@@ -397,7 +397,7 @@ def _random_conv_element(rng, model, poly_only=True) -> ConvElement:
 def suite_phi_homomorphism(seed=0xC0FFEE, models=None, npairs=100):
     rng = random.Random(seed)
     checks = []
-    for mname, model in sorted(_models(models).items()):
+    for mname, model in sorted(_all_models(models).items()):
         ok, witness = True, None
         for i in range(npairs):
             a = _random_conv_element(rng, model)
@@ -417,18 +417,18 @@ def suite_phi_homomorphism(seed=0xC0FFEE, models=None, npairs=100):
 
 
 def suite_kernel_example(seed=0xC0FFEE, models=None):
-    rep = scenario_kernel_example(_models(models)["pair"])
+    rep = scenario_kernel_example(_model(models, "pair"))
     return {"suite": "kernel-example", "pass": rep["pass"], "checks": rep["checks"],
             "strata": rep["strata"]}
 
 
 def suite_cartier_gabriel(seed=0xC0FFEE, models=None):
-    rep = scenario_cartier_gabriel(_models(models)["heisenberg"], seed=seed)
+    rep = scenario_cartier_gabriel(_model(models, "heisenberg"), seed=seed)
     return {"suite": "cartier-gabriel", "pass": rep["pass"], "checks": rep["checks"]}
 
 
 def suite_etale_iso(seed=0xC0FFEE, models=None):
-    rep = scenario_etale_iso(_models(models)["etale"], seed=seed)
+    rep = scenario_etale_iso(_model(models, "etale"), seed=seed)
     return {"suite": "etale-iso", "pass": rep["pass"], "checks": rep["checks"]}
 
 
@@ -494,14 +494,28 @@ def run_suite(name, seed=0xC0FFEE, models=None):
     return SUITES[name](seed=seed, models=models)
 
 
-def run_all(seed=0xC0FFEE, models=None, jobs=1):
-    models = _models(models)
-    names = sorted(SUITES)
-    if jobs and jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
+def _run_on_new_models(name, seed, docs):
+    models = {key: model_from_json(doc) for key, doc in docs.items()}
+    return run_suite(name, seed=seed, models=models)
 
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            reports = list(ex.map(lambda n: run_suite(n, seed=seed, models=models), names))
+
+def run_all(seed=0xC0FFEE, docs=None, jobs=1):
+    """Every suite in sorted order, each on newly built models.
+
+    docs maps document keys to JSON model documents that replace the
+    builtin models of their kind; each suite loads them again.  With
+    jobs > 1 the suites run in that many worker processes.
+    """
+    docs = docs or {}
+    names = sorted(SUITES)
+    if jobs > 1:
+        # imported here: they add a fifth to the import time of the package
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        ctx = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as ex:
+            reports = list(ex.map(_run_on_new_models, names, repeat(seed), repeat(docs)))
     else:
-        reports = [run_suite(n, seed=seed, models=models) for n in names]
+        reports = [_run_on_new_models(n, seed, docs) for n in names]
     return {"pass": all(r["pass"] for r in reports), "suites": reports}

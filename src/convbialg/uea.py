@@ -14,10 +14,9 @@ terminates even with function coefficients in the bracket table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .coeffs import CoeffFn, Q, germ_eq, Germ
-from .errors import ChartMismatch, DomainError, ParentMismatch
+from .coeffs import CoeffFn
+from .errors import ChartMismatch, DomainError, ParentMismatch, VerificationFailed
 from .lie_rinehart import LieRinehart, Section
 
 
@@ -310,10 +309,10 @@ def coproduct(u: UEAElement) -> TensorElement:
 
 
 def counit(u: UEAElement) -> CoeffFn:
-    """epsilon(u): the degree-0 coefficient, asserted equal to rho(u)(1)."""
+    """epsilon(u): the degree-0 coefficient, checked equal to rho(u)(1)."""
     eps = u.degree0()
-    via_rep = anchor_rep(u, CoeffFn.const(u.parent.chart, 1))
-    assert eps == via_rep, "counit characterizations disagree"
+    if eps != anchor_rep(u, CoeffFn.const(u.parent.chart, 1)):
+        raise VerificationFailed("counit characterizations disagree")
     return eps
 
 

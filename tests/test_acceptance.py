@@ -12,8 +12,10 @@ import pytest
 from convbialg.suites import run_suite
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
 def models():
+    """Fresh builtin models for each criterion, as `convbialg check` gives
+    each suite; a shared registry would grow with every earlier criterion."""
     from convbialg.models import builtin_models
 
     return builtin_models()

@@ -95,6 +95,12 @@ class TestFlat:
         g = CoeffFn(LINE, Polynomial.parse("x0^2 + -1", 1))
         assert g.value_is_zero_exact(F(1))
 
+    def test_tiny_arguments_underflow_to_zero(self):
+        # exp(-1/t^2) is 0.0 in floats long before t^-k overflows
+        d2 = CoeffFn.phi(LINE).derive().derive()
+        for t in (1e-60, -1e-60, 1e-200):
+            assert d2.eval((t,)) == 0.0
+
     def test_restricted_products(self):
         phi = CoeffFn.phi(LINE)
         two = CoeffFn.const(LINE, 2)

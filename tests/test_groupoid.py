@@ -8,7 +8,7 @@ from convbialg.groupoid import (
     AffineMap,
     Bisection,
     Diffeo1D,
-    GroupoidModel,
+    PairModel,
     bisection_germ_eq,
     bisection_inv,
     bisection_mul,
@@ -19,6 +19,7 @@ from convbialg.groupoid import (
     theta,
     unit_bisection,
 )
+from convbialg.lie_rinehart import tangent_line_algebroid
 from convbialg.models import etale_model, heisenberg_model, pair_model
 
 
@@ -62,16 +63,18 @@ class TestStructureMaps:
         v4 = [Polynomial.var(4, i) for i in range(4)]
         x = Polynomial.var(1, 0)
         with pytest.raises(VerificationFailed):
-            GroupoidModel(
-                kind="pair",
+            PairModel(
+                name="broken",
                 base=Chart.line("M"),
                 arrow_chart=Chart.space(2, "G"),
+                algebroid=tangent_line_algebroid(),
                 s_map=[v2[1]],
                 t_map=[v2[0]],
                 unit_map=[x, x],
                 inv_map=[v2[1], v2[0]],
                 mult_map=[v4[0], v4[2]],  # wrong source slot
-                name="broken",
+                frame=[],
+                unit_frame=[],
             )
 
 

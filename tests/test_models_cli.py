@@ -1,8 +1,12 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import convbialg.suites
 from convbialg.cli import main
 from convbialg.coeffs import Chart, CoeffFn, Polynomial, Q
 from convbialg.errors import ParseError
@@ -111,13 +115,24 @@ class TestCli:
         assert first == second
         json.loads(first)  # valid JSON
 
-    def test_jobs_flag_same_report(self, capsys):
-        base = ["check", "--suite", "uea", "--output", "json"]
-        assert main(base) == 0
-        solo = capsys.readouterr().out
-        assert main(base + ["--jobs", "2"]) == 0
-        multi = capsys.readouterr().out
-        assert solo == multi
+    def test_library_error_exits_2_without_traceback(self, capsys):
+        # Ad of the flat E00 needs the inverse map, which is not representable
+        assert main(["eval", "conv_mul(<1|E00>,<1 * D|E01>)"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    def test_optimized_interpreter_same_report(self, capsys):
+        args = ["check", "--suite", "hopf-etale", "--output", "json"]
+        assert main(args) == 0
+        in_process = capsys.readouterr().out
+        run = subprocess.run([sys.executable, "-O", "-m", "convbialg.cli", *args],
+                             capture_output=True, text=True, timeout=300,
+                             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == in_process
 
     def test_eval_round_trip(self, capsys, models):
         # the printed result of an eval re-parses to an equal element on a
@@ -130,3 +145,30 @@ class TestCli:
         prod = conv_mul(parse_conv(m, "<1*x0 * D|shift>"), parse_conv(m, "<2|dbl>"))
         assert prod.text() == text
         assert parse_conv(m, text) == prod
+
+
+SUBSET = ("hopf-etale", "prop43")
+
+
+@pytest.fixture
+def suite_subset(monkeypatch):
+    """Limit `check` without --suite to two suites that share the etale model."""
+    monkeypatch.setattr(convbialg.suites, "SUITES",
+                        {name: convbialg.suites.SUITES[name] for name in SUBSET})
+
+
+class TestRunAll:
+    def test_suite_reports_do_not_depend_on_earlier_suites(self, suite_subset):
+        report = convbialg.suites.run_all()
+        assert [r["suite"] for r in report["suites"]] == sorted(SUBSET)
+        for r in report["suites"]:
+            assert r == convbialg.suites.run_suite(r["suite"])
+
+    def test_jobs_same_all_suite_report(self, suite_subset, capsys):
+        base = ["check", "--output", "json"]
+        assert main(base) == 0
+        serial = capsys.readouterr().out
+        assert main(base + ["--jobs", "2"]) == 0
+        parallel = capsys.readouterr().out
+        assert [r["suite"] for r in json.loads(serial)["suites"]] == sorted(SUBSET)
+        assert serial == parallel

@@ -3,7 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import convbialg.uea
 from convbialg.coeffs import CoeffFn, Polynomial, Q
+from convbialg.errors import VerificationFailed
 from convbialg.lie_rinehart import (
     heisenberg_algebra,
     random_polynomial,
@@ -66,6 +68,14 @@ class TestRewriting:
             A = algs[k % 2]
             u, v = rand_uea(rng, A, 3), rand_uea(rng, A, 3)
             assert oracle_mul(u, v) == uea_mul(u, v).terms
+
+
+def test_counit_disagreement_raises(monkeypatch):
+    u = UEAElement.from_coeff(LINE, CoeffFn.const(LINE.chart, 2))
+    monkeypatch.setattr(convbialg.uea, "anchor_rep",
+                        lambda u, f: CoeffFn.const(LINE.chart, 3))
+    with pytest.raises(VerificationFailed):
+        counit(u)
 
 
 class TestCoalgebra:
