@@ -97,7 +97,6 @@ from .uea import (
     counit,
     is_primitive,
     uea_germ,
-    uea_germ_eq,
     uea_mul,
 )
 

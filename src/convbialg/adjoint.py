@@ -120,14 +120,15 @@ def ad_uea(E: Bisection, u: UEAElement) -> UEAElement:
     if u.degree() <= 0:
         return u.map_coeffs(transport)
     gens = [UEAElement.from_section(ad_section(E, A.basis_section(j))) for j in range(A.rank)]
-    out = UEAElement.zero(A)
+    pairs = []
     for exp, f in u.terms.items():
         acc = UEAElement.one(A)
         for j, k in enumerate(exp):
             for _ in range(k):
                 acc = uea_mul(acc, gens[j])
-        out = out + acc.coeff_mul(transport(f))
-    return out
+        tf = transport(f)
+        pairs.extend((e, tf * g) for e, g in acc.terms.items())
+    return UEAElement(A, pairs)
 
 
 def ad_germ(e: GermArrow, model, germ_u: GermUEA) -> GermUEA:

@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .coeffs import Q
+from .coeffs import parse_rational
 from .conv import conv_mul
 from .dist import dist_eval_at
 from .errors import ConvBialgError, ParseError
@@ -30,6 +30,13 @@ def _seed(text):
     return int(text, 0)
 
 
+def _jobs(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="convbialg",
                                 description="convolution bialgebra toolkit")
@@ -41,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=_seed, default=0xC0FFEE, metavar="U64")
         sp.add_argument("--output", choices=("text", "json"), default="text")
         if jobs:
-            sp.add_argument("--jobs", type=int, default=1, metavar="N")
+            sp.add_argument("--jobs", type=_jobs, default=1, metavar="N")
 
     sp = sub.add_parser("check", help="run invariant suites")
     sp.add_argument("--suite", choices=sorted(SUITES), default=None,
@@ -118,7 +125,7 @@ def _eval_expr(model, expr: str):
             if len(parts) != 3:
                 raise ParseError("dist_eval takes three arguments")
             T = parse_dist(model, parts[0])
-            x = Q(parts[2])
+            x = parse_rational(parts[2])
             F = model.parse_test_function(parts[1])
             return str(dist_eval_at(T, F, x))
     raise ParseError(f"unknown expression head in {expr!r}", 0)

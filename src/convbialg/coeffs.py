@@ -43,6 +43,15 @@ def _q(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def parse_rational(value) -> Fraction:
+    """A rational read from outside the program: a literal such as "3",
+    "-2/5" or "0.25", or a number; ParseError when it is not one."""
+    try:
+        return Q(value)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError):
+        raise ParseError(f"bad rational {value!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # Regions and charts
 # ---------------------------------------------------------------------------
@@ -352,7 +361,7 @@ class Polynomial:
             m = Polynomial._TERM_RE.fullmatch(chunk)
             if not m or (m.group("coeff") is None and not m.group("mons").strip()):
                 raise ParseError(f"bad polynomial term {chunk!r}")
-            coeff = Q(m.group("coeff")) if m.group("coeff") else Q(1)
+            coeff = parse_rational(m.group("coeff")) if m.group("coeff") else Q(1)
             exp = [0] * nvars
             for vm in re.finditer(r"x(\d+)(?:\^(\d+))?", m.group("mons")):
                 i = int(vm.group(1))

@@ -4,7 +4,9 @@
 differential operator it generates; a transversal distribution is a finite
 sum of terms [[E, Ω(u)]] acting on test functions F by
 
-    [[E, D]](F)(x) = D(F)(beta_E(x)).
+    [[E, D]](F)(x) = D(F)(beta_E(x)),
+
+kept as a BisectionSum (see conv) keyed by the bisection ids.
 
 The *-product follows Prop-style term rewriting
     [[E', D']] * [[E, D]] = [[E'.E, Adbar_{E^-1}(D') D]],
@@ -23,6 +25,7 @@ import random
 
 from .adjoint import ad_uea
 from .coeffs import CoeffFn, Polynomial, Q
+from .conv import BisectionSum
 from .errors import ChartMismatch, UnsupportedComposition
 from .groupoid import Bisection, bisection_inv, bisection_mul
 from .lie_rinehart import Section, random_polynomial
@@ -126,9 +129,6 @@ class ArrowFn:
         one = CoeffFn.const(model.base, 1)
         return ArrowFn(model, nvars, h_offset, [(one, P)])
 
-    def __add__(self, other: "ArrowFn") -> "ArrowFn":
-        return ArrowFn(self.model, self.nvars, self.h_offset, self.terms + other.terms)
-
     def apply_frame(self, i: int) -> "ArrowFn":
         """Apply the left-invariant frame field X-bar_i in the h-block."""
         model = self.model
@@ -151,18 +151,15 @@ class ArrowFn:
                         new.append((cm, pd * dsm * P))
         return ArrowFn(self.model, self.nvars, self.h_offset, new)
 
-    def mul_base(self, f: CoeffFn) -> "ArrowFn":
-        return ArrowFn(self.model, self.nvars, self.h_offset, [(f * c, P) for c, P in self.terms])
-
     def apply_uea(self, u: UEAElement) -> "ArrowFn":
-        out = ArrowFn(self.model, self.nvars, self.h_offset, [])
+        terms = []
         for exp, f in u.terms.items():
             acc = self
             word = [i for i, k in enumerate(exp) for _ in range(k)]
             for i in reversed(word):
                 acc = acc.apply_frame(i)
-            out = out + acc.mul_base(f)
-        return out
+            terms.extend((f * c, P) for c, P in acc.terms)
+        return ArrowFn(self.model, self.nvars, self.h_offset, terms)
 
     def substitute(self, new_nvars, subs, base_sub=None) -> "ArrowFn":
         """Substitute all variables (subs: polynomials in the new space);
@@ -212,69 +209,12 @@ def omega_apply(model, u: UEAElement, F) -> ArrowFn:
 # ---------------------------------------------------------------------------
 
 
-class TransvDist:
-    """Finite formal sum of terms [[E, Ω(u)]], keyed by bisection id."""
+class TransvDist(BisectionSum):
+    """Finite formal sum of terms [[E, Ω(u)]], keyed by bisection id;
+    phi.dist_is_zero tests zero as a distribution."""
 
-    __slots__ = ("model", "terms")
-
-    def __init__(self, model, terms=None):
-        self.model = model
-        clean = {}
-        for bid, u in dict(terms or {}).items():
-            if bid not in model.registry:
-                raise KeyError(f"unregistered bisection {bid!r}")
-            if not u.is_zero:
-                prev = clean.get(bid)
-                clean[bid] = u if prev is None else prev + u
-        self.terms = {bid: u for bid, u in clean.items() if not u.is_zero}
-
-    @staticmethod
-    def single(model, E: Bisection, u: UEAElement) -> "TransvDist":
-        model.register(E)
-        return TransvDist(model, {E.bid: u})
-
-    @staticmethod
-    def zero(model) -> "TransvDist":
-        return TransvDist(model, {})
-
-    @property
-    def is_zero_canonical(self) -> bool:
-        return not self.terms
-
-    def is_zero(self) -> bool:
-        """Zero as a distribution (canonical form merged along germ classes)."""
-        if not self.terms:
-            return True
-        from .phi import dist_is_zero
-
-        return dist_is_zero(self)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TransvDist)
-            and self.model is other.model
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other: "TransvDist") -> "TransvDist":
-        terms = dict(self.terms)
-        for bid, u in other.terms.items():
-            terms[bid] = terms[bid] + u if bid in terms else u
-        return TransvDist(self.model, terms)
-
-    def __neg__(self):
-        return TransvDist(self.model, {bid: -u for bid, u in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def text(self) -> str:
-        if not self.terms:
-            return "0"
-        names = {bid: alias for alias, bid in self.model.aliases.items()}
-        return " + ".join(
-            f"[[{names.get(bid, bid)}, {u.text()}]]" for bid, u in sorted(self.terms.items())
-        )
+    __slots__ = ()
+    _TERM = "[[{E}, {u}]]"
 
     def __repr__(self):
         return f"TransvDist({self.text()})"
@@ -339,15 +279,15 @@ def dist_mul(T2: TransvDist, T1: TransvDist) -> TransvDist:
     if T2.model is not T1.model:
         raise ChartMismatch("distributions over different models")
     model = T2.model
-    out = {}
+    pairs = []
     for bid2, u2 in T2.terms.items():
         E2 = model.registry[bid2]
         for bid1, u1 in T1.terms.items():
             E1 = model.registry[bid1]
             v = uea_mul(ad_uea(bisection_inv(E1), u2), u1)
             prod = model.register(bisection_mul(E2, E1))
-            out[prod.bid] = out[prod.bid] + v if prod.bid in out else v
-    return TransvDist(model, out)
+            pairs.append((prod.bid, v))
+    return TransvDist(model, pairs)
 
 
 # ---------------------------------------------------------------------------

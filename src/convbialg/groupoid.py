@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffs import Chart, CoeffFn, Polynomial, Q, Region
+from .coeffs import Chart, CoeffFn, Polynomial, Q, Region, parse_rational
 from .errors import (
     ChartMismatch,
     DomainError,
@@ -252,7 +252,10 @@ def _region_to_json(r: Region):
 def _region_from_json(data) -> Region:
     if data in (None, "R"):
         return Region.whole(1)
-    return Region.union(*(Region.interval(lo, hi) for lo, hi in data))
+    def bound(c):
+        return None if c is None else parse_rational(c)
+
+    return Region.union(*(Region.interval(bound(lo), bound(hi)) for lo, hi in data))
 
 
 def _point(x) -> tuple:
@@ -502,12 +505,12 @@ class PairModel(PolynomialGroupoid):
         tau = entry["tau"]
         domain = _region_from_json(entry.get("domain")) if entry.get("domain") else None
         if tau["kind"] == "affine":
-            d = Diffeo1D.affine(self.base, Q(tau["a"]), Q(tau["b"]))
+            d = Diffeo1D.affine(self.base, parse_rational(tau["a"]), parse_rational(tau["b"]))
         elif tau["kind"] == "flat":
             if "i" in tau:
                 c_neg, c_pos = Q(2) ** int(tau["i"]), Q(2) ** int(tau["j"])
             else:
-                c_neg, c_pos = Q(tau["c_neg"]), Q(tau["c_pos"])
+                c_neg, c_pos = parse_rational(tau["c_neg"]), parse_rational(tau["c_pos"])
             d = Diffeo1D.flat_kink(self.base, c_neg, c_pos)
         else:
             raise ValueError(f"unknown tau kind {tau['kind']!r}")
@@ -530,6 +533,9 @@ class GroupModel(PolynomialGroupoid):
         if E.element is None:
             raise ValueError("group bisection needs a group element")
         E.element = tuple(Q(c) for c in E.element)
+        if len(E.element) != self.arrow_chart.dim:
+            raise ValueError(f"group element needs {self.arrow_chart.dim} coordinates, "
+                             f"got {len(E.element)}")
         E.domain = self.base.domain
         E.bid = "k[" + ",".join(str(c) for c in E.element) + "]"
 
@@ -557,7 +563,7 @@ class GroupModel(PolynomialGroupoid):
         return {"k": [str(c) for c in E.element]}
 
     def bisection_from_json(self, entry):
-        return Bisection(self, element=tuple(Q(c) for c in entry["k"]))
+        return Bisection(self, element=tuple(parse_rational(c) for c in entry["k"]))
 
 
 class _SameOnEveryComponent:
@@ -628,7 +634,7 @@ class EtaleActionModel(GroupoidModel):
 
     def bisection_from_json(self, entry):
         p, q = entry["gamma"]
-        return Bisection(self, gamma=AffineMap.of(Q(p), Q(q)),
+        return Bisection(self, gamma=AffineMap.of(parse_rational(p), parse_rational(q)),
                          domain=_region_from_json(entry.get("domain")))
 
     def parse_test_function(self, text):

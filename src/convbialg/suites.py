@@ -46,6 +46,7 @@ from .phi import (
 )
 from .uea import (
     TensorElement,
+    TermSum,
     UEAElement,
     coproduct,
     uea_mul,
@@ -107,24 +108,19 @@ def suite_lie_rinehart(seed=0xC0FFEE, models=None):
 def _triple_expand(t: TensorElement, side: str):
     """(Delta x id) or (id x Delta) of a two-tensor, as {(a,b,c): CoeffFn}."""
     A = t.parent
-    out = {}
+    pairs = []
     for (a, b), f in t.terms.items():
         inner = coproduct(UEAElement(A, {(a if side == "left" else b): CoeffFn.const(A.chart, 1)}))
-        for (p, q), g in inner.terms.items():
-            key = (p, q, b) if side == "left" else (a, p, q)
-            fg = f * g
-            out[key] = out[key] + fg if key in out else fg
-    return {k: f for k, f in out.items() if not f.is_zero}
+        pairs.extend((((p, q, b) if side == "left" else (a, p, q)), f * g)
+                     for (p, q), g in inner.terms.items())
+    return TermSum.merge(pairs)
 
 
 def _counit_slot(t: TensorElement, slot: int) -> UEAElement:
     A = t.parent
     zero_exp = tuple([0] * A.rank)
-    out = UEAElement.zero(A)
-    for (a, b), f in t.terms.items():
-        if (a if slot == 0 else b) == zero_exp:
-            out = out + UEAElement(A, {(b if slot == 0 else a): f})
-    return out
+    return UEAElement(A, [((b if slot == 0 else a), f) for (a, b), f in t.terms.items()
+                          if (a if slot == 0 else b) == zero_exp])
 
 
 def suite_uea(seed=0xC0FFEE, models=None):
@@ -200,12 +196,12 @@ def suite_uea(seed=0xC0FFEE, models=None):
 def _random_etale_element(rng, model, nterms=2) -> ConvElement:
     A = model.algebroid
     bisections = list(model.registry.values())
-    a = ConvElement.zero(model)
+    pairs = []
     for _ in range(rng.randint(1, nterms)):
         E = rng.choice(bisections)
         f = CoeffFn(A.chart, random_polynomial(rng, 1, 2))
-        a = a + ConvElement.single(model, E, UEAElement.from_coeff(A, f))
-    return a
+        pairs.append((E.bid, UEAElement.from_coeff(A, f)))
+    return ConvElement(model, pairs)
 
 
 def suite_hopf_etale(seed=0xC0FFEE, models=None):
@@ -257,14 +253,15 @@ def suite_hopf_etale(seed=0xC0FFEE, models=None):
     def axiom_viii(a, b):
         lhs = conv_coproduct(a).apply_antipode_left().mu()
         # expected: sum <f o tau_E, E^-1.E> with E^-1.E the unit over s(E)
-        expected = ConvElement.zero(model)
+        pairs = []
         total = CoeffFn.const(A.chart, 0)
         for bid, u in a.terms.items():
             E = model.registry[bid]
             fs = u.degree0().compose([E.tau_coeff()])
             prod = model.register(bisection_mul(bisection_inv(E), E))
-            expected = expected + ConvElement(model, {prod.bid: UEAElement.from_coeff(A, fs)})
+            pairs.append((prod.bid, UEAElement.from_coeff(A, fs)))
             total = total + fs
+        expected = ConvElement(model, pairs)
         if not conv_eq(lhs, expected):
             return False
         return conv_counit(antipode_etale(a)) == total
@@ -387,11 +384,11 @@ def suite_prop43(seed=0xC0FFEE, models=None):
 def _random_conv_element(rng, model, poly_only=True) -> ConvElement:
     A = model.algebroid
     pool = [E for E in model.registry.values() if not E.is_flat]
-    a = ConvElement.zero(model)
+    pairs = []
     for _ in range(rng.randint(1, 2)):
         E = rng.choice(pool)
-        a = a + ConvElement.single(model, E, _random_uea(rng, A, max_deg=2))
-    return a
+        pairs.append((E.bid, _random_uea(rng, A, max_deg=2)))
+    return ConvElement(model, pairs)
 
 
 def suite_phi_homomorphism(seed=0xC0FFEE, models=None, npairs=100):

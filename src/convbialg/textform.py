@@ -13,9 +13,8 @@ Bisections are resolved through the model registry (aliases or content ids).
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
-from .coeffs import Chart, CoeffFn, Polynomial, Q
+from .coeffs import Chart, CoeffFn, Polynomial, parse_rational
 from .errors import ParseError
 from .uea import UEAElement
 
@@ -56,12 +55,12 @@ def _parse_flat_dict(text: str) -> dict:
     if not (text.startswith("{") and text.endswith("}")):
         raise ParseError(f"bad flat dict {text!r}")
     out = {}
-    for m in _FLAT_ENTRY.finditer(text):
-        k = int(m.group(1))
-        if m.group(2) is not None:
-            out[k] = Fraction(int(m.group(2)), int(m.group(3)))
-        else:
-            out[k] = Q(m.group(4))
+    body = text[1:-1].strip()
+    for entry in split_top(body, ",") if body else []:
+        m = _FLAT_ENTRY.fullmatch(entry.strip())
+        if not m:
+            raise ParseError(f"bad flat entry {entry.strip()!r}")
+        out[int(m.group(1))] = parse_rational(m.group(4) or f"{m.group(2)}/{m.group(3)}")
     return out
 
 
@@ -75,7 +74,7 @@ def parse_coeff(chart: Chart, text: str) -> CoeffFn:
         if len(cs) != 2:
             raise ParseError(f"bad phi part in {text!r}")
         p = Polynomial.parse(text[:k], chart.dim)
-        return CoeffFn.flat_piece(chart, p, Q(cs[0]), Q(cs[1]))
+        return CoeffFn.flat_piece(chart, p, parse_rational(cs[0]), parse_rational(cs[1]))
     k = text.rfind(" + flat[")
     if k >= 0 and text.endswith("]"):
         body = text[k + len(" + flat[") : -1]
@@ -98,7 +97,7 @@ def parse_uea(A, text: str) -> UEAElement:
     if text == "0":
         return UEAElement.zero(A)
     name_index = {n: i for i, n in enumerate(A.basis_names)}
-    out = UEAElement.zero(A)
+    pairs = []
     for term in split_top(text, " + "):
         term = term.strip()
         if not term:
@@ -115,8 +114,8 @@ def parse_uea(A, text: str) -> UEAElement:
                 if not m or m.group(1) not in name_index:
                     raise ParseError(f"unknown generator {tok!r}")
                 exp[name_index[m.group(1)]] += int(m.group(2) or 1)
-        out = out + UEAElement(A, {tuple(exp): f})
-    return out
+        pairs.append((tuple(exp), f))
+    return UEAElement(A, pairs)
 
 
 def parse_conv(model, text: str):
@@ -126,7 +125,7 @@ def parse_conv(model, text: str):
     text = text.strip()
     if text == "0":
         return ConvElement.zero(model)
-    out = ConvElement.zero(model)
+    pairs = []
     for term in split_top(text, " + "):
         term = term.strip()
         if not (term.startswith("<") and term.endswith(">")):
@@ -140,8 +139,8 @@ def parse_conv(model, text: str):
             E = model.lookup(pieces[1].strip())
         except KeyError as exc:
             raise ParseError(str(exc))
-        out = out + ConvElement.single(model, E, u)
-    return out
+        pairs.append((E.bid, u))
+    return ConvElement(model, pairs)
 
 
 def parse_dist(model, text: str):
@@ -151,7 +150,7 @@ def parse_dist(model, text: str):
     text = text.strip()
     if text == "0":
         return TransvDist.zero(model)
-    out = TransvDist.zero(model)
+    pairs = []
     for term in split_top(text, " + "):
         term = term.strip()
         if not (term.startswith("[[") and term.endswith("]]")):
@@ -165,5 +164,5 @@ def parse_dist(model, text: str):
         except KeyError as exc:
             raise ParseError(str(exc))
         u = parse_uea(model.algebroid, ",".join(pieces[1:]))
-        out = out + TransvDist.single(model, E, u)
-    return out
+        pairs.append((E.bid, u))
+    return TransvDist(model, pairs)

@@ -9,6 +9,11 @@ product is computed by terminating rewriting:
 
 Each rewrite strictly decreases (degree, inversions), so normalization
 terminates even with function coefficients in the bracket table.
+
+TermSum is the canonical form shared by every finite formal sum of the
+package: UEAElement and TensorElement here, ConvElement, ConvTensor and
+TransvDist (through BisectionSum) in conv and dist.  A sum is built once,
+from (key, value) pairs, by TermSum.merge.
 """
 
 from __future__ import annotations
@@ -20,29 +25,102 @@ from .errors import ChartMismatch, DomainError, ParentMismatch, VerificationFail
 from .lie_rinehart import LieRinehart, Section
 
 
-class UEAElement:
-    __slots__ = ("parent", "terms")
+class TermSum:
+    """A finite formal sum  sum_k v_k [k]  over a context: the algebra or
+    model its keys and values belong to.
 
-    def __init__(self, parent: LieRinehart, terms=None):
-        self.parent = parent
-        clean = {}
-        for exp, f in (terms or {}).items():
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != parent.rank or any(e < 0 for e in exp):
-                raise ValueError(f"bad exponent vector {exp}")
-            if not isinstance(f, CoeffFn):
-                f = parent._fn(f)
-            if f.chart != parent.chart:
-                raise ChartMismatch("coefficient on wrong chart")
-            if not f.is_zero:
-                clean[exp] = clean.get(exp, CoeffFn.const(parent.chart, 0)) + f
-        self.terms = {e: f for e, f in clean.items() if not f.is_zero}
+    `terms` maps each key to its nonzero value, in the order the keys first
+    appear.  Values are immutable and support `+`, unary `-`, `scale` and
+    `is_zero`.  The constructor takes a dict or an iterable of (key, value)
+    pairs; subclasses name the context `parent` or `model`.
+    """
 
-    # -- constructors -------------------------------------------------------
+    __slots__ = ("ctx", "terms")
+
+    def __init__(self, ctx, terms=None):
+        self.ctx = ctx
+        self.terms = self.merge(self._pairs(terms))
 
     @staticmethod
-    def zero(parent) -> "UEAElement":
-        return UEAElement(parent, {})
+    def _pairs(terms):
+        """The (key, value) pairs of a dict, or the given iterable of pairs."""
+        if terms is None:
+            return ()
+        return terms.items() if isinstance(terms, dict) else terms
+
+    @staticmethod
+    def merge(pairs) -> dict:
+        """The canonical form of a list of terms: zero values are skipped,
+        values with equal keys are added in the order the keys first
+        appear, and keys whose values cancel are dropped."""
+        out = {}
+        for k, v in pairs:
+            if v.is_zero:
+                continue
+            prev = out.get(k)
+            out[k] = v if prev is None else prev + v
+        return {k: v for k, v in out.items() if not v.is_zero}
+
+    @classmethod
+    def zero(cls, ctx):
+        return cls(ctx)
+
+    @property
+    def is_zero(self) -> bool:
+        """Zero in canonical form (no terms)."""
+        return not self.terms
+
+    def _check(self, other: "TermSum"):
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
+            raise ParentMismatch("sums over different algebras or models")
+
+    def _like(self, pairs):
+        """A sum of the same type over the same context."""
+        return type(self)(self.ctx, pairs)
+
+    def plus(self, parts) -> "TermSum":
+        """self plus every sum in parts, merged in one pass."""
+        pairs = list(self.terms.items())
+        for p in parts:
+            self._check(p)
+            pairs.extend(p.terms.items())
+        return self._like(pairs)
+
+    def __add__(self, other: "TermSum") -> "TermSum":
+        return self.plus((other,))
+
+    def __neg__(self):
+        return self._like((k, -v) for k, v in self.terms.items())
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        return self._like((k, v.scale(c)) for k, v in self.terms.items())
+
+    def __eq__(self, other):
+        """Canonical-form equality: same type, same context, same terms."""
+        return (
+            type(other) is type(self)
+            and (self.ctx is other.ctx or self.ctx == other.ctx)
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+
+class UEAElement(TermSum):
+    __slots__ = ()
+    parent = TermSum.ctx  # the context slot under its usual name
+
+    def __init__(self, parent: LieRinehart, terms=None):
+        """Terms map exponent vectors to coefficients; each exponent and
+        chart is checked, and plain numbers become constant coefficients."""
+        self.parent = parent
+        self.terms = self.merge(_uea_term(parent, exp, f) for exp, f in self._pairs(terms))
+
+    # -- constructors -------------------------------------------------------
 
     @staticmethod
     def one(parent) -> "UEAElement":
@@ -71,50 +149,12 @@ class UEAElement:
 
     # -- structure ----------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree(self) -> int:
         """Filtration degree; -1 for zero."""
         return max((sum(e) for e in self.terms), default=-1)
 
     def degree0(self) -> CoeffFn:
         return self.terms.get(tuple([0] * self.parent.rank), CoeffFn.const(self.parent.chart, 0))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UEAElement)
-            and self.parent == other.parent
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((id(self.parent), frozenset(self.terms.items())))
-
-    def _check(self, other: "UEAElement"):
-        if self.parent is not other.parent and self.parent != other.parent:
-            raise ParentMismatch("elements of different enveloping algebras")
-
-    def __add__(self, other: "UEAElement") -> "UEAElement":
-        self._check(other)
-        terms = dict(self.terms)
-        for e, f in other.terms.items():
-            terms[e] = terms.get(e, CoeffFn.const(self.parent.chart, 0)) + f
-        return UEAElement(self.parent, terms)
-
-    def __neg__(self):
-        return UEAElement(self.parent, {e: -f for e, f in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "UEAElement":
-        return UEAElement(self.parent, {e: f.scale(c) for e, f in self.terms.items()})
-
-    def coeff_mul(self, f: CoeffFn) -> "UEAElement":
-        """Left multiplication by the coefficient ring: f * u."""
-        return UEAElement(self.parent, {e: f * g for e, g in self.terms.items()})
 
     def map_coeffs(self, fn) -> "UEAElement":
         return UEAElement(self.parent, {e: fn(f) for e, f in self.terms.items()})
@@ -139,6 +179,18 @@ class UEAElement:
         return f"UEA[{self.text()}]"
 
 
+def _uea_term(parent: LieRinehart, exp, f):
+    """One term of an enveloping-algebra element, checked."""
+    exp = tuple(int(e) for e in exp)
+    if len(exp) != parent.rank or any(e < 0 for e in exp):
+        raise ValueError(f"bad exponent vector {exp}")
+    if not isinstance(f, CoeffFn):
+        f = parent._fn(f)
+    if f.chart != parent.chart:
+        raise ChartMismatch("coefficient on wrong chart")
+    return exp, f
+
+
 # ---------------------------------------------------------------------------
 # Product by rewriting
 # ---------------------------------------------------------------------------
@@ -147,15 +199,13 @@ class UEAElement:
 def _left_mul_gen(i: int, u: UEAElement) -> UEAElement:
     """Normal form of X_i * u."""
     A = u.parent
-    out = UEAElement.zero(A)
+    pairs = []
     for exp, g in u.terms.items():
         # X_i * g X^exp = g * (X_i X^exp) + X_i(g) X^exp
         body = _gen_times_monomial(A, i, exp)
-        out = out + body.coeff_mul(g)
-        dg = A.frame_anchor_apply(i, g)
-        if not dg.is_zero:
-            out = out + UEAElement(A, {exp: dg})
-    return out
+        pairs.extend((e, g * f) for e, f in body.terms.items())
+        pairs.append((exp, A.frame_anchor_apply(i, g)))
+    return UEAElement(A, pairs)
 
 
 def _gen_times_monomial(A: LieRinehart, i: int, exp: tuple) -> UEAElement:
@@ -169,27 +219,26 @@ def _gen_times_monomial(A: LieRinehart, i: int, exp: tuple) -> UEAElement:
     rest = list(exp)
     rest[first] -= 1
     rest = tuple(rest)
-    straight = _left_mul_gen(first, _gen_times_monomial(A, i, rest))
-    corr = UEAElement.zero(A)
+    pairs = list(_left_mul_gen(first, _gen_times_monomial(A, i, rest)).terms.items())
     rest_elem = UEAElement(A, {rest: CoeffFn.const(A.chart, 1)})
     for k, c in enumerate(A.bracket_table[i][first]):
         if not c.is_zero:
-            corr = corr + _left_mul_gen(k, rest_elem).coeff_mul(c)
-    return straight + corr
+            pairs.extend((e, c * f) for e, f in _left_mul_gen(k, rest_elem).terms.items())
+    return UEAElement(A, pairs)
 
 
 def uea_mul(u: UEAElement, v: UEAElement) -> UEAElement:
     """PBW normal form of the product u * v."""
     u._check(v)
     A = u.parent
-    out = UEAElement.zero(A)
+    pairs = []
     for exp, f in u.terms.items():
         word = [i for i, k in enumerate(exp) for _ in range(k)]
         acc = v
         for i in reversed(word):
             acc = _left_mul_gen(i, acc)
-        out = out + acc.coeff_mul(f)
-    return out
+        pairs.extend((e, f * g) for e, g in acc.terms.items())
+    return UEAElement(A, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +246,7 @@ def uea_mul(u: UEAElement, v: UEAElement) -> UEAElement:
 # ---------------------------------------------------------------------------
 
 
-class TensorElement:
+class TensorElement(TermSum):
     """Element of U tensor_R U, coefficients pulled to a single scalar slot.
 
     Both factors are left R-modules and the tensor product is balanced over
@@ -205,56 +254,17 @@ class TensorElement:
     f * (X^a tensor X^b); terms maps (a, b) to f.
     """
 
-    __slots__ = ("parent", "terms")
-
-    def __init__(self, parent: LieRinehart, terms=None):
-        self.parent = parent
-        clean = {}
-        for (a, b), f in (terms or {}).items():
-            a, b = tuple(a), tuple(b)
-            if not f.is_zero:
-                key = (a, b)
-                clean[key] = clean.get(key, CoeffFn.const(parent.chart, 0)) + f
-        self.terms = {k: f for k, f in clean.items() if not f.is_zero}
+    __slots__ = ()
+    parent = TermSum.ctx
 
     @staticmethod
     def of(u: UEAElement, v: UEAElement) -> "TensorElement":
         """u tensor v, canonicalized by pulling both coefficients out."""
-        A = u.parent
-        terms = {}
-        for a, f in u.terms.items():
-            for b, g in v.terms.items():
-                key = (a, b)
-                fg = f * g
-                prev = terms.get(key)
-                terms[key] = fg if prev is None else prev + fg
-        return TensorElement(A, terms)
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorElement)
-            and self.parent == other.parent
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        terms = dict(self.terms)
-        for k, f in other.terms.items():
-            terms[k] = terms.get(k, CoeffFn.const(self.parent.chart, 0)) + f
-        return TensorElement(self.parent, terms)
-
-    def __neg__(self):
-        return TensorElement(self.parent, {k: -f for k, f in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+        return TensorElement(u.parent, [((a, b), f * g) for a, f in u.terms.items()
+                                        for b, g in v.terms.items()])
 
     def swap(self) -> "TensorElement":
-        return TensorElement(self.parent, {(b, a): f for (a, b), f in self.terms.items()})
+        return self._like(((b, a), f) for (a, b), f in self.terms.items())
 
     def pure_tensors(self):
         """List of (u, v) pairs with the coefficient carried by u."""
@@ -266,36 +276,31 @@ class TensorElement:
 
     def mul(self, other: "TensorElement") -> "TensorElement":
         """Componentwise product (u tensor v)(u' tensor v') = uu' tensor vv'."""
-        A = self.parent
-        out = TensorElement(A, {})
-        for u1, v1 in self.pure_tensors():
-            for u2, v2 in other.pure_tensors():
-                out = out + TensorElement.of(uea_mul(u1, u2), uea_mul(v1, v2))
-        return out
+        return TensorElement.zero(self.parent).plus(
+            TensorElement.of(uea_mul(u1, u2), uea_mul(v1, v2))
+            for u1, v1 in self.pure_tensors()
+            for u2, v2 in other.pure_tensors()
+        )
 
     def act_right_left_slot(self, f: CoeffFn) -> "TensorElement":
         """Multiply f into the left tensor factor from the right."""
-        A = self.parent
-        out = TensorElement(A, {})
-        rf = UEAElement.from_coeff(A, f)
-        for u, v in self.pure_tensors():
-            out = out + TensorElement.of(uea_mul(u, rf), v)
-        return out
+        rf = UEAElement.from_coeff(self.parent, f)
+        return TensorElement.zero(self.parent).plus(
+            TensorElement.of(uea_mul(u, rf), v) for u, v in self.pure_tensors()
+        )
 
     def act_right_right_slot(self, f: CoeffFn) -> "TensorElement":
         """Multiply f into the right tensor factor from the right."""
-        A = self.parent
-        out = TensorElement(A, {})
-        rf = UEAElement.from_coeff(A, f)
-        for u, v in self.pure_tensors():
-            out = out + TensorElement.of(u, uea_mul(v, rf))
-        return out
+        rf = UEAElement.from_coeff(self.parent, f)
+        return TensorElement.zero(self.parent).plus(
+            TensorElement.of(u, uea_mul(v, rf)) for u, v in self.pure_tensors()
+        )
 
 
 def coproduct(u: UEAElement) -> TensorElement:
     """Delta(u): generators are primitive, coefficients are grouplike-scalar."""
     A = u.parent
-    out = TensorElement(A, {})
+    pairs = []
     one = UEAElement.one(A)
     for exp, f in u.terms.items():
         acc = TensorElement.of(one, one)
@@ -304,8 +309,8 @@ def coproduct(u: UEAElement) -> TensorElement:
             prim = TensorElement.of(one, gen) + TensorElement.of(gen, one)
             for _ in range(k):
                 acc = acc.mul(prim)
-        out = out + TensorElement(A, {key: f * g for key, g in acc.terms.items()})
-    return out
+        pairs.extend((key, f * g) for key, g in acc.terms.items())
+    return TensorElement(A, pairs)
 
 
 def counit(u: UEAElement) -> CoeffFn:
@@ -362,9 +367,3 @@ class GermUEA:
 
 def uea_germ(u: UEAElement, x) -> GermUEA:
     return GermUEA(tuple(x), u)
-
-
-def uea_germ_eq(a: GermUEA, b: GermUEA) -> bool:
-    if a.base_point != b.base_point:
-        raise ChartMismatch("germs at different base points")
-    return GermUEA(a.base_point, a.elem - b.elem).is_zero

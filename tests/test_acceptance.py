@@ -2,10 +2,14 @@
 
 Each test prints a single CRITERION line (through the capture, so it is
 visible in normal pytest runs) and asserts the stated tolerance/runtime.
+Each also compares its suite report, byte for byte in canonical JSON, with
+the golden report in tests/golden/<suite>.json.
 """
 
+import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +34,16 @@ def failures(rep):
     return [c for c in rep["checks"] if not c["pass"]]
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def assert_golden(rep):
+    """The report's canonical JSON (as `convbialg check --output json`
+    writes it) equals its golden file."""
+    text = json.dumps(rep, sort_keys=True, separators=(",", ":"), default=str) + "\n"
+    assert text == (GOLDEN / f"{rep['suite']}.json").read_text(encoding="utf-8")
+
+
 def test_criterion_01_lie_rinehart(capsys, models):
     t0 = time.monotonic()
     rep = run_suite("lie-rinehart", models=models)
@@ -37,6 +51,7 @@ def test_criterion_01_lie_rinehart(capsys, models):
     ok = rep["pass"] and dt < 1.0
     report(capsys, 1, ok, "Lie-Rinehart axioms on all models + corrupted witness, <1s", dt)
     assert rep["pass"], failures(rep)
+    assert_golden(rep)
     assert dt < 1.0
 
 
@@ -60,6 +75,7 @@ def test_criterion_02_uea_suite_and_oracle(capsys, models):
     ok = rep["pass"] and oracle_ok and dt < 10.0
     report(capsys, 2, ok, "UEA suite exact + free-algebra oracle on 50 products, <10s", dt)
     assert rep["pass"], failures(rep)
+    assert_golden(rep)
     assert oracle_ok
     assert dt < 10.0
 
@@ -70,6 +86,7 @@ def test_criterion_03_etale_hopf(capsys, models):
     dt = time.monotonic() - t0
     report(capsys, 3, rep["pass"], "etale Hopf axioms (i)-(viii) on 30 elements, exact", dt)
     assert rep["pass"], failures(rep)
+    assert_golden(rep)
 
 
 def test_criterion_04_commuting_square(capsys, models):
@@ -80,6 +97,7 @@ def test_criterion_04_commuting_square(capsys, models):
            "commuting square on all bisections x 20 u x 5 F "
            "(exact; truncated series <1e-9 on flat kinks)", dt)
     assert rep["pass"], failures(rep)
+    assert_golden(rep)
 
 
 def test_criterion_05_defining_product_formula(capsys, models):
@@ -88,6 +106,7 @@ def test_criterion_05_defining_product_formula(capsys, models):
     dt = time.monotonic() - t0
     report(capsys, 5, rep["pass"], "dist_mul vs defining *-formula on >=100 pairs, exact", dt)
     assert rep["pass"], failures(rep)
+    assert_golden(rep)
 
 
 def test_criterion_06_phi_homomorphism(capsys, models):
@@ -96,6 +115,7 @@ def test_criterion_06_phi_homomorphism(capsys, models):
     dt = time.monotonic() - t0
     report(capsys, 6, rep["pass"], "Phi(a'.a) = Phi(a')*Phi(a) on 100 pairs per model, exact", dt)
     assert rep["pass"], failures(rep)
+    assert_golden(rep)
 
 
 def test_criterion_07_kernel_example(capsys, models):
@@ -106,6 +126,7 @@ def test_criterion_07_kernel_example(capsys, models):
     report(capsys, 7, ok, "four-kink kernel element: a != 0, Phi(a) = 0 "
            "(stratified exact + |value| < 1e-9 at 20 points), <5s", dt)
     assert rep["pass"], failures(rep)
+    assert_golden(rep)
     assert dt < 5.0
 
 
@@ -116,6 +137,7 @@ def test_criterion_08_cartier_gabriel(capsys, models):
     report(capsys, 8, rep["pass"],
            "Heisenberg: Phi injective on <=5-element sums + twisted product", dt)
     assert rep["pass"], failures(rep)
+    assert_golden(rep)
 
 
 def test_criterion_09_etale_iso(capsys, models):
@@ -125,6 +147,7 @@ def test_criterion_09_etale_iso(capsys, models):
     report(capsys, 9, rep["pass"],
            "etale: Phi injective and surjective onto the degree-0 span", dt)
     assert rep["pass"], failures(rep)
+    assert_golden(rep)
 
 
 def test_criterion_10_fd_sanity(capsys, models):
@@ -134,3 +157,4 @@ def test_criterion_10_fd_sanity(capsys, models):
     report(capsys, 10, rep["pass"],
            "derivatives match central differences, rel 1e-6 at 20 points", dt)
     assert rep["pass"], failures(rep)
+    assert_golden(rep)

@@ -115,14 +115,50 @@ class TestCli:
         assert first == second
         json.loads(first)  # valid JSON
 
-    def test_library_error_exits_2_without_traceback(self, capsys):
+    @pytest.mark.parametrize("argv, doc", [
         # Ad of the flat E00 needs the inverse map, which is not representable
-        assert main(["eval", "conv_mul(<1|E00>,<1 * D|E01>)"]) == 2
+        pytest.param(["eval", "conv_mul(<1|E00>,<1 * D|E01>)"], None, id="flat-ad-inverse"),
+        pytest.param(["eval", "dist_eval([[shift, 1]], x0, abc)"], None, id="bad-point"),
+        pytest.param(["eval", "phi(<1/0|shift>)"], None, id="zero-denominator"),
+        pytest.param(["eval", "phi(<(1 + phi[a,1]) | shift>)"], None, id="bad-phi-constant"),
+        pytest.param(["eval", "phi(<(1 + flat[neg={0: 1/0}, pos={}]) | shift>)"], None,
+                     id="bad-flat-constant"),
+        pytest.param(["eval", "phi(<(1 + flat[neg={0: abc}, pos={}]) | shift>)"], None,
+                     id="bad-flat-entry"),
+        pytest.param(["eval", "phi(<1|s>)"],
+                     {"model": "pair", "bisections": [
+                         {"id": "s", "tau": {"kind": "affine", "a": "1/0", "b": "0"}}]},
+                     id="model-zero-denominator"),
+        pytest.param(["eval", "phi(<1|s>)"],
+                     {"model": "pair", "bisections": [
+                         {"id": "s", "tau": {"kind": "affine", "a": "2", "b": "0"},
+                          "domain": [["0", "1/0"]]}]},
+                     id="model-domain-zero-denominator"),
+        pytest.param(["eval", "phi(<1|k>)"],
+                     {"model": "heisenberg", "bisections": [{"id": "k", "k": ["1", "2"]}]},
+                     id="model-short-group-element"),
+        pytest.param(["check", "--jobs", "0"], None, id="jobs-zero"),
+    ])
+    def test_library_error_exits_2_without_traceback(self, argv, doc, tmp_path, capsys):
+        if doc is not None:
+            path = tmp_path / "model.json"
+            path.write_text(json.dumps(doc))
+            argv = argv + ["--model", str(path)]
+        try:
+            code = main(argv)
+            usage = False
+        except SystemExit as exc:  # argparse rejects the option
+            code, usage = exc.code, True
+        assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1
-        assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
+        lines = captured.err.splitlines()
+        if usage:
+            assert lines[-1].startswith("convbialg check: error: ")
+        else:
+            assert len(lines) == 1
+            assert captured.err.startswith("error: ")
 
     def test_optimized_interpreter_same_report(self, capsys):
         args = ["check", "--suite", "hopf-etale", "--output", "json"]
