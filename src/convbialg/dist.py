@@ -21,6 +21,7 @@ polynomial on the arrow chart; this block is closed under the frame fields.
 
 from __future__ import annotations
 
+import math
 import random
 
 from .adjoint import ad_uea
@@ -398,6 +399,12 @@ def commuting_square_gap(model, E: Bisection, u: UEAElement, F: Polynomial):
 JET_ORDER = 8
 
 
+def max_keep_nan(worst, value):
+    """max(worst, value), except that a NaN wins and stays: the float gates
+    report the worst value, and max() would hide a NaN behind it."""
+    return value if math.isnan(value) or value > worst else worst
+
+
 class Jet:
     """Truncated Taylor series sum a_k eps^k of fixed order."""
 
@@ -442,17 +449,28 @@ class Jet:
         return self.a[0]
 
 
+def _derivative_tower(f: CoeffFn, order: int):
+    """[f, f', ..., f^(order-1)] of a 1-D coefficient function, exactly."""
+    tower = [f]
+    while len(tower) < order:
+        tower.append(tower[-1].derive(0))
+    return tower
+
+
+def _jet_at(tower, x0: float) -> Jet:
+    """The jet at x0 of the function whose derivative tower is given."""
+    coeffs = []
+    fact = 1.0
+    for k, g in enumerate(tower[:JET_ORDER]):
+        coeffs.append(float(g.eval((x0,))) / fact)
+        fact *= k + 1
+    return Jet(coeffs)
+
+
 def jet_of_coeff(f: CoeffFn, x0: float) -> Jet:
     """Taylor jet of a 1-D coefficient function at x0 (float arithmetic on
     exactly computed symbolic derivatives)."""
-    coeffs = []
-    g = f
-    fact = 1.0
-    for k in range(JET_ORDER):
-        coeffs.append(float(g.eval((x0,))) / fact)
-        g = g.derive(0)
-        fact *= k + 1
-    return Jet(coeffs)
+    return _jet_at(_derivative_tower(f, JET_ORDER), x0)
 
 
 def jet_poly(P: Polynomial, jets) -> Jet:
@@ -501,21 +519,34 @@ def _jet_reciprocal(j: Jet) -> Jet:
     return inv
 
 
+def _flat_series_data(E: Bisection, x0: float):
+    """(s0, jet of tau at s0, jet of tau^{-1} at x0, jet of w = tau' o tau^{-1}
+    at x0) with s0 = tau^{-1}(x0).  They depend on E and x0 alone, so each
+    is computed once per (model, bid, x0), from one tower of tau's
+    derivatives per bid."""
+
+    def compute():
+        tower = E.model.derive_once(
+            ("tau_tower", E.bid), lambda: _derivative_tower(E.tau_coeff(), JET_ORDER + 1))
+        s0 = float(E.tau_inv_apply(x0))
+        tau_jet = _jet_at(tower, s0)
+        sigma = jet_inverse(tau_jet, s0)
+        w = _jet_compose(_jet_at(tower[1:], s0), sigma, s0)
+        return s0, tau_jet, sigma, w
+
+    return E.model.derive_once(("flat_series", E.bid, x0), compute)
+
+
 def commuting_square_gap_numeric(model, E: Bisection, u: UEAElement, F: Polynomial, g):
     """|LHS - RHS| of the commuting square at the arrow g, for pair-model
     bisections whose tau is a flat kink (rank-1 case, series arithmetic)."""
     if model.kind != "pair":
         raise ValueError("series check is for the pair model")
     y0, x0 = float(g[0]), float(g[1])
-    tau = E.tau_coeff()
-    s0 = float(E.tau_inv_apply(x0))
+    s0, tau_jet, sigma, w = _flat_series_data(E, x0)
     # ---- side A: Ω(U(Ad_E)u)(F) at (y0, x0) -------------------------------
     # U(Ad_E)(f * D^j) = (f o tau^{-1}) * (w D)^j with w = tau' o tau^{-1};
     # build the operator's coefficient jets at x0 and apply them to F.
-    tau_jet_s = jet_of_coeff(tau, s0)        # jet of tau at s0
-    sigma = jet_inverse(tau_jet_s, s0)       # jet of tau^{-1} at x0
-    taup_jet_s = jet_of_coeff(tau.derive(0), s0)
-    w = _jet_compose(taup_jet_s, sigma, s0)  # jet of tau' o tau^{-1} at x0
     side_a = 0.0
     for exp, f in u.terms.items():
         j = exp[0]
@@ -543,7 +574,6 @@ def commuting_square_gap_numeric(model, E: Bisection, u: UEAElement, F: Polynomi
             side_a += (fx * c).value() * float(dF.eval((y0, x0)))
     # ---- side B: Ω(u)(F o R_E^{-1}) at R_E(g) = (y0, s0) -------------------
     # H(y, x) = F(y, tau(x)); D^j H via the jet of x -> F(y0, tau(x)) at s0.
-    tau_jet = jet_of_coeff(tau, s0)
     H_jet = jet_poly(F, [Jet.const(y0), tau_jet])
     side_b = 0.0
     fact = [1.0]

@@ -177,6 +177,8 @@ def _solve_monotone(f: CoeffFn, y) -> float:
         raise DomainError("failed to bracket the root from above")
     for _ in range(200):
         mid = (lo + hi) / 2
+        if mid == lo or mid == hi:
+            break  # lo and hi are adjacent floats: no later step moves mid
         if val(mid) <= y:
             lo = mid
         else:
@@ -290,6 +292,15 @@ class GroupoidModel:
       `bisection_from_json`;
     * `parse_test_function`, a test function on the arrows read from one
       polynomial expression.
+
+    `derived` holds data that the adjoint and series layers derive from the
+    model alone or from one bisection, computed on first use (`derive_once`):
+    the Jacobian of conjugation of a group model, the ids of the pair
+    bisections whose Ad matrix has passed its finite-difference check, and
+    the derivatives of a flat kink's tau and its series data at a point.
+    Keys name the datum and, where it depends on a bisection, its id, not
+    the Bisection object, since bisection_inv builds a new object on every
+    call.  It is never serialized and lives as long as the model.
     """
 
     kind = None
@@ -303,12 +314,20 @@ class GroupoidModel:
         self.algebroid = algebroid
         self.registry = {}
         self.aliases = {}
+        self.derived = {}
 
     def mult_arrow(self, g2, g1):
         """g2 * g1, defined when s(g2) = t(g1)."""
         if self.s_of(g2) != self.t_of(g1):
             raise NotComposable("arrows do not compose")
         return self._mult(g2, g1)
+
+    def derive_once(self, key, compute):
+        """derived[key], computed by compute() on first use."""
+        value = self.derived.get(key)
+        if value is None:
+            value = self.derived[key] = compute()
+        return value
 
     # -- registry ------------------------------------------------------------
 

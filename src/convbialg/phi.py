@@ -30,7 +30,7 @@ from .groupoid import (
 )
 from .lie_rinehart import random_polynomial
 from .uea import GermUEA, UEAElement
-from .dist import TransvDist, dist_eval_at, test_bank
+from .dist import TransvDist, dist_eval_at, max_keep_nan, test_bank
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +313,7 @@ def scenario_kernel_example(model=None, npoints: int = 20, tol: float = 1e-9) ->
     xs = [rng.uniform(-3, 3) for _ in range(npoints)]
     for F in bank[:12] + bank[-3:]:
         for x in xs:
-            worst = max(worst, abs(float(dist_eval_at(T, F, x))))
+            worst = max_keep_nan(worst, abs(float(dist_eval_at(T, F, x))))
     checks.append({"name": f"|phi(a)(F)(x)| < {tol} at {npoints} float points",
                    "pass": worst < tol, "max_abs": worst})
 

@@ -28,6 +28,7 @@ from .dist import (
     dist_eval_at,
     dist_mul,
     dist_mul_defcheck,
+    max_keep_nan,
 )
 from .groupoid import bisection_inv, bisection_mul, unit_bisection
 from .lie_rinehart import (
@@ -292,9 +293,9 @@ def suite_commuting_square(seed=0xC0FFEE, models=None, nu=20, nf=5):
                     if flat:
                         for g in ((0.5, 0.35), (-1.25, -0.8)):
                             gap = commuting_square_gap_numeric(model, E, u, F, g)
-                            worst = max(worst, gap)
+                            worst = max_keep_nan(worst, gap)
                             numeric_count += 1
-                            if gap > 1e-9:
+                            if not gap <= 1e-9:
                                 ok, witness = False, f"{E.bid} |gap|={gap}"
                     else:
                         gap = commuting_square_gap(model, E, u, F)
@@ -458,8 +459,8 @@ def suite_fd_sanity(seed=0xC0FFEE, models=None, npoints=20, rel_tol=1e-6):
             fd = (float(f.eval((x + h,))) - float(f.eval((x - h,)))) / (2 * h)
             ex = float(df.eval((x,)))
             rel = abs(fd - ex) / max(1.0, abs(ex))
-            worst = max(worst, rel)
-            if rel > rel_tol:
+            worst = max_keep_nan(worst, rel)
+            if not rel <= rel_tol:
                 ok = False
         checks.append({"name": f"{name}: {npoints} points, rel <= {rel_tol}",
                        "pass": ok, "max_rel": worst})

@@ -1,12 +1,14 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from convbialg import adjoint
 from convbialg.adjoint import ad_germ, ad_matrix, ad_section, ad_uea
 from convbialg.coeffs import CoeffFn, Polynomial, Q
-from convbialg.errors import UnsupportedComposition
-from convbialg.groupoid import bisection_inv, bisection_mul
+from convbialg.errors import UnsupportedComposition, VerificationFailed
+from convbialg.groupoid import Bisection, bisection_inv, bisection_mul
 from convbialg.lie_rinehart import random_polynomial
 from convbialg.models import etale_model, heisenberg_model, pair_model
 from convbialg.uea import UEAElement, uea_mul
@@ -57,6 +59,44 @@ class TestPairAdjoint:
             ad_uea(pair.lookup("E01"), f)
 
 
+class TestPairCrosscheck:
+    def test_planted_wrong_matrix_raises_in_each_fresh_model(self, monkeypatch):
+        # the finite-difference check runs once per (model, bisection id):
+        # a fresh model checks again, and a failed check is not recorded
+        def wrong(E):
+            return [[E.tau_diffeo().fwd.derive().scale(3)]]
+
+        monkeypatch.setattr(adjoint, "_pair_matrix", wrong)
+        for _ in range(2):
+            model = pair_model()
+            for _ in range(2):
+                with pytest.raises(VerificationFailed):
+                    ad_matrix(model.lookup("dbl"))
+
+    def test_check_runs_once_per_model_and_bid(self, monkeypatch):
+        model = pair_model()
+        calls = []
+        check = adjoint._crosscheck_pair
+
+        def counted(E, M):
+            calls.append(E.bid)
+            check(E, M)
+
+        monkeypatch.setattr(adjoint, "_crosscheck_pair", counted)
+        E = model.lookup("dbl")
+        first = ad_matrix(E)
+        again = ad_matrix(bisection_inv(bisection_inv(E)))
+        assert first == again and first is not again
+        assert calls == [E.bid]
+        ad_matrix(pair_model().lookup("dbl"))
+        assert calls == [E.bid, E.bid]
+
+    def test_nan_fails_the_check(self, monkeypatch):
+        monkeypatch.setattr(adjoint, "conjugate_arrow", lambda E, h: (math.nan, math.nan))
+        with pytest.raises(VerificationFailed, match="nan"):
+            ad_matrix(pair_model().lookup("dbl"))
+
+
 class TestGroupAdjoint:
     def test_stored_matrix_example(self, h3):
         # Ad_k for k = (a, b, c) sends X to X - b Z and Y to Y + a Z
@@ -75,6 +115,35 @@ class TestGroupAdjoint:
             [0, 1, 0],
             [-2, 1, 1],
         ]
+        wrong = heisenberg_model()
+        right = wrong.stored_ad_matrix
+        wrong.stored_ad_matrix = lambda k: [[2 * c for c in row] for row in right(k)]
+        with pytest.raises(VerificationFailed):
+            ad_matrix(wrong.lookup("k123"))
+
+    @pytest.mark.parametrize("derive_first", [False, True])
+    def test_wrong_stored_matrix_raises_on_every_call(self, derive_first):
+        # the Jacobian is derived once per model, but the comparison with
+        # the stored closed form runs on every call
+        model = heisenberg_model()
+        if derive_first:
+            ad_matrix(model.lookup("k123"))
+            assert "conjugation_jacobian" in model.derived
+        right = model.stored_ad_matrix
+        model.stored_ad_matrix = lambda k: [[2 * c for c in row] for row in right(k)]
+        for E in list(model.registry.values()):
+            for _ in range(2):
+                with pytest.raises(VerificationFailed):
+                    ad_matrix(E)
+        assert "conjugation_jacobian" in model.derived
+
+    def test_matrix_from_derived_jacobian_equals_fresh_one(self, h3):
+        rng = random.Random(12)
+        elements = [tuple(F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3))
+                    for _ in range(10)]
+        for k in elements:
+            fresh = heisenberg_model()
+            assert ad_matrix(Bisection(h3, element=k)) == ad_matrix(Bisection(fresh, element=k))
 
     def test_multiplicative(self, h3):
         H = h3.algebroid

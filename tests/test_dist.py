@@ -163,6 +163,28 @@ class TestCommutingSquare:
             assert gap < 1e-9
 
 
+class TestFlatSeriesData:
+    def test_same_gap_when_cached_and_on_a_fresh_model(self):
+        rng = random.Random(13)
+        A = pair_model().algebroid
+        D = UEAElement.generator(A, 0)
+        f = UEAElement.from_coeff(A, CoeffFn(A.chart, Polynomial.parse("1 + x0", 1)))
+        u = uea_mul(f, uea_mul(D, D)) + D
+        Fs = [random_polynomial(rng, 2, 3) for _ in range(3)]
+        model = pair_model()
+        for name in ("E00", "E01", "E10", "E11"):
+            for g in ((0.5, 0.35), (-1.25, -0.8)):
+                for Fq in Fs:
+                    first = commuting_square_gap_numeric(model, model.lookup(name), u, Fq, g)
+                    again = commuting_square_gap_numeric(model, model.lookup(name), u, Fq, g)
+                    fresh_model = pair_model()
+                    fresh = commuting_square_gap_numeric(
+                        fresh_model, fresh_model.lookup(name), u, Fq, g)
+                    assert first == again == fresh
+                    assert first < 1e-9
+        assert ("flat_series", model.lookup("E01").bid, 0.35) in model.derived
+
+
 def test_test_bank_nonempty(pair, h3, etale):
     for model in (pair, h3, etale):
         bank = dist_test_bank(model)

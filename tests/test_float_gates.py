@@ -1,0 +1,54 @@
+"""Every float gate fails on a NaN and names it, instead of letting
+max() and a `>` comparison wave it through."""
+
+import importlib
+import math
+
+import pytest
+
+from convbialg import coeffs, suites
+from convbialg.dist import max_keep_nan
+from convbialg.models import pair_model
+
+# the package exports the function phi under the module's name
+phi_module = importlib.import_module("convbialg.phi")
+
+
+def test_commuting_square_series_gate(monkeypatch):
+    monkeypatch.setattr(suites, "commuting_square_gap_numeric", lambda *args: math.nan)
+    report = suites.suite_commuting_square(nu=1, nf=1)
+    assert report["pass"] is False
+    (pair_check,) = [c for c in report["checks"] if c["name"].startswith("pair:")]
+    assert pair_check["pass"] is False
+    assert "|gap|=nan" in pair_check["witness"]
+    assert math.isnan(pair_check["max_numeric_gap"])
+
+
+def test_kernel_example_float_gate(monkeypatch):
+    monkeypatch.setattr(phi_module, "dist_eval_at", lambda T, F, x: math.nan)
+    report = phi_module.scenario_kernel_example(pair_model(), npoints=2)
+    (check,) = [c for c in report["checks"] if "max_abs" in c]
+    assert check["pass"] is False and report["pass"] is False
+    assert math.isnan(check["max_abs"])
+
+
+def test_fd_sanity_gate(monkeypatch):
+    monkeypatch.setattr(coeffs, "_flat_eval", lambda a, t: math.nan)
+    report = suites.suite_fd_sanity(npoints=4)
+    assert report["pass"] is False
+    for check in report["checks"]:
+        flat = not check["name"].startswith("random polynomial")
+        assert check["pass"] is not flat
+        assert math.isnan(check["max_rel"]) is flat
+
+
+@pytest.mark.parametrize("values, expected", [
+    ([0.5, 0.25, 1.0], 1.0),
+    ([0.5, math.nan, 1.0], math.nan),
+    ([math.nan, 2.0], math.nan),
+])
+def test_max_keep_nan(values, expected):
+    worst = 0.0
+    for v in values:
+        worst = max_keep_nan(worst, v)
+    assert worst == expected or (math.isnan(worst) and math.isnan(expected))

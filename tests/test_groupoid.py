@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from convbialg.groupoid import (
     Bisection,
     Diffeo1D,
     PairModel,
+    _solve_monotone,
     bisection_germ_eq,
     bisection_inv,
     bisection_mul,
@@ -95,6 +97,46 @@ class TestDiffeo:
         ch = Chart.line("M")
         d = Diffeo1D.affine(ch, 2, 0).compose(Diffeo1D.affine(ch, 1, 3))
         assert d.affine_parts() == (Q(2), Q(6))
+
+
+def _solve_monotone_200_steps(f, y):
+    """The bisection solve with all 200 halving steps, as a reference."""
+    y = float(y)
+    sign = 1.0 if float(f.eval((1.0,))) > float(f.eval((-1.0,))) else -1.0
+
+    def val(t):
+        return sign * float(f.eval((t,)))
+
+    y = sign * y
+    lo, hi = -1.0, 1.0
+    while val(lo) > y:
+        lo = 2 * lo - 1
+    while val(hi) < y:
+        hi = 2 * hi + 1
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if val(mid) <= y:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+class TestSolveMonotone:
+    def test_early_stop_returns_the_200_step_float(self, pair):
+        rng = random.Random(4)
+        ys = [0.0, 0.35, -0.35, 0.8, -0.8, 1e-3, -1e-3, 1e-300]
+        ys += [rng.uniform(-3, 3) for _ in range(16)]
+        ys += [rng.choice((-1, 1)) * 10 ** rng.uniform(-300, 0) for _ in range(16)]
+        for name in ("E00", "E01", "E10", "E11"):
+            tau = pair.lookup(name).tau_coeff()
+            for y in ys:
+                assert _solve_monotone(tau, y) == _solve_monotone_200_steps(tau, y), (name, y)
+
+    def test_decreasing_map(self):
+        f = Diffeo1D.flat_kink(Chart.line("M"), 1, 2).coeff().scale(-1)
+        for y in (0.0, 0.5, -2.25, 1e-300):
+            assert _solve_monotone(f, y) == _solve_monotone_200_steps(f, y)
 
 
 class TestBisections:
