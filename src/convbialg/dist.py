@@ -521,13 +521,12 @@ def _jet_reciprocal(j: Jet) -> Jet:
 
 def _flat_series_data(E: Bisection, x0: float):
     """(s0, jet of tau at s0, jet of tau^{-1} at x0, jet of w = tau' o tau^{-1}
-    at x0) with s0 = tau^{-1}(x0).  They depend on E and x0 alone, so each
-    is computed once per (model, bid, x0), from one tower of tau's
-    derivatives per bid."""
+    at x0) with s0 = tau^{-1}(x0).  They depend on E and x0 alone, so they
+    are computed once per (model, bid, x0), from one tower of tau's
+    derivatives."""
 
     def compute():
-        tower = E.model.derive_once(
-            ("tau_tower", E.bid), lambda: _derivative_tower(E.tau_coeff(), JET_ORDER + 1))
+        tower = _derivative_tower(E.tau_coeff(), JET_ORDER + 1)
         s0 = float(E.tau_inv_apply(x0))
         tau_jet = _jet_at(tower, s0)
         sigma = jet_inverse(tau_jet, s0)

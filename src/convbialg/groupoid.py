@@ -297,7 +297,7 @@ class GroupoidModel:
     model alone or from one bisection, computed on first use (`derive_once`):
     the Jacobian of conjugation of a group model, the ids of the pair
     bisections whose Ad matrix has passed its finite-difference check, and
-    the derivatives of a flat kink's tau and its series data at a point.
+    the series data of a flat kink at a point.
     Keys name the datum and, where it depends on a bisection, its id, not
     the Bisection object, since bisection_inv builds a new object on every
     call.  It is never serialized and lives as long as the model.

@@ -1,10 +1,12 @@
 """Compare two source trees on the time-to-verdict benchmark, in pairs.
 
-    python3 tools/bench_pairs.py --base ../parent --change . \
-        --pairs suites=10,eval=3,big-model=3 --seconds 20 --out BENCH.json
+    python3 tools/bench_pairs.py --base ../parent --change . --out BENCH.json
 
 Pair i of a workload runs `python3 perfbench/run.py --workload W
---seed 1001+i --seconds S --trace 0` once in each tree, one run at a time;
+--seed 1001+i --seconds 20 --trace 0` once in each tree, one run at a time;
+10 pairs on `suites`, the fewest that can show a 9-in-10 win, and 3 each on
+`eval` and `big-model`.  The 20 s run length is the one perfbench/README.md
+sets.
 the base runs first in even pairs and second in odd ones, so a drift in the
 machine's speed falls on both sides alike.  The output holds every run's
 metrics, per-metric medians and quartiles for each side, how many pairs
@@ -26,16 +28,18 @@ import sys
 SUITES = ("cartier-gabriel", "commuting-square", "etale-iso", "fd-sanity", "hopf-etale",
           "kernel-example", "lie-rinehart", "phi-homomorphism", "prop43", "uea")
 CHECK = "import sys; from convbialg.cli import main; sys.exit(main(sys.argv[1:]))"
+PAIRS = (("suites", 10), ("eval", 3), ("big-model", 3))
+SECONDS = 20
 
 
 def _env():
     return dict(os.environ, PYTHONPATH="src")
 
 
-def _run(tree, workload, seed, seconds):
+def _run(tree, workload, seed):
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(SECONDS), "--trace", "0"],
         cwd=tree, env=_env(), capture_output=True, text=True, check=True)
     result = json.loads(out.stdout.strip().splitlines()[-1])
     return {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
@@ -62,15 +66,15 @@ def _better(name):
     return "higher" if name == "op_rate" else "lower"
 
 
-def compare(base, change, pairs, seconds):
+def compare(base, change):
     workloads = {}
-    for workload, n in pairs:
+    for workload, n in PAIRS:
         runs = {"base": [], "change": []}
         for i in range(n):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for side in order:
                 tree = base if side == "base" else change
-                runs[side].append(_run(tree, workload, 1001 + i, seconds))
+                runs[side].append(_run(tree, workload, 1001 + i))
                 print(workload, i, side, runs[side][-1]["metrics"], file=sys.stderr, flush=True)
         summary = {}
         for name in runs["base"][0]["metrics"]:
@@ -88,7 +92,7 @@ def compare(base, change, pairs, seconds):
         workloads[workload] = {"summary": summary, "runs": runs}
     base_hashes, change_hashes = _report_hashes(base), _report_hashes(change)
     return {
-        "command": f"python3 perfbench/run.py --workload W --seed 1001+i --seconds {seconds} "
+        "command": f"python3 perfbench/run.py --workload W --seed 1001+i --seconds {SECONDS} "
                    "--trace 0",
         "workloads": workloads,
         "report_sha256": {"base": base_hashes, "change": change_hashes,
@@ -100,16 +104,9 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", required=True, help="source tree of the parent commit")
     p.add_argument("--change", default=".", help="source tree of the change")
-    p.add_argument("--pairs", default="suites=10,eval=3,big-model=3",
-                   help="workload=number of pairs, comma separated")
-    p.add_argument("--seconds", type=float, default=20)
     p.add_argument("--out", required=True)
     args = p.parse_args(argv)
-    pairs = [(w, int(n)) for w, n in (item.split("=") for item in args.pairs.split(","))]
-    if any(n < 2 for _, n in pairs):
-        p.error("each workload needs at least 2 pairs")
-    result = compare(os.path.abspath(args.base), os.path.abspath(args.change), pairs,
-                     args.seconds)
+    result = compare(os.path.abspath(args.base), os.path.abspath(args.change))
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")
