@@ -13,7 +13,7 @@ from .conv import (
     conv_mul,
     eval_germ,
 )
-from .adjoint import ad_germ, ad_matrix, ad_section, ad_uea
+from .adjoint import ad_germ, ad_matrix, ad_uea
 from .dist import (
     TransvDist,
     commuting_square_gap,

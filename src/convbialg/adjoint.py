@@ -11,6 +11,9 @@ or numeric differentiation of C_E) and cross-checked:
 * pair kind: the matrix tau' is rebuilt on every call, and its
   finite-difference check against C_E runs once per (model, bisection id),
   the first time it passes.
+
+U(Ad_E) sends the generator X_j to column j of the matrix, with entries
+moved to t(E) by Bisection.to_target, and a coefficient f to f o tau^{-1}.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 from .coeffs import CoeffFn, Polynomial, Q
 from .errors import DomainError, UnsupportedComposition, VerificationFailed
 from .groupoid import Bisection, GermArrow
-from .lie_rinehart import Section
 from .uea import GermUEA, UEAElement, uea_germ, uea_mul
 
 
@@ -107,44 +109,28 @@ def _crosscheck_pair(E: Bisection, M):
             )
 
 
-def ad_section(E: Bisection, X: Section) -> Section:
-    """The pushforward Ad_E(X), expressed over t(E)."""
-    A = X.parent
-    M = ad_matrix(E)
-    tau_inv = E.tau_inv_coeff() if A.chart.dim else None
-    out = []
-    for i in range(A.rank):
-        acc = CoeffFn.const(A.chart, 0)
-        for j in range(A.rank):
-            acc = acc + M[i][j] * X.coeffs[j]
-        out.append(acc.compose([tau_inv]) if tau_inv is not None else acc)
-    return Section(A, out)
-
-
 def ad_uea(E: Bisection, u: UEAElement) -> UEAElement:
     """U(Ad_E): f -> f o tau^{-1} on degree 0, Ad_E on degree 1, extended
     multiplicatively and renormalized."""
     A = u.parent
-    model = E.model
     if u.is_zero:
         return u
-    tau_inv = None
-    if A.chart.dim:
-        tau_inv = E.tau_inv_coeff()
-
-    def transport(f: CoeffFn) -> CoeffFn:
-        return f.compose([tau_inv]) if tau_inv is not None else f
-
+    # the coefficients move first, so that a bisection without a
+    # representable tau^{-1} fails before ad_matrix cross-checks it
+    moved = [(exp, E.to_target(f)) for exp, f in u.terms.items()]
     if u.degree() <= 0:
-        return u.map_coeffs(transport)
-    gens = [UEAElement.from_section(ad_section(E, A.basis_section(j))) for j in range(A.rank)]
+        return UEAElement(A, moved)
+    # Ad_E(X_j) = sum_i (M[i][j] o tau^{-1}) X_i: column j of the matrix
+    M = ad_matrix(E)
+    units = [tuple(int(i == k) for k in range(A.rank)) for i in range(A.rank)]
+    gens = [UEAElement(A, [(units[i], E.to_target(M[i][j])) for i in range(A.rank)])
+            for j in range(A.rank)]
     pairs = []
-    for exp, f in u.terms.items():
+    for exp, tf in moved:
         acc = UEAElement.one(A)
         for j, k in enumerate(exp):
             for _ in range(k):
                 acc = uea_mul(acc, gens[j])
-        tf = transport(f)
         pairs.extend((e, tf * g) for e, g in acc.terms.items())
     return UEAElement(A, pairs)
 

@@ -248,14 +248,8 @@ def antipode_etale(b: ConvElement) -> ConvElement:
         if u.degree() > 0:
             raise NotEtaleElement("antipode needs degree-0 terms")
         E = model.registry[bid]
-        f = u.degree0()
-        if model.kind == "group":
-            fs = f
-        else:
-            fs = f.compose([E.tau_coeff()])
-        Einv = model.register(bisection_inv(E))
-        w = UEAElement.from_coeff(model.algebroid, fs)
-        pairs.append((Einv.bid, w))
+        w = UEAElement.from_coeff(model.algebroid, E.to_source(u.degree0()))
+        pairs.append((model.register(bisection_inv(E)).bid, w))
     return ConvElement(model, pairs)
 
 

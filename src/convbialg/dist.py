@@ -55,14 +55,8 @@ def frame_field(model, i):
     stored on the model)."""
     n = model.arrow_chart.dim
     gvars = [Polynomial.var(n, k) for k in range(n)]
-    s_of_g = list(model.s_map)
-    if model.base.dim:
-        unit_at_s = [p.substitute(s_of_g) for p in model.unit_map]
-        v = [p.substitute(s_of_g) for p in model.unit_frame[i]]
-    else:
-        unit_at_s = [Polynomial.const(n, p.constant_value()) for p in model.unit_map]
-        v = [Polynomial.const(n, p.constant_value()) for p in model.unit_frame[i]]
-    subs = gvars + unit_at_s
+    subs = gvars + [model.along_source(p) for p in model.unit_map]
+    v = [model.along_source(p) for p in model.unit_frame[i]]
     field = []
     for d in range(n):
         acc = Polynomial(n, {})
@@ -98,9 +92,7 @@ def left_invariant_field(model, X: Section):
             continue
         if not h.is_poly:
             raise UnsupportedComposition("flat coefficients have no polynomial extension")
-        hs = h.poly.substitute(model.s_map) if model.base.dim else Polynomial.const(
-            n, h.poly.constant_value()
-        )
+        hs = model.along_source(h.poly)
         out = [o + hs * c for o, c in zip(out, model.frame[i])]
     return out
 
@@ -162,13 +154,11 @@ class ArrowFn:
             terms.extend((f * c, P) for c, P in acc.terms)
         return ArrowFn(self.model, self.nvars, self.h_offset, terms)
 
-    def substitute(self, new_nvars, subs, base_sub=None) -> "ArrowFn":
+    def substitute(self, new_nvars, subs, move) -> "ArrowFn":
         """Substitute all variables (subs: polynomials in the new space);
-        base_sub composes every base coefficient on the way."""
-        terms = []
-        for c, P in self.terms:
-            c2 = c.compose(base_sub) if base_sub is not None else c
-            terms.append((c2, P.substitute(subs)))
+        move maps every base coefficient on the way (subs changes the
+        source point, so c o s must become move(c) o s)."""
+        terms = [(move(c), P.substitute(subs)) for c, P in self.terms]
         # the h-block is consumed; treat the result as plain parameters
         return ArrowFn(self.model, new_nvars, 0, terms)
 
@@ -183,10 +173,7 @@ class ArrowFn:
         for c, P in self.terms:
             if not c.is_poly:
                 raise UnsupportedComposition("flat coefficient has no polynomial form")
-            cs = c.poly.substitute(model.s_map) if model.base.dim else Polynomial.const(
-                n, c.poly.constant_value()
-            )
-            total = total + cs * P
+            total = total + model.along_source(c.poly) * P
         return total
 
     def eval_arrow(self, g, total=0):
@@ -233,24 +220,15 @@ def dist_eval(T: TransvDist, F):
             Fg = F.get(E.gamma)
             if Fg is None or f.is_zero:
                 continue
-            inv = E.gamma.inverse()
-            invfn = CoeffFn(model.base, Polynomial(1, {(1,): inv.p, (0,): inv.q}))
-            pieces.append((E.target_domain(), (f * Fg).compose([invfn])))
+            pieces.append((E.target_domain(), E.to_target(f * Fg)))
         return pieces
+    # [[E, D]](F) = D(F) o beta_E, and c o s o beta_E = c o tau^{-1}
     out = CoeffFn.const(model.base, 0)
     for bid, u in T.terms.items():
         E = model.registry[bid]
-        af = omega_apply(model, u, F)
-        if model.kind == "group":
-            for c, P in af.terms:
-                out = out + c.scale(P.eval(E.element))
-        else:
-            tau_inv = E.tau_inv_coeff()
-            if not tau_inv.is_poly:
-                raise UnsupportedComposition("beta_E is not polynomial")
-            beta = [Polynomial.var(1, 0), tau_inv.poly]
-            for c, P in af.terms:
-                out = out + c.compose([tau_inv]) * CoeffFn(model.base, P.substitute(beta))
+        beta = model.beta_polys(E)
+        for c, P in omega_apply(model, u, F).terms:
+            out = out + E.to_target(c) * CoeffFn(model.base, P.substitute(beta))
     return out
 
 
@@ -318,18 +296,11 @@ def _defcheck_term_pair(model, E2, u2, E1, u1, F, x0):
     H = F.substitute(model.mult_map)
     af = ArrowFn(model, 2 * n, n, [(CoeffFn.const(model.base, 1), H)])
     af = af.apply_uea(u1)
-    # substitute h := beta_{E1}(s(g)); the g block survives
+    # substitute h := beta_{E1}(s(g)); the g block survives, and
+    # c o s(h) = c o tau_1^{-1} o s(g)
     gvars = [Polynomial.var(n, k) for k in range(n)]
-    if model.kind == "group":
-        h_vals = [Polynomial.const(n, c) for c in E1.element]
-        inner = af.substitute(n, gvars + h_vals)
-    else:
-        tau1_inv = E1.tau_inv_coeff()
-        if not tau1_inv.is_poly:
-            raise UnsupportedComposition("defining formula needs polynomial beta")
-        s_of_g = model.s_map[0]  # 1-D base
-        h_vals = [s_of_g, tau1_inv.poly.substitute([s_of_g])]
-        inner = af.substitute(n, gvars + h_vals, base_sub=[tau1_inv])
+    h_vals = [model.along_source(p) for p in model.beta_polys(E1)]
+    inner = af.substitute(n, gvars + h_vals, E1.to_target)
     # stage 2: apply the outer operator in the g block and evaluate at
     # g := beta_{E2}(x0)
     if not E2.contains_target(x0):
@@ -362,33 +333,30 @@ def commuting_square_gap(model, E: Bisection, u: UEAElement, F: Polynomial):
     only the forward map tau enters; for the representable (polynomial)
     cases the gap is returned as a polynomial on the arrow chart.
     """
-    n = model.arrow_chart.dim
-    if model.kind == "group":
-        kinv = [Polynomial.const(n, c) for c in bisection_inv(E).element]
-        gvars = [Polynomial.var(n, k) for k in range(n)]
-        rinv = [p.substitute(gvars + kinv) for p in model.mult_map]
-        # careful: R_E^{-1}(g) = g . k^{-1}
-        lhs = omega_apply(model, ad_uea(E, u), F).as_polynomial().substitute(rinv)
-        rhs = omega_apply(model, u, F.substitute(rinv)).as_polynomial()
-        return lhs - rhs
     if model.kind == "etale_action":
         # rank 0: u is a coefficient; the square reduces to a base identity
-        f = u.degree0()
-        lhs = ad_uea(E, u).degree0()  # f o tau^{-1}
-        tau = E.tau_coeff()
-        return lhs.compose([tau]) - f
-    # pair model: R_E^{-1}(y, x) = (y, tau(x))
-    tau = E.tau_coeff()
-    if not tau.is_poly:
-        raise UnsupportedComposition("flat bisections need the series check")
-    rinv = [Polynomial.var(2, 0), tau.poly.substitute([Polynomial.var(2, 1)])]
-    lhs_af = omega_apply(model, ad_uea(E, u), F)
-    lhs = Polynomial(2, {})
-    for c, P in lhs_af.terms:
-        cs = c.compose([tau])  # (c o s) o R_E^{-1} = c o tau at the source slot
-        lhs = lhs + cs.poly.substitute([Polynomial.var(2, 1)]) * P.substitute(rinv)
+        return E.to_source(ad_uea(E, u).degree0()) - u.degree0()
+    rinv = _right_translation_inv(E)
+    # s o R_E^{-1} = tau o s, so (c o s) o R_E^{-1} = (c o tau) o s
+    lhs = omega_apply(model, ad_uea(E, u), F).substitute(
+        model.arrow_chart.dim, rinv, E.to_source).as_polynomial()
     rhs = omega_apply(model, u, F.substitute(rinv)).as_polynomial()
     return lhs - rhs
+
+
+def _right_translation_inv(E: Bisection):
+    """R_E^{-1}(g) = g . alpha_E(s(g))^{-1} as polynomials on the arrow
+    chart, derived once per (model, bid)."""
+    model = E.model
+
+    def compute():
+        n = model.arrow_chart.dim
+        gvars = [Polynomial.var(n, k) for k in range(n)]
+        alpha_s = [model.along_source(p) for p in model.alpha_polys(E)]
+        alpha_inv = [q.substitute(alpha_s) for q in model.inv_map]
+        return [p.substitute(gvars + alpha_inv) for p in model.mult_map]
+
+    return model.derive_once(("right_translation_inv", E.bid), compute)
 
 
 # ---------------------------------------------------------------------------

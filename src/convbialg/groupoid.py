@@ -291,13 +291,24 @@ class GroupoidModel:
     * the JSON form of one bisection, `bisection_to_json` and
       `bisection_from_json`;
     * `parse_test_function`, a test function on the arrows read from one
-      polynomial expression.
+      polynomial expression;
+    * with polynomial structure maps (PolynomialGroupoid), `alpha_polys`
+      and `beta_polys`: alpha_E and beta_E as polynomials on the base.
+
+    PolynomialGroupoid.along_source (P o s on the arrow chart) is the one
+    place where a point base is special, and Bisection.to_target and
+    to_source (f o tau^{-1}, f o tau; the identity without a tau) move base
+    functions along a bisection; on these a group and the pair groupoid
+    share one formula for beta_E, R_E^{-1} and the transport of
+    coefficients.  The kind tests left outside this module are listed in
+    the README ("Model kinds"), each with its reason.
 
     `derived` holds data that the adjoint and series layers derive from the
     model alone or from one bisection, computed on first use (`derive_once`):
     the Jacobian of conjugation of a group model, the ids of the pair
-    bisections whose Ad matrix has passed its finite-difference check, and
-    the series data of a flat kink at a point.
+    bisections whose Ad matrix has passed its finite-difference check,
+    R_E^{-1} of a bisection as polynomials, and the series data of a flat
+    kink at a point.
     Keys name the datum and, where it depends on a bisection, its id, not
     the Bisection object, since bisection_inv builds a new object on every
     call.  It is never serialized and lives as long as the model.
@@ -384,14 +395,8 @@ class PolynomialGroupoid(GroupoidModel):
             if self.t_map[m].substitute(self.mult_map) != self.t_map[m].substitute(left):
                 raise VerificationFailed("t(mult(g',g)) != t(g')")
         # mult(inv(g), g) = unit(s(g))
-        inv_then_g = [p.substitute([q.substitute(gvars) for q in self.inv_map] + gvars)
-                      for p in self.mult_map]
-        if self.base.dim:
-            unit_s = [p.substitute([q.substitute(gvars) for q in self.s_map])
-                      for p in self.unit_map]
-        else:
-            unit_s = [Polynomial.const(n, p.constant_value()) for p in self.unit_map]
-        if inv_then_g != unit_s:
+        inv_then_g = [p.substitute(list(self.inv_map) + gvars) for p in self.mult_map]
+        if inv_then_g != [self.along_source(p) for p in self.unit_map]:
             raise VerificationFailed("mult(inv(g), g) != unit(s(g))")
         # associativity on tripled variables
         a = [Polynomial.var(3 * n, i) for i in range(n)]
@@ -403,6 +408,14 @@ class PolynomialGroupoid(GroupoidModel):
             p.substitute(a + bc) for p in self.mult_map
         ]:
             raise VerificationFailed("mult is not associative")
+
+    def along_source(self, P: Polynomial) -> Polynomial:
+        """P o s: a polynomial on the base read as one on the arrow chart.
+        Over a point base P is a constant, and s has no components to
+        substitute."""
+        if not self.base.dim:
+            return Polynomial.const(self.arrow_chart.dim, P.constant_value())
+        return P.substitute(self.s_map)
 
     def s_of(self, g):
         return tuple(p.eval(g) for p in self.s_map)
@@ -432,6 +445,12 @@ def _product_domain(E2, E1) -> Region:
         raise UnsupportedRegistry("flat bisection composed with a restricted domain")
     a, b = aff
     return E1.domain.intersect(E2.domain.affine_image(1 / a, -b / a))
+
+
+def _poly_of(fn: CoeffFn, name: str) -> Polynomial:
+    if not fn.is_poly:
+        raise UnsupportedComposition(f"{name} is not polynomial")
+    return fn.poly
 
 
 def _flat_powers(fn: CoeffFn):
@@ -473,6 +492,14 @@ class PairModel(PolynomialGroupoid):
     def beta(self, E, y):
         y0 = _coord(y)
         return (y0, E.tau_inv_apply(y0))
+
+    def alpha_polys(self, E):
+        """alpha_E = (tau, id) as polynomials on the base."""
+        return [_poly_of(E.tau_coeff(), "alpha_E"), Polynomial.var(1, 0)]
+
+    def beta_polys(self, E):
+        """beta_E = (id, tau^{-1}) as polynomials on the base."""
+        return [Polynomial.var(1, 0), _poly_of(E.tau_inv_coeff(), "beta_E")]
 
     def contains_arrow(self, E, g):
         y, x = g
@@ -562,6 +589,12 @@ class GroupModel(PolynomialGroupoid):
         return E.element
 
     beta = alpha
+
+    def alpha_polys(self, E):
+        """alpha_E = beta_E: the element's coordinates, constants on the point."""
+        return [Polynomial.const(0, c) for c in E.element]
+
+    beta_polys = alpha_polys
 
     def contains_arrow(self, E, g):
         return tuple(g) == E.element
@@ -713,6 +746,16 @@ class Bisection:
     def tau_inv_apply(self, y):
         return self.tau_diffeo().apply_inv(y)
 
+    def to_target(self, f: CoeffFn) -> CoeffFn:
+        """f o tau^{-1}: a function over s(E) moved to t(E); f itself when
+        there is no tau."""
+        return f if self.tau is None else f.compose([self.tau.inv_coeff()])
+
+    def to_source(self, f: CoeffFn) -> CoeffFn:
+        """f o tau: a function over t(E) moved to s(E); f itself when there
+        is no tau."""
+        return f if self.tau is None else f.compose([self.tau.coeff()])
+
     def target_domain(self) -> Region:
         """t(E) as a region of the base."""
         aff = None if self.tau is None else self.tau.affine_parts()
@@ -804,15 +847,11 @@ def germ_inv(model, e: GermArrow) -> GermArrow:
     return GermArrow(inv.bid, model.t_of(E.alpha(e.source)))
 
 
-def germ_fiber(model, g, bisections=None):
-    """Partition the registered bisections through the arrow g into germ
-    classes at g; returns a list of classes (lists of Bisections)."""
-    if bisections is None:
-        bisections = list(model.registry.values())
-    through = [E for E in bisections if E.contains_arrow(g)]
-    x = model.s_of(g)
+def germ_classes(bisections, x):
+    """Partition bisections into classes of equal germ at the arrows over
+    source point x, in first-appearance order."""
     classes = []
-    for E in through:
+    for E in bisections:
         for cls in classes:
             if bisection_germ_eq(E, cls[0], x):
                 cls.append(E)
@@ -820,3 +859,11 @@ def germ_fiber(model, g, bisections=None):
         else:
             classes.append([E])
     return classes
+
+
+def germ_fiber(model, g, bisections=None):
+    """Partition the registered bisections through the arrow g into germ
+    classes at g; returns a list of classes (lists of Bisections)."""
+    if bisections is None:
+        bisections = list(model.registry.values())
+    return germ_classes([E for E in bisections if E.contains_arrow(g)], model.s_of(g))

@@ -300,7 +300,7 @@ def algebroid_of_groupoid(model) -> LieRinehart:
                     continue
                 if not c.is_poly:
                     raise VerificationFailed("non-polynomial structure constants")
-                ck = c.poly.substitute(model.s_map) if A.chart.dim else Polynomial.const(nv, c.poly.constant_value())
+                ck = model.along_source(c.poly)
                 want = [w + ck * v for w, v in zip(want, fields[k])]
             if not field_equal(comm, want):
                 raise VerificationFailed(f"bracket table mismatch at pair ({i},{j})")

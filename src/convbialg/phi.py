@@ -25,6 +25,7 @@ from .groupoid import (
     Bisection,
     bisection_germ_eq,
     bisection_inv,
+    germ_classes,
     germ_of,
     unit_bisection,
 )
@@ -143,18 +144,6 @@ def _active(E: Bisection, stratum: Stratum) -> bool:
     return E.domain.contains((stratum.sample(),))
 
 
-def _partition(bisections, x):
-    classes = []
-    for E in bisections:
-        for cls in classes:
-            if bisection_germ_eq(E, cls[0], (x,)):
-                cls.append(E)
-                break
-        else:
-            classes.append([E])
-    return classes
-
-
 def stratify(model, bisections=None) -> Stratification:
     if bisections is None:
         bisections = list(model.registry.values())
@@ -172,10 +161,10 @@ def stratify(model, bisections=None) -> Stratification:
     out = []
     for st in strata_shapes:
         active = [E for E in bisections if _active(E, st)]
-        classes = _partition(active, st.sample())
+        classes = germ_classes(active, st.sample())
         if st.kind == "interval" and active:
             # the germ-class structure must be literally constant on the stratum
-            check = _partition(active, st.second_sample())
+            check = germ_classes(active, st.second_sample())
             if [[E.bid for E in c] for c in classes] != [[E.bid for E in c] for c in check]:
                 raise UnsupportedRegistry(
                     f"germ-class structure not constant on stratum {st.text()}"
@@ -427,9 +416,7 @@ def scenario_etale_iso(model=None, n: int = 20, seed: int = 0xC0FFEE) -> dict:
         for P in (Polynomial.const(1, 3), Polynomial(1, {(2,): Q(1), (0,): Q(-1)})):
             f = CoeffFn(A.chart, P)
             target = TransvDist.single(model, E, UEAElement.from_coeff(A, f))
-            pre = ConvElement.single(
-                model, E, UEAElement.from_coeff(A, f.compose([E.tau_inv_coeff()]))
-            )
+            pre = ConvElement.single(model, E, UEAElement.from_coeff(A, E.to_target(f)))
             if phi(pre) != target:
                 surj_ok, surj_witness = False, (E.bid, P.text())
                 break

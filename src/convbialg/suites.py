@@ -258,7 +258,7 @@ def suite_hopf_etale(seed=0xC0FFEE, models=None):
         total = CoeffFn.const(A.chart, 0)
         for bid, u in a.terms.items():
             E = model.registry[bid]
-            fs = u.degree0().compose([E.tau_coeff()])
+            fs = E.to_source(u.degree0())
             prod = model.register(bisection_mul(bisection_inv(E), E))
             pairs.append((prod.bid, UEAElement.from_coeff(A, fs)))
             total = total + fs

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .coeffs import CoeffFn
 from .errors import ChartMismatch, DomainError, ParentMismatch, VerificationFailed
-from .lie_rinehart import LieRinehart, Section
+from .lie_rinehart import LieRinehart
 
 
 class TermSum:
@@ -138,15 +138,6 @@ class UEAElement(TermSum):
         exp[i] = 1
         return UEAElement(parent, {tuple(exp): CoeffFn.const(parent.chart, 1)})
 
-    @staticmethod
-    def from_section(X: Section) -> "UEAElement":
-        terms = {}
-        for i, h in enumerate(X.coeffs):
-            exp = [0] * X.parent.rank
-            exp[i] = 1
-            terms[tuple(exp)] = h
-        return UEAElement(X.parent, terms)
-
     # -- structure ----------------------------------------------------------
 
     def degree(self) -> int:
@@ -155,9 +146,6 @@ class UEAElement(TermSum):
 
     def degree0(self) -> CoeffFn:
         return self.terms.get(tuple([0] * self.parent.rank), CoeffFn.const(self.parent.chart, 0))
-
-    def map_coeffs(self, fn) -> "UEAElement":
-        return UEAElement(self.parent, {e: fn(f) for e, f in self.terms.items()})
 
     def text(self) -> str:
         if not self.terms:

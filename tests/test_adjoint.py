@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from convbialg import adjoint
-from convbialg.adjoint import ad_germ, ad_matrix, ad_section, ad_uea
+from convbialg.adjoint import ad_germ, ad_matrix, ad_uea
 from convbialg.coeffs import CoeffFn, Polynomial, Q
 from convbialg.errors import UnsupportedComposition, VerificationFailed
 from convbialg.groupoid import Bisection, bisection_inv, bisection_mul
@@ -57,6 +57,16 @@ class TestPairAdjoint:
         f = UEAElement.from_coeff(A, CoeffFn(A.chart, Polynomial.parse("x0^2", 1)))
         with pytest.raises(UnsupportedComposition):
             ad_uea(pair.lookup("E01"), f)
+
+    def test_flat_forward_fails_before_the_crosscheck(self):
+        # tau^{-1} of a flat kink is not representable: ad_uea must fail
+        # before ad_matrix runs its cross-check, so no bid is recorded
+        model = pair_model()
+        D = UEAElement.generator(model.algebroid, 0)
+        for name in ("E00", "E01", "E10", "E11"):
+            with pytest.raises(UnsupportedComposition, match="inverse map not representable"):
+                ad_uea(model.lookup(name), D)
+        assert not model.derived.get("ad_crosschecked")
 
 
 class TestPairCrosscheck:

@@ -95,6 +95,29 @@ class TestEval:
         v = dist_eval_at(T, F3, None)
         assert v == 1
 
+    @pytest.mark.parametrize("name", ["k123", "kx"])
+    def test_group_symbolic_eval_is_the_constant_value(self, h3, name):
+        # over a point base T(F) is the constant D(F)(beta_E) = D(F)(k)
+        H = h3.algebroid
+        X, Y, Z = (UEAElement.generator(H, i) for i in range(3))
+        for u in (UEAElement.one(H), X, uea_mul(Y, Z)):
+            T = TransvDist.single(h3, h3.lookup(name), u)
+            for F3 in dist_test_bank(h3):
+                assert dist_eval(T, F3) == CoeffFn.const(H.chart, dist_eval_at(T, F3, None))
+
+    @pytest.mark.parametrize("name", ["shift", "dbl", "half"])
+    def test_pair_symbolic_eval_matches_pointwise(self, pair, name):
+        A = pair.algebroid
+        D = UEAElement.generator(A, 0)
+        f = UEAElement.from_coeff(A, CoeffFn(A.chart, Polynomial.parse("1 + -1/2*x0^2", 1)))
+        E = pair.lookup(name)
+        xs = [F(-3, 2), F(0), F(1, 3), F(5)]
+        for u in (UEAElement.one(A), D, uea_mul(f, uea_mul(D, D)) + f):
+            T = TransvDist.single(pair, E, u)
+            for F2 in dist_test_bank(pair):
+                sym = dist_eval(T, F2)
+                assert [sym.eval((x,)) for x in xs] == [dist_eval_at(T, F2, x) for x in xs]
+
 
 class TestProduct:
     def test_pair_product_shape(self, pair):
@@ -143,14 +166,35 @@ class TestCommutingSquare:
         rng = random.Random(9)
         A = pair.algebroid
         D = UEAElement.generator(A, 0)
+        # a coefficient that is not constant: c o s o R_E^{-1} = (c o tau) o s
+        fD = uea_mul(UEAElement.from_coeff(A, CoeffFn(A.chart, Polynomial.parse("1 + x0", 1))), D)
         for _ in range(5):
             Fq = random_polynomial(rng, 2, 3)
             assert commuting_square_gap(pair, pair.lookup("dbl"), D, Fq).is_zero
+            assert commuting_square_gap(pair, pair.lookup("shift"), fD, Fq).is_zero
         H = h3.algebroid
         for _ in range(5):
             Fq = random_polynomial(rng, 3, 3)
             u = UEAElement.generator(H, rng.randrange(3))
             assert commuting_square_gap(h3, h3.lookup("k123"), u, Fq).is_zero
+
+    def test_gap_nonzero_without_the_adjoint_action(self, pair, h3, monkeypatch):
+        # the gap is zero because U(Ad_E) twists the left side; with the
+        # twist taken out the same cases must show a nonzero gap
+        import convbialg.dist as dist_module
+
+        A, H = pair.algebroid, h3.algebroid
+        D = UEAElement.generator(A, 0)
+        X, Y = UEAElement.generator(H, 0), UEAElement.generator(H, 1)
+        cases = [(pair, "dbl", D, Polynomial.parse("x1", 2)),
+                 (pair, "dbl", D, Polynomial.parse("x0*x1^2", 2)),
+                 (h3, "k123", X, Polynomial.parse("x2", 3)),
+                 (h3, "k123", Y, Polynomial.parse("x2", 3))]
+        for model, name, u, Fq in cases:
+            assert commuting_square_gap(model, model.lookup(name), u, Fq).is_zero
+        monkeypatch.setattr(dist_module, "ad_uea", lambda E, u: u)
+        for model, name, u, Fq in cases:
+            assert not commuting_square_gap(model, model.lookup(name), u, Fq).is_zero
 
     def test_flat_numeric_gap_small(self, pair):
         rng = random.Random(10)

@@ -2,17 +2,24 @@
 
     python3 tools/bench_pairs.py --base ../parent --change . --out BENCH.json
 
-Pair i of a workload runs `python3 perfbench/run.py --workload W
+First each tree's reports are hashed: the exit code and the sha256 of
+stdout and stderr of `convbialg check --suite NAME --output json` for every
+suite, `convbialg demo NAME --output json` for every demo, the README's
+`eval` examples and two more `eval` calls, and each script under `demos/`.
+Then pair i of a workload runs `python3 perfbench/run.py --workload W
 --seed 1001+i --seconds 20 --trace 0` once in each tree, one run at a time;
 10 pairs on `suites`, the fewest that can show a 9-in-10 win, and 3 each on
 `eval` and `big-model`.  The 20 s run length is the one perfbench/README.md
-sets.
-the base runs first in even pairs and second in odd ones, so a drift in the
-machine's speed falls on both sides alike.  The output holds every run's
-metrics, per-metric medians and quartiles for each side, how many pairs
-the change won on each metric, and the sha256 of each side's
-`convbialg check --suite NAME --output json` report.  Each tree must have
-`perfbench/` at its root and the package under `src/`.
+sets.  The base runs first in even pairs and second in odd ones, so a drift
+in the machine's speed falls on both sides alike.
+
+A command that exits nonzero does not stop the comparison: its exit code
+is recorded, and a benchmark run without a result line has no metrics.
+The output holds the report hashes and whether they are identical, every
+run's exit code and metrics, and, over the pairs where both runs gave
+metrics, per-metric medians and quartiles for each side and how many pairs
+the change won.  Each tree must have `perfbench/` at its root and the
+package under `src/`.
 """
 
 from __future__ import annotations
@@ -27,7 +34,13 @@ import sys
 
 SUITES = ("cartier-gabriel", "commuting-square", "etale-iso", "fd-sanity", "hopf-etale",
           "kernel-example", "lie-rinehart", "phi-homomorphism", "prop43", "uea")
-CHECK = "import sys; from convbialg.cli import main; sys.exit(main(sys.argv[1:]))"
+DEMOS = ("cartier-gabriel", "etale-iso", "kernel-example")
+# the three `eval` examples of the README, a flat kink evaluated in floats,
+# and a product that fails with exit 2
+EVALS = ("conv_mul(<1|shift>,<1|dbl>)", "phi(<1*x0^2 | shift>)",
+         "dist_eval([[shift, 1]], x0 + x1, 2)", "dist_eval([[E01,1]],x0+x1,0)",
+         "conv_mul(<1 * D|E00>,<1 * D|E01>)")
+CLI = "import sys; from convbialg.cli import main; sys.exit(main(sys.argv[1:]))"
 PAIRS = (("suites", 10), ("eval", 3), ("big-model", 3))
 SECONDS = 20
 
@@ -40,20 +53,39 @@ def _run(tree, workload, seed):
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(SECONDS), "--trace", "0"],
-        cwd=tree, env=_env(), capture_output=True, text=True, check=True)
-    result = json.loads(out.stdout.strip().splitlines()[-1])
-    return {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
-            "failed": result["failed"],
-            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+        cwd=tree, env=_env(), capture_output=True, text=True)
+    run = {"seed": seed, "exit": out.returncode, "metrics": None}
+    lines = out.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        return run
+    run.update(correct=result["correct"], attempted=result["attempted"],
+               failed=result["failed"],
+               metrics={k: v["value"] for k, v in result["metrics"].items()})
+    return run
+
+
+def _hash_run(tree, argv):
+    out = subprocess.run(argv, cwd=tree, env=_env(), capture_output=True)
+    return {"exit": out.returncode, "stdout": hashlib.sha256(out.stdout).hexdigest(),
+            "stderr": hashlib.sha256(out.stderr).hexdigest()}
 
 
 def _report_hashes(tree):
+    cli = [sys.executable, "-c", CLI]
     hashes = {}
     for name in SUITES:
-        out = subprocess.run([sys.executable, "-c", CHECK, "check", "--suite", name,
-                              "--output", "json"],
-                             cwd=tree, env=_env(), capture_output=True, check=True)
-        hashes[name] = hashlib.sha256(out.stdout).hexdigest()
+        hashes[f"check {name}"] = _hash_run(tree, cli + ["check", "--suite", name,
+                                                         "--output", "json"])
+    for name in DEMOS:
+        hashes[f"demo {name}"] = _hash_run(tree, cli + ["demo", name, "--output", "json"])
+    for expr in EVALS:
+        hashes[f"eval {expr}"] = _hash_run(tree, cli + ["eval", expr])
+    for script in sorted(f for f in os.listdir(os.path.join(tree, "demos"))
+                         if f.endswith(".py")):
+        hashes[f"demos/{script}"] = _hash_run(tree, [sys.executable,
+                                                     os.path.join("demos", script)])
     return hashes
 
 
@@ -66,7 +98,31 @@ def _better(name):
     return "higher" if name == "op_rate" else "lower"
 
 
+def _summary(runs):
+    """Per-metric figures over the pairs where both runs gave metrics."""
+    pairs = [(b["metrics"], c["metrics"]) for b, c in zip(runs["base"], runs["change"])
+             if b["metrics"] is not None and c["metrics"] is not None]
+    if len(pairs) < 2:
+        return None
+    summary = {}
+    for name in pairs[0][0]:
+        b = [mb[name] for mb, _ in pairs]
+        c = [mc[name] for _, mc in pairs]
+        sign = 1 if _better(name) == "lower" else -1
+        qb = _quartiles(b)
+        summary[name] = {
+            "better": _better(name),
+            "base": qb, "change": _quartiles(c), "base_iqr": qb["q3"] - qb["q1"],
+            "change_wins": sum(sign * (y - x) < 0 for x, y in zip(b, c)),
+            "pairs": len(pairs),
+            "median_change_pct": 100 * (statistics.median(c) / statistics.median(b) - 1),
+        }
+    return summary
+
+
 def compare(base, change):
+    base_hashes, change_hashes = _report_hashes(base), _report_hashes(change)
+    print("reports identical:", base_hashes == change_hashes, file=sys.stderr, flush=True)
     workloads = {}
     for workload, n in PAIRS:
         runs = {"base": [], "change": []}
@@ -75,28 +131,15 @@ def compare(base, change):
             for side in order:
                 tree = base if side == "base" else change
                 runs[side].append(_run(tree, workload, 1001 + i))
-                print(workload, i, side, runs[side][-1]["metrics"], file=sys.stderr, flush=True)
-        summary = {}
-        for name in runs["base"][0]["metrics"]:
-            b = [r["metrics"][name] for r in runs["base"]]
-            c = [r["metrics"][name] for r in runs["change"]]
-            sign = 1 if _better(name) == "lower" else -1
-            qb = _quartiles(b)
-            summary[name] = {
-                "better": _better(name),
-                "base": qb, "change": _quartiles(c), "base_iqr": qb["q3"] - qb["q1"],
-                "change_wins": sum(sign * (y - x) < 0 for x, y in zip(b, c)),
-                "pairs": n,
-                "median_change_pct": 100 * (statistics.median(c) / statistics.median(b) - 1),
-            }
-        workloads[workload] = {"summary": summary, "runs": runs}
-    base_hashes, change_hashes = _report_hashes(base), _report_hashes(change)
+                print(workload, i, side, runs[side][-1]["exit"], runs[side][-1]["metrics"],
+                      file=sys.stderr, flush=True)
+        workloads[workload] = {"summary": _summary(runs), "runs": runs}
     return {
         "command": f"python3 perfbench/run.py --workload W --seed 1001+i --seconds {SECONDS} "
                    "--trace 0",
-        "workloads": workloads,
         "report_sha256": {"base": base_hashes, "change": change_hashes,
                           "identical": base_hashes == change_hashes},
+        "workloads": workloads,
     }
 
 
