@@ -1,16 +1,12 @@
-"""The adjoint action of bisections: C_E, Ad_E, U(Ad_E) and germ-level Ad_e.
+"""The adjoint action of bisections: Ad_E, U(Ad_E) and germ-level Ad_e.
 
-Ad_E is the derivative of the conjugation C_E(h) = alpha_E(t(h)) . h .
-alpha_E(s(h))^{-1}.  For each model the matrix of Ad_E in the frame is
-obtained in two independent ways (a closed-form expression, and symbolic
-or numeric differentiation of C_E) and cross-checked:
-
-* group kind: the Jacobian of k h k^-1 at the unit, as polynomials in k, is
-  derived once per model, on the first ad_matrix call; every call evaluates
-  it at the element and compares it with the stored closed form;
-* pair kind: the matrix tau' is rebuilt on every call, and its
-  finite-difference check against C_E runs once per (model, bisection id),
-  the first time it passes.
+Ad_E is the derivative at the units of the conjugation C_E(h) =
+alpha_E(t(h)) . h . alpha_E(s(h))^{-1}.  ad_matrix compares, on every call
+and for every kind with polynomial structure maps, two independent forms of
+its matrix in the frame: the model's closed form (`closed_ad_matrix`: tau'
+for the pair groupoid, the stored matrix of a group), and one derivation
+from the structure polynomials, made once per model and evaluated at
+alpha_E (`alpha_fns`) and its first derivatives.
 
 U(Ad_E) sends the generator X_j to column j of the matrix, with entries
 moved to t(E) by Bisection.to_target, and a coefficient f to f o tau^{-1}.
@@ -18,50 +14,56 @@ moved to t(E) by Bisection.to_target, and a coefficient f to f o tau^{-1}.
 
 from __future__ import annotations
 
-from .coeffs import CoeffFn, Polynomial, Q
-from .errors import DomainError, UnsupportedComposition, VerificationFailed
+from .coeffs import CoeffFn, Polynomial
+from .errors import DomainError, VerificationFailed
 from .groupoid import Bisection, GermArrow
 from .uea import GermUEA, UEAElement, uea_germ, uea_mul
 
 
-def conjugate_arrow(E: Bisection, h):
-    """C_E(h) = alpha_E(t(h)) . h . alpha_E(s(h))^{-1}."""
-    model = E.model
-    sx, tx = model.s_of(h), model.t_of(h)
-    for x in (sx, tx):
-        if not E.contains_source(x):
-            raise DomainError("arrow endpoints outside s(E)")
-    left = E.alpha(tx)
-    right = model.inv_arrow(E.alpha(sx))
-    return model.mult_arrow(left, model.mult_arrow(h, right))
-
-
-def _pair_matrix(E: Bisection):
-    d = E.tau_diffeo()
-    if d.fwd is None:
-        raise UnsupportedComposition("Ad matrix of an inverted flat bisection")
-    return [[d.fwd.derive()]]
-
-
 def _conjugation_jacobian(model):
-    """d/dh (k h k^-1) at h = e, as an n x n matrix of polynomials in k."""
-    n = model.arrow_chart.dim
-    kvars = [Polynomial.var(2 * n, i) for i in range(n)]
-    hvars = [Polynomial.var(2 * n, n + i) for i in range(n)]
-    kinv = [p.substitute(kvars) for p in model.inv_map]
-    kh = [p.substitute(kvars + hvars) for p in model.mult_map]
-    conj = [p.substitute(kh + kinv) for p in model.mult_map]
-    at_unit = [Polynomial.var(n, i) for i in range(n)] + [
-        Polynomial.const(n, c) for c in model.unit_of(())
-    ]
-    return [[conj[i].derive(n + j).substitute(at_unit) for j in range(n)] for i in range(n)]
+    """Entry (i, j): the v_i-component of d/de_j C_E(unit(x) + sum_j e_j v_j) at
+    e = 0, a polynomial in x, a = alpha_E(x) and d[k][m] = d alpha_E^k / dx_m
+    at x, since alpha_E(x + dx) = a + d dx to first order in dx."""
+    b, n, r = model.base.dim, model.arrow_chart.dim, len(model.unit_frame)
+    nv = b + n + n * b + r  # x, a, d and e
+    var = [Polynomial.var(nv, i) for i in range(nv)]
+    x, a, e = var[:b], var[b:b + n], var[nv - r:]
+    d = [var[b + n + k * b:b + n + (k + 1) * b] for k in range(n)]
+
+    def on_base(P):
+        return Polynomial(nv, {ex + (0,) * (nv - b): c for ex, c in P.terms.items()})
+
+    def alpha_near(maps, h):
+        """alpha_E at y = maps(h), to first order in y - x."""
+        y = [p.substitute(h) for p in maps]
+        return [sum((dk[m] * (y[m] - x[m]) for m in range(b)), ak) for ak, dk in zip(a, d)]
+
+    def at_zero(p):
+        return Polynomial(nv - r, {ex[:-r]: c for ex, c in p.terms.items() if not any(ex[-r:])})
+
+    h = [sum((ej * on_base(v[k]) for ej, v in zip(e, model.unit_frame)), on_base(u))
+         for k, u in enumerate(model.unit_map)]
+    right = [p.substitute(alpha_near(model.s_map, h)) for p in model.inv_map]
+    left_h = [p.substitute(alpha_near(model.t_map, h) + h) for p in model.mult_map]
+    conj = [p.substitute(left_h + right) for p in model.mult_map]
+    # each unit-frame vector is a constant coordinate vector e_k, so row i
+    # reads coordinate k of frame vector i (ad_matrix's comparison with the
+    # closed form fails on any other frame)
+    rows = [next(k for k, p in enumerate(v) if not p.is_zero) for v in model.unit_frame]
+    return [[at_zero(conj[k].derive(nv - r + j)) for j in range(r)] for k in rows]
 
 
-def _group_matrix_derived(E: Bisection):
-    """Jacobian of h -> C_k(h) at the unit, from the structure polynomials."""
-    model = E.model
-    J = model.derive_once("conjugation_jacobian", lambda: _conjugation_jacobian(model))
-    return [[CoeffFn.const(model.base, p.eval(E.element)) for p in row] for row in J]
+def _eval_at(P: Polynomial, args, chart):
+    """P at the coefficient functions args, one per variable, on chart."""
+    out = None
+    for exp, c in P.terms.items():
+        term = None
+        for f, k in zip(args, exp):
+            for _ in range(k):
+                term = f if term is None else term * f
+        term = CoeffFn.const(chart, c) if term is None else (term if c == 1 else term.scale(c))
+        out = term if out is None else out + term
+    return CoeffFn.const(chart, 0) if out is None else out
 
 
 def ad_matrix(E: Bisection):
@@ -73,40 +75,22 @@ def ad_matrix(E: Bisection):
     A = model.algebroid
     if A.rank == 0:
         return []
-    if model.kind == "group":
-        M = _group_matrix_derived(E)
-        stored = model.stored_ad_matrix(E.element)
-        for i in range(A.rank):
-            for j in range(A.rank):
-                if M[i][j] != A._fn(stored[i][j]):
-                    raise VerificationFailed(
-                        f"Ad matrix mismatch at ({i},{j}) for {E.bid}"
-                    )
-        return M
-    M = _pair_matrix(E)
-    checked = model.derive_once("ad_crosschecked", set)
-    if E.bid not in checked:
-        _crosscheck_pair(E, M)
-        checked.add(E.bid)
+    closed = model.closed_ad_matrix(E)
+    J = model.derive_once("conjugation_jacobian", lambda: _conjugation_jacobian(model))
+    base = model.base
+    alpha = model.alpha_fns(E)
+    args = ([CoeffFn.var(base, m) for m in range(base.dim)] + alpha
+            + [f.derive(m) for f in alpha for m in range(base.dim)])
+    if all(f.is_rational_const() for f in args):
+        point = [f.poly.constant_value() for f in args]
+        M = [[CoeffFn.const(base, p.eval(point)) for p in row] for row in J]
+    else:
+        M = [[_eval_at(p, args, base) for p in row] for row in J]
+    for i in range(A.rank):
+        for j in range(A.rank):
+            if M[i][j] != A._fn(closed[i][j]):
+                raise VerificationFailed(f"Ad matrix mismatch at ({i},{j}) for {E.bid}")
     return M
-
-
-def _crosscheck_pair(E: Bisection, M):
-    """Numeric check: d/dx of the source leg of C_E matches tau'.  It fails
-    unless the gap is within the tolerance, so a NaN fails it too."""
-    eps = 1e-6
-    for x in (Q(-3, 4), Q(1, 2)):
-        if not (E.domain.is_whole or E.domain.contains((x,))):
-            continue
-        y = E.tau_apply(x)
-        plus = conjugate_arrow(E, (float(y), float(x) + eps))[1]
-        minus = conjugate_arrow(E, (float(y), float(x) - eps))[1]
-        fd = (plus - minus) / (2 * eps)
-        gap = abs(fd - float(M[0][0].eval((x,))))
-        if not gap <= 1e-4 * (1 + abs(fd)):
-            raise VerificationFailed(
-                f"Ad cross-check failed for {E.bid} at x={x}: |gap|={gap}"
-            )
 
 
 def ad_uea(E: Bisection, u: UEAElement) -> UEAElement:
@@ -116,7 +100,7 @@ def ad_uea(E: Bisection, u: UEAElement) -> UEAElement:
     if u.is_zero:
         return u
     # the coefficients move first, so that a bisection without a
-    # representable tau^{-1} fails before ad_matrix cross-checks it
+    # representable tau^{-1} fails before ad_matrix derives its matrix
     moved = [(exp, E.to_target(f)) for exp, f in u.terms.items()]
     if u.degree() <= 0:
         return UEAElement(A, moved)

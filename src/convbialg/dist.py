@@ -27,7 +27,7 @@ import random
 from .adjoint import ad_uea
 from .coeffs import CoeffFn, Polynomial, Q
 from .conv import BisectionSum
-from .errors import ChartMismatch, UnsupportedComposition
+from .errors import ChartMismatch, UnsupportedComposition, UnsupportedRegistry
 from .groupoid import Bisection, bisection_inv, bisection_mul
 from .lie_rinehart import Section, random_polynomial
 from .uea import UEAElement, uea_mul
@@ -226,6 +226,8 @@ def dist_eval(T: TransvDist, F):
     out = CoeffFn.const(model.base, 0)
     for bid, u in T.terms.items():
         E = model.registry[bid]
+        if not E.target_domain().is_whole:
+            raise UnsupportedRegistry(f"dist_eval needs t(E) to be the whole base: {bid}")
         beta = model.beta_polys(E)
         for c, P in omega_apply(model, u, F).terms:
             out = out + E.to_target(c) * CoeffFn(model.base, P.substitute(beta))

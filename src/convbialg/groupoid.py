@@ -292,23 +292,23 @@ class GroupoidModel:
       `bisection_from_json`;
     * `parse_test_function`, a test function on the arrows read from one
       polynomial expression;
-    * with polynomial structure maps (PolynomialGroupoid), `alpha_polys`
-      and `beta_polys`: alpha_E and beta_E as polynomials on the base.
+    * with polynomial structure maps (PolynomialGroupoid), `alpha_fns`
+      (alpha_E as functions on the base) and `closed_ad_matrix` (the closed
+      form of Ad_E that adjoint.ad_matrix compares with its derivation).
 
     PolynomialGroupoid.along_source (P o s on the arrow chart) is the one
-    place where a point base is special, and Bisection.to_target and
-    to_source (f o tau^{-1}, f o tau; the identity without a tau) move base
-    functions along a bisection; on these a group and the pair groupoid
-    share one formula for beta_E, R_E^{-1} and the transport of
-    coefficients.  The kind tests left outside this module are listed in
-    the README ("Model kinds"), each with its reason.
+    place where a point base is special, Bisection.to_target and to_source
+    (f o tau^{-1}, f o tau; the identity without a tau) move base functions
+    along a bisection, and alpha_polys and beta_polys (alpha_E and
+    alpha_E o tau^{-1} as polynomials) come from alpha_fns; on these a group
+    and the pair groupoid share one formula for Ad_E, beta_E, R_E^{-1} and
+    the transport of coefficients.  The kind tests left outside this module
+    are listed in the README ("Model kinds"), each with its reason.
 
     `derived` holds data that the adjoint and series layers derive from the
     model alone or from one bisection, computed on first use (`derive_once`):
-    the Jacobian of conjugation of a group model, the ids of the pair
-    bisections whose Ad matrix has passed its finite-difference check,
-    R_E^{-1} of a bisection as polynomials, and the series data of a flat
-    kink at a point.
+    the conjugation Jacobian of a model, R_E^{-1} of a bisection as
+    polynomials, and the series data of a flat kink at a point.
     Keys name the datum and, where it depends on a bisection, its id, not
     the Bisection object, since bisection_inv builds a new object on every
     call.  It is never serialized and lives as long as the model.
@@ -417,6 +417,14 @@ class PolynomialGroupoid(GroupoidModel):
             return Polynomial.const(self.arrow_chart.dim, P.constant_value())
         return P.substitute(self.s_map)
 
+    def alpha_polys(self, E):
+        """alpha_E as polynomials on the base."""
+        return [_poly_of(f, "alpha_E") for f in self.alpha_fns(E)]
+
+    def beta_polys(self, E):
+        """beta_E = alpha_E o tau^{-1} as polynomials on the base."""
+        return [_poly_of(E.to_target(f), "beta_E") for f in self.alpha_fns(E)]
+
     def s_of(self, g):
         return tuple(p.eval(g) for p in self.s_map)
 
@@ -493,13 +501,15 @@ class PairModel(PolynomialGroupoid):
         y0 = _coord(y)
         return (y0, E.tau_inv_apply(y0))
 
-    def alpha_polys(self, E):
-        """alpha_E = (tau, id) as polynomials on the base."""
-        return [_poly_of(E.tau_coeff(), "alpha_E"), Polynomial.var(1, 0)]
+    def alpha_fns(self, E):
+        """alpha_E = (tau, id) on the base."""
+        return [E.tau_coeff(), CoeffFn.var(self.base)]
 
-    def beta_polys(self, E):
-        """beta_E = (id, tau^{-1}) as polynomials on the base."""
-        return [Polynomial.var(1, 0), _poly_of(E.tau_inv_coeff(), "beta_E")]
+    def closed_ad_matrix(self, E):
+        """Ad_E scales the generator by tau'."""
+        if E.tau.fwd is None:
+            raise UnsupportedComposition("Ad matrix of an inverted flat bisection")
+        return [[E.tau.fwd.derive()]]
 
     def contains_arrow(self, E, g):
         y, x = g
@@ -590,11 +600,12 @@ class GroupModel(PolynomialGroupoid):
 
     beta = alpha
 
-    def alpha_polys(self, E):
+    def alpha_fns(self, E):
         """alpha_E = beta_E: the element's coordinates, constants on the point."""
-        return [Polynomial.const(0, c) for c in E.element]
+        return [CoeffFn.const(self.base, c) for c in E.element]
 
-    beta_polys = alpha_polys
+    def closed_ad_matrix(self, E):
+        return self.stored_ad_matrix(E.element)
 
     def contains_arrow(self, E, g):
         return tuple(g) == E.element

@@ -171,15 +171,16 @@ def model_to_json(model: GroupoidModel) -> dict:
 
 
 def model_from_json(data) -> GroupoidModel:
-    if isinstance(data, str):
-        data = json.loads(data)
     try:
+        if isinstance(data, str):
+            data = json.loads(data)
         factory = _DOC_MODELS[data["model"]]
-    except (KeyError, TypeError) as exc:
+        entries = list(data.get("bisections", []))
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad model document: {exc}")
     model = factory(register_defaults=False)
     model.register(unit_bisection(model), alias=model.unit_alias)
-    for entry in data.get("bisections", []):
+    for entry in entries:
         try:
             model.register(model.bisection_from_json(entry), alias=entry["id"])
         except (KeyError, ValueError, TypeError) as exc:

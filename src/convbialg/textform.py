@@ -67,6 +67,8 @@ def _parse_flat_dict(text: str) -> dict:
 def parse_coeff(chart: Chart, text: str) -> CoeffFn:
     """Inverse of CoeffFn.text()."""
     text = text.strip()
+    if chart.dim != 1 and text.endswith("]") and (" + phi[" in text or " + flat[" in text):
+        raise ParseError(f"flat parts exist only on the line: {text!r}")
     k = text.rfind(" + phi[")
     if k >= 0 and text.endswith("]"):
         body = text[k + len(" + phi[") : -1]

@@ -1,15 +1,13 @@
-import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from convbialg import adjoint
-from convbialg.adjoint import ad_germ, ad_matrix, ad_uea
-from convbialg.coeffs import CoeffFn, Polynomial, Q
+from convbialg.adjoint import ad_matrix, ad_uea
+from convbialg.coeffs import CoeffFn, Polynomial
 from convbialg.errors import UnsupportedComposition, VerificationFailed
-from convbialg.groupoid import Bisection, bisection_inv, bisection_mul
-from convbialg.lie_rinehart import random_polynomial
+from convbialg.groupoid import Bisection, PairModel, bisection_inv, bisection_mul
 from convbialg.models import etale_model, heisenberg_model, pair_model
 from convbialg.uea import UEAElement, uea_mul
 
@@ -60,51 +58,55 @@ class TestPairAdjoint:
 
     def test_flat_forward_fails_before_the_crosscheck(self):
         # tau^{-1} of a flat kink is not representable: ad_uea must fail
-        # before ad_matrix runs its cross-check, so no bid is recorded
+        # before ad_matrix runs, so nothing is derived
         model = pair_model()
         D = UEAElement.generator(model.algebroid, 0)
         for name in ("E00", "E01", "E10", "E11"):
             with pytest.raises(UnsupportedComposition, match="inverse map not representable"):
                 ad_uea(model.lookup(name), D)
-        assert not model.derived.get("ad_crosschecked")
+        assert "conjugation_jacobian" not in model.derived
 
 
 class TestPairCrosscheck:
     def test_planted_wrong_matrix_raises_in_each_fresh_model(self, monkeypatch):
-        # the finite-difference check runs once per (model, bisection id):
-        # a fresh model checks again, and a failed check is not recorded
-        def wrong(E):
+        # the derived matrix is compared with the closed form on every call,
+        # so a wrong closed form fails every call in every model
+        def wrong(self, E):
             return [[E.tau_diffeo().fwd.derive().scale(3)]]
 
-        monkeypatch.setattr(adjoint, "_pair_matrix", wrong)
+        monkeypatch.setattr(PairModel, "closed_ad_matrix", wrong)
         for _ in range(2):
             model = pair_model()
             for _ in range(2):
-                with pytest.raises(VerificationFailed):
+                with pytest.raises(VerificationFailed, match=r"\(0,0\) for pair\[2\*x0\]"):
                     ad_matrix(model.lookup("dbl"))
 
-    def test_check_runs_once_per_model_and_bid(self, monkeypatch):
-        model = pair_model()
+    def test_jacobian_derived_once_per_model(self, monkeypatch):
         calls = []
-        check = adjoint._crosscheck_pair
+        derive = adjoint._conjugation_jacobian
 
-        def counted(E, M):
-            calls.append(E.bid)
-            check(E, M)
+        def counted(model):
+            calls.append(model)
+            return derive(model)
 
-        monkeypatch.setattr(adjoint, "_crosscheck_pair", counted)
-        E = model.lookup("dbl")
-        first = ad_matrix(E)
-        again = ad_matrix(bisection_inv(bisection_inv(E)))
-        assert first == again and first is not again
-        assert calls == [E.bid]
-        ad_matrix(pair_model().lookup("dbl"))
-        assert calls == [E.bid, E.bid]
+        monkeypatch.setattr(adjoint, "_conjugation_jacobian", counted)
+        model = pair_model()
+        affine = [E for E in model.registry.values() if not E.is_flat]
+        for E in affine + [bisection_inv(E) for E in affine] + [model.lookup("E01")]:
+            for _ in range(2):
+                ad_matrix(E)
+        assert calls == [model]
+        fresh = pair_model()
+        ad_matrix(fresh.lookup("dbl"))
+        assert calls == [model, fresh]
 
-    def test_nan_fails_the_check(self, monkeypatch):
-        monkeypatch.setattr(adjoint, "conjugate_arrow", lambda E, h: (math.nan, math.nan))
-        with pytest.raises(VerificationFailed, match="nan"):
-            ad_matrix(pair_model().lookup("dbl"))
+    @pytest.mark.parametrize("name", ["E00", "E01", "E10", "E11"])
+    def test_flat_kink_matrix_is_tau_prime(self, pair, name):
+        E = pair.lookup(name)
+        (row,) = ad_matrix(E)
+        assert row == [E.tau_coeff().derive()] and not row[0].is_poly
+        with pytest.raises(UnsupportedComposition):
+            ad_matrix(bisection_inv(E))
 
 
 class TestGroupAdjoint:

@@ -5,22 +5,19 @@ import pytest
 
 from convbialg.conv import (
     ConvElement,
-    ConvTensor,
     antipode_etale,
     conv_coproduct,
     conv_counit,
-    conv_eq,
     conv_is_zero,
     conv_mul,
     eval_germ,
 )
 from convbialg.coeffs import CoeffFn, Polynomial, Q
 from convbialg.errors import NotEtaleElement
-from convbialg.groupoid import bisection_inv, germ_of, unit_bisection
-from convbialg.lie_rinehart import random_polynomial
+from convbialg.groupoid import germ_of
 from convbialg.models import etale_model, heisenberg_model, pair_model
 from convbialg.textform import parse_conv
-from convbialg.uea import TensorElement, UEAElement, uea_mul
+from convbialg.uea import UEAElement
 
 
 @pytest.fixture(scope="module")

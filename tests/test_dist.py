@@ -1,9 +1,11 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from convbialg.coeffs import CoeffFn, Polynomial, Q
+from convbialg.errors import UnsupportedRegistry
 from convbialg.dist import (
     TransvDist,
     commuting_square_gap,
@@ -17,7 +19,7 @@ from convbialg.dist import (
 )
 from convbialg.dist import test_bank as dist_test_bank
 from convbialg.lie_rinehart import random_polynomial
-from convbialg.models import etale_model, heisenberg_model, pair_model
+from convbialg.models import etale_model, heisenberg_model, model_from_json, pair_model
 from convbialg.uea import UEAElement, uea_mul
 
 
@@ -117,6 +119,20 @@ class TestEval:
             for F2 in dist_test_bank(pair):
                 sym = dist_eval(T, F2)
                 assert [sym.eval((x,)) for x in xs] == [dist_eval_at(T, F2, x) for x in xs]
+
+
+    def test_symbolic_eval_rejects_a_restricted_target(self):
+        # t(r) = (1, 2): T(F) vanishes at 5, so no one function on the line
+        # is T(F); dist_eval must refuse instead of ignoring the domain
+        model = model_from_json({"model": "pair", "bisections": [
+            {"id": "r", "tau": {"kind": "affine", "a": "1", "b": "1"}, "domain": [["0", "1"]]}]})
+        E = model.lookup("r")
+        T = TransvDist.single(model, E, UEAElement.one(model.algebroid))
+        F2 = Polynomial.parse("x0 + x1", 2)
+        assert dist_eval_at(T, F2, Q(5)) == 0
+        assert dist_eval_at(T, F2, Q(3, 2)) == 2
+        with pytest.raises(UnsupportedRegistry, match=re.escape(E.bid)):
+            dist_eval(T, F2)
 
 
 class TestProduct:

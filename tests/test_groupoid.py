@@ -3,11 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from convbialg.coeffs import Chart, Polynomial, Q, Region
-from convbialg.errors import DomainError, VerificationFailed
+from convbialg.coeffs import Chart, Polynomial, Q
+from convbialg.errors import VerificationFailed
 from convbialg.groupoid import (
     AffineMap,
-    Bisection,
     Diffeo1D,
     PairModel,
     _solve_monotone,

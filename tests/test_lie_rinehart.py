@@ -1,12 +1,9 @@
-import random
-
 import pytest
 
 from convbialg.coeffs import Chart, CoeffFn, Polynomial
 from convbialg.errors import VerificationFailed
 from convbialg.lie_rinehart import (
     LieRinehart,
-    Section,
     algebroid_of_groupoid,
     anchor_apply,
     bracket,

@@ -1,11 +1,8 @@
-import random
-from fractions import Fraction as F
-
 import pytest
 
 from convbialg.conv import ConvElement, conv_is_zero, conv_mul
-from convbialg.coeffs import CoeffFn, Polynomial, Q
-from convbialg.dist import TransvDist, dist_mul
+from convbialg.coeffs import CoeffFn, Polynomial
+from convbialg.dist import dist_mul
 from convbialg.models import etale_model, heisenberg_model, pair_model
 from convbialg.phi import (
     dist_is_zero,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import convbialg.uea
-from convbialg.coeffs import CoeffFn, Polynomial, Q
+from convbialg.coeffs import CoeffFn, Polynomial
 from convbialg.errors import VerificationFailed
 from convbialg.lie_rinehart import (
     heisenberg_algebra,
@@ -12,7 +12,6 @@ from convbialg.lie_rinehart import (
     tangent_line_algebroid,
 )
 from convbialg.uea import (
-    TensorElement,
     UEAElement,
     anchor_rep,
     coproduct,
