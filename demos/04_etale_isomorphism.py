@@ -48,8 +48,7 @@ print("kernel_test(a - b):", kernel_test(a - b)["in_kernel"])
 # ... and surjective onto the degree-0 span: constructive preimage
 T = TransvDist.single(model, model.lookup("d"), UEAElement.from_coeff(A, f))
 E = model.lookup("d")
-pre = ConvElement.single(
-    model, E, UEAElement.from_coeff(A, f.compose([E.tau_inv_coeff()])))
+pre = ConvElement.single(model, E, UEAElement.from_coeff(A, E.to_target(f)))
 print()
 print("target distribution:", T.text())
 print("constructed preimage:", pre.text())

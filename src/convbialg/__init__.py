@@ -5,6 +5,8 @@ from .coeffs import Chart, CoeffFn, Germ, Polynomial, Q, Region, germ_eq
 from .conv import (
     ConvElement,
     ConvTensor,
+    Stratification,
+    Stratum,
     antipode_etale,
     conv_coproduct,
     conv_counit,
@@ -12,6 +14,7 @@ from .conv import (
     conv_is_zero,
     conv_mul,
     eval_germ,
+    stratify,
 )
 from .adjoint import ad_germ, ad_matrix, ad_uea
 from .dist import (
@@ -70,22 +73,11 @@ from .models import (
     builtin_models,
     etale_model,
     heisenberg_model,
-    load_model,
     model_from_json,
     model_to_json,
     pair_model,
 )
-from .phi import (
-    Stratification,
-    Stratum,
-    dist_is_zero,
-    kernel_test,
-    phi,
-    scenario_cartier_gabriel,
-    scenario_etale_iso,
-    scenario_kernel_example,
-    stratify,
-)
+from .phi import dist_is_zero, kernel_test, phi
 from .suites import SUITES, run_all, run_suite
 from .textform import parse_conv, parse_dist, parse_uea, split_top
 from .uea import (

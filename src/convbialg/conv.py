@@ -13,22 +13,30 @@ S<f, E> = <f o tau_E, E^{-1}>.
 ConvElement and TransvDist (in dist) are BisectionSums: TermSums keyed by
 registered bisection ids.  Canonical form merges terms with syntactically
 identical ids (ids are content-derived, so products of registered
-bisections merge); semantic equality is germ-pointwise and uses the
-stratification machinery.  ConvTensor is the TermSum keyed by pairs of
-ids.
+bisections merge); semantic equality is germ-pointwise.  ConvTensor is the
+TermSum keyed by pairs of ids.
+
+stratify cuts the base into open intervals and breakpoints on which the
+germ-class structure of a set of bisections is constant; conv_is_zero and
+the kernel test of phi both decide on those strata.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Optional
+
 from .adjoint import ad_uea
-from .coeffs import CoeffFn
-from .errors import ChartMismatch, NotEtaleElement
+from .coeffs import CoeffFn, Q
+from .errors import ChartMismatch, NotEtaleElement, UnsupportedRegistry
 from .groupoid import (
     Bisection,
     GermArrow,
     bisection_germ_eq,
     bisection_inv,
     bisection_mul,
+    germ_classes,
     unit_bisection,
 )
 from .uea import (
@@ -254,6 +262,144 @@ def antipode_etale(b: ConvElement) -> ConvElement:
 
 
 # ---------------------------------------------------------------------------
+# Stratification
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Stratum:
+    """An open interval or a single breakpoint of the base line; a group
+    model has the single point stratum over the one-point base."""
+
+    kind: str  # "interval" | "point"
+    lo: Optional[Fraction] = None
+    hi: Optional[Fraction] = None
+    point: Optional[Fraction] = None
+
+    def sample(self):
+        if self.kind == "point":
+            return self.point
+        if self.lo is None and self.hi is None:
+            return Q(0)
+        if self.lo is None:
+            return self.hi - 1
+        if self.hi is None:
+            return self.lo + 1
+        return (self.lo + self.hi) / 2
+
+    def second_sample(self):
+        s = self.sample()
+        if self.kind == "point":
+            return s
+        if self.hi is None:
+            return s + 1
+        return (s + self.hi) / 2
+
+    def vanishes(self, v: UEAElement) -> bool:
+        """Does v, an element over the base, vanish on this stratum?"""
+        if self.kind == "interval":
+            return all(f.is_zero_on(self.lo, self.hi) for f in v.terms.values())
+        if self.point is None:  # the point base
+            return v.is_zero
+        return GermUEA((self.point,), v).is_zero
+
+    def image(self, E: Bisection) -> "Stratum":
+        """tau_E of this stratum.  Flat kinks fix 0 and preserve order, so
+        they map each sign interval into itself; that is all vanishing on
+        an interval needs to know."""
+        if self.kind == "point":
+            return self if self.point is None else Stratum("point", point=E.tau_apply(self.point))
+        aff = E.tau_diffeo().affine_parts()
+        if aff is None:
+            return self
+        a, b = aff
+        lo = None if self.lo is None else a * self.lo + b
+        hi = None if self.hi is None else a * self.hi + b
+        return Stratum("interval", lo=lo, hi=hi) if a > 0 else Stratum("interval", lo=hi, hi=lo)
+
+    def text(self) -> str:
+        if self.kind == "point":
+            return "pt" if self.point is None else f"{{{self.point}}}"
+        lo = "-inf" if self.lo is None else str(self.lo)
+        hi = "+inf" if self.hi is None else str(self.hi)
+        return f"({lo},{hi})"
+
+
+class Stratification:
+    """Strata paired with the germ-class partition of the active bisections,
+    constant on each stratum."""
+
+    def __init__(self, model, strata):
+        self.model = model
+        self.strata = strata  # list of (Stratum, [class: [Bisection]])
+
+    def table(self):
+        names = {bid: alias for alias, bid in self.model.aliases.items()}
+        return [
+            (st.text(), [[names.get(E.bid, E.bid) for E in cls] for cls in classes])
+            for st, classes in self.strata
+        ]
+
+
+def _breakpoints(model, bisections):
+    pts = set()
+    diffeos = []
+    for E in bisections:
+        for box in E.domain.boxes:
+            for end in box[0]:
+                if end is not None:
+                    pts.add(Q(end))
+        d = E.tau_diffeo()
+        aff = d.affine_parts()
+        if aff is None:
+            pts.add(Q(0))  # flat kinks break exactly at the origin
+        diffeos.append(aff)
+    # pairwise coincidence points of affine maps (arrow crossings)
+    seen = [a for a in diffeos if a is not None]
+    for i in range(len(seen)):
+        for j in range(i + 1, len(seen)):
+            (a1, b1), (a2, b2) = seen[i], seen[j]
+            if a1 != a2:
+                pts.add((b2 - b1) / (a1 - a2))
+    return sorted(pts)
+
+
+def _active(E: Bisection, stratum: Stratum) -> bool:
+    if E.domain.is_whole:
+        return True
+    return E.domain.contains((stratum.sample(),))
+
+
+def stratify(model, bisections=None) -> Stratification:
+    if bisections is None:
+        bisections = list(model.registry.values())
+    if model.kind == "group":
+        classes = [[E] for E in bisections]  # germ classes = group elements
+        return Stratification(model, [(Stratum("point"), classes)])
+    bps = _breakpoints(model, bisections)
+    strata_shapes = []
+    prev = None
+    for b in bps:
+        strata_shapes.append(Stratum("interval", lo=prev, hi=b))
+        strata_shapes.append(Stratum("point", point=b))
+        prev = b
+    strata_shapes.append(Stratum("interval", lo=prev, hi=None))
+    out = []
+    for st in strata_shapes:
+        active = [E for E in bisections if _active(E, st)]
+        classes = germ_classes(active, st.sample())
+        if st.kind == "interval" and active:
+            # the germ-class structure must be literally constant on the stratum
+            check = germ_classes(active, st.second_sample())
+            if [[E.bid for E in c] for c in classes] != [[E.bid for E in c] for c in check]:
+                raise UnsupportedRegistry(
+                    f"germ-class structure not constant on stratum {st.text()}"
+                )
+        out.append((st, classes))
+    return Stratification(model, out)
+
+
+# ---------------------------------------------------------------------------
 # Germ-pointwise equality
 # ---------------------------------------------------------------------------
 
@@ -263,10 +409,8 @@ def conv_is_zero(a: ConvElement) -> bool:
     stratum of the element's bisections."""
     if not a.terms:
         return True
-    from .phi import element_strata
-
     model = a.model
-    for stratum, classes in element_strata(a):
+    for stratum, classes in stratify(model, [model.registry[bid] for bid in a.terms]).strata:
         for cls in classes:
             total = UEAElement.zero(model.algebroid).plus(
                 a.terms[E.bid] for E in cls if E.bid in a.terms

@@ -17,11 +17,12 @@ independently via doubled-variable polynomial manipulation, as an oracle.
 Functions on the arrow space appearing along the way are kept in the form
 sum (f_i o s) * P_i with f_i a coefficient function on the base and P_i a
 polynomial on the arrow chart; this block is closed under the frame fields.
+Those are the fields stored on the model; lie_rinehart.algebroid_of_groupoid
+derives them independently when the model is built.
 """
 
 from __future__ import annotations
 
-import math
 import random
 
 from .adjoint import ad_uea
@@ -45,41 +46,8 @@ def _embed(P: Polynomial, total: int, offset: int) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Left-invariant frame fields (derived from the structure maps)
+# Left-invariant extensions
 # ---------------------------------------------------------------------------
-
-
-def frame_field(model, i):
-    """X-bar_i: the left-invariant extension of the i-th frame element,
-    derived from the multiplication polynomials (independent of the frame
-    stored on the model)."""
-    n = model.arrow_chart.dim
-    gvars = [Polynomial.var(n, k) for k in range(n)]
-    subs = gvars + [model.along_source(p) for p in model.unit_map]
-    v = [model.along_source(p) for p in model.unit_frame[i]]
-    field = []
-    for d in range(n):
-        acc = Polynomial(n, {})
-        for e in range(n):
-            J = model.mult_map[d].derive(n + e).substitute(subs)
-            acc = acc + J * v[e]
-        field.append(acc)
-    return field
-
-
-def field_commutator(V, W):
-    n = len(V)
-    out = []
-    for d in range(n):
-        acc = Polynomial(n, {})
-        for e in range(n):
-            acc = acc + V[e] * W[d].derive(e) - W[e] * V[d].derive(e)
-        out.append(acc)
-    return out
-
-
-def field_equal(V, W):
-    return all(a == b for a, b in zip(V, W))
 
 
 def left_invariant_field(model, X: Section):
@@ -293,6 +261,13 @@ def _defcheck_term_pair(model, E2, u2, E1, u1, F, x0):
             return Q(0)
         return f2.eval((x1,)) * f1.eval((x2,)) * Fg.eval((x2,))
 
+    # the product is evaluated at g := beta_{E2}(x0), and T1 at s(g), so
+    # both factors must reach their points: x0 in t(E2) and s(g) in t(E1)
+    if not E2.contains_target(x0):
+        return Q(0)
+    g = E2.beta(x0)
+    if not E1.contains_target(model.s_of(g)):
+        return Q(0)
     n = model.arrow_chart.dim
     # stage 1: H(g, h) = F(mult(g, h)) on doubled variables (g block first)
     H = F.substitute(model.mult_map)
@@ -303,12 +278,9 @@ def _defcheck_term_pair(model, E2, u2, E1, u1, F, x0):
     gvars = [Polynomial.var(n, k) for k in range(n)]
     h_vals = [model.along_source(p) for p in model.beta_polys(E1)]
     inner = af.substitute(n, gvars + h_vals, E1.to_target)
-    # stage 2: apply the outer operator in the g block and evaluate at
-    # g := beta_{E2}(x0)
-    if not E2.contains_target(x0):
-        return Q(0)
+    # stage 2: apply the outer operator in the g block and evaluate at g
     outer = ArrowFn(model, n, 0, inner.terms).apply_uea(u2)
-    return outer.eval_arrow(E2.beta(x0))
+    return outer.eval_arrow(g)
 
 
 def dist_mul_defcheck(T2: TransvDist, T1: TransvDist, F, x):
@@ -367,12 +339,6 @@ def _right_translation_inv(E: Bisection):
 
 
 JET_ORDER = 8
-
-
-def max_keep_nan(worst, value):
-    """max(worst, value), except that a NaN wins and stays: the float gates
-    report the worst value, and max() would hide a NaN behind it."""
-    return value if math.isnan(value) or value > worst else worst
 
 
 class Jet:

@@ -70,13 +70,6 @@ class Diffeo1D:
         return Diffeo1D.affine(chart, 1, 0)
 
     @staticmethod
-    def from_coeff(fn: CoeffFn) -> "Diffeo1D":
-        aff = fn.affine_parts()
-        if aff is not None:
-            return Diffeo1D.affine(fn.chart, *aff)
-        return Diffeo1D(fn, None)
-
-    @staticmethod
     def flat_kink(chart: Chart, c_neg, c_pos) -> "Diffeo1D":
         """t + c_neg*phi(t) for t <= 0, t + c_pos*phi(t) for t >= 0."""
         t = Polynomial.var(1, 0)
@@ -626,7 +619,10 @@ class GroupModel(PolynomialGroupoid):
         return {"k": [str(c) for c in E.element]}
 
     def bisection_from_json(self, entry):
-        return Bisection(self, element=tuple(parse_rational(c) for c in entry["k"]))
+        k = entry["k"]
+        if not isinstance(k, list):
+            raise ValueError(f"k must be a list of coordinates, got {k!r}")
+        return Bisection(self, element=tuple(parse_rational(c) for c in k))
 
 
 class _SameOnEveryComponent:
@@ -696,7 +692,10 @@ class EtaleActionModel(GroupoidModel):
                 "domain": _region_to_json(E.domain)}
 
     def bisection_from_json(self, entry):
-        p, q = entry["gamma"]
+        gamma = entry["gamma"]
+        if not (isinstance(gamma, list) and len(gamma) == 2):
+            raise ValueError(f"gamma must be a list [p, q], got {gamma!r}")
+        p, q = gamma
         return Bisection(self, gamma=AffineMap.of(parse_rational(p), parse_rational(q)),
                          domain=_region_from_json(entry.get("domain")))
 
@@ -747,9 +746,6 @@ class Bisection:
 
     def tau_coeff(self) -> CoeffFn:
         return self.tau_diffeo().coeff()
-
-    def tau_inv_coeff(self) -> CoeffFn:
-        return self.tau_diffeo().inv_coeff()
 
     def tau_apply(self, x):
         return self.tau_diffeo().apply(x)

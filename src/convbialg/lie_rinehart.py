@@ -4,6 +4,10 @@ A LieRinehart value stores a chart, a module rank r, an anchor matrix
 (rho(X_i) as a vector field, one row per frame element) and the bracket
 structure table c[i][j] with [X_i, X_j] = sum_k c[i][j][k] * X_k.  All
 structure data are CoeffFn's on the chart.
+
+algebroid_of_groupoid re-verifies the algebroid a groupoid model stores:
+frame_field derives each left-invariant frame field from the model's
+multiplication polynomials, and their commutators must give the table.
 """
 
 from __future__ import annotations
@@ -259,6 +263,39 @@ def check_axioms(A: LieRinehart, samples=None, seed: int = 0xC0FFEE) -> dict:
     return {"passed": all(c["pass"] for c in checks), "checks": checks}
 
 
+def frame_field(model, i):
+    """X-bar_i: the left-invariant extension of the i-th frame element,
+    derived from the multiplication polynomials (independent of the frame
+    stored on the model)."""
+    n = model.arrow_chart.dim
+    gvars = [Polynomial.var(n, k) for k in range(n)]
+    subs = gvars + [model.along_source(p) for p in model.unit_map]
+    v = [model.along_source(p) for p in model.unit_frame[i]]
+    field = []
+    for d in range(n):
+        acc = Polynomial(n, {})
+        for e in range(n):
+            J = model.mult_map[d].derive(n + e).substitute(subs)
+            acc = acc + J * v[e]
+        field.append(acc)
+    return field
+
+
+def field_commutator(V, W):
+    n = len(V)
+    out = []
+    for d in range(n):
+        acc = Polynomial(n, {})
+        for e in range(n):
+            acc = acc + V[e] * W[d].derive(e) - W[e] * V[d].derive(e)
+        out.append(acc)
+    return out
+
+
+def field_equal(V, W):
+    return all(a == b for a, b in zip(V, W))
+
+
 def algebroid_of_groupoid(model) -> LieRinehart:
     """The stored algebroid of a groupoid model, re-verified independently.
 
@@ -266,8 +303,6 @@ def algebroid_of_groupoid(model) -> LieRinehart:
     t-fibers, push to the anchor under ds at units, and the commutators of
     the extensions must reproduce the bracket table.
     """
-    from .dist import frame_field, field_commutator, field_equal
-
     A = model.algebroid
     nv = model.arrow_chart.dim
     fields = [frame_field(model, i) for i in range(A.rank)]

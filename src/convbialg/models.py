@@ -171,6 +171,7 @@ def model_to_json(model: GroupoidModel) -> dict:
 
 
 def model_from_json(data) -> GroupoidModel:
+    """A model from its document: a dict, or the JSON text of one."""
     try:
         if isinstance(data, str):
             data = json.loads(data)
@@ -189,12 +190,12 @@ def model_from_json(data) -> GroupoidModel:
 
 
 def load_model_doc(path: str) -> dict:
+    """The JSON object in a model file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"malformed model JSON: {exc}")
-
-
-def load_model(path: str) -> GroupoidModel:
-    return model_from_json(load_model_doc(path))
+    if not isinstance(doc, dict):
+        raise ParseError(f"a model document is a JSON object, got {type(doc).__name__}")
+    return doc

@@ -1,17 +1,23 @@
-"""Named verification suites shared by the CLI and the acceptance tests.
+"""The ten named verification suites shared by the CLI and the acceptance
+tests, the paper's three examples (kernel-example, cartier-gabriel,
+etale-iso) among them.
 
-Every suite returns a deterministic report dict
+Every suite is called as suite(seed, models) and returns a deterministic
+report dict
     {"suite": name, "pass": bool, "checks": [{"name", "pass", ...}, ...]}
-computed from a seed; no global state.  A suite reads only the models it
+computed from the seed; no global state.  A suite reads only the models it
 is given or builds, so its report does not depend on what ran before it.
+Every float gate lives here, and max_keep_nan keeps a NaN from passing one.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import repeat
 
-from .coeffs import CoeffFn, Polynomial, Q
+from .adjoint import ad_uea
+from .coeffs import Chart, CoeffFn, Polynomial, Q
 from .conv import (
     ConvElement,
     ConvTensor,
@@ -19,7 +25,10 @@ from .conv import (
     conv_coproduct,
     conv_counit,
     conv_eq,
+    conv_is_zero,
     conv_mul,
+    eval_germ,
+    stratify,
 )
 from .dist import (
     TransvDist,
@@ -28,9 +37,9 @@ from .dist import (
     dist_eval_at,
     dist_mul,
     dist_mul_defcheck,
-    max_keep_nan,
+    test_bank,
 )
-from .groupoid import bisection_inv, bisection_mul, unit_bisection
+from .groupoid import bisection_inv, bisection_mul, germ_of, unit_bisection
 from .lie_rinehart import (
     check_axioms,
     heisenberg_algebra,
@@ -39,12 +48,7 @@ from .lie_rinehart import (
     tangent_line_algebroid,
 )
 from .models import FACTORIES, model_from_json
-from .phi import (
-    phi,
-    scenario_cartier_gabriel,
-    scenario_etale_iso,
-    scenario_kernel_example,
-)
+from .phi import dist_is_zero, kernel_test, phi
 from .uea import (
     TensorElement,
     TermSum,
@@ -62,6 +66,12 @@ def _model(models, key):
 
 def _all_models(models):
     return {key: _model(models, key) for key in FACTORIES}
+
+
+def max_keep_nan(worst, value):
+    """max(worst, value), except that a NaN wins and stays: the float gates
+    report the worst value, and max() would hide a NaN behind it."""
+    return value if math.isnan(value) or value > worst else worst
 
 
 def _random_uea(rng, A, max_deg=2, nterms=2):
@@ -410,24 +420,145 @@ def suite_phi_homomorphism(seed=0xC0FFEE, models=None, npairs=100):
 
 
 # ---------------------------------------------------------------------------
-# 7-9: named scenarios
+# 7-9: the paper's three examples
 # ---------------------------------------------------------------------------
 
 
-def suite_kernel_example(seed=0xC0FFEE, models=None):
-    rep = scenario_kernel_example(_model(models, "pair"))
-    return {"suite": "kernel-example", "pass": rep["pass"], "checks": rep["checks"],
-            "strata": rep["strata"]}
+def suite_kernel_example(seed=0xC0FFEE, models=None, npoints=20):
+    """The four flat-kink bisections: a nonzero element of ker(Phi)."""
+    model = _model(models, "pair")
+    A = model.algebroid
+    f = CoeffFn(A.chart, Polynomial(1, {(0,): Q(1), (1,): Q(1)}))  # 1 + t, f(0) != 0
+    fu = UEAElement.from_coeff(A, f)
+    a = ConvElement(model, [(model.lookup(f"E{i}{j}").bid, fu if (i + j) % 2 == 0 else -fu)
+                            for i in (0, 1) for j in (0, 1)])
+    checks = []
+
+    g0 = eval_germ(a, germ_of(model.lookup("E00"), (Q(0),)))
+    checks.append({"name": "a != 0 (origin germ class nonzero)", "pass": not g0.is_zero})
+
+    kt = kernel_test(a)
+    checks.append({"name": "kernel_test(a) = true", "pass": kt["in_kernel"],
+                   "witness": kt["witness"]})
+
+    T = phi(a)
+    checks.append({"name": "phi(a) = 0 (stratified exact)", "pass": dist_is_zero(T)})
+
+    rng = random.Random(0xC0FFEE)
+    worst = 0.0
+    bank = test_bank(model, max_deg=3)
+    xs = [rng.uniform(-3, 3) for _ in range(npoints)]
+    for F in bank[:12] + bank[-3:]:
+        for x in xs:
+            worst = max_keep_nan(worst, abs(float(dist_eval_at(T, F, x))))
+    checks.append({"name": f"|phi(a)(F)(x)| < 1e-09 at {npoints} float points",
+                   "pass": worst < 1e-9, "max_abs": worst})
+
+    return {"suite": "kernel-example", "pass": all(c["pass"] for c in checks), "checks": checks,
+            "strata": stratify(model, [model.registry[b] for b in a.terms]).table()}
+
+
+def _random_heisenberg_u(rng, A, max_deg: int = 2) -> UEAElement:
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        exp = [0] * A.rank
+        for _ in range(rng.randint(0, max_deg)):
+            exp[rng.randrange(A.rank)] += 1
+        c = Q(rng.randint(-4, 4))
+        if c:
+            terms[tuple(exp)] = CoeffFn.const(A.chart, c)
+    return UEAElement(A, terms)
 
 
 def suite_cartier_gabriel(seed=0xC0FFEE, models=None):
-    rep = scenario_cartier_gabriel(_model(models, "heisenberg"), seed=seed)
-    return {"suite": "cartier-gabriel", "pass": rep["pass"], "checks": rep["checks"]}
+    """Finite-support distributions on a Lie group: U(k) twisted by the
+    group algebra via Ad."""
+    model = _model(models, "heisenberg")
+    A = model.algebroid
+    rng = random.Random(seed)
+    elements = list(model.registry.values())
+    unit = model.register(unit_bisection(model))
+    checks = []
+
+    inj_ok, inj_witness = True, None
+    for _ in range(20):
+        ks = rng.sample(elements, k=min(len(elements), rng.randint(1, 5)))
+        a = ConvElement(model, [(E.bid, _random_heisenberg_u(rng, A)) for E in ks])
+        if a.is_zero:
+            continue
+        if kernel_test(a)["in_kernel"]:
+            inj_ok, inj_witness = False, a.text()
+            break
+    checks.append({"name": "injective on sums over <= 5 group elements",
+                   "pass": inj_ok, "witness": inj_witness})
+
+    twist_ok, twist_witness = True, None
+    for _ in range(20):
+        kp = rng.choice(elements)
+        k = rng.choice(elements)
+        u = _random_heisenberg_u(rng, A)
+        delta = ConvElement.single(model, kp, UEAElement.one(A))
+        b = ConvElement.single(model, k, u)
+        if dist_mul(phi(delta), phi(b)) != phi(conv_mul(delta, b)):
+            twist_ok, twist_witness = False, (kp.bid, k.bid, u.text())
+            break
+    checks.append({"name": "twisted product delta_k' * Phi<u,k> = Phi(conv product)",
+                   "pass": twist_ok, "witness": twist_witness})
+
+    dec_ok, dec_witness = True, None
+    for _ in range(20):
+        k = rng.choice(elements)
+        u = _random_heisenberg_u(rng, A)
+        full = ConvElement.single(model, k, u)
+        left = conv_mul(ConvElement.single(model, unit, u),
+                        ConvElement.single(model, k, UEAElement.one(A)))
+        right = conv_mul(ConvElement.single(model, k, UEAElement.one(A)),
+                         ConvElement.single(model, unit, ad_uea(bisection_inv(k), u)))
+        if left != full or right != full:
+            dec_ok, dec_witness = False, (k.bid, u.text())
+            break
+    checks.append({"name": "grouplike x primitive decomposition up to Ad twist",
+                   "pass": dec_ok, "witness": dec_witness})
+
+    return {"suite": "cartier-gabriel", "pass": all(c["pass"] for c in checks), "checks": checks}
 
 
 def suite_etale_iso(seed=0xC0FFEE, models=None):
-    rep = scenario_etale_iso(_model(models, "etale"), seed=seed)
-    return {"suite": "etale-iso", "pass": rep["pass"], "checks": rep["checks"]}
+    """Phi is an isomorphism onto the degree-0 span for the etale model."""
+    model = _model(models, "etale")
+    A = model.algebroid
+    rng = random.Random(seed)
+    bisections = list(model.registry.values())
+    checks = []
+
+    inj_ok, inj_witness = True, None
+    for _ in range(20):
+        ks = rng.sample(bisections, k=min(len(bisections), rng.randint(1, 4)))
+        a = ConvElement(model, [
+            (E.bid, UEAElement.from_coeff(A, CoeffFn(A.chart, random_polynomial(rng, 1, 2))))
+            for E in ks
+        ])
+        if kernel_test(a)["in_kernel"] != conv_is_zero(a):
+            inj_ok, inj_witness = False, a.text()
+            break
+    checks.append({"name": "ker(Phi) = 0: kernel_test agrees with germwise zero",
+                   "pass": inj_ok, "witness": inj_witness})
+
+    surj_ok, surj_witness = True, None
+    for E in bisections:
+        for P in (Polynomial.const(1, 3), Polynomial(1, {(2,): Q(1), (0,): Q(-1)})):
+            f = CoeffFn(A.chart, P)
+            target = TransvDist.single(model, E, UEAElement.from_coeff(A, f))
+            pre = ConvElement.single(model, E, UEAElement.from_coeff(A, E.to_target(f)))
+            if phi(pre) != target:
+                surj_ok, surj_witness = False, (E.bid, P.text())
+                break
+        if not surj_ok:
+            break
+    checks.append({"name": "every [[E, f]] has preimage <f o tau^-1, E#>",
+                   "pass": surj_ok, "witness": surj_witness})
+
+    return {"suite": "etale-iso", "pass": all(c["pass"] for c in checks), "checks": checks}
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +567,6 @@ def suite_etale_iso(seed=0xC0FFEE, models=None):
 
 
 def suite_fd_sanity(seed=0xC0FFEE, models=None, npoints=20, rel_tol=1e-6):
-    from .coeffs import Chart
-
     rng = random.Random(seed)
     chart = Chart.line("M")
     families = [

@@ -15,6 +15,8 @@ from __future__ import annotations
 import re
 
 from .coeffs import Chart, CoeffFn, Polynomial, parse_rational
+from .conv import ConvElement
+from .dist import TransvDist
 from .errors import ParseError
 from .uea import UEAElement
 
@@ -122,8 +124,6 @@ def parse_uea(A, text: str) -> UEAElement:
 
 def parse_conv(model, text: str):
     """Inverse of ConvElement.text() over the given model."""
-    from .conv import ConvElement
-
     text = text.strip()
     if text == "0":
         return ConvElement.zero(model)
@@ -147,8 +147,6 @@ def parse_conv(model, text: str):
 
 def parse_dist(model, text: str):
     """Inverse of TransvDist.text() over the given model."""
-    from .dist import TransvDist
-
     text = text.strip()
     if text == "0":
         return TransvDist.zero(model)

@@ -146,6 +146,19 @@ class TestProduct:
         (bid,) = prod.terms
         assert pair.registry[bid].tau.affine_parts() == (Q(2), Q(1))
 
+    def test_defcheck_respects_the_right_factor_domain(self):
+        # t(r) = (1, 2): [[M, 1]] * [[r, 1]] vanishes at 5, and the
+        # defining formula must not evaluate r outside its domain there
+        model = model_from_json({"model": "pair", "bisections": [
+            {"id": "r", "tau": {"kind": "affine", "a": "1", "b": "1"}, "domain": [["0", "1"]]}]})
+        one = UEAElement.one(model.algebroid)
+        T2 = TransvDist.single(model, model.lookup("M"), one)
+        T1 = TransvDist.single(model, model.lookup("r"), one)
+        F2 = Polynomial.parse("x0 + x1", 2)
+        for x, value in ((Q(5), 0), (Q(3, 2), 2)):
+            assert dist_eval_at(dist_mul(T2, T1), F2, x) == value
+            assert dist_mul_defcheck(T2, T1, F2, x) == value
+
     def test_defcheck_agreement_small(self, pair, h3, etale):
         rng = random.Random(0xC0FFEE)
         for model in (pair, h3, etale):

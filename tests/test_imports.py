@@ -1,8 +1,13 @@
-"""Every imported name is used: an AST scan of the library and test modules.
+"""Imports stay plain: an AST scan of the library and test modules.
 
-`__init__.py` re-exports names and `from __future__` imports features, so
-both are exempt.  A name counts as used when it is read anywhere in the
-module, including inside a string annotation, or listed in `__all__`.
+Every imported name is used.  `__init__.py` re-exports names and `from
+__future__` imports features, so both are exempt.  A name counts as used
+when it is read anywhere in the module, including inside a string
+annotation, or listed in `__all__`.
+
+No library module imports inside a function, where an import can hide a
+cycle between modules.  The one exemption is the pair of imports that
+`suites.run_all` makes only when it starts worker processes.
 
     PYTHONPATH=src python -m pytest -q tests/test_imports.py
 """
@@ -17,6 +22,11 @@ MODULES = sorted(
     p for p in [*ROOT.glob("src/convbialg/*.py"), *ROOT.glob("tests/*.py")]
     if p.name != "__init__.py"
 )
+LIBRARY = sorted(ROOT.glob("src/convbialg/*.py"))
+# (module, function, imported module): run_all imports these only for
+# jobs > 1, because they add a fifth to the import time of the package
+DEFERRED = {("suites", "run_all", "multiprocessing"),
+            ("suites", "run_all", "concurrent.futures")}
 
 
 def _imported(tree):
@@ -62,3 +72,35 @@ def test_scan_finds_an_unused_import(tmp_path):
     module.write_text("from __future__ import annotations\nimport os, sys\n"
                       "from a.b import c as d, e\n\ndef f(x: 'e') -> int:\n    return sys.x\n")
     assert unused_imports(module) == ["d", "os"]
+
+
+def function_imports(path):
+    """(function, imported module, line) for each import inside a function
+    body, named by the outermost function that holds it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Import):
+                    for alias in node.names:
+                        found.setdefault((node.lineno, alias.name), fn.name)
+                elif isinstance(node, ast.ImportFrom):
+                    module = "." * node.level + (node.module or "")
+                    found.setdefault((node.lineno, module), fn.name)
+    return [(fn, module, line) for (line, module), fn in sorted(found.items())]
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
+def test_no_import_inside_a_function(path):
+    found = [f"{path.stem}:{line} imports {module} in {fn}()"
+             for fn, module, line in function_imports(path)
+             if (path.stem, fn, module) not in DEFERRED]
+    assert not found, "; ".join(found)
+
+
+def test_scan_finds_an_import_inside_a_function(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import os\n\ndef f():\n    from .a import b\n\n    def g():\n"
+                      "        import sys, json\n    return b\n")
+    assert function_imports(module) == [("f", ".a", 4), ("f", "json", 7), ("f", "sys", 7)]

@@ -137,6 +137,15 @@ class TestCli:
         pytest.param(["eval", "phi(<1|k>)"],
                      {"model": "heisenberg", "bisections": [{"id": "k", "k": ["1", "2"]}]},
                      id="model-short-group-element"),
+        # a string is not a list of coordinates, nor a document an object
+        pytest.param(["eval", "phi(<1 * X|k>)"],
+                     {"model": "heisenberg", "bisections": [{"id": "k", "k": "123"}]},
+                     id="model-group-element-string"),
+        pytest.param(["eval", "phi(<1|g>)"],
+                     {"model": "etale", "bisections": [{"id": "g", "gamma": "21"}]},
+                     id="model-gamma-string"),
+        pytest.param(["eval", "phi(<1|M>)"], json.dumps({"model": "pair"}),
+                     id="model-document-string"),
         pytest.param(["check", "--jobs", "0"], None, id="jobs-zero"),
     ])
     def test_library_error_exits_2_without_traceback(self, argv, doc, tmp_path, capsys):

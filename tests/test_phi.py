@@ -8,9 +8,6 @@ from convbialg.phi import (
     dist_is_zero,
     kernel_test,
     phi,
-    scenario_cartier_gabriel,
-    scenario_etale_iso,
-    scenario_kernel_example,
     stratify,
 )
 from convbialg.uea import UEAElement
@@ -110,17 +107,3 @@ class TestKernel:
         assert not kernel_test(a)["in_kernel"]
         z = a - a
         assert kernel_test(z)["in_kernel"]
-
-
-class TestScenarios:
-    def test_kernel_example(self):
-        rep = scenario_kernel_example()
-        assert rep["pass"], rep["checks"]
-
-    def test_cartier_gabriel(self):
-        rep = scenario_cartier_gabriel()
-        assert rep["pass"], rep["checks"]
-
-    def test_etale_iso(self):
-        rep = scenario_etale_iso()
-        assert rep["pass"], rep["checks"]
