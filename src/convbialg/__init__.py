@@ -1,7 +1,7 @@
 """Symbolic convolution bialgebra of a Lie groupoid and its distributional
 representation, exact over the rationals on three desk-scale models."""
 
-from .coeffs import Chart, CoeffFn, Germ, Polynomial, Q, Region, germ_eq
+from .coeffs import Chart, CoeffFn, Polynomial, Q, Region
 from .conv import (
     ConvElement,
     ConvTensor,

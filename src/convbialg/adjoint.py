@@ -30,9 +30,6 @@ def _conjugation_jacobian(model):
     x, a, e = var[:b], var[b:b + n], var[nv - r:]
     d = [var[b + n + k * b:b + n + (k + 1) * b] for k in range(n)]
 
-    def on_base(P):
-        return Polynomial(nv, {ex + (0,) * (nv - b): c for ex, c in P.terms.items()})
-
     def alpha_near(maps, h):
         """alpha_E at y = maps(h), to first order in y - x."""
         y = [p.substitute(h) for p in maps]
@@ -41,7 +38,7 @@ def _conjugation_jacobian(model):
     def at_zero(p):
         return Polynomial(nv - r, {ex[:-r]: c for ex, c in p.terms.items() if not any(ex[-r:])})
 
-    h = [sum((ej * on_base(v[k]) for ej, v in zip(e, model.unit_frame)), on_base(u))
+    h = [sum((ej * v[k].embed(nv) for ej, v in zip(e, model.unit_frame)), u.embed(nv))
          for k, u in enumerate(model.unit_map)]
     right = [p.substitute(alpha_near(model.s_map, h)) for p in model.inv_map]
     left_h = [p.substitute(alpha_near(model.t_map, h) + h) for p in model.mult_map]
@@ -51,19 +48,6 @@ def _conjugation_jacobian(model):
     # closed form fails on any other frame)
     rows = [next(k for k, p in enumerate(v) if not p.is_zero) for v in model.unit_frame]
     return [[at_zero(conj[k].derive(nv - r + j)) for j in range(r)] for k in rows]
-
-
-def _eval_at(P: Polynomial, args, chart):
-    """P at the coefficient functions args, one per variable, on chart."""
-    out = None
-    for exp, c in P.terms.items():
-        term = None
-        for f, k in zip(args, exp):
-            for _ in range(k):
-                term = f if term is None else term * f
-        term = CoeffFn.const(chart, c) if term is None else (term if c == 1 else term.scale(c))
-        out = term if out is None else out + term
-    return CoeffFn.const(chart, 0) if out is None else out
 
 
 def ad_matrix(E: Bisection):
@@ -85,7 +69,7 @@ def ad_matrix(E: Bisection):
         point = [f.poly.constant_value() for f in args]
         M = [[CoeffFn.const(base, p.eval(point)) for p in row] for row in J]
     else:
-        M = [[_eval_at(p, args, base) for p in row] for row in J]
+        M = [[p.at(args, lambda c: CoeffFn.const(base, c)) for p in row] for row in J]
     for i in range(A.rank):
         for j in range(A.rank):
             if M[i][j] != A._fn(closed[i][j]):

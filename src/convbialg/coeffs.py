@@ -1,4 +1,4 @@
-"""Exact coefficient functions on chart domains.
+"""Exact coefficient functions on charts.
 
 Coefficient functions play the role of scalar functions on the base or
 arrow space of a groupoid model.  Two families are supported:
@@ -24,7 +24,6 @@ from typing import Optional, Sequence
 
 from .errors import (
     ChartMismatch,
-    DomainError,
     ParseError,
     UnsupportedComposition,
     UnsupportedProduct,
@@ -152,32 +151,26 @@ class Region:
 
 @dataclass(frozen=True)
 class Chart:
-    """A chart domain: dimension, region and a name.
-
-    A 0-dimensional chart is a single point.
-    """
+    """A chart: R^dim with a name.  A 0-dimensional chart is a single point."""
 
     dim: int
-    domain: Region
     name: str = "chart"
 
     def __post_init__(self):
         if self.dim < 0:
             raise ValueError("dim must be >= 0")
-        if self.domain.dim != self.dim:
-            raise ValueError("domain dimension mismatch")
 
     @staticmethod
     def line(name: str = "R") -> "Chart":
-        return Chart(1, Region.whole(1), name)
+        return Chart(1, name)
 
     @staticmethod
     def point(name: str = "pt") -> "Chart":
-        return Chart(0, Region(0, ((),)), name)
+        return Chart(0, name)
 
     @staticmethod
     def space(dim: int, name: str = "chart") -> "Chart":
-        return Chart(dim, Region.whole(dim), name)
+        return Chart(dim, name)
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +293,28 @@ class Polynomial:
                 raise ValueError("substitution targets disagree")
         else:
             tgt = 0
-        out = Polynomial(tgt, {})
+        return self.at(values, lambda c: Polynomial.const(tgt, c))
+
+    def at(self, values: Sequence, const):
+        """self with values[i] put in for variable i, in the ring of the
+        values: polynomials, coefficient functions or jets.  const(c) is
+        the ring's constant c.  Each term is const(c) times each value k
+        times in variable order, and the terms are added in dict order, so
+        a float ring sees one fixed order of operations."""
+        total = const(0)
         for e, c in self.terms.items():
-            term = Polynomial.const(tgt, c)
+            term = const(c)
             for v, k in zip(values, e):
                 for _ in range(k):
                     term = term * v
-            out = out + term
-        return out
+            total = total + term
+        return total
+
+    def embed(self, total: int, offset: int = 0) -> "Polynomial":
+        """self on variables offset .. offset + nvars - 1 of a total-variable
+        space."""
+        pad = (0,) * (total - offset - self.nvars)
+        return Polynomial(total, {(0,) * offset + e + pad: c for e, c in self.terms.items()})
 
     def eval(self, point: Sequence):
         if len(point) != self.nvars:
@@ -603,8 +610,6 @@ class CoeffFn:
         """Exact rational where possible; float once a flat part is active."""
         if len(point) != self.chart.dim:
             raise ValueError("point dimension mismatch")
-        if not self.chart.domain.contains(point) and not self.chart.domain.is_whole:
-            raise DomainError(f"{point} outside chart domain")
         base = self.poly.eval(point)
         if self.is_poly:
             return base
@@ -681,23 +686,3 @@ class CoeffFn:
     def __repr__(self):
         return f"CoeffFn({self.text()})"
 
-
-@dataclass(frozen=True)
-class Germ:
-    """A coefficient function considered near a base point."""
-
-    base_point: tuple
-    fn: CoeffFn
-
-    def __post_init__(self):
-        if not self.fn.chart.domain.contains(self.base_point) and not self.fn.chart.domain.is_whole:
-            raise DomainError("base point outside chart domain")
-
-
-def germ_eq(a: Germ, b: Germ) -> bool:
-    """Do the two functions agree on some neighbourhood of the shared point?"""
-    if a.fn.chart != b.fn.chart:
-        raise ChartMismatch("germs on different charts")
-    if a.base_point != b.base_point:
-        raise ChartMismatch("germs at different base points")
-    return (a.fn - b.fn).has_zero_germ_at(a.base_point)

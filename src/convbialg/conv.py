@@ -370,9 +370,7 @@ def _active(E: Bisection, stratum: Stratum) -> bool:
     return E.domain.contains((stratum.sample(),))
 
 
-def stratify(model, bisections=None) -> Stratification:
-    if bisections is None:
-        bisections = list(model.registry.values())
+def stratify(model, bisections) -> Stratification:
     if model.kind == "group":
         classes = [[E] for E in bisections]  # germ classes = group elements
         return Stratification(model, [(Stratum("point"), classes)])

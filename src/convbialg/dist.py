@@ -30,39 +30,8 @@ from .coeffs import CoeffFn, Polynomial, Q
 from .conv import BisectionSum
 from .errors import ChartMismatch, UnsupportedComposition, UnsupportedRegistry
 from .groupoid import Bisection, bisection_inv, bisection_mul
-from .lie_rinehart import Section, random_polynomial
+from .lie_rinehart import random_polynomial
 from .uea import UEAElement, uea_mul
-
-
-def _embed(P: Polynomial, total: int, offset: int) -> Polynomial:
-    """View an n-variable polynomial inside a larger variable block."""
-    return Polynomial(
-        total,
-        {
-            tuple([0] * offset + list(e) + [0] * (total - offset - P.nvars)): c
-            for e, c in P.terms.items()
-        },
-    )
-
-
-# ---------------------------------------------------------------------------
-# Left-invariant extensions
-# ---------------------------------------------------------------------------
-
-
-def left_invariant_field(model, X: Section):
-    """The left-invariant extension of a section with polynomial
-    coefficients, as a polynomial vector field on the arrow chart."""
-    n = model.arrow_chart.dim
-    out = [Polynomial(n, {}) for _ in range(n)]
-    for i, h in enumerate(X.coeffs):
-        if h.is_zero:
-            continue
-        if not h.is_poly:
-            raise UnsupportedComposition("flat coefficients have no polynomial extension")
-        hs = model.along_source(h.poly)
-        out = [o + hs * c for o, c in zip(out, model.frame[i])]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -97,14 +66,14 @@ class ArrowFn:
         new = []
         for c, P in self.terms:
             for d in range(n):
-                pd = _embed(model.frame[i][d], self.nvars, self.h_offset)
+                pd = model.frame[i][d].embed(self.nvars, self.h_offset)
                 if pd.is_zero:
                     continue
                 dP = P.derive(self.h_offset + d)
                 if not dP.is_zero:
                     new.append((c, pd * dP))
                 for m in range(model.base.dim):
-                    dsm = _embed(model.s_map[m].derive(d), self.nvars, self.h_offset)
+                    dsm = model.s_map[m].derive(d).embed(self.nvars, self.h_offset)
                     if dsm.is_zero:
                         continue
                     cm = c.derive(m)
@@ -409,18 +378,6 @@ def jet_of_coeff(f: CoeffFn, x0: float) -> Jet:
     return _jet_at(_derivative_tower(f, JET_ORDER), x0)
 
 
-def jet_poly(P: Polynomial, jets) -> Jet:
-    """Evaluate a polynomial on jet arguments."""
-    total = Jet.const(0)
-    for e, c in P.terms.items():
-        term = Jet.const(c)
-        for j, k in zip(jets, e):
-            for _ in range(k):
-                term = term * j
-        total = total + term
-    return total
-
-
 def jet_inverse(tj: Jet, s0: float) -> Jet:
     """Jet at x0 = tj.value() of the compositional inverse of t -> tau(t),
     given the jet of tau at s0 (Newton iteration on truncated series)."""
@@ -509,7 +466,7 @@ def commuting_square_gap_numeric(model, E: Bisection, u: UEAElement, F: Polynomi
             side_a += (fx * c).value() * float(dF.eval((y0, x0)))
     # ---- side B: Ω(u)(F o R_E^{-1}) at R_E(g) = (y0, s0) -------------------
     # H(y, x) = F(y, tau(x)); D^j H via the jet of x -> F(y0, tau(x)) at s0.
-    H_jet = jet_poly(F, [Jet.const(y0), tau_jet])
+    H_jet = F.at([Jet.const(y0), tau_jet], Jet.const)
     side_b = 0.0
     fact = [1.0]
     for k in range(1, JET_ORDER):

@@ -585,7 +585,7 @@ class GroupModel(PolynomialGroupoid):
         if len(E.element) != self.arrow_chart.dim:
             raise ValueError(f"group element needs {self.arrow_chart.dim} coordinates, "
                              f"got {len(E.element)}")
-        E.domain = self.base.domain
+        E.domain = Region.whole(0)
         E.bid = "k[" + ",".join(str(c) for c in E.element) + "]"
 
     def alpha(self, E, x):

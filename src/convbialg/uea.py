@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coeffs import CoeffFn
-from .errors import ChartMismatch, DomainError, ParentMismatch, VerificationFailed
+from .errors import ChartMismatch, ParentMismatch, VerificationFailed
 from .lie_rinehart import LieRinehart
 
 
@@ -342,11 +342,6 @@ class GermUEA:
 
     base_point: tuple
     elem: UEAElement
-
-    def __post_init__(self):
-        dom = self.elem.parent.chart.domain
-        if not dom.contains(self.base_point) and not dom.is_whole:
-            raise DomainError("base point outside chart domain")
 
     @property
     def is_zero(self) -> bool:

@@ -14,11 +14,10 @@ from convbialg.dist import (
     dist_eval_at,
     dist_mul,
     dist_mul_defcheck,
-    left_invariant_field,
     omega_apply,
 )
 from convbialg.dist import test_bank as dist_test_bank
-from convbialg.lie_rinehart import random_polynomial
+from convbialg.lie_rinehart import frame_field, random_polynomial
 from convbialg.models import etale_model, heisenberg_model, model_from_json, pair_model
 from convbialg.uea import UEAElement, uea_mul
 
@@ -55,8 +54,7 @@ class TestOmega:
 
     def test_left_invariant_extension(self, h3):
         # the extension of Y is the stored frame column (0, 1, a)
-        H = h3.algebroid
-        V = left_invariant_field(h3, H.basis_section(1))
+        V = frame_field(h3, 1)
         assert V == [Polynomial(3, {}), Polynomial.const(3, 1), Polynomial.var(3, 0)]
 
     def test_omega_is_homomorphism(self, h3):

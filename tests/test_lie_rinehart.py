@@ -3,7 +3,6 @@ import pytest
 from convbialg.coeffs import Chart, CoeffFn, Polynomial
 from convbialg.errors import VerificationFailed
 from convbialg.lie_rinehart import (
-    LieRinehart,
     algebroid_of_groupoid,
     anchor_apply,
     bracket,
@@ -60,16 +59,6 @@ class TestBracket:
         lhs = bracket(D, D.rmul(f))
         # [D, x D] = D, since the bracket table is zero in rank 1
         assert lhs.coeffs[0] == CoeffFn.const(A.chart, 1)
-
-
-class TestJson:
-    @pytest.mark.parametrize("make", [tangent_line_algebroid, heisenberg_algebra])
-    def test_round_trip(self, make):
-        A = make()
-        B = LieRinehart.from_json(A.to_json())
-        assert B.rank == A.rank
-        assert B.anchor == A.anchor
-        assert B.bracket_table == A.bracket_table
 
 
 class TestGroupoidConsistency:

@@ -115,6 +115,14 @@ class TestCli:
         assert first == second
         json.loads(first)  # valid JSON
 
+    def test_kernel_example_uses_its_seed(self, capsys):
+        # the float sample points and the random test functions follow --seed
+        args = ["check", "--suite", "kernel-example", "--output", "json"]
+        assert main(args) == 0
+        default = capsys.readouterr().out
+        assert main(args + ["--seed", "1"]) == 0
+        assert capsys.readouterr().out != default
+
     @pytest.mark.parametrize("argv, doc", [
         # Ad of the flat E00 needs the inverse map, which is not representable
         pytest.param(["eval", "conv_mul(<1|E00>,<1 * D|E01>)"], None, id="flat-ad-inverse"),
