@@ -37,6 +37,19 @@ class TestPolynomial:
             "x0^2 + 2*x0*x1 + x1^2", 2
         )
 
+    def test_at_matches_eval_in_exact_and_float_rings(self):
+        p = Polynomial.parse("2*x0^2*x1 + -3*x1 + 1/2", 2)
+        exact = (F(1, 2), F(3))
+        assert p.at(exact, Q) == p.eval(exact) == F(-7)
+        approx = (0.1, 0.7)
+        assert p.at(approx, float) == p.eval(approx)
+
+    def test_embed(self):
+        p = Polynomial.parse("x0*x1^2 + 5", 2)
+        assert p.embed(4, 1) == Polynomial.parse("x1*x2^2 + 5", 4)
+        assert p.embed(3) == Polynomial.parse("x0*x1^2 + 5", 3)
+        assert p.embed(2) == p
+
     def test_derive(self):
         p = Polynomial.parse("x0^3 + 2*x0", 1)
         assert p.derive(0) == Polynomial.parse("3*x0^2 + 2", 1)
