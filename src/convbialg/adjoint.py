@@ -65,11 +65,7 @@ def ad_matrix(E: Bisection):
     alpha = model.alpha_fns(E)
     args = ([CoeffFn.var(base, m) for m in range(base.dim)] + alpha
             + [f.derive(m) for f in alpha for m in range(base.dim)])
-    if all(f.is_rational_const() for f in args):
-        point = [f.poly.constant_value() for f in args]
-        M = [[CoeffFn.const(base, p.eval(point)) for p in row] for row in J]
-    else:
-        M = [[p.at(args, lambda c: CoeffFn.const(base, c)) for p in row] for row in J]
+    M = [[p.at(args, lambda c: CoeffFn.const(base, c)) for p in row] for row in J]
     for i in range(A.rank):
         for j in range(A.rank):
             if M[i][j] != A._fn(closed[i][j]):

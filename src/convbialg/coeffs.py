@@ -319,15 +319,9 @@ class Polynomial:
     def eval(self, point: Sequence):
         if len(point) != self.nvars:
             raise ValueError("point dimension mismatch")
-        exact = all(isinstance(x, (int, Fraction)) for x in point)
-        total = Q(0) if exact else 0.0
-        for e, c in self.terms.items():
-            v = c if exact else float(c)
-            for x, k in zip(point, e):
-                for _ in range(k):
-                    v = v * x
-            total = total + v
-        return total
+        if not all(isinstance(x, (int, Fraction)) for x in point):
+            return self.at(point, float)
+        return self.at(point, lambda c: c) if self.terms else Q(0)
 
     # -- text form ----------------------------------------------------------
 

@@ -37,12 +37,15 @@ class TestPolynomial:
             "x0^2 + 2*x0*x1 + x1^2", 2
         )
 
-    def test_at_matches_eval_in_exact_and_float_rings(self):
+    def test_eval_in_exact_and_float_rings(self):
         p = Polynomial.parse("2*x0^2*x1 + -3*x1 + 1/2", 2)
-        exact = (F(1, 2), F(3))
-        assert p.at(exact, Q) == p.eval(exact) == F(-7)
-        approx = (0.1, 0.7)
-        assert p.at(approx, float) == p.eval(approx)
+        value = p.eval((F(1, 2), 3))
+        assert value == F(-7) and type(value) is F
+        zero = Polynomial(2, {}).eval((1, 2))
+        assert zero == 0 and type(zero) is F
+        # floats: each term from the left, terms added in order from 0.0
+        x0, x1 = 0.1, 0.7
+        assert p.eval((x0, x1)) == ((0.0 + 2.0 * x0 * x0 * x1) + -3.0 * x1) + 0.5
 
     def test_embed(self):
         p = Polynomial.parse("x0*x1^2 + 5", 2)

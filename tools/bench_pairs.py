@@ -8,8 +8,8 @@ suite, `convbialg demo NAME --output json` for every demo, the README's
 `eval` examples and two more `eval` calls, and each script under `demos/`.
 Then pair i of a workload runs `python3 perfbench/run.py --workload W
 --seed 1001+i --seconds 20 --trace 0` once in each tree, one run at a time;
-10 pairs on `suites`, the fewest that can show a 9-in-10 win, and 3 each on
-`eval` and `big-model`.  The 20 s run length is the one perfbench/README.md
+10 pairs on each workload, the fewest that can show a 9-in-10 win or tell a
+regression from the spread.  The 20 s run length is the one perfbench/README.md
 sets.  The base runs first in even pairs and second in odd ones, so a drift
 in the machine's speed falls on both sides alike.
 
@@ -41,7 +41,8 @@ EVALS = ("conv_mul(<1|shift>,<1|dbl>)", "phi(<1*x0^2 | shift>)",
          "dist_eval([[shift, 1]], x0 + x1, 2)", "dist_eval([[E01,1]],x0+x1,0)",
          "conv_mul(<1 * D|E00>,<1 * D|E01>)")
 CLI = "import sys; from convbialg.cli import main; sys.exit(main(sys.argv[1:]))"
-PAIRS = (("suites", 10), ("eval", 3), ("big-model", 3))
+WORKLOADS = ("suites", "eval", "big-model")
+PAIRS = 10
 SECONDS = 20
 
 
@@ -124,9 +125,9 @@ def compare(base, change):
     base_hashes, change_hashes = _report_hashes(base), _report_hashes(change)
     print("reports identical:", base_hashes == change_hashes, file=sys.stderr, flush=True)
     workloads = {}
-    for workload, n in PAIRS:
+    for workload in WORKLOADS:
         runs = {"base": [], "change": []}
-        for i in range(n):
+        for i in range(PAIRS):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for side in order:
                 tree = base if side == "base" else change
