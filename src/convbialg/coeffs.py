@@ -42,6 +42,15 @@ def _q(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def check_exponents(exp, n: int) -> tuple:
+    """exp as a tuple of n ints >= 0, else ValueError.  Only an int is an
+    exponent: a float or a bool is rejected even where int() would take it."""
+    exp = tuple(exp)
+    if len(exp) != n or not all(type(e) is int and e >= 0 for e in exp):
+        raise ValueError(f"bad exponent tuple {exp!r}")
+    return exp
+
+
 def parse_rational(value) -> Fraction:
     """A rational read from outside the program: a literal such as "3",
     "-2/5" or "0.25", or a number; ParseError when it is not one."""
@@ -181,7 +190,9 @@ class Chart:
 class Polynomial:
     """Sparse multivariate polynomial over the rationals.
 
-    terms maps exponent tuples to nonzero Fraction coefficients.
+    terms maps exponent tuples to nonzero Fraction coefficients.  The
+    constructor checks and merges terms from outside; the results of the
+    arithmetic below are built by `_raw` from already canonical terms.
     """
 
     __slots__ = ("nvars", "terms")
@@ -190,25 +201,35 @@ class Polynomial:
         self.nvars = nvars
         clean = {}
         for exp, c in (terms or {}).items():
+            exp = check_exponents(exp, nvars)
             c = _q(c)
             if c != 0:
-                exp = tuple(int(e) for e in exp)
-                if len(exp) != nvars or any(e < 0 for e in exp):
-                    raise ValueError(f"bad exponent tuple {exp}")
                 clean[exp] = clean.get(exp, Q(0)) + c
         self.terms = {e: c for e, c in clean.items() if c != 0}
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
+    def _raw(nvars: int, terms: dict) -> "Polynomial":
+        """The trusted constructor: terms already maps tuples of nvars ints
+        >= 0 to Fractions, each exponent once.  Only zero coefficients are
+        dropped, and the order is kept."""
+        p = Polynomial.__new__(Polynomial)
+        p.nvars = nvars
+        p.terms = {e: c for e, c in terms.items() if c}
+        return p
+
+    @staticmethod
     def const(nvars: int, c) -> "Polynomial":
-        return Polynomial(nvars, {tuple([0] * nvars): _q(c)})
+        return Polynomial._raw(nvars, {(0,) * nvars: _q(c)})
 
     @staticmethod
     def var(nvars: int, i: int) -> "Polynomial":
+        if not 0 <= i < nvars:
+            raise ValueError(f"variable index {i} out of range (nvars={nvars})")
         exp = [0] * nvars
         exp[i] = 1
-        return Polynomial(nvars, {tuple(exp): Q(1)})
+        return Polynomial._raw(nvars, {tuple(exp): Q(1)})
 
     # -- queries ------------------------------------------------------------
 
@@ -250,10 +271,10 @@ class Polynomial:
         terms = dict(self.terms)
         for e, c in other.terms.items():
             terms[e] = terms.get(e, Q(0)) + c
-        return Polynomial(self.nvars, terms)
+        return Polynomial._raw(self.nvars, terms)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._raw(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -265,11 +286,11 @@ class Polynomial:
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 terms[e] = terms.get(e, Q(0)) + c1 * c2
-        return Polynomial(self.nvars, terms)
+        return Polynomial._raw(self.nvars, terms)
 
     def scale(self, c) -> "Polynomial":
         c = _q(c)
-        return Polynomial(self.nvars, {e: c * k for e, k in self.terms.items()})
+        return Polynomial._raw(self.nvars, {e: c * k for e, k in self.terms.items()})
 
     def derive(self, axis: int) -> "Polynomial":
         if not 0 <= axis < self.nvars:
@@ -281,7 +302,7 @@ class Polynomial:
             e2 = list(e)
             e2[axis] -= 1
             terms[tuple(e2)] = terms.get(tuple(e2), Q(0)) + c * e[axis]
-        return Polynomial(self.nvars, terms)
+        return Polynomial._raw(self.nvars, terms)
 
     def substitute(self, values: Sequence["Polynomial"]) -> "Polynomial":
         """Plug a polynomial (on a common target variable set) into each variable."""
@@ -313,8 +334,10 @@ class Polynomial:
     def embed(self, total: int, offset: int = 0) -> "Polynomial":
         """self on variables offset .. offset + nvars - 1 of a total-variable
         space."""
+        if not 0 <= offset <= total - self.nvars:
+            raise ValueError("embedding out of range")
         pad = (0,) * (total - offset - self.nvars)
-        return Polynomial(total, {(0,) * offset + e + pad: c for e, c in self.terms.items()})
+        return Polynomial._raw(total, {(0,) * offset + e + pad: c for e, c in self.terms.items()})
 
     def eval(self, point: Sequence):
         if len(point) != self.nvars:
@@ -383,16 +406,14 @@ class Polynomial:
 #   d/dt [t^(-k) e^(-1/t^2)] = (-k t^(-k-1) + 2 t^(-k-3)) e^(-1/t^2).
 
 
+# The two helpers below may leave zero values; CoeffFn._raw drops them.
+
+
 def _flat_add(a: dict, b: dict) -> dict:
     out = dict(a)
     for k, c in b.items():
         out[k] = out.get(k, Q(0)) + c
-    return {k: c for k, c in out.items() if c != 0}
-
-
-def _flat_scale(a: dict, c: Fraction) -> dict:
-    c = _q(c)
-    return {} if c == 0 else {k: c * v for k, v in a.items()}
+    return out
 
 
 def _flat_derive(a: dict) -> dict:
@@ -400,7 +421,18 @@ def _flat_derive(a: dict) -> dict:
     for k, c in a.items():
         out[k + 1] = out.get(k + 1, Q(0)) - k * c
         out[k + 3] = out.get(k + 3, Q(0)) + 2 * c
-    return {k: c for k, c in out.items() if c != 0}
+    return out
+
+
+def _flat_checked(part) -> dict:
+    """A flat part from outside: keys are ints >= 0, values rationals."""
+    out = {}
+    for k, c in (part or {}).items():
+        if type(k) is not int or k < 0:
+            raise ValueError(f"bad flat-part key {k!r}")
+        if c != 0:
+            out[k] = _q(c)
+    return out
 
 
 def _flat_eval(a: dict, t) -> float:
@@ -430,7 +462,8 @@ class CoeffFn:
 
     Flat parts exist only on 1-D charts.  All arithmetic is exact; the only
     floating point enters through .eval at points where a flat part is
-    active.
+    active.  The constructor checks its arguments; the results of the
+    arithmetic below are built by `_raw`.
     """
 
     __slots__ = ("chart", "poly", "flat_neg", "flat_pos")
@@ -438,8 +471,8 @@ class CoeffFn:
     def __init__(self, chart: Chart, poly: Polynomial, flat_neg=None, flat_pos=None):
         if poly.nvars != chart.dim:
             raise ValueError("polynomial variable count != chart dim")
-        flat_neg = {k: _q(c) for k, c in (flat_neg or {}).items() if c != 0}
-        flat_pos = {k: _q(c) for k, c in (flat_pos or {}).items() if c != 0}
+        flat_neg = _flat_checked(flat_neg)
+        flat_pos = _flat_checked(flat_pos)
         if (flat_neg or flat_pos) and chart.dim != 1:
             raise ValueError("flat parts exist only on 1-D charts")
         self.chart = chart
@@ -450,12 +483,24 @@ class CoeffFn:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
+    def _raw(chart: Chart, poly: Polynomial, flat_neg: dict, flat_pos: dict) -> "CoeffFn":
+        """The trusted constructor: poly has chart.dim variables, and the flat
+        parts map ints >= 0 to Fractions and are empty off 1-D charts.  Only
+        zero flat values are dropped."""
+        f = CoeffFn.__new__(CoeffFn)
+        f.chart = chart
+        f.poly = poly
+        f.flat_neg = {k: c for k, c in flat_neg.items() if c}
+        f.flat_pos = {k: c for k, c in flat_pos.items() if c}
+        return f
+
+    @staticmethod
     def const(chart: Chart, c) -> "CoeffFn":
-        return CoeffFn(chart, Polynomial.const(chart.dim, c))
+        return CoeffFn._raw(chart, Polynomial.const(chart.dim, c), {}, {})
 
     @staticmethod
     def var(chart: Chart, i: int = 0) -> "CoeffFn":
-        return CoeffFn(chart, Polynomial.var(chart.dim, i))
+        return CoeffFn._raw(chart, Polynomial.var(chart.dim, i), {}, {})
 
     @staticmethod
     def flat_piece(chart: Chart, p: Polynomial, c_neg, c_pos) -> "CoeffFn":
@@ -515,7 +560,7 @@ class CoeffFn:
 
     def __add__(self, other: "CoeffFn") -> "CoeffFn":
         self._check(other)
-        return CoeffFn(
+        return CoeffFn._raw(
             self.chart,
             self.poly + other.poly,
             _flat_add(self.flat_neg, other.flat_neg),
@@ -530,17 +575,17 @@ class CoeffFn:
 
     def scale(self, c) -> "CoeffFn":
         c = _q(c)
-        return CoeffFn(
+        return CoeffFn._raw(
             self.chart,
             self.poly.scale(c),
-            _flat_scale(self.flat_neg, c),
-            _flat_scale(self.flat_pos, c),
+            {k: c * v for k, v in self.flat_neg.items()},
+            {k: c * v for k, v in self.flat_pos.items()},
         )
 
     def __mul__(self, other: "CoeffFn") -> "CoeffFn":
         self._check(other)
         if self.is_poly and other.is_poly:
-            return CoeffFn(self.chart, self.poly * other.poly)
+            return CoeffFn._raw(self.chart, self.poly * other.poly, {}, {})
         if self.is_rational_const():
             return other.scale(self.poly.constant_value())
         if other.is_rational_const():
@@ -552,7 +597,7 @@ class CoeffFn:
     def derive(self, axis: int = 0) -> "CoeffFn":
         if not 0 <= axis < self.chart.dim:
             raise ValueError("axis out of range")
-        return CoeffFn(
+        return CoeffFn._raw(
             self.chart,
             self.poly.derive(axis),
             _flat_derive(self.flat_neg),
@@ -583,7 +628,7 @@ class CoeffFn:
         if any(g.chart != target for g in inner):
             raise ChartMismatch("inner functions on different charts")
         if self.is_poly and all(g.is_poly for g in inner):
-            return CoeffFn(target, self.poly.substitute([g.poly for g in inner]))
+            return CoeffFn._raw(target, self.poly.substitute([g.poly for g in inner]), {}, {})
         if self.chart.dim == 1:
             g = inner[0]
             aff = self.affine_parts()

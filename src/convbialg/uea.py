@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coeffs import CoeffFn
+from .coeffs import CoeffFn, check_exponents
 from .errors import ChartMismatch, ParentMismatch, VerificationFailed
 from .lie_rinehart import LieRinehart
 
@@ -123,6 +123,18 @@ class UEAElement(TermSum):
     # -- constructors -------------------------------------------------------
 
     @staticmethod
+    def _raw(parent: LieRinehart, terms) -> "UEAElement":
+        """The trusted constructor: every exponent is already a tuple of
+        parent.rank ints >= 0 and every coefficient a CoeffFn on parent's
+        chart.  The terms are merged, not checked again."""
+        u = UEAElement.__new__(UEAElement)
+        TermSum.__init__(u, parent, terms)
+        return u
+
+    def _like(self, pairs):
+        return UEAElement._raw(self.parent, pairs)
+
+    @staticmethod
     def one(parent) -> "UEAElement":
         return UEAElement.from_coeff(parent, CoeffFn.const(parent.chart, 1))
 
@@ -169,9 +181,7 @@ class UEAElement(TermSum):
 
 def _uea_term(parent: LieRinehart, exp, f):
     """One term of an enveloping-algebra element, checked."""
-    exp = tuple(int(e) for e in exp)
-    if len(exp) != parent.rank or any(e < 0 for e in exp):
-        raise ValueError(f"bad exponent vector {exp}")
+    exp = check_exponents(exp, parent.rank)
     if not isinstance(f, CoeffFn):
         f = parent._fn(f)
     if f.chart != parent.chart:
@@ -193,7 +203,7 @@ def _left_mul_gen(i: int, u: UEAElement) -> UEAElement:
         body = _gen_times_monomial(A, i, exp)
         pairs.extend((e, g * f) for e, f in body.terms.items())
         pairs.append((exp, A.frame_anchor_apply(i, g)))
-    return UEAElement(A, pairs)
+    return UEAElement._raw(A, pairs)
 
 
 def _gen_times_monomial(A: LieRinehart, i: int, exp: tuple) -> UEAElement:
@@ -202,17 +212,17 @@ def _gen_times_monomial(A: LieRinehart, i: int, exp: tuple) -> UEAElement:
     if first is None or i <= first:
         e2 = list(exp)
         e2[i] += 1
-        return UEAElement(A, {tuple(e2): CoeffFn.const(A.chart, 1)})
+        return UEAElement._raw(A, {tuple(e2): CoeffFn.const(A.chart, 1)})
     # i > first: X_i X_first X^rest = X_first X_i X^rest + [X_i, X_first] X^rest
     rest = list(exp)
     rest[first] -= 1
     rest = tuple(rest)
     pairs = list(_left_mul_gen(first, _gen_times_monomial(A, i, rest)).terms.items())
-    rest_elem = UEAElement(A, {rest: CoeffFn.const(A.chart, 1)})
+    rest_elem = UEAElement._raw(A, {rest: CoeffFn.const(A.chart, 1)})
     for k, c in enumerate(A.bracket_table[i][first]):
         if not c.is_zero:
             pairs.extend((e, c * f) for e, f in _left_mul_gen(k, rest_elem).terms.items())
-    return UEAElement(A, pairs)
+    return UEAElement._raw(A, pairs)
 
 
 def uea_mul(u: UEAElement, v: UEAElement) -> UEAElement:
@@ -226,7 +236,7 @@ def uea_mul(u: UEAElement, v: UEAElement) -> UEAElement:
         for i in reversed(word):
             acc = _left_mul_gen(i, acc)
         pairs.extend((e, f * g) for e, g in acc.terms.items())
-    return UEAElement(A, pairs)
+    return UEAElement._raw(A, pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,130 @@ class TestPolynomial:
         assert p + q == q + p
 
 
+class TestCheckedConstructors:
+    """The public constructors reject what they cannot represent exactly."""
+
+    @pytest.mark.parametrize("exp", [(1.5,), (1.0,), (True,), (-1,), (1, 0)])
+    def test_polynomial_rejects_bad_exponents(self, exp):
+        with pytest.raises(ValueError):
+            Polynomial(1, {exp: 1})
+
+    @pytest.mark.parametrize("i", [-1, 2])
+    def test_var_index_in_range(self, i):
+        with pytest.raises(ValueError):
+            Polynomial.var(2, i)
+        with pytest.raises(ValueError):
+            CoeffFn.var(Chart.space(2), i)
+
+    @pytest.mark.parametrize("key", [0.5, -1, True, "0"])
+    def test_flat_keys_are_nonnegative_ints(self, key):
+        with pytest.raises(ValueError):
+            CoeffFn(LINE, Polynomial(1, {}), flat_pos={key: 1})
+        with pytest.raises(ValueError):
+            CoeffFn(LINE, Polynomial(1, {}), flat_neg={key: 1})
+
+    def test_embed_in_range(self):
+        p = Polynomial.parse("x0*x1", 2)
+        for total, offset in ((3, 2), (1, 0), (3, -1)):
+            with pytest.raises(ValueError):
+                p.embed(total, offset)
+
+
+# Hypothesis operands for the trusted arithmetic.  Coefficients include 0
+# and cancelling values, so that results drop terms.
+RATIONALS = st.sampled_from([0, 1, -1, 2, -2, F(1, 2), F(-1, 3), F(5, 4)])
+
+
+def polys(nvars, max_exp=2):
+    exps = st.tuples(*[st.integers(0, max_exp)] * nvars)
+    return st.dictionaries(exps, RATIONALS, max_size=4).map(lambda t: Polynomial(nvars, t))
+
+
+def flat_parts():
+    return st.dictionaries(st.integers(0, 3), RATIONALS, max_size=3)
+
+
+def line_fns():
+    return st.builds(lambda p, neg, pos: CoeffFn(LINE, p, neg, pos), polys(1, 3),
+                     flat_parts(), flat_parts())
+
+
+def assert_canonical(p):
+    """p is what the checked constructor makes of its own terms, in the
+    same order: nonzero Fraction coefficients on int exponent tuples."""
+    again = Polynomial(p.nvars, p.terms)
+    assert list(again.terms.items()) == list(p.terms.items())
+    for e, c in p.terms.items():
+        assert type(c) is F and c != 0
+        assert type(e) is tuple and len(e) == p.nvars
+        assert all(type(k) is int for k in e)
+
+
+def assert_fn_canonical(f):
+    again = CoeffFn(f.chart, f.poly, f.flat_neg, f.flat_pos)
+    assert again == f
+    assert list(again.flat_neg.items()) == list(f.flat_neg.items())
+    assert list(again.flat_pos.items()) == list(f.flat_pos.items())
+    assert_canonical(f.poly)
+    assert f.poly.nvars == f.chart.dim
+    for part in (f.flat_neg, f.flat_pos):
+        assert all(type(k) is int and type(c) is F and c != 0 for k, c in part.items())
+
+
+class TestTrustedResults:
+    """Every arithmetic result is built by the trusted constructor; it must
+    be exactly what the checked one would build, and have the right values."""
+
+    @given(st.data())
+    def test_polynomial_results(self, data):
+        n = data.draw(st.integers(1, 3))
+        p, q = data.draw(polys(n)), data.draw(polys(n))
+        c = data.draw(RATIONALS)
+        axis = data.draw(st.integers(0, n - 1))
+        subs = [data.draw(polys(2)) for _ in range(n)]
+        offset = data.draw(st.integers(0, 2))
+        pt = data.draw(st.tuples(*[RATIONALS] * n))
+        pt2 = data.draw(st.tuples(RATIONALS, RATIONALS))
+        results = {
+            "+": p + q, "-": p - q, "neg": -p, "cancel": p - p, "*": p * q,
+            "scale": p.scale(c), "derive": p.derive(axis), "substitute": p.substitute(subs),
+            "embed": p.embed(n + 2, offset), "const": Polynomial.const(n, c),
+            "var": Polynomial.var(n, axis),
+        }
+        for r in results.values():
+            assert_canonical(r)
+        assert results["cancel"].is_zero
+        assert results["+"].eval(pt) == p.eval(pt) + q.eval(pt)
+        assert results["-"].eval(pt) == p.eval(pt) - q.eval(pt)
+        assert results["*"].eval(pt) == p.eval(pt) * q.eval(pt)
+        assert results["scale"].eval(pt) == c * p.eval(pt)
+        assert results["substitute"].eval(pt2) == p.eval([s.eval(pt2) for s in subs])
+        padded = (1,) * offset + pt + (1,) * (2 - offset)
+        assert results["embed"].eval(padded) == p.eval(pt)
+        # derive has no value check above: the product rule is one
+        assert (p * q).derive(axis) == p.derive(axis) * q + p * q.derive(axis)
+
+    @given(line_fns(), line_fns(), RATIONALS, polys(1, 3), polys(2))
+    def test_coeff_fn_results(self, f, g, c, p, inner):
+        plane = Chart.space(2)
+        results = [f + g, f - g, f - f, f.scale(c), f.derive(), f.derive().derive(),
+                   CoeffFn.const(LINE, c), CoeffFn.var(LINE),
+                   CoeffFn(LINE, p).compose([CoeffFn(plane, inner)])]
+        if f.is_poly and g.is_poly or f.is_rational_const() or g.is_rational_const():
+            results.append(f * g)
+        for r in results:
+            assert_fn_canonical(r)
+        assert (f - f).is_zero
+        for side in ("flat_neg", "flat_pos"):
+            a, b = getattr(f, side), getattr(g, side)
+            want = {k: a.get(k, 0) + b.get(k, 0) for k in {*a, *b}}
+            assert getattr(f + g, side) == {k: v for k, v in want.items() if v}
+            assert getattr(f.scale(c), side) == {k: c * v for k, v in a.items() if c}
+        t = (F(3, 7),)
+        assert (f + g).poly.eval(t) == f.poly.eval(t) + g.poly.eval(t)
+        assert f.scale(c).poly.eval(t) == c * f.poly.eval(t)
+
+
 class TestRegion:
     def test_interval_contains(self):
         r = Region.interval(0, 1)

@@ -1,4 +1,4 @@
-"""Imports stay plain: an AST scan of the library and test modules.
+"""Imports stay plain: an AST scan of the library, test and tool modules.
 
 Every imported name is used.  `__init__.py` re-exports names and `from
 __future__` imports features, so both are exempt.  A name counts as used
@@ -19,7 +19,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
-    p for p in [*ROOT.glob("src/convbialg/*.py"), *ROOT.glob("tests/*.py")]
+    p for p in [*ROOT.glob("src/convbialg/*.py"), *ROOT.glob("tests/*.py"),
+                *ROOT.glob("tools/*.py")]
     if p.name != "__init__.py"
 )
 LIBRARY = sorted(ROOT.glob("src/convbialg/*.py"))

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -132,3 +133,35 @@ def test_tensor_balanced_action():
     r = CoeffFn.const(H3.chart, 3)
     d = coproduct(u)
     assert d.act_right_left_slot(r) == d.act_right_right_slot(r)
+
+
+@pytest.mark.parametrize("exp", [(1.9, 0, 0), (1.0, 0, 0), (True, 0, 0), (0, -1, 0), (1, 0)])
+def test_constructor_rejects_bad_exponents(exp):
+    with pytest.raises(ValueError):
+        UEAElement(H3, {exp: 1})
+
+
+def assert_uea_canonical(u):
+    """u is what the checked constructor makes of its own terms, in the
+    same order: int exponent tuples of length rank, coefficients on the
+    chart in canonical form."""
+    A = u.parent
+    again = UEAElement(A, u.terms)
+    assert list(again.terms.items()) == list(u.terms.items())
+    for e, f in u.terms.items():
+        assert type(e) is tuple and len(e) == A.rank and all(type(k) is int for k in e)
+        assert f.chart == A.chart and not f.is_zero
+        assert list(Polynomial(f.poly.nvars, f.poly.terms).terms.items()) == list(f.poly.terms.items())
+        assert all(type(c) is Fraction for c in f.poly.terms.values())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["line", "h3"]), st.integers(-2, 2))
+def test_trusted_results_are_canonical(seed, which, c):
+    A = LINE if which == "line" else H3
+    rng = random.Random(seed)
+    u, v = rand_uea(rng, A), rand_uea(rng, A)
+    for r in (uea_mul(u, v), u.plus((v, u)), u + v, u - v, -u, u.scale(c), u.scale(Fraction(1, 3)),
+              UEAElement.generator(A, 0)):
+        assert_uea_canonical(r)
+    assert (u - u).is_zero and u.scale(0).is_zero
