@@ -83,11 +83,11 @@ def ad_uea(E: Bisection, u: UEAElement) -> UEAElement:
     # representable tau^{-1} fails before ad_matrix derives its matrix
     moved = [(exp, E.to_target(f)) for exp, f in u.terms.items()]
     if u.degree() <= 0:
-        return UEAElement(A, moved)
+        return UEAElement._raw(A, moved)
     # Ad_E(X_j) = sum_i (M[i][j] o tau^{-1}) X_i: column j of the matrix
     M = ad_matrix(E)
     units = [tuple(int(i == k) for k in range(A.rank)) for i in range(A.rank)]
-    gens = [UEAElement(A, [(units[i], E.to_target(M[i][j])) for i in range(A.rank)])
+    gens = [UEAElement._raw(A, [(units[i], E.to_target(M[i][j])) for i in range(A.rank)])
             for j in range(A.rank)]
     pairs = []
     for exp, tf in moved:
@@ -96,7 +96,7 @@ def ad_uea(E: Bisection, u: UEAElement) -> UEAElement:
             for _ in range(k):
                 acc = uea_mul(acc, gens[j])
         pairs.extend((e, tf * g) for e, g in acc.terms.items())
-    return UEAElement(A, pairs)
+    return UEAElement._raw(A, pairs)
 
 
 def ad_germ(e: GermArrow, model, germ_u: GermUEA) -> GermUEA:

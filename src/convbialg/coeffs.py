@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 
 from .errors import (
     ChartMismatch,
+    DomainError,
     ParseError,
     UnsupportedComposition,
     UnsupportedProduct,
@@ -40,6 +41,14 @@ def _q(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
+
+
+def to_float(x) -> float:
+    """float(x), where a float path starts; DomainError beyond float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise DomainError("a value beyond float range") from None
 
 
 def check_exponents(exp, n: int) -> tuple:
@@ -436,12 +445,12 @@ def _flat_checked(part) -> dict:
 
 
 def _flat_eval(a: dict, t) -> float:
-    tf = float(t)
+    tf = to_float(t)
     if tf * tf < 1 / 746:
         # exp(-1/t^2) underflows to 0.0 past 1/t^2 = 745.13
         return 0.0
     damp = math.exp(-1.0 / (tf * tf))
-    return sum(float(c) * tf ** (-k) for k, c in a.items()) * damp
+    return sum(to_float(c) * tf ** (-k) for k, c in a.items()) * damp
 
 
 def _flat_value_coeff(a: dict, t: Fraction) -> Fraction:
@@ -486,12 +495,13 @@ class CoeffFn:
     def _raw(chart: Chart, poly: Polynomial, flat_neg: dict, flat_pos: dict) -> "CoeffFn":
         """The trusted constructor: poly has chart.dim variables, and the flat
         parts map ints >= 0 to Fractions and are empty off 1-D charts.  Only
-        zero flat values are dropped."""
+        zero flat values are dropped; an empty flat part is kept as given
+        (no flat part is ever mutated, so it may be shared)."""
         f = CoeffFn.__new__(CoeffFn)
         f.chart = chart
         f.poly = poly
-        f.flat_neg = {k: c for k, c in flat_neg.items() if c}
-        f.flat_pos = {k: c for k, c in flat_pos.items() if c}
+        f.flat_neg = {k: c for k, c in flat_neg.items() if c} if flat_neg else flat_neg
+        f.flat_pos = {k: c for k, c in flat_pos.items() if c} if flat_pos else flat_pos
         return f
 
     @staticmethod
@@ -656,7 +666,7 @@ class CoeffFn:
         if isinstance(t, (int, Fraction)) and t == 0:
             return base
         flat = self.flat_neg if t < 0 else self.flat_pos
-        return float(base) + _flat_eval(flat, t)
+        return to_float(base) + _flat_eval(flat, t)
 
     # -- germ structure -----------------------------------------------------
 

@@ -17,8 +17,11 @@ bisections merge); semantic equality is germ-pointwise.  ConvTensor is the
 TermSum keyed by pairs of ids.
 
 stratify cuts the base into open intervals and breakpoints on which the
-germ-class structure of a set of bisections is constant; conv_is_zero and
-the kernel test of phi both decide on those strata.
+germ-class structure of a set of bisections is constant; a point base is
+one point stratum.  class_sums is the one walk over those strata and their
+germ classes, giving each class with the sum of its terms: conv_is_zero
+tests each sum on the image of its stratum, and the zero test of phi sums
+the classes through one arrow first.
 """
 
 from __future__ import annotations
@@ -268,8 +271,8 @@ def antipode_etale(b: ConvElement) -> ConvElement:
 
 @dataclass(frozen=True)
 class Stratum:
-    """An open interval or a single breakpoint of the base line; a group
-    model has the single point stratum over the one-point base."""
+    """An open interval or a single breakpoint of the base line; a model
+    over a point base has the single point stratum, with no point."""
 
     kind: str  # "interval" | "point"
     lo: Optional[Fraction] = None
@@ -341,7 +344,7 @@ class Stratification:
         ]
 
 
-def _breakpoints(model, bisections):
+def _breakpoints(bisections):
     pts = set()
     diffeos = []
     for E in bisections:
@@ -364,17 +367,12 @@ def _breakpoints(model, bisections):
     return sorted(pts)
 
 
-def _active(E: Bisection, stratum: Stratum) -> bool:
-    if E.domain.is_whole:
-        return True
-    return E.domain.contains((stratum.sample(),))
-
-
 def stratify(model, bisections) -> Stratification:
-    if model.kind == "group":
-        classes = [[E] for E in bisections]  # germ classes = group elements
-        return Stratification(model, [(Stratum("point"), classes)])
-    bps = _breakpoints(model, bisections)
+    if not model.base.dim:
+        # a point base: one stratum, on which the germ classes are the
+        # bisections (for a group, its elements)
+        return Stratification(model, [(Stratum("point"), [[E] for E in bisections])])
+    bps = _breakpoints(bisections)
     strata_shapes = []
     prev = None
     for b in bps:
@@ -384,7 +382,7 @@ def stratify(model, bisections) -> Stratification:
     strata_shapes.append(Stratum("interval", lo=prev, hi=None))
     out = []
     for st in strata_shapes:
-        active = [E for E in bisections if _active(E, st)]
+        active = [E for E in bisections if E.contains_source(st.sample())]
         classes = germ_classes(active, st.sample())
         if st.kind == "interval" and active:
             # the germ-class structure must be literally constant on the stratum
@@ -397,6 +395,15 @@ def stratify(model, bisections) -> Stratification:
     return Stratification(model, out)
 
 
+def class_sums(model, terms):
+    """The one stratum walk: terms maps bisection ids to elements over the
+    base.  Yields each stratum of their bisections with its germ classes,
+    each paired with the sum of its terms (summed as they are read)."""
+    zero = UEAElement.zero(model.algebroid)
+    for stratum, classes in stratify(model, [model.registry[bid] for bid in terms]).strata:
+        yield stratum, ((cls, zero.plus(terms[E.bid] for E in cls)) for cls in classes)
+
+
 # ---------------------------------------------------------------------------
 # Germ-pointwise equality
 # ---------------------------------------------------------------------------
@@ -405,18 +412,10 @@ def stratify(model, bisections) -> Stratification:
 def conv_is_zero(a: ConvElement) -> bool:
     """Zero germ-pointwise: every germ-class sum vanishes along every
     stratum of the element's bisections."""
-    if not a.terms:
-        return True
-    model = a.model
-    for stratum, classes in stratify(model, [model.registry[bid] for bid in a.terms]).strata:
-        for cls in classes:
-            total = UEAElement.zero(model.algebroid).plus(
-                a.terms[E.bid] for E in cls if E.bid in a.terms
-            )
-            if total.is_zero:
-                continue
+    for stratum, sums in class_sums(a.model, a.terms):
+        for cls, total in sums:
             # the sum is a function of the target point tau(x), x in stratum
-            if not stratum.image(cls[0]).vanishes(total):
+            if not total.is_zero and not stratum.image(cls[0]).vanishes(total):
                 return False
     return True
 

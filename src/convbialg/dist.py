@@ -28,7 +28,7 @@ import random
 from .adjoint import ad_uea
 from .coeffs import CoeffFn, Polynomial, Q
 from .conv import BisectionSum
-from .errors import ChartMismatch, UnsupportedComposition, UnsupportedRegistry
+from .errors import ChartMismatch, DomainError, UnsupportedComposition, UnsupportedRegistry
 from .groupoid import Bisection, bisection_inv, bisection_mul
 from .lie_rinehart import random_polynomial
 from .uea import UEAElement, uea_mul
@@ -146,19 +146,9 @@ class TransvDist(BisectionSum):
 
 
 def dist_eval(T: TransvDist, F):
-    """T(F) as a coefficient function on the base (exactly representable
-    cases); for the etale model a list of (target region, CoeffFn) pieces."""
+    """T(F) as a coefficient function on the base; UnsupportedComposition
+    where model.beta_polys has no polynomial beta_E."""
     model = T.model
-    if model.kind == "etale_action":
-        pieces = []
-        for bid, u in T.terms.items():
-            E = model.registry[bid]
-            f = u.degree0()
-            Fg = F.get(E.gamma)
-            if Fg is None or f.is_zero:
-                continue
-            pieces.append((E.target_domain(), E.to_target(f * Fg)))
-        return pieces
     # [[E, D]](F) = D(F) o beta_E, and c o s o beta_E = c o tau^{-1}
     out = CoeffFn.const(model.base, 0)
     for bid, u in T.terms.items():
@@ -175,20 +165,23 @@ def dist_eval_at(T: TransvDist, F, x):
     """Numeric (or exact, when the data is rational) value of T(F)(x)."""
     model = T.model
     total = 0
-    for bid, u in T.terms.items():
-        E = model.registry[bid]
-        if model.kind == "etale_action":
-            f = u.degree0()
-            Fg = F.get(E.gamma)
-            if Fg is None:
+    try:
+        for bid, u in T.terms.items():
+            E = model.registry[bid]
+            if model.kind == "etale_action":
+                f = u.degree0()
+                Fg = F.get(E.gamma)
+                if Fg is None:
+                    continue
+                xr = E.gamma.inverse()(x)
+                if E.domain.contains((xr,)):
+                    total = total + f.eval((xr,)) * Fg.eval((xr,))
                 continue
-            xr = E.gamma.inverse()(x)
-            if E.domain.contains((xr,)):
-                total = total + f.eval((xr,)) * Fg.eval((xr,))
-            continue
-        if E.contains_target(x):
-            # [[E, D]](F)(x) = D(F)(beta_E(x))
-            total = omega_apply(model, u, F).eval_arrow(E.beta(x), total)
+            if E.contains_target(x):
+                # [[E, D]](F)(x) = D(F)(beta_E(x))
+                total = omega_apply(model, u, F).eval_arrow(E.beta(x), total)
+    except OverflowError:  # a float value met a rational beyond float range
+        raise DomainError("a value beyond float range") from None
     return total
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffs import Chart, CoeffFn, Polynomial, Q, Region, parse_rational
+from .coeffs import Chart, CoeffFn, Polynomial, Q, Region, parse_rational, to_float
 from .errors import (
     ChartMismatch,
     DomainError,
@@ -148,7 +148,7 @@ class Diffeo1D:
 
 def _solve_monotone(f: CoeffFn, y) -> float:
     """Solve f(t) = y for a strictly monotone f, numerically (bisection)."""
-    y = float(y)
+    y = to_float(y)
     sign = 1.0 if float(f.eval((1.0,))) > float(f.eval((-1.0,))) else -1.0
 
     def val(t):
@@ -281,6 +281,9 @@ class GroupoidModel:
     * the bisection hooks `init_bisection` (validation and the content id),
       `alpha`, `beta`, `contains_arrow`, `unit_bisection`, `bisection_mul`,
       `bisection_inv` and `germ_eq`;
+    * `same_arrow`: do bisections of distinct germs at a point pass through
+      one arrow there?  Only in PairModel (flat kinks at 0), and the kernel
+      test of phi then sums their germ classes together;
     * the JSON form of one bisection, `bisection_to_json` and
       `bisection_from_json`;
     * `parse_test_function`, a test function on the arrows read from one
@@ -289,14 +292,16 @@ class GroupoidModel:
       (alpha_E as functions on the base) and `closed_ad_matrix` (the closed
       form of Ad_E that adjoint.ad_matrix compares with its derivation).
 
-    PolynomialGroupoid.along_source (P o s on the arrow chart) is the one
-    place where a point base is special, Bisection.to_target and to_source
+    PolynomialGroupoid.along_source (P o s on the arrow chart) and
+    conv.stratify (one point stratum) are the places where a point base
+    (`base.dim == 0`) is special, Bisection.to_target and to_source
     (f o tau^{-1}, f o tau; the identity without a tau) move base functions
     along a bisection, and alpha_polys and beta_polys (alpha_E and
     alpha_E o tau^{-1} as polynomials) come from alpha_fns; on these a group
     and the pair groupoid share one formula for Ad_E, beta_E, R_E^{-1} and
-    the transport of coefficients.  The kind tests left outside this module
-    are listed in the README ("Model kinds"), each with its reason.
+    the transport of coefficients; other models have no beta_polys.  The
+    kind tests left outside this module are listed in the README ("Model
+    kinds"), each with its reason.
 
     `derived` holds data that the adjoint and series layers derive from the
     model alone or from one bisection, computed on first use (`derive_once`):
@@ -325,6 +330,16 @@ class GroupoidModel:
         if self.s_of(g2) != self.t_of(g1):
             raise NotComposable("arrows do not compose")
         return self._mult(g2, g1)
+
+    def same_arrow(self, E, F, x) -> bool:
+        """Do the bisections E and F, of distinct germs at their arrows over
+        source x, pass through one arrow?  Never, by default: for a group
+        and for the etale action groupoid a germ class fixes its arrow."""
+        return False
+
+    def beta_polys(self, E):
+        """beta_E as polynomials: only PolynomialGroupoid has them."""
+        raise UnsupportedComposition("beta_E is not polynomial")
 
     def derive_once(self, key, compute):
         """derived[key], computed by compute() on first use."""
@@ -514,6 +529,18 @@ class PairModel(PolynomialGroupoid):
             return gap.value_is_zero_exact(x)
         gap = diff.inv - CoeffFn.const(diff.chart, x)
         return gap.value_is_zero_exact(y)
+
+    def same_arrow(self, E, F, x) -> bool:
+        """Exact: tau_E(x) = tau_F(x).  Only here do bisections of distinct
+        germs pass through one arrow (the flat kinks at 0)."""
+        try:
+            gap = E.tau_coeff() - F.tau_coeff()
+        except UnsupportedComposition:
+            if bisection_germ_eq(E, F, (x,)):
+                return True
+            raise UnsupportedRegistry(
+                "cannot decide arrow coincidence for inverted flat bisections")
+        return gap.value_is_zero_exact(x)
 
     def unit_bisection(self):
         return Bisection(self, tau=Diffeo1D.identity(self.base))

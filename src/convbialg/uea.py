@@ -140,15 +140,14 @@ class UEAElement(TermSum):
 
     @staticmethod
     def from_coeff(parent, f) -> "UEAElement":
-        if not isinstance(f, CoeffFn):
-            f = parent._fn(f)
-        return UEAElement(parent, {tuple([0] * parent.rank): f})
+        """f as an element of degree 0; f is checked to be on parent's chart."""
+        return UEAElement._raw(parent, [(tuple([0] * parent.rank), _uea_coeff(parent, f))])
 
     @staticmethod
     def generator(parent, i: int) -> "UEAElement":
         exp = [0] * parent.rank
         exp[i] = 1
-        return UEAElement(parent, {tuple(exp): CoeffFn.const(parent.chart, 1)})
+        return UEAElement._raw(parent, {tuple(exp): CoeffFn.const(parent.chart, 1)})
 
     # -- structure ----------------------------------------------------------
 
@@ -181,12 +180,15 @@ class UEAElement(TermSum):
 
 def _uea_term(parent: LieRinehart, exp, f):
     """One term of an enveloping-algebra element, checked."""
-    exp = check_exponents(exp, parent.rank)
-    if not isinstance(f, CoeffFn):
-        f = parent._fn(f)
+    return check_exponents(exp, parent.rank), _uea_coeff(parent, f)
+
+
+def _uea_coeff(parent: LieRinehart, f) -> CoeffFn:
+    """A coefficient over parent, checked; numbers and polynomials convert."""
+    f = parent._fn(f)
     if f.chart != parent.chart:
         raise ChartMismatch("coefficient on wrong chart")
-    return exp, f
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +269,9 @@ class TensorElement(TermSum):
     def pure_tensors(self):
         """List of (u, v) pairs with the coefficient carried by u."""
         A = self.parent
-        out = []
-        for (a, b), f in self.terms.items():
-            out.append((UEAElement(A, {a: f}), UEAElement(A, {b: CoeffFn.const(A.chart, 1)})))
-        return out
+        one = CoeffFn.const(A.chart, 1)
+        return [(UEAElement._raw(A, {a: f}), UEAElement._raw(A, {b: one}))
+                for (a, b), f in self.terms.items()]
 
     def mul(self, other: "TensorElement") -> "TensorElement":
         """Componentwise product (u tensor v)(u' tensor v') = uu' tensor vv'."""

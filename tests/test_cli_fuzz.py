@@ -16,7 +16,7 @@ from convbialg.models import builtin_models, model_to_json
 ALIASES = ["M", "shift", "dbl", "half", "E00", "E01", "E10", "E11", "e", "kx", "k123",
            "d", "dinv", "sh", "w", "nope"]
 GENERATORS = ["D", "X", "Y", "Z", "X1"]
-LITERALS = ["0", "1", "2", "-1", "1/2", "-3/4", "1/0"]
+LITERALS = ["0", "1", "2", "-1", "1/2", "-3/4", "1/0", "1e400", "-1e400"]
 FRAGMENTS = ["conv_mul(", "phi(", "dist_eval(", "(", ")", "<", ">", "[[", "]]", "[", "]",
              "{", "}", "|", ",", " + ", " * ", "+", "*", "^", "/", "-", " ", "x0", "x1",
              "x7", "phi[", "flat[neg={", "@", "#", "\\", "é", *ALIASES, *GENERATORS]

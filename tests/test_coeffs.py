@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from convbialg.coeffs import Chart, CoeffFn, Polynomial, Q, Region
-from convbialg.errors import UnsupportedComposition, UnsupportedProduct
+from convbialg.errors import DomainError, UnsupportedComposition, UnsupportedProduct
 
 LINE = Chart.line("M")
 X = Polynomial.var(1, 0)
@@ -212,6 +212,15 @@ class TestFlat:
         assert phi.eval((1.0,)) == pytest.approx(math.exp(-1.0))
         assert phi.eval((-1.0,)) == pytest.approx(-math.exp(-1.0))
         assert phi.eval((F(0),)) == 0
+
+    @pytest.mark.parametrize("f, t", [
+        (CoeffFn.phi(LINE), -Q(10) ** 400),  # the point
+        (CoeffFn.flat_piece(LINE, X, 1, Q(10) ** 400), Q(1)),  # a flat coefficient
+        (CoeffFn.flat_piece(LINE, X.scale(Q(10) ** 400), 1, 1), Q(1)),  # the polynomial part
+    ])
+    def test_float_value_beyond_float_range_is_a_domain_error(self, f, t):
+        with pytest.raises(DomainError, match="beyond float range"):
+            f.eval((t,))
 
     def test_kink_eval(self):
         # t + phi on t<=0, t + 2 phi on t>=0: value at 1 is 1 + 2 e^-1

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from convbialg.coeffs import CoeffFn, Polynomial, Q
-from convbialg.errors import UnsupportedRegistry
+from convbialg.errors import UnsupportedComposition, UnsupportedRegistry
 from convbialg.dist import (
     TransvDist,
     commuting_square_gap,
@@ -131,6 +131,12 @@ class TestEval:
         assert dist_eval_at(T, F2, Q(3, 2)) == 2
         with pytest.raises(UnsupportedRegistry, match=re.escape(E.bid)):
             dist_eval(T, F2)
+
+    def test_symbolic_eval_refuses_the_etale_model(self, etale):
+        # beta_E of an etale bisection is (gamma, gamma^-1(y)): not polynomial
+        T = TransvDist.single(etale, etale.lookup("d"), UEAElement.one(etale.algebroid))
+        with pytest.raises(UnsupportedComposition, match="beta_E is not polynomial"):
+            dist_eval(T, etale.parse_test_function("x0"))
 
 
 class TestProduct:

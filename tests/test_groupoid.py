@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from convbialg.coeffs import Chart, Polynomial, Q
-from convbialg.errors import VerificationFailed
+from convbialg.errors import DomainError, VerificationFailed
 from convbialg.groupoid import (
     AffineMap,
     Diffeo1D,
@@ -136,6 +136,11 @@ class TestSolveMonotone:
         f = Diffeo1D.flat_kink(Chart.line("M"), 1, 2).coeff().scale(-1)
         for y in (0.0, 0.5, -2.25, 1e-300):
             assert _solve_monotone(f, y) == _solve_monotone_200_steps(f, y)
+
+    @pytest.mark.parametrize("y", [Q(10) ** 400, -Q(10) ** 400])
+    def test_a_rational_beyond_float_range_is_a_domain_error(self, pair, y):
+        with pytest.raises(DomainError, match="beyond float range"):
+            pair.lookup("E00").tau_inv_apply(y)
 
 
 class TestBisections:

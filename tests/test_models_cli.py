@@ -127,6 +127,15 @@ class TestCli:
         # Ad of the flat E00 needs the inverse map, which is not representable
         pytest.param(["eval", "conv_mul(<1|E00>,<1 * D|E01>)"], None, id="flat-ad-inverse"),
         pytest.param(["eval", "dist_eval([[shift, 1]], x0, abc)"], None, id="bad-point"),
+        # rationals beyond float range where a float path starts: the
+        # bisection solve for E00^-1, the flat part of a coefficient, and a
+        # float value times a rational of 401 digits
+        pytest.param(["eval", "dist_eval([[E00, 1]], x0 + x1, 1e400)"], None,
+                     id="flat-inverse-beyond-float"),
+        pytest.param(["eval", "dist_eval([[shift, (1 + phi[1,1])]], x0 + x1, -1e400)"], None,
+                     id="flat-part-beyond-float"),
+        pytest.param(["eval", f"dist_eval([[shift, (1 + phi[1,1])]], 1{'0' * 400}*x0, 2)"],
+                     None, id="float-times-rational-beyond-float"),
         pytest.param(["eval", "phi(<1/0|shift>)"], None, id="zero-denominator"),
         pytest.param(["eval", "phi(<(1 + phi[a,1]) | shift>)"], None, id="bad-phi-constant"),
         pytest.param(["eval", "phi(<(1 + flat[neg={0: 1/0}, pos={}]) | shift>)"], None,

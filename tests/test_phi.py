@@ -1,8 +1,10 @@
 import pytest
 
 from convbialg.conv import ConvElement, conv_is_zero, conv_mul
-from convbialg.coeffs import CoeffFn, Polynomial
+from convbialg.coeffs import CoeffFn, Polynomial, Q
 from convbialg.dist import dist_mul
+from convbialg.errors import UnsupportedRegistry
+from convbialg.groupoid import bisection_inv
 from convbialg.models import etale_model, heisenberg_model, pair_model
 from convbialg.phi import (
     dist_is_zero,
@@ -51,6 +53,26 @@ class TestStratify:
         assert len(table) == 1
         _, classes = table[0]
         assert sorted(len(c) for c in classes) == [1, 1]
+
+
+class TestSameArrow:
+    def test_affine_maps_share_the_arrow_where_they_cross(self, pair):
+        shift, dbl = pair.lookup("shift"), pair.lookup("dbl")
+        assert pair.same_arrow(shift, dbl, Q(1))  # both map 1 to 2
+        assert not pair.same_arrow(shift, dbl, Q(2))
+
+    def test_flat_kinks_share_the_arrow_at_0(self, pair):
+        assert pair.same_arrow(pair.lookup("E00"), pair.lookup("E01"), Q(0))
+
+    def test_inverted_flat_kinks_are_refused(self, pair):
+        E00inv, E01inv = (bisection_inv(pair.lookup(n)) for n in ("E00", "E01"))
+        with pytest.raises(UnsupportedRegistry):
+            pair.same_arrow(E00inv, E01inv, Q(0))
+
+    def test_a_germ_class_fixes_its_arrow_off_the_pair_model(self, h3, etale):
+        assert not h3.same_arrow(h3.lookup("kx"), h3.lookup("ky"), None)
+        # d and sh both map 1 to 2, through the distinct arrows (d, 1), (sh, 1)
+        assert not etale.same_arrow(etale.lookup("d"), etale.lookup("sh"), Q(1))
 
 
 class TestPhi:

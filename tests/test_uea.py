@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import convbialg.uea
+from convbialg.adjoint import ad_uea
 from convbialg.coeffs import CoeffFn, Polynomial
-from convbialg.errors import VerificationFailed
+from convbialg.errors import ChartMismatch, VerificationFailed
 from convbialg.lie_rinehart import (
     heisenberg_algebra,
     random_polynomial,
     tangent_line_algebroid,
 )
+from convbialg.models import heisenberg_model, pair_model
 from convbialg.uea import (
     UEAElement,
     anchor_rep,
@@ -161,7 +163,27 @@ def test_trusted_results_are_canonical(seed, which, c):
     A = LINE if which == "line" else H3
     rng = random.Random(seed)
     u, v = rand_uea(rng, A), rand_uea(rng, A)
+    f = CoeffFn(A.chart, random_polynomial(rng, A.chart.dim, 2))
+    pure = [w for pair in coproduct(u).pure_tensors() for w in pair]
     for r in (uea_mul(u, v), u.plus((v, u)), u + v, u - v, -u, u.scale(c), u.scale(Fraction(1, 3)),
-              UEAElement.generator(A, 0)):
+              UEAElement.generator(A, 0), UEAElement.from_coeff(A, f), *pure):
         assert_uea_canonical(r)
     assert (u - u).is_zero and u.scale(0).is_zero
+
+
+MODELS = {"pair": pair_model(), "heisenberg": heisenberg_model()}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(sorted(MODELS)))
+def test_ad_uea_results_are_canonical(seed, which):
+    model = MODELS[which]
+    u = rand_uea(random.Random(seed), model.algebroid)
+    for E in model.registry.values():
+        if not E.is_flat:  # U(Ad_E) of a flat kink needs its inverse map
+            assert_uea_canonical(ad_uea(E, u))
+
+
+def test_from_coeff_checks_the_chart():
+    with pytest.raises(ChartMismatch):
+        UEAElement.from_coeff(LINE, CoeffFn.const(H3.chart, 1))
