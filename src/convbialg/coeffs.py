@@ -12,6 +12,14 @@ t + c*phi(t), where phi(t) = sign(t)*exp(-1/t^2) (phi(0) = 0), and is
 closed under derivative, addition and scaling by rationals.  It is *not*
 closed under general products or compositions; those raise
 UnsupportedProduct / UnsupportedComposition.
+
+Scalars are exact rationals in one canonical form: an int when the value
+is integral, else a Fraction with denominator > 1; never a float, a bool
+or Fraction(n, 1).  Most coefficients are integral, and int arithmetic is
+much cheaper than Fraction arithmetic.  An int keeps the ==, hash and str
+of the equal Fraction, but int / int is a float: every division that can
+see two ints goes through Q (Fraction), as in Q(a, b) or Q(a) / b, and a
+negative power needs a Fraction base.
 """
 
 from __future__ import annotations
@@ -33,14 +41,23 @@ from .errors import (
 Q = Fraction
 
 
-def _q(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _q(x):
+    """x as a canonical scalar: an int when it is integral, else a Fraction
+    (with denominator > 1).  A float is refused; a bool becomes its int."""
+    if type(x) is int:
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
+    if isinstance(x, Fraction):
+        return x if x.denominator != 1 else x.numerator
+    if isinstance(x, (int, str)):
+        return _q(Fraction(x))
     raise TypeError(f"not an exact rational: {x!r}")
+
+
+def _canonical(terms: dict) -> dict:
+    """terms without zero values, and each integral Fraction value as its
+    int numerator; the order is kept."""
+    return {k: c if type(c) is int or c.denominator != 1 else c.numerator
+            for k, c in terms.items() if c}
 
 
 def to_float(x) -> float:
@@ -199,9 +216,11 @@ class Chart:
 class Polynomial:
     """Sparse multivariate polynomial over the rationals.
 
-    terms maps exponent tuples to nonzero Fraction coefficients.  The
-    constructor checks and merges terms from outside; the results of the
-    arithmetic below are built by `_raw` from already canonical terms.
+    terms maps exponent tuples to nonzero canonical scalars: an int when
+    the coefficient is integral, else a Fraction (see the module docstring;
+    int / int is a float).  The constructor checks and merges terms from
+    outside; the results of the arithmetic below are built by `_raw`, which
+    only drops zeros and turns integral Fractions into ints.
     """
 
     __slots__ = ("nvars", "terms")
@@ -213,19 +232,19 @@ class Polynomial:
             exp = check_exponents(exp, nvars)
             c = _q(c)
             if c != 0:
-                clean[exp] = clean.get(exp, Q(0)) + c
-        self.terms = {e: c for e, c in clean.items() if c != 0}
+                clean[exp] = clean.get(exp, 0) + c
+        self.terms = _canonical(clean)
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def _raw(nvars: int, terms: dict) -> "Polynomial":
         """The trusted constructor: terms already maps tuples of nvars ints
-        >= 0 to Fractions, each exponent once.  Only zero coefficients are
-        dropped, and the order is kept."""
+        >= 0 to ints or Fractions, each exponent once.  Zero coefficients
+        are dropped, integral Fractions become ints, and the order is kept."""
         p = Polynomial.__new__(Polynomial)
         p.nvars = nvars
-        p.terms = {e: c for e, c in terms.items() if c}
+        p.terms = _canonical(terms)
         return p
 
     @staticmethod
@@ -238,7 +257,7 @@ class Polynomial:
             raise ValueError(f"variable index {i} out of range (nvars={nvars})")
         exp = [0] * nvars
         exp[i] = 1
-        return Polynomial._raw(nvars, {tuple(exp): Q(1)})
+        return Polynomial._raw(nvars, {tuple(exp): 1})
 
     # -- queries ------------------------------------------------------------
 
@@ -250,10 +269,10 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self):
         if not self.is_constant:
             raise ValueError("not a constant polynomial")
-        return self.terms.get(tuple([0] * self.nvars), Q(0))
+        return self.terms.get(tuple([0] * self.nvars), 0)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -279,7 +298,7 @@ class Polynomial:
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, Q(0)) + c
+            terms[e] = terms.get(e, 0) + c
         return Polynomial._raw(self.nvars, terms)
 
     def __neg__(self) -> "Polynomial":
@@ -294,7 +313,7 @@ class Polynomial:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Q(0)) + c1 * c2
+                terms[e] = terms.get(e, 0) + c1 * c2
         return Polynomial._raw(self.nvars, terms)
 
     def scale(self, c) -> "Polynomial":
@@ -310,7 +329,7 @@ class Polynomial:
                 continue
             e2 = list(e)
             e2[axis] -= 1
-            terms[tuple(e2)] = terms.get(tuple(e2), Q(0)) + c * e[axis]
+            terms[tuple(e2)] = terms.get(tuple(e2), 0) + c * e[axis]
         return Polynomial._raw(self.nvars, terms)
 
     def substitute(self, values: Sequence["Polynomial"]) -> "Polynomial":
@@ -421,15 +440,15 @@ class Polynomial:
 def _flat_add(a: dict, b: dict) -> dict:
     out = dict(a)
     for k, c in b.items():
-        out[k] = out.get(k, Q(0)) + c
+        out[k] = out.get(k, 0) + c
     return out
 
 
 def _flat_derive(a: dict) -> dict:
     out = {}
     for k, c in a.items():
-        out[k + 1] = out.get(k + 1, Q(0)) - k * c
-        out[k + 3] = out.get(k + 3, Q(0)) + 2 * c
+        out[k + 1] = out.get(k + 1, 0) - k * c
+        out[k + 3] = out.get(k + 3, 0) + 2 * c
     return out
 
 
@@ -455,7 +474,7 @@ def _flat_eval(a: dict, t) -> float:
 
 def _flat_value_coeff(a: dict, t: Fraction) -> Fraction:
     """Exact rational r with value = r * exp(-1/t^2) at rational t != 0."""
-    t = _q(t)
+    t = Q(t)  # a Fraction, so that t ** (-k) stays exact
     if t == 0:
         raise ValueError("flat value coefficient undefined at 0")
     return sum((c * t ** (-k) for k, c in a.items()), Q(0))
@@ -494,14 +513,15 @@ class CoeffFn:
     @staticmethod
     def _raw(chart: Chart, poly: Polynomial, flat_neg: dict, flat_pos: dict) -> "CoeffFn":
         """The trusted constructor: poly has chart.dim variables, and the flat
-        parts map ints >= 0 to Fractions and are empty off 1-D charts.  Only
-        zero flat values are dropped; an empty flat part is kept as given
-        (no flat part is ever mutated, so it may be shared)."""
+        parts map ints >= 0 to ints or Fractions and are empty off 1-D
+        charts.  Zero flat values are dropped and integral Fractions become
+        ints; an empty flat part is kept as given (no flat part is ever
+        mutated, so it may be shared)."""
         f = CoeffFn.__new__(CoeffFn)
         f.chart = chart
         f.poly = poly
-        f.flat_neg = {k: c for k, c in flat_neg.items() if c} if flat_neg else flat_neg
-        f.flat_pos = {k: c for k, c in flat_pos.items() if c} if flat_pos else flat_pos
+        f.flat_neg = _canonical(flat_neg) if flat_neg else flat_neg
+        f.flat_pos = _canonical(flat_pos) if flat_pos else flat_pos
         return f
 
     @staticmethod
@@ -541,7 +561,7 @@ class CoeffFn:
         """(c_neg, c_pos) if self is polynomial + c*phi branchwise, else None."""
         if set(self.flat_neg) - {0} or set(self.flat_pos) - {0}:
             return None
-        return (-self.flat_neg.get(0, Q(0)), self.flat_pos.get(0, Q(0)))
+        return (-self.flat_neg.get(0, 0), self.flat_pos.get(0, 0))
 
     def __eq__(self, other):
         return (
@@ -620,8 +640,8 @@ class CoeffFn:
         """(a, b) with self = a*t + b if self is a 1-D affine polynomial."""
         if not (self.chart.dim == 1 and self.is_poly and self.poly.degree() <= 1):
             return None
-        a = self.poly.terms.get((1,), Q(0))
-        b = self.poly.terms.get((0,), Q(0))
+        a = self.poly.terms.get((1,), 0)
+        b = self.poly.terms.get((0,), 0)
         return a, b
 
     def compose(self, inner: Sequence["CoeffFn"]) -> "CoeffFn":
@@ -646,7 +666,7 @@ class CoeffFn:
                 a, b = aff
                 return g.scale(a) + CoeffFn.const(target, b)
             ginner = g.affine_parts()
-            if ginner == (Q(1), Q(0)) and target.dim == 1:
+            if ginner == (1, 0) and target.dim == 1:
                 # flat piece after the identity; only a chart change
                 return CoeffFn(target, self.poly, self.flat_neg, self.flat_pos)
         raise UnsupportedComposition(
@@ -727,10 +747,11 @@ class CoeffFn:
         pc = self.phi_coeffs()
         if pc is not None:
             return f"{self.poly.text()} + phi[{pc[0]},{pc[1]}]"
-        return (
-            f"{self.poly.text()} + flat[neg={dict(sorted(self.flat_neg.items()))},"
-            f" pos={dict(sorted(self.flat_pos.items()))}]"
-        )
+        # every value prints as a Fraction (an int n as Fraction(n, 1)), so the
+        # text does not depend on which canonical type a scalar has
+        neg = {k: Q(c) for k, c in sorted(self.flat_neg.items())}
+        pos = {k: Q(c) for k, c in sorted(self.flat_pos.items())}
+        return f"{self.poly.text()} + flat[neg={neg}, pos={pos}]"
 
     def __repr__(self):
         return f"CoeffFn({self.text()})"

@@ -288,7 +288,7 @@ class Stratum:
             return self.hi - 1
         if self.hi is None:
             return self.lo + 1
-        return (self.lo + self.hi) / 2
+        return Q(self.lo + self.hi, 2)
 
     def second_sample(self):
         s = self.sample()
@@ -296,7 +296,7 @@ class Stratum:
             return s
         if self.hi is None:
             return s + 1
-        return (s + self.hi) / 2
+        return Q(s + self.hi, 2)
 
     def vanishes(self, v: UEAElement) -> bool:
         """Does v, an element over the base, vanish on this stratum?"""
@@ -363,7 +363,7 @@ def _breakpoints(bisections):
         for j in range(i + 1, len(seen)):
             (a1, b1), (a2, b2) = seen[i], seen[j]
             if a1 != a2:
-                pts.add((b2 - b1) / (a1 - a2))
+                pts.add(Q(b2 - b1, a1 - a2))
     return sorted(pts)
 
 

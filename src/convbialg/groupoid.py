@@ -20,6 +20,7 @@ key, so that products of registered bisections merge syntactically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -147,7 +148,10 @@ class Diffeo1D:
 
 
 def _solve_monotone(f: CoeffFn, y) -> float:
-    """Solve f(t) = y for a strictly monotone f, numerically (bisection)."""
+    """Solve f(t) = y for a strictly monotone f, numerically (bisection).
+    The bracket grows from [-1, 1] by lo -> 2 lo - 1 and hi -> 2 hi + 1
+    until it holds the root; DomainError when the next bound would leave
+    float range."""
     y = to_float(y)
     sign = 1.0 if float(f.eval((1.0,))) > float(f.eval((-1.0,))) else -1.0
 
@@ -156,18 +160,14 @@ def _solve_monotone(f: CoeffFn, y) -> float:
 
     y = sign * y
     lo, hi = -1.0, 1.0
-    for _ in range(200):
-        if val(lo) <= y:
-            break
+    while not val(lo) <= y:
         lo = 2 * lo - 1
-    else:
-        raise DomainError("failed to bracket the root from below")
-    for _ in range(200):
-        if val(hi) >= y:
-            break
+        if math.isinf(lo):
+            raise DomainError("failed to bracket the root from below")
+    while not val(hi) >= y:
         hi = 2 * hi + 1
-    else:
-        raise DomainError("failed to bracket the root from above")
+        if math.isinf(hi):
+            raise DomainError("failed to bracket the root from above")
     for _ in range(200):
         mid = (lo + hi) / 2
         if mid == lo or mid == hi:
@@ -306,7 +306,11 @@ class GroupoidModel:
     `derived` holds data that the adjoint and series layers derive from the
     model alone or from one bisection, computed on first use (`derive_once`):
     the conjugation Jacobian of a model, R_E^{-1} of a bisection as
-    polynomials, and the series data of a flat kink at a point.
+    polynomials, the series data of a flat kink at a point, and the float
+    solves of Bisection.tau_inv_apply and tau_apply where tau is known only
+    in the other direction (keys ("tau_inv_solve", bid, y) and
+    ("tau_solve", bid, x); a point equal to an earlier one, of any number
+    type, converts to the same float and so has the same solution).
     Keys name the datum and, where it depends on a bisection, its id, not
     the Bisection object, since bisection_inv builds a new object on every
     call.  It is never serialized and lives as long as the model.
@@ -460,7 +464,7 @@ def _product_domain(E2, E1) -> Region:
     if aff is None:
         raise UnsupportedRegistry("flat bisection composed with a restricted domain")
     a, b = aff
-    return E1.domain.intersect(E2.domain.affine_image(1 / a, -b / a))
+    return E1.domain.intersect(E2.domain.affine_image(Q(1, a), Q(-b, a)))
 
 
 def _poly_of(fn: CoeffFn, name: str) -> Polynomial:
@@ -478,7 +482,7 @@ def _flat_powers(fn: CoeffFn):
     for c in pc:
         i = 0
         while c > 1 and c % 2 == 0:
-            c, i = c / 2, i + 1
+            c, i = c // 2, i + 1
         if c != 1:
             return None
         out.append(i)
@@ -739,15 +743,18 @@ class Bisection:
     """A local bisection of a groupoid model, given by a diffeomorphism tau
     (pair), a group element (group) or a group element gamma and a domain
     (etale).  The model checks the data and derives the content id; the
-    kind-specific methods hand off to it."""
+    kind-specific methods hand off to it.  is_flat (is tau a flat kink
+    rather than an affine map?) is set once, before the model's check; a
+    group or etale bisection has no tau there, and is not flat."""
 
-    __slots__ = ("model", "bid", "tau", "domain", "element", "gamma")
+    __slots__ = ("model", "bid", "tau", "domain", "element", "gamma", "is_flat")
 
     def __init__(self, model, tau=None, domain=None, element=None, gamma=None):
         self.model = model
         self.tau = tau
         self.element = element
         self.gamma = gamma
+        self.is_flat = tau is not None and tau.affine_parts() is None
         model.init_bisection(self, domain)
 
     def __eq__(self, other):
@@ -766,19 +773,24 @@ class Bisection:
             raise ValueError("point-base bisections have no tau")
         return self.tau
 
-    @property
-    def is_flat(self) -> bool:
-        """Is tau a flat kink rather than an affine map?"""
-        return self.tau is not None and self.tau.affine_parts() is None
-
     def tau_coeff(self) -> CoeffFn:
         return self.tau_diffeo().coeff()
 
     def tau_apply(self, x):
-        return self.tau_diffeo().apply(x)
+        """tau(x); a float solve (tau given by its inverse only) is made once
+        per (bid, x) and kept in model.derived."""
+        tau = self.tau_diffeo()
+        if tau.fwd is not None:
+            return tau.apply(x)
+        return self.model.derive_once(("tau_solve", self.bid, x), lambda: tau.apply(x))
 
     def tau_inv_apply(self, y):
-        return self.tau_diffeo().apply_inv(y)
+        """tau^{-1}(y); a float solve (a flat kink) is made once per (bid, y)
+        and kept in model.derived."""
+        tau = self.tau_diffeo()
+        if tau.inv is not None:
+            return tau.apply_inv(y)
+        return self.model.derive_once(("tau_inv_solve", self.bid, y), lambda: tau.apply_inv(y))
 
     def to_target(self, f: CoeffFn) -> CoeffFn:
         """f o tau^{-1}: a function over s(E) moved to t(E); f itself when

@@ -4,8 +4,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from convbialg.coeffs import Chart, CoeffFn, Polynomial, Q, Region
+from convbialg.coeffs import Chart, CoeffFn, Polynomial, Q, Region, _q
 from convbialg.errors import DomainError, UnsupportedComposition, UnsupportedProduct
+from convbialg.suites import run_suite
 
 LINE = Chart.line("M")
 X = Polynomial.var(1, 0)
@@ -113,13 +114,19 @@ def line_fns():
                      flat_parts(), flat_parts())
 
 
+def canonical_scalar(c) -> bool:
+    """An int iff the value is integral, else a Fraction with denominator
+    > 1: never a float, a bool or Fraction(n, 1)."""
+    return type(c) is int or (type(c) is F and c.denominator > 1)
+
+
 def assert_canonical(p):
     """p is what the checked constructor makes of its own terms, in the
-    same order: nonzero Fraction coefficients on int exponent tuples."""
+    same order: nonzero canonical scalars on int exponent tuples."""
     again = Polynomial(p.nvars, p.terms)
     assert list(again.terms.items()) == list(p.terms.items())
     for e, c in p.terms.items():
-        assert type(c) is F and c != 0
+        assert canonical_scalar(c) and c != 0
         assert type(e) is tuple and len(e) == p.nvars
         assert all(type(k) is int for k in e)
 
@@ -132,7 +139,7 @@ def assert_fn_canonical(f):
     assert_canonical(f.poly)
     assert f.poly.nvars == f.chart.dim
     for part in (f.flat_neg, f.flat_pos):
-        assert all(type(k) is int and type(c) is F and c != 0 for k, c in part.items())
+        assert all(type(k) is int and canonical_scalar(c) and c != 0 for k, c in part.items())
 
 
 class TestTrustedResults:
@@ -189,6 +196,44 @@ class TestTrustedResults:
         assert f.scale(c).poly.eval(t) == c * f.poly.eval(t)
 
 
+def test_no_float_reaches_a_polynomial(monkeypatch):
+    """Every coefficient that the lie-rinehart and uea suites put into a
+    Polynomial through the trusted constructor is a canonical scalar."""
+    raw = Polynomial._raw
+    bad = []
+
+    def checked(nvars, terms):
+        p = raw(nvars, terms)
+        bad.extend(c for c in p.terms.values() if not canonical_scalar(c))
+        return p
+
+    monkeypatch.setattr(Polynomial, "_raw", staticmethod(checked))
+    for name in ("lie-rinehart", "uea"):
+        assert run_suite(name)["pass"], name
+    assert not bad
+
+
+class TestScalars:
+    @pytest.mark.parametrize("x, want", [
+        (3, 3), (F(6, 2), 3), (F(-4, 1), -4), (True, 1), ("5", 5), ("1/3", F(1, 3)),
+        (F(2, 4), F(1, 2)),
+    ])
+    def test_q_gives_canonical_scalars(self, x, want):
+        c = _q(x)
+        assert c == want and canonical_scalar(c)
+
+    def test_q_refuses_floats(self):
+        with pytest.raises(TypeError):
+            _q(0.5)
+
+    def test_integral_sums_become_ints(self):
+        half = Polynomial.const(1, F(1, 2))
+        c = (half + half).constant_value()
+        assert c == 1 and type(c) is int
+        f = CoeffFn(LINE, Polynomial(1, {}), {1: F(1, 2)}, {})
+        assert type((f + f).flat_neg[1]) is int
+
+
 class TestRegion:
     def test_interval_contains(self):
         r = Region.interval(0, 1)
@@ -243,6 +288,9 @@ class TestFlat:
         assert f.value_is_zero_exact(F(0))
         g = CoeffFn(LINE, Polynomial.parse("x0^2 + -1", 1))
         assert g.value_is_zero_exact(F(1))
+        # 3^-1 - 81 * 3^-5 is 0 exactly, but not in floats
+        h = CoeffFn(LINE, Polynomial(1, {}), {}, {1: 1, 5: -81})
+        assert h.value_is_zero_exact(3) and h.value_is_zero_exact(F(3))
 
     def test_tiny_arguments_underflow_to_zero(self):
         # exp(-1/t^2) is 0.0 in floats long before t^-k overflows

@@ -5,6 +5,8 @@ import pytest
 
 from convbialg.conv import (
     ConvElement,
+    Stratum,
+    _breakpoints,
     antipode_etale,
     conv_coproduct,
     conv_counit,
@@ -14,7 +16,7 @@ from convbialg.conv import (
 )
 from convbialg.coeffs import CoeffFn, Polynomial, Q
 from convbialg.errors import NotEtaleElement
-from convbialg.groupoid import germ_of
+from convbialg.groupoid import Bisection, Diffeo1D, germ_of
 from convbialg.models import etale_model, heisenberg_model, pair_model
 from convbialg.textform import parse_conv
 from convbialg.uea import UEAElement
@@ -154,6 +156,24 @@ class TestAntipode:
         a = ConvElement.single(pair, pair.lookup("shift"), UEAElement.generator(A, 0))
         with pytest.raises(NotEtaleElement):
             antipode_etale(a)
+
+
+class TestStrata:
+    """Stratum samples and breakpoints stay exact when their data are ints,
+    since int / int is a float."""
+
+    def test_samples_of_an_int_interval(self):
+        st = Stratum("interval", lo=0, hi=1)
+        assert st.sample() == F(1, 2) and type(st.sample()) is F
+        assert st.second_sample() == F(3, 4) and type(st.second_sample()) is F
+        st = Stratum("interval", lo=None, hi=1)  # samples 0, then 1/2
+        assert st.second_sample() == F(1, 2) and type(st.second_sample()) is F
+
+    def test_crossing_of_int_affine_maps(self, pair):
+        # 2x and -x + 1 cross at 1/3
+        maps = [Diffeo1D.affine(pair.base, 2, 0), Diffeo1D.affine(pair.base, -1, 1)]
+        pts = _breakpoints([Bisection(pair, tau=d) for d in maps])
+        assert pts == [F(1, 3)] and type(pts[0]) is F
 
 
 class TestZeroTest:

@@ -3,12 +3,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from convbialg.coeffs import Chart, Polynomial, Q
+from convbialg import groupoid
+from convbialg.coeffs import Chart, Polynomial, Q, Region
 from convbialg.errors import DomainError, VerificationFailed
 from convbialg.groupoid import (
     AffineMap,
+    Bisection,
     Diffeo1D,
     PairModel,
+    _product_domain,
     _solve_monotone,
     bisection_germ_eq,
     bisection_inv,
@@ -142,8 +145,53 @@ class TestSolveMonotone:
         with pytest.raises(DomainError, match="beyond float range"):
             pair.lookup("E00").tau_inv_apply(y)
 
+    @pytest.mark.parametrize("y", [1e300, -1e300])
+    def test_brackets_a_root_far_out(self, pair, y):
+        tau = pair.lookup("E00").tau_coeff()
+        assert _solve_monotone(tau, y) == _solve_monotone_200_steps(tau, y)
+
+    @pytest.mark.parametrize("y", [1.7e308, -1.7e308])
+    def test_a_bracket_beyond_float_range_is_a_domain_error(self, pair, y):
+        # the bound after 2^1023 - 1 is infinite
+        with pytest.raises(DomainError, match="failed to bracket"):
+            _solve_monotone(pair.lookup("E00").tau_coeff(), y)
+
+    def test_one_solve_per_bisection_and_point(self, monkeypatch):
+        model = pair_model()
+        calls = []
+
+        def counted(f, y):
+            calls.append(y)
+            return _solve_monotone(f, y)
+
+        monkeypatch.setattr(groupoid, "_solve_monotone", counted)
+        E = model.lookup("E01")
+        first = E.tau_inv_apply(0.5)
+        assert E.tau_inv_apply(0.5) == first and E.tau_inv_apply(F(1, 2)) == first
+        assert calls == [0.5]
+        assert first == _solve_monotone(E.tau_coeff(), 0.5)
+        inverted = bisection_inv(E)
+        assert inverted.tau_apply(0.5) == first and inverted.tau_apply(0.5) == first
+        assert calls == [0.5, 0.5]
+        # an affine tau is evaluated, never solved
+        assert model.lookup("shift").tau_inv_apply(F(1, 2)) == F(-1, 2)
+        assert len(calls) == 2
+
 
 class TestBisections:
+    def test_is_flat_is_set_once(self, pair, h3, etale):
+        assert "is_flat" in Bisection.__slots__
+        assert pair.lookup("E00").is_flat and not pair.lookup("shift").is_flat
+        assert not h3.lookup("e").is_flat and not etale.lookup("d").is_flat
+
+    def test_product_domain_of_an_int_affine_factor_is_exact(self, pair):
+        # tau_1 = 2x + 1 pulls (0, 1) back to (-1/2, 0)
+        E1 = Bisection(pair, tau=Diffeo1D.affine(pair.base, 2, 1))
+        E2 = Bisection(pair, tau=Diffeo1D.identity(pair.base), domain=Region.interval(0, 1))
+        dom = _product_domain(E2, E1)
+        assert dom.boxes == (((F(-1, 2), 0),),)
+        assert all(type(v) in (int, F) for v in dom.boxes[0][0])
+
     def test_pair_mul_inv(self, pair):
         shift = pair.lookup("shift")
         dbl = pair.lookup("dbl")

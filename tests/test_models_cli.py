@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -43,6 +44,13 @@ class TestTextForms:
         assert split_top("a, <b, c>, [d, e]", ", ") == ["a", "<b, c>", "[d, e]"]
         with pytest.raises(ParseError):
             split_top("<a", ",")
+
+    def test_general_flat_part_text(self):
+        # the values of a general flat part print as Fractions
+        f = CoeffFn.flat_piece(Chart.line(), Polynomial.var(1, 0), 1, 4).derive()
+        text = "1 + flat[neg={3: Fraction(-2, 1)}, pos={3: Fraction(8, 1)}]"
+        assert f.text() == text
+        assert parse_coeff(Chart.line(), text) == f
 
     def test_coeff_round_trip(self):
         ch = Chart.line("M")
@@ -93,6 +101,14 @@ class TestCli:
     def test_eval_dist_eval(self, capsys):
         assert main(["eval", "dist_eval([[shift, 1]], x0 + x1, 2)"]) == 0
         assert capsys.readouterr().out.strip() == "3"
+
+    @pytest.mark.parametrize("x", ["1e300", "-1e300"])
+    def test_eval_solves_tau_inverse_far_out(self, capsys, x):
+        # the flat kink E00 is the identity up to a flat term, so far out
+        # tau^-1(x) is x to float precision
+        assert main(["eval", f"dist_eval([[E00, 1]], x0 + x1, {x})"]) == 0
+        value = float(capsys.readouterr().out)
+        assert math.isfinite(value) and value == pytest.approx(2 * float(x))
 
     def test_unknown_bisection_is_input_error(self, capsys):
         assert main(["eval", "phi(<1|nope>)"]) == 2

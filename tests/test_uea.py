@@ -154,7 +154,9 @@ def assert_uea_canonical(u):
         assert type(e) is tuple and len(e) == A.rank and all(type(k) is int for k in e)
         assert f.chart == A.chart and not f.is_zero
         assert list(Polynomial(f.poly.nvars, f.poly.terms).terms.items()) == list(f.poly.terms.items())
-        assert all(type(c) is Fraction for c in f.poly.terms.values())
+        # int iff integral, else a Fraction with denominator > 1
+        assert all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+                   for c in f.poly.terms.values())
 
 
 @settings(max_examples=30, deadline=None)

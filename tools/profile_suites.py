@@ -7,8 +7,8 @@ built afresh, as `convbialg check` runs them) under cProfile with the
 package imported from `src/` of the tree this script lives in.  It prints
 the profiled total, then the calls and cumulative seconds of the term
 constructors of the exact kernel (`Polynomial.__init__`, `CoeffFn.__init__`,
-`_uea_term`) and of `Fraction.__new__`, then the 25 functions with the most
-self time.  Profiled seconds are slower than plain ones; compare them only
+`_uea_term`), of `Fraction.__new__` and of the float solves of tau^-1 and tau
+(`groupoid._solve_monotone`), then the 25 functions with the most self time.  Profiled seconds are slower than plain ones; compare them only
 with another run of this script on the same machine.
 """
 
@@ -24,13 +24,14 @@ from fractions import Fraction
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from convbialg import coeffs, suites, uea  # noqa: E402
+from convbialg import coeffs, groupoid, suites, uea  # noqa: E402
 
 WATCHED = (
     ("Polynomial.__init__", coeffs.Polynomial.__init__),
     ("CoeffFn.__init__", coeffs.CoeffFn.__init__),
     ("_uea_term", uea._uea_term),
     ("Fraction.__new__", Fraction.__new__),
+    ("groupoid._solve_monotone", groupoid._solve_monotone),
 )
 TOP = 25
 
