@@ -14,6 +14,12 @@ and dist_mul_defcheck evaluates the *defining* double formula
     T'(g -> T|_{s(g)}(F o L_g))(x)
 independently via doubled-variable polynomial manipulation, as an oracle.
 
+A test function F is read through model.test_value(F, g).  On the etale
+action groupoid it is a table {gamma: f} read with .get, the algebroid has
+rank 0 and Ω(u) multiplies by u's coefficient along s: [[E, f]](F)(x) =
+f(s(g)) F(g) at g = beta_E(x), and the defining formula is
+f2(s(g2)) f1(s(g1)) F(g2 g1) with g1 = beta_{E1}(s(g2)).
+
 Functions on the arrow space appearing along the way are kept in the form
 sum (f_i o s) * P_i with f_i a coefficient function on the base and P_i a
 polynomial on the arrow chart; this block is closed under the frame fields.
@@ -30,7 +36,6 @@ from .coeffs import CoeffFn, Polynomial, Q
 from .conv import BisectionSum
 from .errors import ChartMismatch, DomainError, UnsupportedComposition, UnsupportedRegistry
 from .groupoid import Bisection, bisection_inv, bisection_mul
-from .lie_rinehart import random_polynomial
 from .uea import UEAElement, uea_mul
 
 
@@ -168,21 +173,20 @@ def dist_eval_at(T: TransvDist, F, x):
     try:
         for bid, u in T.terms.items():
             E = model.registry[bid]
-            if model.kind == "etale_action":
-                f = u.degree0()
-                Fg = F.get(E.gamma)
-                if Fg is None:
-                    continue
-                xr = E.gamma.inverse()(x)
-                if E.domain.contains((xr,)):
-                    total = total + f.eval((xr,)) * Fg.eval((xr,))
-                continue
             if E.contains_target(x):
                 # [[E, D]](F)(x) = D(F)(beta_E(x))
-                total = omega_apply(model, u, F).eval_arrow(E.beta(x), total)
+                total = _omega_value(model, u, F, E.beta(x), total)
     except OverflowError:  # a float value met a rational beyond float range
         raise DomainError("a value beyond float range") from None
     return total
+
+
+def _omega_value(model, u: UEAElement, F, g, total):
+    """total plus Ω(u)(F) at the arrow g.  At rank 0, Ω(u) multiplies by
+    u's coefficient along s."""
+    if not model.algebroid.rank:
+        return total + u.degree0().eval(model.s_of(g)) * model.test_value(F, g)
+    return omega_apply(model, u, F).eval_arrow(g, total)
 
 
 def dist_mul(T2: TransvDist, T1: TransvDist) -> TransvDist:
@@ -209,20 +213,6 @@ def dist_mul(T2: TransvDist, T1: TransvDist) -> TransvDist:
 def _defcheck_term_pair(model, E2, u2, E1, u1, F, x0):
     """T'(g -> T|_{s(g)}(F o L_g))(x0) for single terms T' = [[E2, u2]],
     T = [[E1, u1]], via doubled-variable symbolic composition."""
-    if model.kind == "etale_action":
-        f2, f1 = u2.degree0(), u1.degree0()
-        g2inv, g1inv = E2.gamma.inverse(), E1.gamma.inverse()
-        x1 = g2inv(x0)
-        if not (E2.domain.contains((x1,))):
-            return Q(0)
-        x2 = g1inv(x1)
-        if not E1.domain.contains((x2,)):
-            return Q(0)
-        Fg = F.get(E2.gamma.after(E1.gamma))
-        if Fg is None:
-            return Q(0)
-        return f2.eval((x1,)) * f1.eval((x2,)) * Fg.eval((x2,))
-
     # the product is evaluated at g := beta_{E2}(x0), and T1 at s(g), so
     # both factors must reach their points: x0 in t(E2) and s(g) in t(E1)
     if not E2.contains_target(x0):
@@ -230,6 +220,11 @@ def _defcheck_term_pair(model, E2, u2, E1, u1, F, x0):
     g = E2.beta(x0)
     if not E1.contains_target(model.s_of(g)):
         return Q(0)
+    if not model.algebroid.rank:
+        # f2(s(g2)) f1(s(g1)) F(g2 g1) with g2 = g (see the module docstring)
+        g1 = E1.beta(model.s_of(g))
+        return (u2.degree0().eval(model.s_of(g)) * u1.degree0().eval(model.s_of(g1))
+                * model.test_value(F, model.mult_arrow(g, g1)))
     n = model.arrow_chart.dim
     # stage 1: H(g, h) = F(mult(g, h)) on doubled variables (g block first)
     H = F.substitute(model.mult_map)
@@ -269,7 +264,7 @@ def commuting_square_gap(model, E: Bisection, u: UEAElement, F: Polynomial):
     only the forward map tau enters; for the representable (polynomial)
     cases the gap is returned as a polynomial on the arrow chart.
     """
-    if model.kind == "etale_action":
+    if not model.algebroid.rank:
         # rank 0: u is a coefficient; the square reduces to a base identity
         return E.to_source(ad_uea(E, u).degree0()) - u.degree0()
     rinv = _right_translation_inv(E)
@@ -476,19 +471,9 @@ def commuting_square_gap_numeric(model, E: Bisection, u: UEAElement, F: Polynomi
 
 
 def test_bank(model, seed: int = 0xC0FFEE, max_deg: int = 4):
-    """Polynomial test functions separating the desk-scale distributions."""
+    """Polynomial test functions on the arrow chart of a PolynomialGroupoid,
+    separating the desk-scale distributions."""
     rng = random.Random(seed)
-    if model.kind == "etale_action":
-        gammas = _gamma_closure(model)
-        bank = []
-        for gamma in gammas:
-            for d in range(max_deg + 1):
-                bank.append({gamma: CoeffFn(model.base, Polynomial(1, {(d,): Q(1)}))})
-        for _ in range(5):
-            bank.append(
-                {g: CoeffFn(model.base, random_polynomial(rng, 1, 3)) for g in gammas}
-            )
-        return bank
     n = model.arrow_chart.dim
     bank = []
 
@@ -502,16 +487,6 @@ def test_bank(model, seed: int = 0xC0FFEE, max_deg: int = 4):
 
     monos(max_deg, [])
     for _ in range(5):
-        bank.append(random_polynomial(rng, n, 3))
+        bank.append(model.random_test_function(rng, 3))
     return bank
 
-
-def _gamma_closure(model, rounds: int = 2):
-    """Group elements reachable by short products of registered ones."""
-    gammas = {E.gamma for E in model.registry.values() if E.gamma is not None}
-    out = set(gammas)
-    frontier = set(gammas)
-    for _ in range(rounds):
-        frontier = {a.after(b) for a in frontier for b in gammas}
-        out |= frontier
-    return sorted(out, key=lambda g: (g.p, g.q))

@@ -33,6 +33,7 @@ from .errors import (
     UnsupportedRegistry,
     VerificationFailed,
 )
+from .lie_rinehart import random_polynomial
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +287,11 @@ class GroupoidModel:
       test of phi then sums their germ classes together;
     * the JSON form of one bisection, `bisection_to_json` and
       `bisection_from_json`;
-    * `parse_test_function`, a test function on the arrows read from one
-      polynomial expression;
+    * the test functions on the arrows: `test_value(F, g)` (F at the arrow
+      g), `random_test_function(rng, max_deg)` and `parse_test_function`
+      (one read from a polynomial expression); a polynomial on the arrow
+      chart for PolynomialGroupoid, a table {gamma: f} read with .get for
+      the etale action groupoid;
     * with polynomial structure maps (PolynomialGroupoid), `alpha_fns`
       (alpha_E as functions on the base) and `closed_ad_matrix` (the closed
       form of Ad_E that adjoint.ad_matrix compares with its derivation).
@@ -452,6 +456,12 @@ class PolynomialGroupoid(GroupoidModel):
     def inv_arrow(self, g):
         return tuple(p.eval(g) for p in self.inv_map)
 
+    def test_value(self, F, g):
+        return F.eval(g)
+
+    def random_test_function(self, rng, max_deg):
+        return random_polynomial(rng, self.arrow_chart.dim, max_deg)
+
     def parse_test_function(self, text):
         return Polynomial.parse(text, self.arrow_chart.dim)
 
@@ -559,11 +569,14 @@ class PairModel(PolynomialGroupoid):
         d1, d2 = E1.tau, E2.tau
         if d1.fwd is not None and d2.fwd is not None:
             return (d1.fwd - d2.fwd).has_zero_germ_at(x)
-        if d1.fwd is None and d2.fwd is None:
-            y = (d1.apply(x[0]),)
-            # compare the inverse maps at the (shared) image point
-            return (d1.inv - d2.inv).has_zero_germ_at(y)
-        return False
+        if d1.inv is None or d2.inv is None:
+            raise UnsupportedRegistry("cannot compare the germs of a flat kink and an "
+                                      "inverted one")
+        # compare the inverse maps at the image point, taken exactly from
+        # the side with a forward map (affine), or solved on d1 for two
+        # inverted kinks
+        y = ((d2 if d2.fwd is not None else d1).apply(x[0]),)
+        return (d1.inv - d2.inv).has_zero_germ_at(y)
 
     def bisection_to_json(self, E):
         aff = E.tau.affine_parts()
@@ -729,6 +742,19 @@ class EtaleActionModel(GroupoidModel):
         p, q = gamma
         return Bisection(self, gamma=AffineMap.of(parse_rational(p), parse_rational(q)),
                          domain=_region_from_json(entry.get("domain")))
+
+    def test_value(self, F, g):
+        """F(gamma, x) = f(x) for the function f = F.get(gamma) of the
+        source point; 0 on a component gamma that F does not list."""
+        f = F.get(g[0])
+        return 0 if f is None else f.eval((g[1],))
+
+    def random_test_function(self, rng, max_deg):
+        """A table over the products g.h of registered group elements, its
+        functions drawn in the order of (g, h) sorted by (p, q)."""
+        gammas = sorted({E.gamma for E in self.registry.values()}, key=lambda g: (g.p, g.q))
+        return {g.after(h): CoeffFn(self.base, random_polynomial(rng, 1, max_deg))
+                for g in gammas for h in gammas}
 
     def parse_test_function(self, text):
         return _SameOnEveryComponent(CoeffFn(self.base, Polynomial.parse(text, 1)))

@@ -326,24 +326,24 @@ def suite_commuting_square(seed=0xC0FFEE, models=None, nu=20, nf=5):
 
 
 def _term_bank(model, rng):
-    """Small bank of single-term distributions with polynomial data."""
+    """Small bank of single-term distributions with polynomial data; at
+    rank 0, three fixed coefficients on every bisection and no rng draw."""
     A = model.algebroid
+
+    def coeff(P):
+        return UEAElement.from_coeff(A, CoeffFn(A.chart, P))
+
     out = []
-    if model.kind == "etale_action":
-        for E in model.registry.values():
-            for P in (Polynomial.const(1, 2), Polynomial(1, {(1,): Q(1)}),
-                      Polynomial(1, {(2,): Q(1), (0,): Q(-1)})):
-                out.append((E, UEAElement.from_coeff(A, CoeffFn(A.chart, P))))
-        return out
     for E in model.registry.values():
         if E.is_flat:
             continue  # the defining formula needs a polynomial beta
-        us = [UEAElement.from_coeff(A, CoeffFn(A.chart, random_polynomial(rng, A.chart.dim, 2)))]
-        if A.rank:
-            us.append(UEAElement.generator(A, 0))
-            us.append(uea_mul(UEAElement.generator(A, A.rank - 1),
-                              UEAElement.from_coeff(A, CoeffFn(A.chart,
-                                                               random_polynomial(rng, A.chart.dim, 1)))))
+        if not A.rank:
+            us = [coeff(Polynomial.const(1, 2)), coeff(Polynomial(1, {(1,): Q(1)})),
+                  coeff(Polynomial(1, {(2,): Q(1), (0,): Q(-1)}))]
+        else:
+            us = [coeff(random_polynomial(rng, A.chart.dim, 2)), UEAElement.generator(A, 0),
+                  uea_mul(UEAElement.generator(A, A.rank - 1),
+                          coeff(random_polynomial(rng, A.chart.dim, 1)))]
         out.extend((E, u) for u in us)
     return out
 
@@ -354,14 +354,7 @@ def suite_prop43(seed=0xC0FFEE, models=None):
     total_pairs = 0
     for mname, model in sorted(_all_models(models).items()):
         bank = _term_bank(model, rng)
-        n = model.arrow_chart.dim
-        if model.kind == "etale_action":
-            gammas = sorted({E.gamma for E in model.registry.values()},
-                            key=lambda g: (g.p, g.q))
-            fbank = [{g.after(h): CoeffFn(model.base, random_polynomial(rng, 1, 2))
-                      for g in gammas for h in gammas} for _ in range(2)]
-        else:
-            fbank = [random_polynomial(rng, n, 2) for _ in range(2)]
+        fbank = [model.random_test_function(rng, 2) for _ in range(2)]
         xs = [Q(0), Q(1, 3), Q(-7, 5)]
         ok, witness, count = True, None, 0
         for E2, u2 in bank:

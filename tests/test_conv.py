@@ -17,7 +17,7 @@ from convbialg.conv import (
 from convbialg.coeffs import CoeffFn, Polynomial, Q
 from convbialg.errors import NotEtaleElement
 from convbialg.groupoid import Bisection, Diffeo1D, germ_of
-from convbialg.models import etale_model, heisenberg_model, pair_model
+from convbialg.models import etale_model, heisenberg_model, model_from_json, pair_model
 from convbialg.textform import parse_conv
 from convbialg.uea import UEAElement
 
@@ -204,6 +204,16 @@ class TestZeroTest:
         # but its value on any germ over a negative source point is zero
         g = eval_germ(a, germ_of(pair.lookup("E00"), (F(-1),)))
         assert g.is_zero
+
+    def test_zero_on_the_image_of_the_stratum(self):
+        # S: x -> x + 2 on (-2, oo), whose image is (0, oo).  The coefficient
+        # is read at the target, so phi[1,0] (flat on t < 0 only) vanishes
+        # there although it does not on the source stratum (-2, 0)
+        model = model_from_json({"model": "pair", "bisections": [
+            {"id": "S", "tau": {"kind": "affine", "a": "1", "b": "2"},
+             "domain": [["-2", None]]}]})
+        assert conv_is_zero(parse_conv(model, "<(0 + phi[1,0]) | S>"))
+        assert not conv_is_zero(parse_conv(model, "<(0 + phi[0,1]) | S>"))
 
     def test_round_trip_text(self, pair, h3, etale):
         rng = random.Random(8)

@@ -167,11 +167,8 @@ class TestProduct:
         rng = random.Random(0xC0FFEE)
         for model in (pair, h3, etale):
             A = model.algebroid
-            pool = [
-                E for E in model.registry.values()
-                if model.kind != "pair" or E.tau.affine_parts() is not None
-            ]
-            n = model.arrow_chart.dim
+            # the defining formula needs a polynomial beta
+            pool = [E for E in model.registry.values() if not E.is_flat]
             for _ in range(10):
                 E2, E1 = rng.choice(pool), rng.choice(pool)
                 if A.rank:
@@ -183,15 +180,62 @@ class TestProduct:
                     A, CoeffFn(A.chart, random_polynomial(rng, A.chart.dim, 2)))
                 T2 = TransvDist.single(model, E2, u2)
                 T1 = TransvDist.single(model, E1, u1)
-                if model.kind == "etale_action":
-                    Ftest = {g2.gamma.after(g1.gamma): CoeffFn(
-                        model.base, random_polynomial(rng, 1, 2))
-                        for g2 in pool for g1 in pool}
-                else:
-                    Ftest = random_polynomial(rng, n, 2)
+                Ftest = model.random_test_function(rng, 2)
                 x = Q(rng.randint(-5, 5), rng.randint(1, 4))
                 assert dist_eval_at(dist_mul(T2, T1), Ftest, x) == dist_mul_defcheck(
                     T2, T1, Ftest, x)
+
+
+class TestEtaleTestFunctions:
+    """An etale test function is read with .get(gamma): a dict, or any
+    object with only that method, like the one perfbench passes."""
+
+    class OnlyGet:
+        def __init__(self, fn):
+            self.fn = fn
+
+        def get(self, gamma, default=None):
+            return self.fn
+
+    def test_dict_and_get_only_object(self, etale):
+        A = etale.algebroid
+        d = etale.lookup("d")
+        fn = CoeffFn(A.chart, Polynomial.parse("x0^2", 1))
+        T = TransvDist.single(etale, d, UEAElement.from_coeff(
+            A, CoeffFn(A.chart, Polynomial.parse("x0", 1))))
+        table = {d.gamma: fn, d.gamma.after(d.gamma): fn}
+        for Ftest in (table, self.OnlyGet(fn)):
+            # at x = 4: f(2) F(2) = 8; for T*T, f(2) f(1) F(1) = 2
+            assert dist_eval_at(T, Ftest, Q(4)) == 8
+            assert dist_eval_at(dist_mul(T, T), Ftest, Q(4)) == 2
+            assert dist_mul_defcheck(T, T, Ftest, Q(4)) == 2
+
+    def test_missing_component_is_zero(self, etale):
+        A = etale.algebroid
+        T = TransvDist.single(etale, etale.lookup("d"), UEAElement.one(A))
+        assert dist_eval_at(T, {}, Q(4)) == 0
+        assert dist_mul_defcheck(T, T, {}, Q(4)) == 0
+        other = {etale.lookup("sh").gamma: CoeffFn.const(A.chart, 1)}
+        assert dist_eval_at(T, other, Q(4)) == 0
+        assert dist_mul_defcheck(T, T, other, Q(4)) == 0
+
+    def test_values_on_a_restricted_reflection(self):
+        # gamma = -x on (0, 1) reaches the targets (-1, 0); at x = -1/2 the
+        # source point is 1/2, where f = 1 + x0 and F = 3 + x0 are read
+        model = model_from_json({"model": "etale", "bisections": [
+            {"id": "r", "gamma": ["-1", "0"], "domain": [["0", "1"]]}]})
+        A = model.algebroid
+        r, M = model.lookup("r"), model.lookup("M")
+        f = UEAElement.from_coeff(A, CoeffFn(A.chart, Polynomial.parse("1 + x0", 1)))
+        one = UEAElement.one(A)
+        Ftest = self.OnlyGet(CoeffFn(A.chart, Polynomial.parse("3 + x0", 1)))
+        T = TransvDist.single(model, r, f)
+        assert dist_eval_at(T, Ftest, Q(1, 2)) == 0
+        assert dist_eval_at(T, Ftest, Q(-1, 2)) == Q(3, 2) * Q(7, 2)
+        for T2, T1 in ((TransvDist.single(model, M, one), T),
+                       (T, TransvDist.single(model, M, one))):
+            assert dist_mul_defcheck(T2, T1, Ftest, Q(1, 2)) == 0
+            assert dist_mul_defcheck(T2, T1, Ftest, Q(-1, 2)) == Q(3, 2) * Q(7, 2)
 
 
 class TestCommutingSquare:
@@ -262,7 +306,7 @@ class TestFlatSeriesData:
         assert ("flat_series", model.lookup("E01").bid, 0.35) in model.derived
 
 
-def test_test_bank_nonempty(pair, h3, etale):
-    for model in (pair, h3, etale):
+def test_test_bank_nonempty(pair, h3):
+    for model in (pair, h3):
         bank = dist_test_bank(model)
         assert len(bank) >= 10

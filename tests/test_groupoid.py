@@ -5,7 +5,7 @@ import pytest
 
 from convbialg import groupoid
 from convbialg.coeffs import Chart, Polynomial, Q, Region
-from convbialg.errors import DomainError, VerificationFailed
+from convbialg.errors import DomainError, UnsupportedRegistry, VerificationFailed
 from convbialg.groupoid import (
     AffineMap,
     Bisection,
@@ -24,7 +24,7 @@ from convbialg.groupoid import (
     unit_bisection,
 )
 from convbialg.lie_rinehart import tangent_line_algebroid
-from convbialg.models import etale_model, heisenberg_model, pair_model
+from convbialg.models import etale_model, heisenberg_model, model_from_json, pair_model
 
 
 @pytest.fixture(scope="module")
@@ -242,6 +242,24 @@ class TestGerms:
         assert bisection_germ_eq(E00, E01, (F(-1),))  # same negative branch
         assert not bisection_germ_eq(E00, E01, (F(1),))
         assert not bisection_germ_eq(E00, E01, (F(0),))
+
+    def test_inverted_kink_against_an_affine_map(self):
+        # K = t + phi(t) for t >= 0 is the identity on (-inf, 0], and so is
+        # its inverse: K^-1 and M share the germ at -1, not at 0 or 1
+        model = model_from_json({"model": "pair", "bisections": [
+            {"id": "K", "tau": {"kind": "flat", "c_neg": "0", "c_pos": "1"}}]})
+        K, M = model.lookup("K"), model.lookup("M")
+        Kinv = bisection_inv(K)
+        assert bisection_germ_eq(Kinv, M, (F(-1),))
+        assert bisection_germ_eq(M, Kinv, (F(-1),))
+        for x in (F(0), F(1)):
+            assert not bisection_germ_eq(Kinv, M, (x,))
+            assert not bisection_germ_eq(M, Kinv, (x,))
+        # a forward kink against an inverted one is refused, not guessed
+        with pytest.raises(UnsupportedRegistry):
+            bisection_germ_eq(K, Kinv, (F(-1),))
+        with pytest.raises(UnsupportedRegistry):
+            bisection_germ_eq(Kinv, K, (F(-1),))
 
     def test_germ_fiber_partitions(self, pair):
         # at the identity arrow through x=-1 the four kinks form two classes
