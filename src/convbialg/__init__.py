@@ -16,7 +16,7 @@ from .conv import (
     eval_germ,
     stratify,
 )
-from .adjoint import ad_germ, ad_matrix, ad_uea
+from .adjoint import ad_matrix, ad_uea
 from .dist import (
     TransvDist,
     commuting_square_gap,
@@ -51,11 +51,7 @@ from .groupoid import (
     bisection_germ_eq,
     bisection_inv,
     bisection_mul,
-    germ_fiber,
-    germ_inv,
-    germ_mul,
     germ_of,
-    theta,
     unit_bisection,
 )
 from .lie_rinehart import (
@@ -87,8 +83,6 @@ from .uea import (
     anchor_rep,
     coproduct,
     counit,
-    is_primitive,
-    uea_germ,
     uea_mul,
 )
 

@@ -1,4 +1,4 @@
-"""The adjoint action of bisections: Ad_E, U(Ad_E) and germ-level Ad_e.
+"""The adjoint action of bisections: Ad_E and U(Ad_E).
 
 Ad_E is the derivative at the units of the conjugation C_E(h) =
 alpha_E(t(h)) . h . alpha_E(s(h))^{-1}.  ad_matrix compares, on every call
@@ -15,9 +15,9 @@ moved to t(E) by Bisection.to_target, and a coefficient f to f o tau^{-1}.
 from __future__ import annotations
 
 from .coeffs import CoeffFn, Polynomial
-from .errors import DomainError, VerificationFailed
-from .groupoid import Bisection, GermArrow
-from .uea import GermUEA, UEAElement, uea_germ, uea_mul
+from .errors import VerificationFailed
+from .groupoid import Bisection
+from .uea import UEAElement, uea_mul
 
 
 def _conjugation_jacobian(model):
@@ -97,12 +97,3 @@ def ad_uea(E: Bisection, u: UEAElement) -> UEAElement:
                 acc = uea_mul(acc, gens[j])
         pairs.extend((e, tf * g) for e, g in acc.terms.items())
     return UEAElement._raw(A, pairs)
-
-
-def ad_germ(e: GermArrow, model, germ_u: GermUEA) -> GermUEA:
-    """Ad_e on germs; independent of the representative bisection."""
-    E = e.bisection(model)
-    if tuple(germ_u.base_point) != e.source:
-        raise DomainError("germ base point must be the source of e")
-    image = model.t_of(E.alpha(e.source))
-    return uea_germ(ad_uea(E, germ_u.elem), image)

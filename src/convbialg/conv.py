@@ -49,7 +49,6 @@ from .uea import (
     UEAElement,
     coproduct,
     counit,
-    uea_germ,
     uea_mul,
 )
 
@@ -118,7 +117,7 @@ def eval_germ(a: ConvElement, e: GermArrow) -> GermUEA:
             members.append(u)
     total = UEAElement.zero(model.algebroid).plus(members)
     tpoint = model.t_of(Ee.alpha(e.source))
-    return uea_germ(total, tpoint)
+    return GermUEA(tpoint, total)
 
 
 def conv_mul(a2: ConvElement, a1: ConvElement) -> ConvElement:
@@ -190,27 +189,6 @@ class ConvTensor(TermSum):
             conv_mul(ConvElement(model, {bl: u}), ConvElement(model, {br: v}))
             for bl, u, br, v in self.pure_terms()
         )
-
-    def apply_counit_left(self) -> ConvElement:
-        """(epsilon tensor id): iota(epsilon(u)) . <v, F> summed."""
-        model = self.model
-        parts = []
-        for bl, u, br, v in self.pure_terms():
-            eps = counit(u)
-            if not eps.is_zero:
-                parts.append(conv_mul(ConvElement.from_coeff(model, eps),
-                                      ConvElement(model, {br: v})))
-        return ConvElement.zero(model).plus(parts)
-
-    def apply_counit_right(self) -> ConvElement:
-        model = self.model
-        parts = []
-        for bl, u, br, v in self.pure_terms():
-            eps = counit(v)
-            if not eps.is_zero:
-                parts.append(conv_mul(ConvElement(model, {bl: u}),
-                                      ConvElement.from_coeff(model, eps)))
-        return ConvElement.zero(model).plus(parts)
 
     def act_right_left(self, r: CoeffFn) -> "ConvTensor":
         """The right R-action on the left tensor factor."""

@@ -472,7 +472,12 @@ def commuting_square_gap_numeric(model, E: Bisection, u: UEAElement, F: Polynomi
 
 def test_bank(model, seed: int = 0xC0FFEE, max_deg: int = 4):
     """Polynomial test functions on the arrow chart of a PolynomialGroupoid,
-    separating the desk-scale distributions."""
+    separating the desk-scale distributions.  UnsupportedComposition at
+    rank 0, where a test function is a table read with .get (see the module
+    docstring), not a polynomial."""
+    if not model.algebroid.rank:
+        raise UnsupportedComposition("test_bank needs a model of positive rank, "
+                                     "whose test functions are polynomials")
     rng = random.Random(seed)
     n = model.arrow_chart.dim
     bank = []

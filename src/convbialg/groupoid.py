@@ -83,10 +83,6 @@ class Diffeo1D:
     def chart(self) -> Chart:
         return (self.fwd or self.inv).chart
 
-    @property
-    def is_identity(self) -> bool:
-        return self.fwd is not None and self.fwd.affine_parts() == (Q(1), Q(0))
-
     def affine_parts(self):
         return None if self.fwd is None else self.fwd.affine_parts()
 
@@ -208,10 +204,6 @@ class AffineMap:
     def inverse(self) -> "AffineMap":
         return AffineMap(1 / self.p, -self.q / self.p)
 
-    @property
-    def is_identity(self):
-        return self.p == 1 and self.q == 0
-
     def text(self) -> str:
         return f"[{self.p},{self.q}]"
 
@@ -280,8 +272,8 @@ class GroupoidModel:
     * the arrow arithmetic `s_of`, `t_of`, `unit_of`, `inv_arrow` and
       `_mult`, which `mult_arrow` calls once the arrows compose;
     * the bisection hooks `init_bisection` (validation and the content id),
-      `alpha`, `beta`, `contains_arrow`, `unit_bisection`, `bisection_mul`,
-      `bisection_inv` and `germ_eq`;
+      `alpha`, `beta`, `unit_bisection`, `bisection_mul`, `bisection_inv` and
+      `germ_eq`;
     * `same_arrow`: do bisections of distinct germs at a point pass through
       one arrow there?  Only in PairModel (flat kinks at 0), and the kernel
       test of phi then sums their germ classes together;
@@ -533,17 +525,6 @@ class PairModel(PolynomialGroupoid):
             raise UnsupportedComposition("Ad matrix of an inverted flat bisection")
         return [[E.tau.fwd.derive()]]
 
-    def contains_arrow(self, E, g):
-        y, x = g
-        if not E.domain.contains((x,)):
-            return False
-        diff = E.tau_diffeo()
-        if diff.fwd is not None:
-            gap = diff.fwd - CoeffFn.const(diff.chart, y)
-            return gap.value_is_zero_exact(x)
-        gap = diff.inv - CoeffFn.const(diff.chart, x)
-        return gap.value_is_zero_exact(y)
-
     def same_arrow(self, E, F, x) -> bool:
         """Exact: tau_E(x) = tau_F(x).  Only here do bisections of distinct
         germs pass through one arrow (the flat kinks at 0)."""
@@ -644,9 +625,6 @@ class GroupModel(PolynomialGroupoid):
     def closed_ad_matrix(self, E):
         return self.stored_ad_matrix(E.element)
 
-    def contains_arrow(self, E, g):
-        return tuple(g) == E.element
-
     def unit_bisection(self):
         return Bisection(self, element=self.unit_of(()))
 
@@ -715,9 +693,6 @@ class EtaleActionModel(GroupoidModel):
 
     def beta(self, E, y):
         return (E.gamma, E.gamma.inverse()(_coord(y)))
-
-    def contains_arrow(self, E, g):
-        return g[0] == E.gamma and E.domain.contains((g[1],))
 
     def unit_bisection(self):
         return Bisection(self, gamma=AffineMap.of(1, 0))
@@ -852,10 +827,6 @@ class Bisection:
         tdom = self.target_domain()
         return tdom.is_whole or tdom.contains(_point(y))
 
-    def contains_arrow(self, g) -> bool:
-        """Is the arrow g on this bisection?  Exact for rational data."""
-        return self.model.contains_arrow(self, g)
-
 
 def unit_bisection(model) -> Bisection:
     return model.unit_bisection()
@@ -895,28 +866,9 @@ def germ_of(E: Bisection, x) -> GermArrow:
     return GermArrow(E.bid, x)
 
 
-def theta(model, e: GermArrow):
-    """theta: G# -> G, forget the germ."""
-    return e.bisection(model).alpha(e.source)
-
-
 def bisection_germ_eq(E1: Bisection, E2: Bisection, x) -> bool:
     """Do E1 and E2 have the same germ at the arrow over source point x?"""
     return E1.model.germ_eq(E1, E2, _point(x))
-
-
-def germ_mul(model, e2: GermArrow, e1: GermArrow) -> GermArrow:
-    E2, E1 = e2.bisection(model), e1.bisection(model)
-    if e2.source != model.t_of(E1.alpha(e1.source)):
-        raise NotComposable("germ sources do not match targets")
-    prod = model.register(bisection_mul(E2, E1))
-    return GermArrow(prod.bid, e1.source)
-
-
-def germ_inv(model, e: GermArrow) -> GermArrow:
-    E = e.bisection(model)
-    inv = model.register(bisection_inv(E))
-    return GermArrow(inv.bid, model.t_of(E.alpha(e.source)))
 
 
 def germ_classes(bisections, x):
@@ -931,11 +883,3 @@ def germ_classes(bisections, x):
         else:
             classes.append([E])
     return classes
-
-
-def germ_fiber(model, g, bisections=None):
-    """Partition the registered bisections through the arrow g into germ
-    classes at g; returns a list of classes (lists of Bisections)."""
-    if bisections is None:
-        bisections = list(model.registry.values())
-    return germ_classes([E for E in bisections if E.contains_arrow(g)], model.s_of(g))

@@ -335,13 +335,6 @@ def anchor_rep(u: UEAElement, f: CoeffFn) -> CoeffFn:
     return out
 
 
-def is_primitive(u: UEAElement) -> bool:
-    """Delta(u) = 1 tensor u + u tensor 1, exactly."""
-    one = UEAElement.one(u.parent)
-    diff = coproduct(u) - TensorElement.of(one, u) - TensorElement.of(u, one)
-    return diff.is_zero
-
-
 # ---------------------------------------------------------------------------
 # Germs (localization at a base point)
 # ---------------------------------------------------------------------------
@@ -357,7 +350,3 @@ class GermUEA:
     @property
     def is_zero(self) -> bool:
         return all(f.has_zero_germ_at(self.base_point) for f in self.elem.terms.values())
-
-
-def uea_germ(u: UEAElement, x) -> GermUEA:
-    return GermUEA(tuple(x), u)

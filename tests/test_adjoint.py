@@ -4,12 +4,12 @@ from fractions import Fraction as F
 import pytest
 
 from convbialg import adjoint
-from convbialg.adjoint import ad_germ, ad_matrix, ad_uea
+from convbialg.adjoint import ad_matrix, ad_uea
 from convbialg.coeffs import CoeffFn, Polynomial
-from convbialg.errors import DomainError, UnsupportedComposition, VerificationFailed
-from convbialg.groupoid import Bisection, PairModel, bisection_inv, bisection_mul, germ_of
-from convbialg.models import etale_model, heisenberg_model, model_from_json, pair_model
-from convbialg.uea import UEAElement, uea_germ, uea_mul
+from convbialg.errors import UnsupportedComposition, VerificationFailed
+from convbialg.groupoid import Bisection, PairModel, bisection_inv, bisection_mul
+from convbialg.models import etale_model, heisenberg_model, pair_model
+from convbialg.uea import UEAElement, uea_mul
 
 
 @pytest.fixture(scope="module")
@@ -183,28 +183,3 @@ class TestEtaleAdjoint:
         out = ad_uea(d, f)
         assert out.degree0() == CoeffFn(A.chart, Polynomial.parse("1/2*x0", 1))
 
-
-class TestGermAdjoint:
-    @pytest.fixture
-    def shifts(self):
-        """x + 1 on (0, 1) and on (0, 5): two bisections, one germ at 1/2."""
-        return model_from_json({"model": "pair", "bisections": [
-            {"id": f"r{hi}", "tau": {"kind": "affine", "a": "1", "b": "1"},
-             "domain": [["0", str(hi)]]} for hi in (1, 5)]})
-
-    def test_same_germ_same_image(self, shifts):
-        A = shifts.algebroid
-        u = UEAElement(A, {(1,): CoeffFn(A.chart, Polynomial.parse("1 + x0", 1))})  # (1+x0)*D
-        germ_u = uea_germ(u, (F(1, 2),))
-        images = [ad_germ(germ_of(shifts.lookup(name), (F(1, 2),)), shifts, germ_u)
-                  for name in ("r1", "r5")]
-        for image in images:
-            assert image.base_point == (F(3, 2),)
-            assert image.elem.text() == "(1*x0) * D"
-        assert images[0] == images[1]
-
-    def test_germ_based_off_the_source_raises(self, shifts):
-        A = shifts.algebroid
-        e = germ_of(shifts.lookup("r1"), (F(1, 2),))
-        with pytest.raises(DomainError):
-            ad_germ(e, shifts, uea_germ(UEAElement.generator(A, 0), (F(3, 4),)))

@@ -19,7 +19,7 @@ from convbialg.errors import NotEtaleElement
 from convbialg.groupoid import Bisection, Diffeo1D, germ_of
 from convbialg.models import etale_model, heisenberg_model, model_from_json, pair_model
 from convbialg.textform import parse_conv
-from convbialg.uea import UEAElement
+from convbialg.uea import UEAElement, counit
 
 
 @pytest.fixture(scope="module")
@@ -121,14 +121,28 @@ class TestCoalgebra:
                 conv_coproduct(b))
 
     def test_mu_counit_slots(self, etale):
+        def counit_slot(d, left):
+            """(epsilon tensor id)(d) when left, else (id tensor epsilon)(d):
+            the counit of one slot enters the product as iota(epsilon)."""
+            model = d.model
+            parts = []
+            for bl, u, br, v in d.pure_terms():
+                eps = counit(u if left else v)
+                if eps.is_zero:
+                    continue
+                iota = ConvElement.from_coeff(model, eps)
+                parts.append(conv_mul(iota, ConvElement(model, {br: v})) if left
+                             else conv_mul(ConvElement(model, {bl: u}), iota))
+            return ConvElement.zero(model).plus(parts)
+
         rng = random.Random(5)
         from convbialg.suites import _random_etale_element
 
         for _ in range(10):
             a = _random_etale_element(rng, etale)
             d = conv_coproduct(a)
-            assert d.apply_counit_left() == a
-            assert d.apply_counit_right() == a
+            assert counit_slot(d, left=True) == a
+            assert counit_slot(d, left=False) == a
 
 
 class TestAntipode:

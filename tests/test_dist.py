@@ -310,3 +310,10 @@ def test_test_bank_nonempty(pair, h3):
     for model in (pair, h3):
         bank = dist_test_bank(model)
         assert len(bank) >= 10
+
+
+def test_test_bank_refuses_a_rank_zero_model(etale):
+    # the etale test functions are tables {gamma: f}, so a bank of
+    # polynomials on its arrow chart would fail later, in dist_eval_at
+    with pytest.raises(UnsupportedComposition, match="positive rank"):
+        dist_test_bank(etale)

@@ -16,11 +16,6 @@ from convbialg.groupoid import (
     bisection_germ_eq,
     bisection_inv,
     bisection_mul,
-    germ_fiber,
-    germ_inv,
-    germ_mul,
-    germ_of,
-    theta,
     unit_bisection,
 )
 from convbialg.lie_rinehart import tangent_line_algebroid
@@ -218,25 +213,12 @@ class TestBisections:
         assert prod.domain == w.domain
 
     def test_unit(self, pair, h3, etale):
-        assert unit_bisection(pair).tau.is_identity
+        assert unit_bisection(pair).tau == Diffeo1D.identity(pair.base)
         assert unit_bisection(h3).element == (F(0), F(0), F(0))
-        assert unit_bisection(etale).gamma.is_identity
+        assert unit_bisection(etale).gamma == AffineMap.of(1, 0)
 
 
 class TestGerms:
-    def test_theta(self, pair):
-        shift = pair.lookup("shift")
-        e = germ_of(shift, (F(2),))
-        assert theta(pair, e) == (F(3), F(2))
-
-    def test_germ_mul_inv(self, pair):
-        shift, dbl = pair.lookup("shift"), pair.lookup("dbl")
-        e1 = germ_of(dbl, (F(2),))
-        e2 = germ_of(shift, (F(4),))
-        prod = germ_mul(pair, e2, e1)
-        assert theta(pair, prod) == (F(5), F(2))
-        assert theta(pair, germ_inv(pair, e1)) == (F(2), F(4))
-
     def test_flat_kinks_agree_only_off_origin(self, pair):
         E00, E01 = pair.lookup("E00"), pair.lookup("E01")
         assert bisection_germ_eq(E00, E01, (F(-1),))  # same negative branch
@@ -260,16 +242,3 @@ class TestGerms:
             bisection_germ_eq(K, Kinv, (F(-1),))
         with pytest.raises(UnsupportedRegistry):
             bisection_germ_eq(Kinv, K, (F(-1),))
-
-    def test_germ_fiber_partitions(self, pair):
-        # at the identity arrow through x=-1 the four kinks form two classes
-        classes = germ_fiber(pair, (F(-1) + F(0), F(-1)),
-                             [pair.lookup(n) for n in ("E00", "E01", "E10", "E11")])
-        # wrong arrow value: none pass through an affine point like that
-        sizes = sorted(len(c) for c in classes)
-        assert sizes == [] or sizes == [2, 2]
-
-    def test_group_fiber(self, h3):
-        classes = germ_fiber(h3, (F(1), F(0), F(0)))
-        assert [len(c) for c in classes] == [1]
-        assert classes[0][0].element == (F(1), F(0), F(0))

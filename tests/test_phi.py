@@ -2,10 +2,10 @@ import pytest
 
 from convbialg.conv import ConvElement, conv_is_zero, conv_mul
 from convbialg.coeffs import CoeffFn, Polynomial, Q
-from convbialg.dist import dist_mul
+from convbialg.dist import dist_eval_at, dist_mul
 from convbialg.errors import UnsupportedRegistry
 from convbialg.groupoid import bisection_inv
-from convbialg.models import etale_model, heisenberg_model, pair_model
+from convbialg.models import etale_model, heisenberg_model, model_from_json, pair_model
 from convbialg.phi import (
     dist_is_zero,
     kernel_test,
@@ -121,6 +121,26 @@ class TestKernel:
         assert not rep["in_kernel"]
         assert rep["witness"]
         assert not dist_is_zero(phi(a))
+
+    def test_a_point_stratum_decides(self):
+        # the shift x + 1 on (-inf, 1) (A), on R (B) and on (1, inf) (C):
+        # every interval class sum of a = -A + B - C is zero, but at the
+        # point 1 only B is there, so Phi(a)(1)(2) = 1
+        shift = {"kind": "affine", "a": "1", "b": "1"}
+        model = model_from_json({"model": "pair", "bisections": [
+            {"id": "A", "tau": shift, "domain": [[None, "1"]]},
+            {"id": "B", "tau": shift},
+            {"id": "C", "tau": shift, "domain": [["1", None]]}]})
+        one = UEAElement.one(model.algebroid)
+        a = ConvElement.zero(model).plus(
+            ConvElement.single(model, model.lookup(name), one.scale(sign))
+            for name, sign in (("A", -1), ("B", 1), ("C", -1)))
+        assert not conv_is_zero(a)
+        rep = kernel_test(a)
+        assert not rep["in_kernel"]
+        assert rep["witness"]["stratum"] == "{1}"
+        assert not dist_is_zero(phi(a))
+        assert dist_eval_at(phi(a), Polynomial.parse("1", 2), Q(2)) == 1
 
     def test_group_kernel_trivial(self, h3):
         # for the group model Phi is injective: only zero passes
