@@ -309,6 +309,13 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
+        # a one-term constant factor (most products in `at`) scales the
+        # other factor: the same terms in the same order as the loop below
+        for const, poly in ((self, other), (other, self)):
+            if len(const.terms) == 1:
+                (e, c), = const.terms.items()
+                if not any(e):
+                    return poly if c == 1 else poly.scale(c)
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():

@@ -38,7 +38,6 @@ from .groupoid import (
     GermArrow,
     bisection_germ_eq,
     bisection_inv,
-    bisection_mul,
     germ_classes,
     unit_bisection,
 )
@@ -130,8 +129,7 @@ def conv_mul(a2: ConvElement, a1: ConvElement) -> ConvElement:
         for bid1, u1 in a1.terms.items():
             E1 = model.registry[bid1]
             v = uea_mul(u2, ad_uea(E2, u1))
-            prod = model.register(bisection_mul(E2, E1))
-            pairs.append((prod.bid, v))
+            pairs.append((model.registered_product(E2, E1).bid, v))
     return ConvElement(model, pairs)
 
 

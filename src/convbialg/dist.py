@@ -35,7 +35,7 @@ from .adjoint import ad_uea
 from .coeffs import CoeffFn, Polynomial, Q
 from .conv import BisectionSum
 from .errors import ChartMismatch, DomainError, UnsupportedComposition, UnsupportedRegistry
-from .groupoid import Bisection, bisection_inv, bisection_mul
+from .groupoid import Bisection, bisection_inv
 from .uea import UEAElement, uea_mul
 
 
@@ -200,8 +200,7 @@ def dist_mul(T2: TransvDist, T1: TransvDist) -> TransvDist:
         for bid1, u1 in T1.terms.items():
             E1 = model.registry[bid1]
             v = uea_mul(ad_uea(bisection_inv(E1), u2), u1)
-            prod = model.register(bisection_mul(E2, E1))
-            pairs.append((prod.bid, v))
+            pairs.append((model.registered_product(E2, E1).bid, v))
     return TransvDist(model, pairs)
 
 

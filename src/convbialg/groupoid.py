@@ -299,17 +299,23 @@ class GroupoidModel:
     kind tests left outside this module are listed in the README ("Model
     kinds"), each with its reason.
 
-    `derived` holds data that the adjoint and series layers derive from the
-    model alone or from one bisection, computed on first use (`derive_once`):
+    `derived` holds data that the layers derive from the model alone or
+    from one or two bisections, computed on first use (`derive_once`):
     the conjugation Jacobian of a model, R_E^{-1} of a bisection as
-    polynomials, the series data of a flat kink at a point, and the float
-    solves of Bisection.tau_inv_apply and tau_apply where tau is known only
-    in the other direction (keys ("tau_inv_solve", bid, y) and
-    ("tau_solve", bid, x); a point equal to an earlier one, of any number
-    type, converts to the same float and so has the same solution).
-    Keys name the datum and, where it depends on a bisection, its id, not
-    the Bisection object, since bisection_inv builds a new object on every
-    call.  It is never serialized and lives as long as the model.
+    polynomials, beta_E as polynomials (key ("beta_polys", bid)), the
+    registered product E2 . E1 (key ("product", bid2, bid1); the registry's
+    object, see registered_product), the series data of a flat kink at a
+    point, and the float solves of Bisection.tau_inv_apply and tau_apply
+    where tau is known only in the other direction (keys
+    ("tau_inv_solve", bid, y) and ("tau_solve", bid, x); a point equal to
+    an earlier one, of any number type, converts to the same float and so
+    has the same solution).  A computation that raises stores nothing, so
+    it raises again on the next call.  Keys name the datum and, where it
+    depends on a bisection, its id, not the Bisection object, since
+    bisection_inv builds a new object on every call.  Inverses themselves
+    are not kept: keeping every bisection_inv result costs more memory
+    than rebuilding it costs time.  It is never serialized and lives as
+    long as the model.
     """
 
     kind = None
@@ -357,6 +363,11 @@ class GroupoidModel:
         if alias:
             self.aliases[alias] = E.bid
         return self.registry[E.bid]
+
+    def registered_product(self, E2: "Bisection", E1: "Bisection") -> "Bisection":
+        """The registered E2 . E1, computed and registered once per id pair."""
+        return self.derive_once(("product", E2.bid, E1.bid),
+                                lambda: self.register(bisection_mul(E2, E1)))
 
     def lookup(self, name: str) -> "Bisection":
         bid = self.aliases.get(name, name)
@@ -430,8 +441,11 @@ class PolynomialGroupoid(GroupoidModel):
         return [_poly_of(f, "alpha_E") for f in self.alpha_fns(E)]
 
     def beta_polys(self, E):
-        """beta_E = alpha_E o tau^{-1} as polynomials on the base."""
-        return [_poly_of(E.to_target(f), "beta_E") for f in self.alpha_fns(E)]
+        """beta_E = alpha_E o tau^{-1} as polynomials on the base, derived
+        once per bisection id."""
+        return self.derive_once(
+            ("beta_polys", E.bid),
+            lambda: [_poly_of(E.to_target(f), "beta_E") for f in self.alpha_fns(E)])
 
     def s_of(self, g):
         return tuple(p.eval(g) for p in self.s_map)

@@ -39,7 +39,7 @@ from .dist import (
     dist_mul_defcheck,
     test_bank,
 )
-from .groupoid import bisection_inv, bisection_mul, germ_of, unit_bisection
+from .groupoid import bisection_inv, germ_of, unit_bisection
 from .lie_rinehart import (
     check_axioms,
     heisenberg_algebra,
@@ -269,7 +269,7 @@ def suite_hopf_etale(seed=0xC0FFEE, models=None):
         for bid, u in a.terms.items():
             E = model.registry[bid]
             fs = E.to_source(u.degree0())
-            prod = model.register(bisection_mul(bisection_inv(E), E))
+            prod = model.registered_product(bisection_inv(E), E)
             pairs.append((prod.bid, UEAElement.from_coeff(A, fs)))
             total = total + fs
         expected = ConvElement(model, pairs)

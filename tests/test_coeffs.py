@@ -196,6 +196,59 @@ class TestTrustedResults:
         assert f.scale(c).poly.eval(t) == c * f.poly.eval(t)
 
 
+def loop_product(p, q):
+    """p * q by the general double loop, built by the checked constructor."""
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            terms[e] = terms.get(e, 0) + c1 * c2
+    return Polynomial(p.nvars, terms)
+
+
+def typed_terms(p):
+    return [(e, type(c), c) for e, c in p.terms.items()]
+
+
+# 1, -1 and nonzero rationals; the polynomials below also get coefficients
+# k / c, so that some products become integral (2/3 * 3/2)
+CONSTANTS = st.one_of(st.just(1), st.just(-1),
+                      st.builds(Q, st.integers(-9, 9).filter(bool), st.integers(1, 9)).map(_q))
+
+
+class TestConstantFactor:
+    """A one-term constant factor, on either side, scales the other factor:
+    exactly the terms of the double loop, in its order, with canonical
+    scalars."""
+
+    @given(st.data())
+    def test_matches_the_double_loop(self, data):
+        n = data.draw(st.integers(0, 3))
+        c = data.draw(CONSTANTS)
+        coeffs = st.one_of(RATIONALS, st.integers(-3, 3).map(lambda k: Q(k) / c))
+        exps = st.tuples(*[st.integers(0, 2)] * n)
+        p = Polynomial(n, data.draw(st.dictionaries(exps, coeffs, max_size=4)))
+        k = Polynomial.const(n, c)
+        for got, want in ((k * p, loop_product(k, p)), (p * k, loop_product(p, k))):
+            assert typed_terms(got) == typed_terms(want)
+            assert_canonical(got)
+
+    def test_integral_products_become_ints(self):
+        p = Polynomial(1, {(1,): F(3, 2), (0,): F(1, 3)})
+        for got in (Polynomial.const(1, F(2, 3)) * p, p * Polynomial.const(1, F(2, 3))):
+            assert typed_terms(got) == [((1,), int, 1), ((0,), F, F(2, 9))]
+
+    @given(polys(1, 3), RATIONALS, RATIONALS, CONSTANTS)
+    def test_flat_piece_times_a_rational_constant(self, p, c_neg, c_pos, c):
+        f = CoeffFn.flat_piece(LINE, p, c_neg, c_pos)
+        k = CoeffFn.const(LINE, c)
+        for got in (f * k, k * f):
+            assert typed_terms(got.poly) == typed_terms(loop_product(p, k.poly))
+            assert got == CoeffFn(LINE, loop_product(p, k.poly),
+                                  {0: -c_neg * c}, {0: c_pos * c})
+            assert_fn_canonical(got)
+
+
 def test_no_float_reaches_a_polynomial(monkeypatch):
     """Every coefficient that the lie-rinehart and uea suites put into a
     Polynomial through the trusted constructor is a canonical scalar."""

@@ -5,7 +5,14 @@ import pytest
 
 from convbialg import groupoid
 from convbialg.coeffs import Chart, Polynomial, Q, Region
-from convbialg.errors import DomainError, UnsupportedRegistry, VerificationFailed
+from convbialg.conv import conv_mul
+from convbialg.dist import dist_mul
+from convbialg.errors import (
+    DomainError,
+    UnsupportedComposition,
+    UnsupportedRegistry,
+    VerificationFailed,
+)
 from convbialg.groupoid import (
     AffineMap,
     Bisection,
@@ -20,6 +27,7 @@ from convbialg.groupoid import (
 )
 from convbialg.lie_rinehart import tangent_line_algebroid
 from convbialg.models import etale_model, heisenberg_model, model_from_json, pair_model
+from convbialg.textform import parse_conv, parse_dist
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +224,69 @@ class TestBisections:
         assert unit_bisection(pair).tau == Diffeo1D.identity(pair.base)
         assert unit_bisection(h3).element == (F(0), F(0), F(0))
         assert unit_bisection(etale).gamma == AffineMap.of(1, 0)
+
+
+class TestDerivedOnce:
+    """Products and beta_E are derived once per id (pair) and kept in
+    model.derived; a derivation that raises keeps nothing."""
+
+    def test_registered_product_is_the_registry_object(self):
+        model = pair_model()
+        shift, dbl = model.lookup("shift"), model.lookup("dbl")
+        # shift . dbl has tau = 2x + 1; an equal bisection is registered first
+        earlier = model.register(Bisection(model, tau=Diffeo1D.affine(model.base, 2, 1)))
+        first = model.registered_product(shift, dbl)
+        assert first is earlier and first is model.registry[earlier.bid]
+        assert model.registered_product(shift, dbl) is earlier
+        # a new product is registered, and the same object comes back
+        new = model.registered_product(dbl, shift)
+        assert new is model.registry[new.bid]
+        assert model.registered_product(dbl, shift) is new
+
+    def test_bisection_mul_runs_once_per_id_pair(self, monkeypatch):
+        model = pair_model()
+        seen = []
+        real = groupoid.bisection_mul
+
+        def counting(E2, E1):
+            seen.append((E2.bid, E1.bid))
+            return real(E2, E1)
+
+        monkeypatch.setattr(groupoid, "bisection_mul", counting)
+        a2 = parse_conv(model, "<1 | shift> + <x0 * D | dbl>")
+        a1 = parse_conv(model, "<1 * D | half> + <1 | shift>")
+        T2 = parse_dist(model, "[[shift, 1]] + [[dbl, x0 * D]]")
+        T1 = parse_dist(model, "[[half, 1 * D]] + [[shift, 1]] + [[M, 1]]")
+        for _ in range(2):
+            conv_mul(a2, a1)
+            dist_mul(T2, T1)
+        assert sorted(seen) == sorted(set(seen))
+        assert len(seen) == 6  # 4 pairs of conv_mul, 2 more of dist_mul
+
+    def test_a_failing_product_raises_every_time_and_keeps_nothing(self):
+        model = pair_model()
+        restricted = Bisection(model, tau=Diffeo1D.identity(model.base),
+                               domain=Region.interval(0, 1))
+        flat = model.lookup("E01")
+        for _ in range(2):
+            with pytest.raises(UnsupportedRegistry):
+                model.registered_product(restricted, flat)
+        assert not [k for k in model.derived if k[0] == "product"]
+
+    def test_beta_polys_once_per_bid(self):
+        model = pair_model()
+        dbl = model.lookup("dbl")
+        first = model.beta_polys(dbl)
+        assert model.beta_polys(dbl) is first
+        assert model.beta_polys(Bisection(model, tau=Diffeo1D.affine(model.base, 2, 0))) is first
+
+    def test_flat_beta_polys_raise_every_time_and_keep_nothing(self):
+        model = pair_model()
+        flat = model.lookup("E01")
+        for _ in range(2):
+            with pytest.raises(UnsupportedComposition, match="inverse map not representable"):
+                model.beta_polys(flat)
+        assert ("beta_polys", flat.bid) not in model.derived
 
 
 class TestGerms:

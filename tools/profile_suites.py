@@ -7,9 +7,13 @@ built afresh, as `convbialg check` runs them) under cProfile with the
 package imported from `src/` of the tree this script lives in.  It prints
 the profiled total, then the calls and cumulative seconds of the term
 constructors of the exact kernel (`Polynomial.__init__`, `CoeffFn.__init__`,
-`_uea_term`), of `Fraction.__new__` and of the float solves of tau^-1 and tau
-(`groupoid._solve_monotone`), then the 25 functions with the most self time.  Profiled seconds are slower than plain ones; compare them only
-with another run of this script on the same machine.
+`_uea_term`), of `Fraction.__new__`, of the float solves of tau^-1 and tau
+(`groupoid._solve_monotone`), of the bisection products
+(`groupoid.bisection_mul`, made once per id pair) and of
+`PolynomialGroupoid.beta_polys` (every call; its cumulative time shows the
+derivations made once per bisection id), then the 25 functions with the
+most self time.  Profiled seconds are slower than plain ones; compare them
+only with another run of this script on the same machine.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ WATCHED = (
     ("_uea_term", uea._uea_term),
     ("Fraction.__new__", Fraction.__new__),
     ("groupoid._solve_monotone", groupoid._solve_monotone),
+    ("groupoid.bisection_mul", groupoid.bisection_mul),
+    ("PolynomialGroupoid.beta_polys", groupoid.PolynomialGroupoid.beta_polys),
 )
 TOP = 25
 
