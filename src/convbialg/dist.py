@@ -66,21 +66,14 @@ class ArrowFn:
 
     def apply_frame(self, i: int) -> "ArrowFn":
         """Apply the left-invariant frame field X-bar_i in the h-block."""
-        model = self.model
-        n = model.arrow_chart.dim
+        fields = _frame_terms(self.model, i, self.nvars, self.h_offset)
         new = []
         for c, P in self.terms:
-            for d in range(n):
-                pd = model.frame[i][d].embed(self.nvars, self.h_offset)
-                if pd.is_zero:
-                    continue
+            for d, pd, dsms in fields:
                 dP = P.derive(self.h_offset + d)
                 if not dP.is_zero:
                     new.append((c, pd * dP))
-                for m in range(model.base.dim):
-                    dsm = model.s_map[m].derive(d).embed(self.nvars, self.h_offset)
-                    if dsm.is_zero:
-                        continue
+                for m, dsm in dsms:
                     cm = c.derive(m)
                     if not cm.is_zero:
                         new.append((cm, pd * dsm * P))
@@ -125,6 +118,28 @@ class ArrowFn:
         for c, P in self.terms:
             total = total + c.eval(x) * P.eval(g)
         return total
+
+
+def _frame_terms(model, i, nvars, h_offset):
+    """The frame field X-bar_i in an h-block at h_offset of nvars variables:
+    [(d, frame[i][d], [(m, d/dh_d of s_m), ...]), ...] embedded, the zero
+    entries left out.  Derived once per (model, i, nvars, h_offset)."""
+
+    def compute():
+        fields = []
+        for d in range(model.arrow_chart.dim):
+            pd = model.frame[i][d].embed(nvars, h_offset)
+            if pd.is_zero:
+                continue
+            dsms = []
+            for m in range(model.base.dim):
+                dsm = model.s_map[m].derive(d).embed(nvars, h_offset)
+                if not dsm.is_zero:
+                    dsms.append((m, dsm))
+            fields.append((d, pd, dsms))
+        return fields
+
+    return model.derive_once(("frame_field", i, nvars, h_offset), compute)
 
 
 def omega_apply(model, u: UEAElement, F) -> ArrowFn:
@@ -256,22 +271,29 @@ def dist_mul_defcheck(T2: TransvDist, T1: TransvDist, F, x):
 # ---------------------------------------------------------------------------
 
 
-def commuting_square_gap(model, E: Bisection, u: UEAElement, F: Polynomial):
-    """Ω(U(Ad_E)u)(F) o R_E^{-1}  minus  Ω(u)(F o R_E^{-1}), exactly.
+def commuting_square_gap(model, E: Bisection, u: UEAElement, Fs):
+    """Ω(U(Ad_E)u)(F) o R_E^{-1}  minus  Ω(u)(F o R_E^{-1}), exactly, for
+    each test function F in Fs: one gap per F, in order.
 
     Both sides of the section-4.1 square are composed with R_E^{-1} so that
     only the forward map tau enters; for the representable (polynomial)
     cases the gap is returned as a polynomial on the arrow chart.
+    U(Ad_E)u does not depend on F, so it is computed once for all of Fs.
     """
+    v = ad_uea(E, u)
     if not model.algebroid.rank:
         # rank 0: u is a coefficient; the square reduces to a base identity
-        return E.to_source(ad_uea(E, u).degree0()) - u.degree0()
+        gap = E.to_source(v.degree0()) - u.degree0()
+        return [gap] * len(Fs)
     rinv = _right_translation_inv(E)
-    # s o R_E^{-1} = tau o s, so (c o s) o R_E^{-1} = (c o tau) o s
-    lhs = omega_apply(model, ad_uea(E, u), F).substitute(
-        model.arrow_chart.dim, rinv, E.to_source).as_polynomial()
-    rhs = omega_apply(model, u, F.substitute(rinv)).as_polynomial()
-    return lhs - rhs
+    n = model.arrow_chart.dim
+    gaps = []
+    for F in Fs:
+        # s o R_E^{-1} = tau o s, so (c o s) o R_E^{-1} = (c o tau) o s
+        lhs = omega_apply(model, v, F).substitute(n, rinv, E.to_source).as_polynomial()
+        rhs = omega_apply(model, u, F.substitute(rinv)).as_polynomial()
+        gaps.append(lhs - rhs)
+    return gaps
 
 
 def _right_translation_inv(E: Bisection):

@@ -301,21 +301,27 @@ class GroupoidModel:
 
     `derived` holds data that the layers derive from the model alone or
     from one or two bisections, computed on first use (`derive_once`):
-    the conjugation Jacobian of a model, R_E^{-1} of a bisection as
-    polynomials, beta_E as polynomials (key ("beta_polys", bid)), the
-    registered product E2 . E1 (key ("product", bid2, bid1); the registry's
-    object, see registered_product), the series data of a flat kink at a
-    point, and the float solves of Bisection.tau_inv_apply and tau_apply
-    where tau is known only in the other direction (keys
+    the conjugation Jacobian of a model (key "conjugation_jacobian"), the
+    frame field X-bar_i embedded in an h-block of nvars variables at
+    h_offset, with the source derivatives it meets (key ("frame_field", i,
+    nvars, h_offset); dist.ArrowFn.apply_frame), R_E^{-1} of a bisection as
+    polynomials (key ("right_translation_inv", bid)), beta_E as polynomials
+    (key ("beta_polys", bid)), the registered product E2 . E1 (key
+    ("product", bid2, bid1); the registry's object, see
+    registered_product), the series data of a flat kink at a point (key
+    ("flat_series", bid, x)), and the float solves of
+    Bisection.tau_inv_apply and tau_apply where tau is known only in the
+    other direction (keys
     ("tau_inv_solve", bid, y) and ("tau_solve", bid, x); a point equal to
     an earlier one, of any number type, converts to the same float and so
     has the same solution).  A computation that raises stores nothing, so
     it raises again on the next call.  Keys name the datum and, where it
     depends on a bisection, its id, not the Bisection object, since
     bisection_inv builds a new object on every call.  Inverses themselves
-    are not kept: keeping every bisection_inv result costs more memory
-    than rebuilding it costs time.  It is never serialized and lives as
-    long as the model.
+    are not kept, nor the images of adjoint.ad_uea: keeping every
+    bisection_inv result, or every generator image per bid, costs more
+    memory than rebuilding it costs time.  It is never serialized and
+    lives as long as the model.
     """
 
     kind = None

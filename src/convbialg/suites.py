@@ -298,17 +298,17 @@ def suite_commuting_square(seed=0xC0FFEE, models=None, nu=20, nf=5):
             flat = E.is_flat
             for iu in range(nu):
                 u = _random_uea(rng, A, max_deg=2)
-                for jf in range(nf):
-                    F = random_polynomial(rng, n, 3)
-                    if flat:
+                Fs = [random_polynomial(rng, n, 3) for _ in range(nf)]
+                if flat:
+                    for F in Fs:
                         for g in ((0.5, 0.35), (-1.25, -0.8)):
                             gap = commuting_square_gap_numeric(model, E, u, F, g)
                             worst = max_keep_nan(worst, gap)
                             numeric_count += 1
                             if not gap <= 1e-9:
                                 ok, witness = False, f"{E.bid} |gap|={gap}"
-                    else:
-                        gap = commuting_square_gap(model, E, u, F)
+                else:
+                    for F, gap in zip(Fs, commuting_square_gap(model, E, u, Fs)):
                         exact_count += 1
                         if not gap.is_zero:
                             ok, witness = False, f"{E.bid} u={u.text()} F={F.text()}"

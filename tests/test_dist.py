@@ -7,6 +7,7 @@ import pytest
 from convbialg.coeffs import CoeffFn, Polynomial, Q
 from convbialg.errors import UnsupportedComposition, UnsupportedRegistry
 from convbialg.dist import (
+    ArrowFn,
     TransvDist,
     commuting_square_gap,
     commuting_square_gap_numeric,
@@ -68,6 +69,78 @@ class TestOmega:
             lhs = omega_apply(h3, uea_mul(u, v), F3).as_polynomial()
             rhs = omega_apply(h3, u, omega_apply(h3, v, F3).as_polynomial()).as_polynomial()
             assert lhs == rhs
+
+
+def _apply_frame_reference(af, i):
+    """ArrowFn.apply_frame without model.derived: every frame field and
+    source derivative embedded again for every term."""
+    model = af.model
+    new = []
+    for c, P in af.terms:
+        for d in range(model.arrow_chart.dim):
+            pd = model.frame[i][d].embed(af.nvars, af.h_offset)
+            if pd.is_zero:
+                continue
+            dP = P.derive(af.h_offset + d)
+            if not dP.is_zero:
+                new.append((c, pd * dP))
+            for m in range(model.base.dim):
+                dsm = model.s_map[m].derive(d).embed(af.nvars, af.h_offset)
+                if dsm.is_zero:
+                    continue
+                cm = c.derive(m)
+                if not cm.is_zero:
+                    new.append((cm, pd * dsm * P))
+    return new
+
+
+class TestFrameFieldCache:
+    @staticmethod
+    def _listed(terms):
+        # the same terms in the same order, each polynomial's terms in order too
+        return [(c, list(c.poly.terms.items()), P, list(P.terms.items())) for c, P in terms]
+
+    @pytest.mark.parametrize("make", [pair_model, heisenberg_model])
+    def test_same_terms_in_the_same_order(self, make):
+        model = make()
+        rng = random.Random(15)
+        n = model.arrow_chart.dim
+        base = model.base
+        coeffs = [CoeffFn.const(base, 1)]
+        if base.dim:
+            # a base coefficient that is not constant runs the c.derive(m) branch
+            coeffs += [CoeffFn(base, Polynomial.parse("1 + x0^2", 1)),
+                       CoeffFn.phi(base) + CoeffFn(base, Polynomial.parse("3*x0", 1))]
+        for nvars, h_offset in ((n, 0), (2 * n, n)):
+            # a cube of the h-block sum, so that no frame field kills a term
+            h_sum = Polynomial(nvars, {})
+            for k in range(n):
+                h_sum = h_sum + Polynomial.var(nvars, h_offset + k)
+            cube = h_sum * h_sum * h_sum
+            af = ArrowFn(model, nvars, h_offset,
+                         [(c, random_polynomial(rng, nvars, 3) + cube) for c in coeffs])
+            for i in range(model.algebroid.rank):
+                expected = self._listed(_apply_frame_reference(af, i))
+                assert expected
+                assert self._listed(af.apply_frame(i).terms) == expected
+                # applied twice, so a cached field meets the terms of a result
+                twice = af.apply_frame(i)
+                assert (self._listed(twice.apply_frame(i).terms)
+                        == self._listed(_apply_frame_reference(twice, i)))
+        keys = {k for k in model.derived if k[0] == "frame_field"}
+        assert keys == {("frame_field", i, nvars, h_offset)
+                        for i in range(model.algebroid.rank)
+                        for nvars, h_offset in ((n, 0), (2 * n, n))}
+
+    def test_derived_once_per_key(self, monkeypatch):
+        model = pair_model()
+        af = ArrowFn.lift(model, Polynomial.parse("x0^2*x1 + x1", 2))
+        af.apply_frame(0)
+        derived = dict(model.derived)
+        assert ("frame_field", 0, 2, 0) in derived
+        af.apply_frame(0).apply_frame(0)
+        assert model.derived == derived
+        assert model.derived[("frame_field", 0, 2, 0)] is derived[("frame_field", 0, 2, 0)]
 
 
 class TestEval:
@@ -245,33 +318,81 @@ class TestCommutingSquare:
         D = UEAElement.generator(A, 0)
         # a coefficient that is not constant: c o s o R_E^{-1} = (c o tau) o s
         fD = uea_mul(UEAElement.from_coeff(A, CoeffFn(A.chart, Polynomial.parse("1 + x0", 1))), D)
-        for _ in range(5):
-            Fq = random_polynomial(rng, 2, 3)
-            assert commuting_square_gap(pair, pair.lookup("dbl"), D, Fq).is_zero
-            assert commuting_square_gap(pair, pair.lookup("shift"), fD, Fq).is_zero
+        Fs = [random_polynomial(rng, 2, 3) for _ in range(5)]
+        for name, u in (("dbl", D), ("shift", fD)):
+            gaps = commuting_square_gap(pair, pair.lookup(name), u, Fs)
+            assert len(gaps) == len(Fs)
+            assert all(gap.is_zero for gap in gaps)
         H = h3.algebroid
         for _ in range(5):
             Fq = random_polynomial(rng, 3, 3)
             u = UEAElement.generator(H, rng.randrange(3))
-            assert commuting_square_gap(h3, h3.lookup("k123"), u, Fq).is_zero
+            [gap] = commuting_square_gap(h3, h3.lookup("k123"), u, [Fq])
+            assert gap.is_zero
 
     def test_gap_nonzero_without_the_adjoint_action(self, pair, h3, monkeypatch):
         # the gap is zero because U(Ad_E) twists the left side; with the
-        # twist taken out the same cases must show a nonzero gap
+        # twist taken out the same cases must show a nonzero gap for every F
         import convbialg.dist as dist_module
 
         A, H = pair.algebroid, h3.algebroid
         D = UEAElement.generator(A, 0)
         X, Y = UEAElement.generator(H, 0), UEAElement.generator(H, 1)
-        cases = [(pair, "dbl", D, Polynomial.parse("x1", 2)),
-                 (pair, "dbl", D, Polynomial.parse("x0*x1^2", 2)),
-                 (h3, "k123", X, Polynomial.parse("x2", 3)),
-                 (h3, "k123", Y, Polynomial.parse("x2", 3))]
-        for model, name, u, Fq in cases:
-            assert commuting_square_gap(model, model.lookup(name), u, Fq).is_zero
+        cases = [(pair, "dbl", D, [Polynomial.parse("x1", 2), Polynomial.parse("x0*x1^2", 2)]),
+                 (h3, "k123", X, [Polynomial.parse("x2", 3), Polynomial.parse("x0*x2", 3)]),
+                 (h3, "k123", Y, [Polynomial.parse("x2", 3)])]
+        for model, name, u, Fs in cases:
+            assert all(gap.is_zero for gap in commuting_square_gap(model, model.lookup(name), u, Fs))
         monkeypatch.setattr(dist_module, "ad_uea", lambda E, u: u)
-        for model, name, u, Fq in cases:
-            assert not commuting_square_gap(model, model.lookup(name), u, Fq).is_zero
+        for model, name, u, Fs in cases:
+            gaps = commuting_square_gap(model, model.lookup(name), u, Fs)
+            assert len(gaps) == len(Fs)
+            assert not any(gap.is_zero for gap in gaps)
+
+    def test_one_adjoint_action_for_all_test_functions(self, pair, monkeypatch):
+        import convbialg.dist as dist_module
+
+        rng = random.Random(11)
+        A = pair.algebroid
+        u = uea_mul(UEAElement.from_coeff(A, CoeffFn(A.chart, Polynomial.parse("1 + x0", 1))),
+                    UEAElement.generator(A, 0))
+        Fs = [random_polynomial(rng, 2, 3) for _ in range(5)]
+        calls = []
+        real = dist_module.ad_uea
+        monkeypatch.setattr(dist_module, "ad_uea", lambda E, v: calls.append(v) or real(E, v))
+        commuting_square_gap(pair, pair.lookup("shift"), u, Fs)
+        assert len(calls) == 1
+
+    def test_each_gap_equals_the_gap_of_its_test_function_alone(self, pair, h3, monkeypatch):
+        # without the twist the gaps are nonzero, so a shuffled list shows
+        import convbialg.dist as dist_module
+
+        monkeypatch.setattr(dist_module, "ad_uea", lambda E, u: u)
+        rng = random.Random(12)
+        D = UEAElement.generator(pair.algebroid, 0)
+        monos = [Polynomial.parse("x1", 2), Polynomial.parse("x0*x1^2", 2),
+                 Polynomial.parse("x1^3", 2)]
+        cases = [(pair, "dbl", D, monos)]
+        for model, name in ((pair, "shift"), (h3, "k123")):
+            u = UEAElement.generator(model.algebroid, rng.randrange(model.algebroid.rank))
+            cases.append((model, name, u,
+                          [random_polynomial(rng, model.arrow_chart.dim, 3) for _ in range(5)]))
+        for model, name, u, Fs in cases:
+            E = model.lookup(name)
+            gaps = commuting_square_gap(model, E, u, Fs)
+            assert gaps == [commuting_square_gap(model, E, u, [Fq])[0] for Fq in Fs]
+        assert len(set(commuting_square_gap(pair, pair.lookup("dbl"), D, monos))) == len(monos)
+
+    def test_rank_zero_gives_one_gap_per_test_function(self, etale):
+        rng = random.Random(14)
+        A = etale.algebroid
+        u = UEAElement.from_coeff(A, CoeffFn(A.chart, Polynomial.parse("2 + x0^2", 1)))
+        Fs = [random_polynomial(rng, etale.arrow_chart.dim, 3) for _ in range(4)]
+        for E in etale.registry.values():
+            gaps = commuting_square_gap(etale, E, u, Fs)
+            assert len(gaps) == len(Fs)
+            assert all(gap.is_zero for gap in gaps)
+        assert commuting_square_gap(etale, E, u, []) == []
 
     def test_flat_numeric_gap_small(self, pair):
         rng = random.Random(10)

@@ -21,8 +21,8 @@ def _plus_one_counit(real):
     return lambda a: real(a) + CoeffFn.const(a.model.algebroid.chart, 1)
 
 
-def _nonzero_gap(real):
-    return lambda *args: Polynomial.const(1, 1)
+def _nonzero_gaps(real):
+    return lambda model, E, u, Fs: [Polynomial.const(1, 1) for _ in Fs]
 
 
 def _always_in_kernel(real):
@@ -39,7 +39,7 @@ PLANTS = {
                     "(iv) eps(ab) = eps(a.eps(b))",
                     "(viii) mu(S x id)Delta = eps o S (support-respecting form)"]),
     # the exact side only: the flat kinks keep their series check
-    "commuting-square": ({"commuting_square_gap": _nonzero_gap}, {"nu": 1, "nf": 1},
+    "commuting-square": ({"commuting_square_gap": _nonzero_gaps}, {"nu": 1, "nf": 1},
                          ["etale: exact on 6 cases", "heisenberg: exact on 5 cases",
                           "pair: exact on 4 cases, series (<1e-9) on 8"]),
     "prop43": ({"dist_mul_defcheck": lambda real: lambda *args: real(*args) + 1}, {},

@@ -9,10 +9,12 @@ the profiled total, then the calls and cumulative seconds of the term
 constructors of the exact kernel (`Polynomial.__init__`, `CoeffFn.__init__`,
 `_uea_term`), of `Fraction.__new__`, of the float solves of tau^-1 and tau
 (`groupoid._solve_monotone`), of the bisection products
-(`groupoid.bisection_mul`, made once per id pair) and of
+(`groupoid.bisection_mul`, made once per id pair), of
 `PolynomialGroupoid.beta_polys` (every call; its cumulative time shows the
-derivations made once per bisection id), then the 25 functions with the
-most self time.  Profiled seconds are slower than plain ones; compare them
+derivations made once per bisection id), of `adjoint.ad_uea` (the
+commuting square makes one per (E, u)) and of `dist.ArrowFn.apply_frame`
+(its frame fields are embedded once per model and layout), then the 25
+functions with the most self time.  Profiled seconds are slower than plain ones; compare them
 only with another run of this script on the same machine.
 """
 
@@ -28,7 +30,7 @@ from fractions import Fraction
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from convbialg import coeffs, groupoid, suites, uea  # noqa: E402
+from convbialg import adjoint, coeffs, dist, groupoid, suites, uea  # noqa: E402
 
 WATCHED = (
     ("Polynomial.__init__", coeffs.Polynomial.__init__),
@@ -38,6 +40,8 @@ WATCHED = (
     ("groupoid._solve_monotone", groupoid._solve_monotone),
     ("groupoid.bisection_mul", groupoid.bisection_mul),
     ("PolynomialGroupoid.beta_polys", groupoid.PolynomialGroupoid.beta_polys),
+    ("adjoint.ad_uea", adjoint.ad_uea),
+    ("dist.ArrowFn.apply_frame", dist.ArrowFn.apply_frame),
 )
 TOP = 25
 
