@@ -13,6 +13,10 @@ The *-product follows Prop-style term rewriting
 and dist_mul_defcheck evaluates the *defining* double formula
     T'(g -> T|_{s(g)}(F o L_g))(x)
 independently via doubled-variable polynomial manipulation, as an oracle.
+term_products yields the rewritten terms of a sweep over term pairs (dist_mul
+is one sweep); it makes E^-1 once per bid and Adbar once per (bid, D') and
+drops both when the sweep ends.  The first stage of the defining formula,
+which depends on (F, E, D) alone, is kept in model.derived.
 
 A test function F is read through model.test_value(F, g).  On the etale
 action groupoid it is a table {gamma: f} read with .get, the algebroid has
@@ -204,19 +208,34 @@ def _omega_value(model, u: UEAElement, F, g, total):
     return omega_apply(model, u, F).eval_arrow(g, total)
 
 
+def term_products(model, left, right):
+    """(bid of E'.E, Adbar_{E^-1}(u') u) for each term (bid', u') of left
+    and each term (bid, u) of right, left-major: the terms of
+    [[E', u']] * [[E, u]].  E^-1 is computed once per bid and
+    Adbar = ad_uea(E^-1, u') once per (bid, value of u'); both memos live
+    as long as the generator, one sweep of the terms."""
+    right = list(right)
+    inverses, adbars = {}, {}
+    for bid2, u2 in left:
+        E2 = model.registry[bid2]
+        for bid1, u1 in right:
+            E1 = model.registry[bid1]
+            adbar = adbars.get((bid1, u2))
+            if adbar is None:
+                inv = inverses.get(bid1)
+                if inv is None:
+                    inv = inverses[bid1] = bisection_inv(E1)
+                adbar = adbars[bid1, u2] = ad_uea(inv, u2)
+            v = uea_mul(adbar, u1)
+            yield model.registered_product(E2, E1).bid, v
+
+
 def dist_mul(T2: TransvDist, T1: TransvDist) -> TransvDist:
     """[[E', u']] * [[E, u]] = [[E'.E, Adbar_{E^-1}(u') u]] termwise."""
     if T2.model is not T1.model:
         raise ChartMismatch("distributions over different models")
     model = T2.model
-    pairs = []
-    for bid2, u2 in T2.terms.items():
-        E2 = model.registry[bid2]
-        for bid1, u1 in T1.terms.items():
-            E1 = model.registry[bid1]
-            v = uea_mul(ad_uea(bisection_inv(E1), u2), u1)
-            pairs.append((model.registered_product(E2, E1).bid, v))
-    return TransvDist(model, pairs)
+    return TransvDist(model, term_products(model, T2.terms.items(), T1.terms.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -239,19 +258,23 @@ def _defcheck_term_pair(model, E2, u2, E1, u1, F, x0):
         g1 = E1.beta(model.s_of(g))
         return (u2.degree0().eval(model.s_of(g)) * u1.degree0().eval(model.s_of(g1))
                 * model.test_value(F, model.mult_arrow(g, g1)))
-    n = model.arrow_chart.dim
-    # stage 1: H(g, h) = F(mult(g, h)) on doubled variables (g block first)
-    H = F.substitute(model.mult_map)
-    af = ArrowFn(model, 2 * n, n, [(CoeffFn.const(model.base, 1), H)])
-    af = af.apply_uea(u1)
-    # substitute h := beta_{E1}(s(g)); the g block survives, and
-    # c o s(h) = c o tau_1^{-1} o s(g)
-    gvars = [Polynomial.var(n, k) for k in range(n)]
-    h_vals = [model.along_source(p) for p in model.beta_polys(E1)]
-    inner = af.substitute(n, gvars + h_vals, E1.to_target)
+
+    def stage1():
+        # H(g, h) = F(mult(g, h)) on doubled variables (g block first)
+        n = model.arrow_chart.dim
+        H = F.substitute(model.mult_map)
+        af = ArrowFn(model, 2 * n, n, [(CoeffFn.const(model.base, 1), H)])
+        af = af.apply_uea(u1)
+        # substitute h := beta_{E1}(s(g)); the g block survives, and
+        # c o s(h) = c o tau_1^{-1} o s(g)
+        gvars = [Polynomial.var(n, k) for k in range(n)]
+        h_vals = [model.along_source(p) for p in model.beta_polys(E1)]
+        return af.substitute(n, gvars + h_vals, E1.to_target)
+
+    # stage 1 depends on (F, E1, u1) alone, so it is derived once per triple
+    inner = model.derive_once(("defcheck_stage1", F, E1.bid, u1), stage1)
     # stage 2: apply the outer operator in the g block and evaluate at g
-    outer = ArrowFn(model, n, 0, inner.terms).apply_uea(u2)
-    return outer.eval_arrow(g)
+    return inner.apply_uea(u2).eval_arrow(g)
 
 
 def dist_mul_defcheck(T2: TransvDist, T1: TransvDist, F, x):

@@ -309,9 +309,11 @@ class GroupoidModel:
     (key ("beta_polys", bid)), the registered product E2 . E1 (key
     ("product", bid2, bid1); the registry's object, see
     registered_product), the series data of a flat kink at a point (key
-    ("flat_series", bid, x)), and the float solves of
-    Bisection.tau_inv_apply and tau_apply where tau is known only in the
-    other direction (keys
+    ("flat_series", bid, x)), the first stage of the defining-formula
+    check of a test function F and a term [[E1, u1]] (key
+    ("defcheck_stage1", F, bid1, u1); dist._defcheck_term_pair), and the
+    float solves of Bisection.tau_inv_apply and tau_apply where tau is
+    known only in the other direction (keys
     ("tau_inv_solve", bid, y) and ("tau_solve", bid, x); a point equal to
     an earlier one, of any number type, converts to the same float and so
     has the same solution).  A computation that raises stores nothing, so
@@ -320,8 +322,9 @@ class GroupoidModel:
     bisection_inv builds a new object on every call.  Inverses themselves
     are not kept, nor the images of adjoint.ad_uea: keeping every
     bisection_inv result, or every generator image per bid, costs more
-    memory than rebuilding it costs time.  It is never serialized and
-    lives as long as the model.
+    memory than rebuilding it costs time (dist.term_products keeps both for
+    one sweep of term pairs only).  It is never serialized and lives as long
+    as the model.
     """
 
     kind = None

@@ -37,8 +37,10 @@ from .dist import (
     dist_eval_at,
     dist_mul,
     dist_mul_defcheck,
+    term_products,
     test_bank,
 )
+from .errors import ConvBialgError
 from .groupoid import bisection_inv, germ_of, unit_bisection
 from .lie_rinehart import (
     check_axioms,
@@ -65,7 +67,9 @@ def _model(models, key):
 
 
 def _all_models(models):
-    return {key: _model(models, key) for key in FACTORIES}
+    """Every given model under its key, and a newly built builtin model under
+    each factory key that is not given."""
+    return {key: _model(models, key) for key in FACTORIES} | (models or {})
 
 
 def max_keep_nan(worst, value):
@@ -357,18 +361,22 @@ def suite_prop43(seed=0xC0FFEE, models=None):
         fbank = [model.random_test_function(rng, 2) for _ in range(2)]
         xs = [Q(0), Q(1, 3), Q(-7, 5)]
         ok, witness, count = True, None, 0
+        # the rewriting side of each pair, in the order of the loops below
+        terms = [(E.bid, u) for E, u in bank]
+        products = term_products(model, terms, terms)
         for E2, u2 in bank:
             for E1, u1 in bank:
                 T2 = TransvDist.single(model, E2, u2)
                 T1 = TransvDist.single(model, E1, u1)
-                prod = dist_mul(T2, T1)
+                prod = TransvDist(model, [next(products)])
                 F = fbank[count % len(fbank)]
                 x = xs[count % len(xs)]
                 lhs = dist_eval_at(prod, F, x)
                 rhs = dist_mul_defcheck(T2, T1, F, x)
                 count += 1
                 if lhs != rhs:
-                    ok, witness = False, f"{E2.bid}*{E1.bid} at x={x}: {lhs} != {rhs}"
+                    ok, witness = False, (f"{E2.bid}*{E1.bid} with u2={u2.text()}, "
+                                          f"u1={u1.text()} at x={x}: {lhs} != {rhs}")
                     break
             if not ok:
                 break
@@ -609,9 +617,15 @@ SUITES = {
 
 
 def run_suite(name, seed=0xC0FFEE, models=None):
+    """The report of one suite.  A library error that the suite does not
+    catch propagates with the suite's name put before its message."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
-    return SUITES[name](seed=seed, models=models)
+    try:
+        return SUITES[name](seed=seed, models=models)
+    except ConvBialgError as exc:
+        exc.args = (f"suite {name}: {exc}",)
+        raise
 
 
 def _run_on_new_models(name, seed, docs):

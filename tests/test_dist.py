@@ -4,11 +4,13 @@ from fractions import Fraction as F
 
 import pytest
 
+import convbialg.dist as dist_module
 from convbialg.coeffs import CoeffFn, Polynomial, Q
 from convbialg.errors import UnsupportedComposition, UnsupportedRegistry
 from convbialg.dist import (
     ArrowFn,
     TransvDist,
+    _defcheck_term_pair,
     commuting_square_gap,
     commuting_square_gap_numeric,
     dist_eval,
@@ -16,6 +18,7 @@ from convbialg.dist import (
     dist_mul,
     dist_mul_defcheck,
     omega_apply,
+    term_products,
 )
 from convbialg.dist import test_bank as dist_test_bank
 from convbialg.lie_rinehart import frame_field, random_polynomial
@@ -259,6 +262,146 @@ class TestProduct:
                     T2, T1, Ftest, x)
 
 
+def _counting(monkeypatch, name, calls):
+    """Replace dist.<name> by a wrapper that appends its arguments to calls."""
+    real = getattr(dist_module, name)
+    monkeypatch.setattr(dist_module, name, lambda *args: calls.append(args) or real(*args))
+
+
+def _operators(model):
+    """X and an operator of degrees 0 and 1 with a coefficient that moves
+    along a bisection where the base is a line."""
+    A = model.algebroid
+    X, Y = UEAElement.generator(A, 0), UEAElement.generator(A, A.rank - 1)
+    c = (CoeffFn(A.chart, Polynomial.parse("2 + x0^2", 1)) if A.chart.dim
+         else CoeffFn.const(A.chart, 2))
+    f = UEAElement.from_coeff(A, c)
+    return X, uea_mul(Y, f) + f
+
+
+class TestTermProducts:
+    """term_products derives E^-1 once per bid and Adbar_{E^-1}(u') once per
+    (bid, u') within one sweep; dist_mul goes through it."""
+
+    @pytest.mark.parametrize("make, names", [(pair_model, ("shift", "dbl", "half")),
+                                             (heisenberg_model, ("kx", "ky", "k123"))])
+    def test_equals_the_sum_of_single_term_products(self, make, names):
+        model = make()
+        X, v = _operators(model)
+        a, b, c = (model.lookup(name) for name in names)
+        # two left terms share u' = X
+        T2 = TransvDist(model, {a.bid: X, b.bid: X, c.bid: v})
+        T1 = TransvDist(model, {a.bid: v, c.bid: X})
+        singles = [dist_mul(TransvDist.single(model, model.registry[bid2], u2),
+                            TransvDist.single(model, model.registry[bid1], u1))
+                   for bid2, u2 in T2.terms.items() for bid1, u1 in T1.terms.items()]
+        assert dist_mul(T2, T1) == TransvDist(model).plus(singles)
+        # two right terms share a bid (only a list of terms can say so)
+        left = [(a.bid, X), (b.bid, X)]
+        right = [(c.bid, X), (c.bid, v), (a.bid, v)]
+        got = list(term_products(model, left, right))
+        assert len(got) == len(left) * len(right)
+        for (bid, w), ((bid2, u2), (bid1, u1)) in zip(
+                got, [(lt, rt) for lt in left for rt in right]):
+            assert TransvDist(model, [(bid, w)]) == dist_mul(
+                TransvDist.single(model, model.registry[bid2], u2),
+                TransvDist.single(model, model.registry[bid1], u1))
+
+    def test_one_inverse_per_bid_and_one_adjoint_action_per_bid_and_operator(
+            self, h3, monkeypatch):
+        X, v = _operators(h3)
+        kx, ky, k123 = (h3.lookup(name) for name in ("kx", "ky", "k123"))
+        # u' = X on two bisections, and an equal value built anew on a third
+        X_again = UEAElement.generator(h3.algebroid, 0)
+        T2 = TransvDist(h3, {kx.bid: X, ky.bid: v, k123.bid: X_again})
+        T1 = TransvDist(h3, {kx.bid: v, k123.bid: X})
+        inverses, actions = [], []
+        _counting(monkeypatch, "bisection_inv", inverses)
+        _counting(monkeypatch, "ad_uea", actions)
+        for calls in (1, 2):
+            dist_mul(T2, T1)
+            # the memo lives for one call: each call derives everything once
+            assert len(inverses) == 2 * calls
+            assert len(actions) == 4 * calls
+        assert sorted(E.bid for (E,) in inverses) == sorted([kx.bid, k123.bid] * 2)
+        assert len({(E.bid, u) for E, u in actions[:4]}) == 4
+
+    def test_an_unsupported_product_still_raises(self, pair):
+        # Adbar needs the Ad matrix of E01^-1, an inverted flat kink
+        D = UEAElement.generator(pair.algebroid, 0)
+        T2 = TransvDist.single(pair, pair.lookup("shift"), D)
+        T1 = TransvDist.single(pair, pair.lookup("E01"), D)
+        for _ in range(2):
+            with pytest.raises(UnsupportedComposition, match="inverted flat"):
+                dist_mul(T2, T1)
+
+
+def _defcheck_reference(model, E2, u2, E1, u1, F, x0):
+    """_defcheck_term_pair at positive rank without model.derived: stage 1
+    built again for every pair.  Returns (stage 1, value)."""
+    if not E2.contains_target(x0):
+        return None, Q(0)
+    g = E2.beta(x0)
+    if not E1.contains_target(model.s_of(g)):
+        return None, Q(0)
+    n = model.arrow_chart.dim
+    H = F.substitute(model.mult_map)
+    af = ArrowFn(model, 2 * n, n, [(CoeffFn.const(model.base, 1), H)])
+    af = af.apply_uea(u1)
+    gvars = [Polynomial.var(n, k) for k in range(n)]
+    h_vals = [model.along_source(p) for p in model.beta_polys(E1)]
+    inner = af.substitute(n, gvars + h_vals, E1.to_target)
+    outer = ArrowFn(model, n, 0, inner.terms).apply_uea(u2)
+    return inner.terms, outer.eval_arrow(g)
+
+
+class TestDefcheckStage1:
+    @staticmethod
+    def _stage1_keys(model):
+        return {k for k in model.derived if k[0] == "defcheck_stage1"}
+
+    @pytest.mark.parametrize("make, names", [(pair_model, ("shift", "dbl", "half")),
+                                             (heisenberg_model, ("kx", "ky", "k123"))])
+    def test_one_key_per_triple_and_the_old_values(self, make, names):
+        model = make()
+        rng = random.Random(17)
+        X, v = _operators(model)
+        Es = [model.lookup(name) for name in names]
+        Fs = [model.random_test_function(rng, 2) for _ in range(2)]
+        x = Q(1, 3)
+        triples = set()
+        for F2 in Fs:
+            for E1 in Es:
+                for u1 in (X, v):
+                    for E2 in Es:
+                        for u2 in (X, v):
+                            inner, value = _defcheck_reference(model, E2, u2, E1, u1, F2, x)
+                            assert _defcheck_term_pair(model, E2, u2, E1, u1, F2, x) == value
+                            key = ("defcheck_stage1", F2, E1.bid, u1)
+                            assert model.derived[key].terms == inner
+                            triples.add(key)
+                    assert self._stage1_keys(model) == triples
+        # a second sweep adds no key and gives the same values
+        derived = dict(model.derived)
+        for F2 in Fs:
+            for E1 in Es:
+                for u1 in (X, v):
+                    assert (_defcheck_term_pair(model, Es[0], v, E1, u1, F2, x)
+                            == _defcheck_reference(model, Es[0], v, E1, u1, F2, x)[1])
+        assert model.derived == derived
+
+    def test_a_stage_that_raises_leaves_no_key(self, pair):
+        # beta of E01 needs its inverse map, which is not representable
+        D = UEAElement.generator(pair.algebroid, 0)
+        F2 = Polynomial.parse("x0*x1", 2)
+        before = self._stage1_keys(pair)
+        for _ in range(2):
+            with pytest.raises(UnsupportedComposition, match="inverse map"):
+                _defcheck_term_pair(pair, pair.lookup("shift"), D, pair.lookup("E01"), D,
+                                    F2, Q(1, 3))
+            assert self._stage1_keys(pair) == before
+
+
 class TestEtaleTestFunctions:
     """An etale test function is read with .get(gamma): a dict, or any
     object with only that method, like the one perfbench passes."""
@@ -333,8 +476,6 @@ class TestCommutingSquare:
     def test_gap_nonzero_without_the_adjoint_action(self, pair, h3, monkeypatch):
         # the gap is zero because U(Ad_E) twists the left side; with the
         # twist taken out the same cases must show a nonzero gap for every F
-        import convbialg.dist as dist_module
-
         A, H = pair.algebroid, h3.algebroid
         D = UEAElement.generator(A, 0)
         X, Y = UEAElement.generator(H, 0), UEAElement.generator(H, 1)
@@ -350,8 +491,6 @@ class TestCommutingSquare:
             assert not any(gap.is_zero for gap in gaps)
 
     def test_one_adjoint_action_for_all_test_functions(self, pair, monkeypatch):
-        import convbialg.dist as dist_module
-
         rng = random.Random(11)
         A = pair.algebroid
         u = uea_mul(UEAElement.from_coeff(A, CoeffFn(A.chart, Polynomial.parse("1 + x0", 1))),
@@ -365,8 +504,6 @@ class TestCommutingSquare:
 
     def test_each_gap_equals_the_gap_of_its_test_function_alone(self, pair, h3, monkeypatch):
         # without the twist the gaps are nonzero, so a shuffled list shows
-        import convbialg.dist as dist_module
-
         monkeypatch.setattr(dist_module, "ad_uea", lambda E, u: u)
         rng = random.Random(12)
         D = UEAElement.generator(pair.algebroid, 0)

@@ -15,6 +15,7 @@ from convbialg.models import (
     builtin_models,
     model_from_json,
     model_to_json,
+    pair_model,
 )
 from convbialg.phi import phi
 from convbialg.textform import parse_coeff, parse_conv, parse_dist, parse_uea, split_top
@@ -202,6 +203,20 @@ class TestCli:
             assert len(lines) == 1
             assert captured.err.startswith("error: ")
 
+    def test_uncaught_suite_error_names_the_suite(self, monkeypatch, capsys):
+        from convbialg.errors import UnsupportedComposition
+
+        def planted(*args):
+            raise UnsupportedComposition("planted")
+
+        monkeypatch.setattr(convbialg.suites, "term_products", planted)
+        assert main(["check", "--suite", "prop43"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: suite prop43: planted\n"
+        with pytest.raises(UnsupportedComposition, match="^suite prop43: planted$"):
+            convbialg.suites.run_suite("prop43")
+
     def test_optimized_interpreter_same_report(self, capsys):
         args = ["check", "--suite", "hopf-etale", "--output", "json"]
         assert main(args) == 0
@@ -236,6 +251,16 @@ def suite_subset(monkeypatch):
 
 
 class TestRunAll:
+    def test_every_given_model_is_checked(self):
+        # a model under a key that no factory has, next to the builtin ones
+        models = {"pair": pair_model(), "pair2": pair_model()}
+        reports = [convbialg.suites.run_suite("prop43", models=models),
+                   convbialg.suites.suite_commuting_square(models=models, nu=1, nf=1)]
+        for report in reports:
+            names = [c["name"].split(":")[0] for c in report["checks"] if ":" in c["name"]]
+            assert names == ["etale", "heisenberg", "pair", "pair2"]
+            assert report["pass"]
+
     def test_suite_reports_do_not_depend_on_earlier_suites(self, suite_subset):
         report = convbialg.suites.run_all()
         assert [r["suite"] for r in report["suites"]] == sorted(SUBSET)

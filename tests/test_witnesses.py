@@ -25,6 +25,10 @@ def _nonzero_gaps(real):
     return lambda model, E, u, Fs: [Polynomial.const(1, 1) for _ in Fs]
 
 
+def _plus_one(real):
+    return lambda *args: real(*args) + 1
+
+
 def _always_in_kernel(real):
     return lambda a: {"in_kernel": True, "witness": None}
 
@@ -42,7 +46,7 @@ PLANTS = {
     "commuting-square": ({"commuting_square_gap": _nonzero_gaps}, {"nu": 1, "nf": 1},
                          ["etale: exact on 6 cases", "heisenberg: exact on 5 cases",
                           "pair: exact on 4 cases, series (<1e-9) on 8"]),
-    "prop43": ({"dist_mul_defcheck": lambda real: lambda *args: real(*args) + 1}, {},
+    "prop43": ({"dist_mul_defcheck": _plus_one}, {},
                ["etale: 1 term pairs exact", "heisenberg: 1 term pairs exact",
                 "pair: 1 term pairs exact"]),
     "phi-homomorphism": ({"dist_mul": lambda real: lambda T2, T1: real(T2, T1) + T1}, {},
@@ -76,3 +80,22 @@ def test_planted_failure_reports_a_witness(name, monkeypatch, capsys):
     # every other check with a witness passes (a count check without one,
     # like prop43's total, fails when the first failure cuts the loops short)
     assert {c for c, v in checks.items() if "witness" in v and not v["pass"]} == set(broken)
+
+
+def test_prop43_witness_names_both_operators(monkeypatch):
+    # the failing pair can be rebuilt: its witness names u2 and u1 too
+    seen = []
+    planted = _plus_one(suites.dist_mul_defcheck)
+
+    def recording(T2, T1, F, x):
+        seen.append((T2, T1))
+        return planted(T2, T1, F, x)
+
+    monkeypatch.setattr(suites, "dist_mul_defcheck", recording)
+    report = suites.suite_prop43()
+    witnesses = [c["witness"] for c in report["checks"] if c.get("witness")]
+    assert len(witnesses) == len(seen) == 3
+    for witness, (T2, T1) in zip(witnesses, seen):
+        [(bid2, u2)] = T2.terms.items()
+        [(bid1, u1)] = T1.terms.items()
+        assert witness.startswith(f"{bid2}*{bid1} with u2={u2.text()}, u1={u1.text()} at x=")

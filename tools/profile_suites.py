@@ -12,10 +12,14 @@ constructors of the exact kernel (`Polynomial.__init__`, `CoeffFn.__init__`,
 (`groupoid.bisection_mul`, made once per id pair), of
 `PolynomialGroupoid.beta_polys` (every call; its cumulative time shows the
 derivations made once per bisection id), of `adjoint.ad_uea` (the
-commuting square makes one per (E, u)) and of `dist.ArrowFn.apply_frame`
-(its frame fields are embedded once per model and layout), then the 25
-functions with the most self time.  Profiled seconds are slower than plain ones; compare them
-only with another run of this script on the same machine.
+commuting square makes one per (E, u), a sweep of `dist.term_products` one
+per (bid, u')), of `groupoid.bisection_inv` (one per bid in such a sweep), of
+`dist.ArrowFn.apply_frame` (its frame fields are embedded once per model and
+layout) and of `dist._defcheck_term_pair` (every term pair of the defining
+formula; its cumulative time shows the first stages derived once per
+(F, bid, u)), then the 25 functions with the most self time.  Profiled
+seconds are slower than plain ones; compare them only with another run of
+this script on the same machine.
 """
 
 from __future__ import annotations
@@ -41,7 +45,9 @@ WATCHED = (
     ("groupoid.bisection_mul", groupoid.bisection_mul),
     ("PolynomialGroupoid.beta_polys", groupoid.PolynomialGroupoid.beta_polys),
     ("adjoint.ad_uea", adjoint.ad_uea),
+    ("groupoid.bisection_inv", groupoid.bisection_inv),
     ("dist.ArrowFn.apply_frame", dist.ArrowFn.apply_frame),
+    ("dist._defcheck_term_pair", dist._defcheck_term_pair),
 )
 TOP = 25
 
