@@ -8,13 +8,17 @@ report dict
 computed from the seed; no global state.  A suite reads only the models it
 is given or builds, so its report does not depend on what ran before it.
 Every float gate lives here, and max_keep_nan keeps a NaN from passing one.
+
+Most checks are laws, checked by _law on a stream of cases: the witness is
+the first case that fails, and no case after it is drawn, so the rng is
+drawn as far as that case and no further.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from itertools import repeat
+from itertools import product, repeat
 
 from .adjoint import ad_uea
 from .coeffs import Chart, CoeffFn, Polynomial, Q
@@ -78,6 +82,25 @@ def max_keep_nan(worst, value):
     return value if math.isnan(value) or value > worst else worst
 
 
+def _law(name, cases, holds, describe):
+    """The check of a law: it fails on the first case where holds(*case) is
+    false, with describe(*case) as its witness.  cases is consumed lazily,
+    so no case after the first failure is drawn."""
+    for case in cases:
+        if not holds(*case):
+            return {"name": name, "pass": False, "witness": describe(*case)}
+    return {"name": name, "pass": True, "witness": None}
+
+
+def _report(suite, checks, **extra):
+    """The report of a suite, which passes when every check passes."""
+    return {"suite": suite, "pass": all(c["pass"] for c in checks), "checks": checks, **extra}
+
+
+def _pair_text(i, a, b):
+    return f"pair {i}: {a.text()} ; {b.text()}"
+
+
 def _random_uea(rng, A, max_deg=2):
     terms = {}
     for _ in range(rng.randint(1, 2)):
@@ -112,7 +135,7 @@ def suite_lie_rinehart(seed=0xC0FFEE, models=None):
         "name": "corrupted table fails with witness",
         "pass": (not rep["passed"]) and any(c["witness"] for c in rep["checks"] if not c["pass"]),
     })
-    return {"suite": "lie-rinehart", "pass": all(c["pass"] for c in checks), "checks": checks}
+    return _report("lie-rinehart", checks)
 
 
 # ---------------------------------------------------------------------------
@@ -141,66 +164,41 @@ def _counit_slot(t: TensorElement, slot: int) -> UEAElement:
 def suite_uea(seed=0xC0FFEE, models=None):
     rng = random.Random(seed)
     algebras = [("tangent-line", tangent_line_algebroid()), ("heisenberg", heisenberg_algebra())]
-    checks = []
 
-    ok, witness = True, None
-    for k in range(100):
-        name, A = algebras[k % 2]
-        u, v, w = (_random_uea(rng, A) for _ in range(3))
-        if uea_mul(uea_mul(u, v), w) != uea_mul(u, uea_mul(v, w)):
-            ok, witness = False, f"{name}: ({u.text()})({v.text()})({w.text()})"
-            break
-    checks.append({"name": "associativity (100 triples)", "pass": ok, "witness": witness})
+    def draws(n, k=1):
+        """n cases (name, u1, ..., uk), on the two algebras in turn."""
+        for i in range(n):
+            name, A = algebras[i % 2]
+            yield name, *(_random_uea(rng, A) for _ in range(k))
 
-    ok, witness = True, None
-    for k in range(30):
-        name, A = algebras[k % 2]
-        u = _random_uea(rng, A)
-        if _triple_expand(coproduct(u), "left") != _triple_expand(coproduct(u), "right"):
-            ok, witness = False, f"{name}: {u.text()}"
-            break
-    checks.append({"name": "coassociativity", "pass": ok, "witness": witness})
+    def with_coproduct(n):
+        return ((name, u, coproduct(u)) for name, u in draws(n))
 
-    ok, witness = True, None
-    for k in range(30):
-        name, A = algebras[k % 2]
-        u = _random_uea(rng, A)
-        d = coproduct(u)
-        if _counit_slot(d, 0) != u or _counit_slot(d, 1) != u:
-            ok, witness = False, f"{name}: {u.text()}"
-            break
-    checks.append({"name": "counit axioms (eps x id, id x eps)", "pass": ok, "witness": witness})
+    def with_coefficient(n):
+        """Cases (name, u, coproduct(u), r), with r drawn after u."""
+        for name, u, d in with_coproduct(n):
+            chart = u.parent.chart
+            yield name, u, d, CoeffFn(chart, random_polynomial(rng, chart.dim, 2))
 
-    ok, witness = True, None
-    for k in range(30):
-        name, A = algebras[k % 2]
-        u, v = _random_uea(rng, A), _random_uea(rng, A)
-        if coproduct(uea_mul(u, v)) != coproduct(u).mul(coproduct(v)):
-            ok, witness = False, f"{name}: {u.text()} * {v.text()}"
-            break
-    checks.append({"name": "Delta multiplicative (30 pairs)", "pass": ok, "witness": witness})
+    def text(name, u, *_):
+        return f"{name}: {u.text()}"
 
-    ok, witness = True, None
-    for k in range(30):
-        name, A = algebras[k % 2]
-        u = _random_uea(rng, A)
-        r = CoeffFn(A.chart, random_polynomial(rng, A.chart.dim, 2))
-        d = coproduct(u)
-        if d.act_right_left_slot(r) != d.act_right_right_slot(r):
-            ok, witness = False, f"{name}: {u.text()} with r={r.text()}"
-            break
-    checks.append({"name": "Delta image in the balanced subspace", "pass": ok, "witness": witness})
-
-    ok, witness = True, None
-    for k in range(30):
-        name, A = algebras[k % 2]
-        u = _random_uea(rng, A)
-        if coproduct(u).swap() != coproduct(u):
-            ok, witness = False, f"{name}: {u.text()}"
-            break
-    checks.append({"name": "cocommutativity", "pass": ok, "witness": witness})
-
-    return {"suite": "uea", "pass": all(c["pass"] for c in checks), "checks": checks}
+    return _report("uea", [
+        _law("associativity (100 triples)", draws(100, 3),
+             lambda _, u, v, w: uea_mul(uea_mul(u, v), w) == uea_mul(u, uea_mul(v, w)),
+             lambda name, u, v, w: f"{name}: ({u.text()})({v.text()})({w.text()})"),
+        _law("coassociativity", with_coproduct(30),
+             lambda _, u, d: _triple_expand(d, "left") == _triple_expand(d, "right"), text),
+        _law("counit axioms (eps x id, id x eps)", with_coproduct(30),
+             lambda _, u, d: _counit_slot(d, 0) == u and _counit_slot(d, 1) == u, text),
+        _law("Delta multiplicative (30 pairs)", draws(30, 2),
+             lambda _, u, v: coproduct(uea_mul(u, v)) == coproduct(u).mul(coproduct(v)),
+             lambda name, u, v: f"{name}: {u.text()} * {v.text()}"),
+        _law("Delta image in the balanced subspace", with_coefficient(30),
+             lambda _, u, d, r: d.act_right_left_slot(r) == d.act_right_right_slot(r),
+             lambda name, u, d, r: f"{name}: {u.text()} with r={r.text()}"),
+        _law("cocommutativity", with_coproduct(30), lambda _, u, d: d.swap() == d, text),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -224,66 +222,56 @@ def suite_hopf_etale(seed=0xC0FFEE, models=None):
     A = model.algebroid
     rng = random.Random(seed)
     elements = [_random_etale_element(rng, model) for _ in range(30)]
-    pairs = [(elements[i], elements[(i + 7) % 30]) for i in range(30)]
-    checks = []
-
-    def run(name, fn):
-        ok, witness = True, None
-        for i, (a, b) in enumerate(pairs):
-            if not fn(a, b):
-                ok, witness = False, f"pair {i}: {a.text()} ; {b.text()}"
-                break
-        checks.append({"name": name, "pass": ok, "witness": witness})
-
-    def rfun(i):
-        return CoeffFn(A.chart, random_polynomial(random.Random(seed + i), 1, 2))
-
-    run("(i) Delta(A) in the balanced subspace",
-        lambda a, b: conv_coproduct(a).act_right_left(rfun(1)) ==
-                     conv_coproduct(a).act_right_right(rfun(1)))
-    run("(ii) eps restricted to R is the identity",
-        lambda a, b: conv_counit(ConvElement.from_coeff(model, rfun(2))) == rfun(2))
+    pairs = [(i, elements[i], elements[(i + 7) % 30]) for i in range(30)]
+    r1, r2, r3, r6 = (CoeffFn(A.chart, random_polynomial(random.Random(seed + i), 1, 2))
+                      for i in (1, 2, 3, 6))
     unit = model.register(unit_bisection(model))
-    run("(iii) Delta restricted to R is the canonical embedding",
-        lambda a, b: conv_coproduct(ConvElement.from_coeff(model, rfun(3))) ==
-                     ConvTensor(model, {(unit.bid, unit.bid): TensorElement.of(
-                         UEAElement.from_coeff(A, rfun(3)), UEAElement.one(A))}))
-    run("(iv) eps(ab) = eps(a.eps(b))",
-        lambda a, b: conv_counit(conv_mul(a, b)) ==
-                     conv_counit(conv_mul(a, ConvElement.from_coeff(model, conv_counit(b)))))
-    run("(v) Delta(ab) = Delta(a)Delta(b)",
-        lambda a, b: conv_coproduct(conv_mul(a, b)) ==
-                     conv_coproduct(a).mul(conv_coproduct(b)))
-    run("cocommutativity",
-        lambda a, b: conv_coproduct(a).swap() == conv_coproduct(a))
-    run("(vi) S restricted to R is the identity",
-        lambda a, b: antipode_etale(ConvElement.from_coeff(model, rfun(6))) ==
-                     ConvElement.from_coeff(model, rfun(6)))
-    run("(vii) S(ab) = S(b)S(a)",
-        lambda a, b: antipode_etale(conv_mul(a, b)) ==
-                     conv_mul(antipode_etale(b), antipode_etale(a)))
-    run("S involution",
-        lambda a, b: antipode_etale(antipode_etale(a)) == a)
 
-    def axiom_viii(a, b):
+    def balanced(i, a, b):
+        d = conv_coproduct(a)
+        return d.act_right_left(r1) == d.act_right_right(r1)
+
+    def axiom_viii(i, a, b):
         lhs = conv_coproduct(a).apply_antipode_left().mu()
         # expected: sum <f o tau_E, E^-1.E> with E^-1.E the unit over s(E)
-        pairs = []
+        terms = []
         total = CoeffFn.const(A.chart, 0)
         for bid, u in a.terms.items():
             E = model.registry[bid]
             fs = E.to_source(u.degree0())
             prod = model.registered_product(bisection_inv(E), E)
-            pairs.append((prod.bid, UEAElement.from_coeff(A, fs)))
+            terms.append((prod.bid, UEAElement.from_coeff(A, fs)))
             total = total + fs
-        expected = ConvElement(model, pairs)
-        if not conv_eq(lhs, expected):
-            return False
-        return conv_counit(antipode_etale(a)) == total
+        return conv_eq(lhs, ConvElement(model, terms)) and conv_counit(antipode_etale(a)) == total
 
-    run("(viii) mu(S x id)Delta = eps o S (support-respecting form)", axiom_viii)
-
-    return {"suite": "hopf-etale", "pass": all(c["pass"] for c in checks), "checks": checks}
+    laws = [
+        ("(i) Delta(A) in the balanced subspace", pairs, balanced),
+        # a deterministic law that reads no pair fails on the first pair or on none
+        ("(ii) eps restricted to R is the identity", pairs[:1],
+         lambda *_: conv_counit(ConvElement.from_coeff(model, r2)) == r2),
+        ("(iii) Delta restricted to R is the canonical embedding", pairs[:1],
+         lambda *_: conv_coproduct(ConvElement.from_coeff(model, r3)) ==
+         ConvTensor(model, {(unit.bid, unit.bid): TensorElement.of(
+             UEAElement.from_coeff(A, r3), UEAElement.one(A))})),
+        ("(iv) eps(ab) = eps(a.eps(b))", pairs,
+         lambda i, a, b: conv_counit(conv_mul(a, b)) ==
+         conv_counit(conv_mul(a, ConvElement.from_coeff(model, conv_counit(b))))),
+        ("(v) Delta(ab) = Delta(a)Delta(b)", pairs,
+         lambda i, a, b: conv_coproduct(conv_mul(a, b)) ==
+         conv_coproduct(a).mul(conv_coproduct(b))),
+        ("cocommutativity", pairs,
+         lambda i, a, b: conv_coproduct(a).swap() == conv_coproduct(a)),
+        ("(vi) S restricted to R is the identity", pairs[:1],
+         lambda *_: antipode_etale(ConvElement.from_coeff(model, r6)) ==
+         ConvElement.from_coeff(model, r6)),
+        ("(vii) S(ab) = S(b)S(a)", pairs,
+         lambda i, a, b: antipode_etale(conv_mul(a, b)) ==
+         conv_mul(antipode_etale(b), antipode_etale(a))),
+        ("S involution", pairs, lambda i, a, b: antipode_etale(antipode_etale(a)) == a),
+        ("(viii) mu(S x id)Delta = eps o S (support-respecting form)", pairs, axiom_viii),
+    ]
+    return _report("hopf-etale", [_law(name, cases, holds, _pair_text)
+                                  for name, cases, holds in laws])
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +309,7 @@ def suite_commuting_square(seed=0xC0FFEE, models=None, nu=20, nf=5):
                     + (f", series (<1e-9) on {numeric_count}" if numeric_count else ""),
             "pass": ok, "witness": witness, "max_numeric_gap": worst,
         })
-    return {"suite": "commuting-square", "pass": all(c["pass"] for c in checks), "checks": checks}
+    return _report("commuting-square", checks)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +373,7 @@ def suite_prop43(seed=0xC0FFEE, models=None):
                        "witness": witness})
     checks.append({"name": f">= 100 pairs total (got {total_pairs})",
                    "pass": total_pairs >= 100})
-    return {"suite": "prop43", "pass": all(c["pass"] for c in checks), "checks": checks}
+    return _report("prop43", checks)
 
 
 # ---------------------------------------------------------------------------
@@ -405,19 +393,12 @@ def _random_conv_element(rng, model) -> ConvElement:
 
 def suite_phi_homomorphism(seed=0xC0FFEE, models=None):
     rng = random.Random(seed)
-    checks = []
-    for mname, model in sorted(_all_models(models).items()):
-        ok, witness = True, None
-        for i in range(100):
-            a = _random_conv_element(rng, model)
-            b = _random_conv_element(rng, model)
-            if phi(conv_mul(a, b)) != dist_mul(phi(a), phi(b)):
-                ok, witness = False, f"pair {i}: {a.text()} ; {b.text()}"
-                break
-        checks.append({"name": f"{mname}: 100 random pairs exact", "pass": ok,
-                       "witness": witness})
-    return {"suite": "phi-homomorphism", "pass": all(c["pass"] for c in checks),
-            "checks": checks}
+    return _report("phi-homomorphism", [
+        _law(f"{mname}: 100 random pairs exact",
+             ((i, _random_conv_element(rng, model), _random_conv_element(rng, model))
+              for i in range(100)),
+             lambda i, a, b: phi(conv_mul(a, b)) == dist_mul(phi(a), phi(b)), _pair_text)
+        for mname, model in sorted(_all_models(models).items())])
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +436,8 @@ def suite_kernel_example(seed=0xC0FFEE, models=None, npoints=20):
     checks.append({"name": f"|phi(a)(F)(x)| < 1e-09 at {npoints} float points",
                    "pass": worst < 1e-9, "max_abs": worst})
 
-    return {"suite": "kernel-example", "pass": all(c["pass"] for c in checks), "checks": checks,
-            "strata": stratify(model, [model.registry[b] for b in a.terms]).table()}
+    return _report("kernel-example", checks,
+                   strata=stratify(model, [model.registry[b] for b in a.terms]).table())
 
 
 def _random_heisenberg_u(rng, A) -> UEAElement:
@@ -479,49 +460,39 @@ def suite_cartier_gabriel(seed=0xC0FFEE, models=None):
     rng = random.Random(seed)
     elements = list(model.registry.values())
     unit = model.register(unit_bisection(model))
-    checks = []
+    one = UEAElement.one(A)
 
-    inj_ok, inj_witness = True, None
-    for _ in range(20):
-        ks = rng.sample(elements, k=min(len(elements), rng.randint(1, 5)))
-        a = ConvElement(model, [(E.bid, _random_heisenberg_u(rng, A)) for E in ks])
-        if a.is_zero:
-            continue
-        if kernel_test(a)["in_kernel"]:
-            inj_ok, inj_witness = False, a.text()
-            break
-    checks.append({"name": "injective on sums over <= 5 group elements",
-                   "pass": inj_ok, "witness": inj_witness})
+    def sums():
+        """20 draws of a sum over <= 5 group elements; the nonzero ones."""
+        for _ in range(20):
+            ks = rng.sample(elements, k=min(len(elements), rng.randint(1, 5)))
+            a = ConvElement(model, [(E.bid, _random_heisenberg_u(rng, A)) for E in ks])
+            if not a.is_zero:
+                yield (a,)
 
-    twist_ok, twist_witness = True, None
-    for _ in range(20):
-        kp = rng.choice(elements)
-        k = rng.choice(elements)
-        u = _random_heisenberg_u(rng, A)
-        delta = ConvElement.single(model, kp, UEAElement.one(A))
+    def twisted(kp, k, u):
+        delta = ConvElement.single(model, kp, one)
         b = ConvElement.single(model, k, u)
-        if dist_mul(phi(delta), phi(b)) != phi(conv_mul(delta, b)):
-            twist_ok, twist_witness = False, (kp.bid, k.bid, u.text())
-            break
-    checks.append({"name": "twisted product delta_k' * Phi<u,k> = Phi(conv product)",
-                   "pass": twist_ok, "witness": twist_witness})
+        return dist_mul(phi(delta), phi(b)) == phi(conv_mul(delta, b))
 
-    dec_ok, dec_witness = True, None
-    for _ in range(20):
-        k = rng.choice(elements)
-        u = _random_heisenberg_u(rng, A)
+    def decomposes(k, u):
         full = ConvElement.single(model, k, u)
-        left = conv_mul(ConvElement.single(model, unit, u),
-                        ConvElement.single(model, k, UEAElement.one(A)))
-        right = conv_mul(ConvElement.single(model, k, UEAElement.one(A)),
+        left = conv_mul(ConvElement.single(model, unit, u), ConvElement.single(model, k, one))
+        right = conv_mul(ConvElement.single(model, k, one),
                          ConvElement.single(model, unit, ad_uea(bisection_inv(k), u)))
-        if left != full or right != full:
-            dec_ok, dec_witness = False, (k.bid, u.text())
-            break
-    checks.append({"name": "grouplike x primitive decomposition up to Ad twist",
-                   "pass": dec_ok, "witness": dec_witness})
+        return left == full and right == full
 
-    return {"suite": "cartier-gabriel", "pass": all(c["pass"] for c in checks), "checks": checks}
+    return _report("cartier-gabriel", [
+        _law("injective on sums over <= 5 group elements", sums(),
+             lambda a: not kernel_test(a)["in_kernel"], lambda a: a.text()),
+        _law("twisted product delta_k' * Phi<u,k> = Phi(conv product)",
+             ((rng.choice(elements), rng.choice(elements), _random_heisenberg_u(rng, A))
+              for _ in range(20)),
+             twisted, lambda kp, k, u: (kp.bid, k.bid, u.text())),
+        _law("grouplike x primitive decomposition up to Ad twist",
+             ((rng.choice(elements), _random_heisenberg_u(rng, A)) for _ in range(20)),
+             decomposes, lambda k, u: (k.bid, u.text())),
+    ])
 
 
 def suite_etale_iso(seed=0xC0FFEE, models=None):
@@ -530,36 +501,28 @@ def suite_etale_iso(seed=0xC0FFEE, models=None):
     A = model.algebroid
     rng = random.Random(seed)
     bisections = list(model.registry.values())
-    checks = []
 
-    inj_ok, inj_witness = True, None
-    for _ in range(20):
-        ks = rng.sample(bisections, k=min(len(bisections), rng.randint(1, 4)))
-        a = ConvElement(model, [
-            (E.bid, UEAElement.from_coeff(A, CoeffFn(A.chart, random_polynomial(rng, 1, 2))))
-            for E in ks
-        ])
-        if kernel_test(a)["in_kernel"] != conv_is_zero(a):
-            inj_ok, inj_witness = False, a.text()
-            break
-    checks.append({"name": "ker(Phi) = 0: kernel_test agrees with germwise zero",
-                   "pass": inj_ok, "witness": inj_witness})
+    def sums():
+        """20 draws of a degree-0 sum over <= 4 bisections."""
+        for _ in range(20):
+            ks = rng.sample(bisections, k=min(len(bisections), rng.randint(1, 4)))
+            yield (ConvElement(model, [
+                (E.bid, UEAElement.from_coeff(A, CoeffFn(A.chart, random_polynomial(rng, 1, 2))))
+                for E in ks]),)
 
-    surj_ok, surj_witness = True, None
-    for E in bisections:
-        for P in (Polynomial.const(1, 3), Polynomial(1, {(2,): Q(1), (0,): Q(-1)})):
-            f = CoeffFn(A.chart, P)
-            target = TransvDist.single(model, E, UEAElement.from_coeff(A, f))
-            pre = ConvElement.single(model, E, UEAElement.from_coeff(A, E.to_target(f)))
-            if phi(pre) != target:
-                surj_ok, surj_witness = False, (E.bid, P.text())
-                break
-        if not surj_ok:
-            break
-    checks.append({"name": "every [[E, f]] has preimage <f o tau^-1, E#>",
-                   "pass": surj_ok, "witness": surj_witness})
+    def has_preimage(E, P):
+        f = CoeffFn(A.chart, P)
+        target = TransvDist.single(model, E, UEAElement.from_coeff(A, f))
+        pre = ConvElement.single(model, E, UEAElement.from_coeff(A, E.to_target(f)))
+        return phi(pre) == target
 
-    return {"suite": "etale-iso", "pass": all(c["pass"] for c in checks), "checks": checks}
+    polys = (Polynomial.const(1, 3), Polynomial(1, {(2,): Q(1), (0,): Q(-1)}))
+    return _report("etale-iso", [
+        _law("ker(Phi) = 0: kernel_test agrees with germwise zero", sums(),
+             lambda a: kernel_test(a)["in_kernel"] == conv_is_zero(a), lambda a: a.text()),
+        _law("every [[E, f]] has preimage <f o tau^-1, E#>", product(bisections, polys),
+             has_preimage, lambda E, P: (E.bid, P.text())),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +557,7 @@ def suite_fd_sanity(seed=0xC0FFEE, models=None, npoints=20):
                 ok = False
         checks.append({"name": f"{name}: {npoints} points, rel <= 1e-06",
                        "pass": ok, "max_rel": worst})
-    return {"suite": "fd-sanity", "pass": all(c["pass"] for c in checks), "checks": checks}
+    return _report("fd-sanity", checks)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,13 @@
 Each case replaces names that one suite reads from `convbialg.suites` with
 versions that give wrong answers, runs the suite, and asserts that exactly
 the checks the plant breaks fail with a witness, read back from the CLI's
-canonical JSON.
+canonical JSON, and that those bytes hash as they did when the plant was
+recorded.
 
     PYTHONPATH=src python -m pytest -q tests/test_witnesses.py
 """
 
+import hashlib
 import json
 
 import pytest
@@ -15,6 +17,9 @@ import pytest
 import convbialg.suites as suites
 from convbialg.cli import _emit_json
 from convbialg.coeffs import CoeffFn, Polynomial
+from convbialg.conv import ConvTensor
+from convbialg.groupoid import unit_bisection
+from convbialg.uea import TensorElement, UEAElement
 
 
 def _plus_one_counit(real):
@@ -33,53 +38,114 @@ def _always_in_kernel(real):
     return lambda a: {"in_kernel": True, "witness": None}
 
 
-# suite: (name in convbialg.suites -> plant made from the real one, keyword
-# arguments of the suite, the checks that then fail with a witness)
+def _doubled(real):
+    return lambda a: real(a + a)
+
+
+def _plus_u_tensor_one(real):
+    return lambda u: real(u) + TensorElement.of(u, UEAElement.one(u.parent))
+
+
+def _right_slot_on_unit(real):
+    def plant(a):
+        unit = a.model.register(unit_bisection(a.model)).bid
+        return ConvTensor(a.model, [((bl, unit), t) for (bl, _), t in real(a).terms.items()])
+    return plant
+
+
+# plant name: (suite, {name in convbialg.suites -> plant made from the real
+# one}, keyword arguments of the suite, the checks that then fail with a
+# witness, sha256 of the report's canonical JSON)
 PLANTS = {
-    "uea": ({"uea_mul": lambda real: lambda u, v: real(u, v).plus([u])}, {},
-            ["associativity (100 triples)", "Delta multiplicative (30 pairs)"]),
-    "hopf-etale": ({"conv_counit": _plus_one_counit}, {},
-                   ["(ii) eps restricted to R is the identity",
-                    "(iv) eps(ab) = eps(a.eps(b))",
-                    "(viii) mu(S x id)Delta = eps o S (support-respecting form)"]),
+    "uea-mul-plus-u": (
+        "uea", {"uea_mul": lambda real: lambda u, v: real(u, v).plus([u])}, {},
+        ["associativity (100 triples)", "Delta multiplicative (30 pairs)"],
+        "af55b8b0332b9c6cac29892bcb9eda789500b35732d6c6a35573890a3f6c6de3"),
+    "uea-coproduct-doubled": (
+        "uea", {"coproduct": _doubled}, {},
+        ["counit axioms (eps x id, id x eps)", "Delta multiplicative (30 pairs)"],
+        "c3e83771fa0fcfb40de11e1280b584efb8ee87ce017bc25f5f985cbce146cb8a"),
+    "uea-coproduct-plus-u-tensor-1": (
+        "uea", {"coproduct": _plus_u_tensor_one}, {},
+        ["coassociativity", "counit axioms (eps x id, id x eps)",
+         "Delta multiplicative (30 pairs)", "Delta image in the balanced subspace",
+         "cocommutativity"],
+        "1eeead800760813e4f3bbbcb2329638266af2750f2d2f39c6b1bf7ff76bb8619"),
+    "hopf-etale-counit-plus-one": (
+        "hopf-etale", {"conv_counit": _plus_one_counit}, {},
+        ["(ii) eps restricted to R is the identity", "(iv) eps(ab) = eps(a.eps(b))",
+         "(viii) mu(S x id)Delta = eps o S (support-respecting form)"],
+        "5a949a4bc2f27f8d465b3c43604511b3aa68f5ce2fdb9033dc2aae78c6a5f8c5"),
+    "hopf-etale-coproduct-doubled": (
+        "hopf-etale", {"conv_coproduct": _doubled}, {},
+        ["(iii) Delta restricted to R is the canonical embedding",
+         "(v) Delta(ab) = Delta(a)Delta(b)",
+         "(viii) mu(S x id)Delta = eps o S (support-respecting form)"],
+        "f8ba6b145bbad4580eebec56f98396e9f0c732bb946c546a2eacdd58e79a68ea"),
+    "hopf-etale-coproduct-right-slot-on-unit": (
+        "hopf-etale", {"conv_coproduct": _right_slot_on_unit}, {},
+        ["(i) Delta(A) in the balanced subspace", "cocommutativity",
+         "(viii) mu(S x id)Delta = eps o S (support-respecting form)"],
+        "b0341b1fbb1de9426ffbf0a1d600bd5a6384ebd41411ea2ec9a7b3184b13cc8f"),
+    "hopf-etale-antipode-plus-a": (
+        "hopf-etale", {"antipode_etale": lambda real: lambda a: real(a) + a}, {},
+        ["(vi) S restricted to R is the identity", "(vii) S(ab) = S(b)S(a)", "S involution",
+         "(viii) mu(S x id)Delta = eps o S (support-respecting form)"],
+        "184945ccdb326aa43a89017072db843bbadca4e1e77ea68ddd75338925834fae"),
     # the exact side only: the flat kinks keep their series check
-    "commuting-square": ({"commuting_square_gap": _nonzero_gaps}, {"nu": 1, "nf": 1},
-                         ["etale: exact on 6 cases", "heisenberg: exact on 5 cases",
-                          "pair: exact on 4 cases, series (<1e-9) on 8"]),
-    "prop43": ({"dist_mul_defcheck": _plus_one}, {},
-               ["etale: 1 term pairs exact", "heisenberg: 1 term pairs exact",
-                "pair: 1 term pairs exact"]),
-    "phi-homomorphism": ({"dist_mul": lambda real: lambda T2, T1: real(T2, T1) + T1}, {},
-                         ["etale: 100 random pairs exact", "heisenberg: 100 random pairs exact",
-                          "pair: 100 random pairs exact"]),
-    "cartier-gabriel": ({"kernel_test": _always_in_kernel,
-                         "conv_mul": lambda real: lambda a2, a1: real(a2, a1) + a1}, {},
-                        ["injective on sums over <= 5 group elements",
-                         "twisted product delta_k' * Phi<u,k> = Phi(conv product)",
-                         "grouplike x primitive decomposition up to Ad twist"]),
-    "etale-iso": ({"kernel_test": _always_in_kernel,
-                   "phi": lambda real: lambda a: real(a).scale(2)}, {},
-                  ["ker(Phi) = 0: kernel_test agrees with germwise zero",
-                   "every [[E, f]] has preimage <f o tau^-1, E#>"]),
+    "commuting-square-nonzero-gaps": (
+        "commuting-square", {"commuting_square_gap": _nonzero_gaps}, {"nu": 1, "nf": 1},
+        ["etale: exact on 6 cases", "heisenberg: exact on 5 cases",
+         "pair: exact on 4 cases, series (<1e-9) on 8"],
+        "72fce1069bd3ac14b15141e70dafbbbcf23261e23b6c720448eed70270374cef"),
+    "prop43-defcheck-plus-one": (
+        "prop43", {"dist_mul_defcheck": _plus_one}, {},
+        ["etale: 1 term pairs exact", "heisenberg: 1 term pairs exact",
+         "pair: 1 term pairs exact"],
+        "605fcd11fafc734de110802feac05f77ca3bb29dece21ab852df68884e8ab552"),
+    "phi-homomorphism-dist-mul-plus-t1": (
+        "phi-homomorphism", {"dist_mul": lambda real: lambda T2, T1: real(T2, T1) + T1}, {},
+        ["etale: 100 random pairs exact", "heisenberg: 100 random pairs exact",
+         "pair: 100 random pairs exact"],
+        "0fc72d1ab011a0908e252a5ac5d245267f9807659e346aaa82b59faccc9194e0"),
+    "cartier-gabriel-in-kernel-and-mul-plus-a1": (
+        "cartier-gabriel", {"kernel_test": _always_in_kernel,
+                            "conv_mul": lambda real: lambda a2, a1: real(a2, a1) + a1}, {},
+        ["injective on sums over <= 5 group elements",
+         "twisted product delta_k' * Phi<u,k> = Phi(conv product)",
+         "grouplike x primitive decomposition up to Ad twist"],
+        "2e0a31d21c11d45783565b81a2e776dc644a9bbf1c0691100080313ad29419e1"),
+    "cartier-gabriel-ad-plus-u": (
+        "cartier-gabriel", {"ad_uea": lambda real: lambda E, u: real(E, u) + u}, {},
+        ["grouplike x primitive decomposition up to Ad twist"],
+        "fa8ed79d6fb0c51b19c7ad2e3f84a2f00c56677e2172022876d82033411a7e32"),
+    "etale-iso-in-kernel-and-phi-doubled": (
+        "etale-iso", {"kernel_test": _always_in_kernel,
+                      "phi": lambda real: lambda a: real(a).scale(2)}, {},
+        ["ker(Phi) = 0: kernel_test agrees with germwise zero",
+         "every [[E, f]] has preimage <f o tau^-1, E#>"],
+        "3229d11c0c49ac4523be93645f21e5a30c3194ced1294c41c96876221d382f82"),
 }
 
 
-@pytest.mark.parametrize("name", sorted(PLANTS))
-def test_planted_failure_reports_a_witness(name, monkeypatch, capsys):
-    plants, kwargs, broken = PLANTS[name]
+@pytest.mark.parametrize("plant", sorted(PLANTS))
+def test_planted_failure_reports_a_witness(plant, monkeypatch, capsys):
+    suite, plants, kwargs, broken, sha256 = PLANTS[plant]
     for attr, make in plants.items():
         monkeypatch.setattr(suites, attr, make(getattr(suites, attr)))
-    report = suites.SUITES[name](**kwargs)
+    report = suites.SUITES[suite](**kwargs)
     assert report["pass"] is False
     _emit_json(report)
-    doc = json.loads(capsys.readouterr().out)
-    checks = {c["name"]: c for c in doc["checks"]}
+    out = capsys.readouterr().out
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
     for check in broken:
         assert checks[check]["pass"] is False
         assert checks[check]["witness"] is not None
     # every other check with a witness passes (a count check without one,
     # like prop43's total, fails when the first failure cuts the loops short)
     assert {c for c, v in checks.items() if "witness" in v and not v["pass"]} == set(broken)
+    # the bytes pin which case fails first and the rng draws after it
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_prop43_witness_names_both_operators(monkeypatch):
@@ -99,3 +165,25 @@ def test_prop43_witness_names_both_operators(monkeypatch):
         [(bid2, u2)] = T2.terms.items()
         [(bid1, u1)] = T1.terms.items()
         assert witness.startswith(f"{bid2}*{bid1} with u2={u2.text()}, u1={u1.text()} at x=")
+
+
+def _counted(cases, drawn):
+    for case in cases:
+        drawn.append(case)
+        yield case
+
+
+def test_law_stops_at_the_first_failure():
+    drawn = []
+    check = suites._law("odd", _counted([(1,), (3,), (4,), (6,), (7,)], drawn),
+                        lambda n: n % 2, lambda n: f"n={n}")
+    assert check == {"name": "odd", "pass": False, "witness": "n=4"}
+    assert drawn == [(1,), (3,), (4,)]
+
+
+@pytest.mark.parametrize("cases", [[(1, 2), (3, 4)], []])
+def test_law_passes_without_a_witness(cases):
+    drawn = []
+    check = suites._law("ordered", _counted(cases, drawn), lambda a, b: a < b, repr)
+    assert check == {"name": "ordered", "pass": True, "witness": None}
+    assert drawn == cases
