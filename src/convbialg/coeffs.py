@@ -20,11 +20,19 @@ much cheaper than Fraction arithmetic.  An int keeps the ==, hash and str
 of the equal Fraction, but int / int is a float: every division that can
 see two ints goes through Q (Fraction), as in Q(a, b) or Q(a) / b, and a
 negative power needs a Fraction base.
+
+`Polynomial.at` puts values into a polynomial in any ring that has `*`,
+`+` and a constant map: coefficient functions, floats, float jets.  The
+two exact rings have their own loops with the same results:
+`Polynomial.substitute` (polynomials into a polynomial) adds the terms in
+place into one dict, and the exact `Polynomial.eval` works in plain
+rationals; neither builds a constant per term.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -319,7 +327,7 @@ class Polynomial:
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(operator.add, e1, e2))
                 terms[e] = terms.get(e, 0) + c1 * c2
         return Polynomial._raw(self.nvars, terms)
 
@@ -340,7 +348,14 @@ class Polynomial:
         return Polynomial._raw(self.nvars, terms)
 
     def substitute(self, values: Sequence["Polynomial"]) -> "Polynomial":
-        """Plug a polynomial (on a common target variable set) into each variable."""
+        """Plug a polynomial (on a common target variable set) into each variable.
+
+        The result is `self.at(values, lambda c: Polynomial.const(tgt, c))`
+        key for key, in order and in scalar type: each term's values are
+        multiplied in variable order and then scaled by its coefficient, and
+        the terms are added in dict order into one dict, where a key whose
+        sum cancels is dropped at once (so it goes to the end if it comes
+        back)."""
         if len(values) != self.nvars:
             raise ValueError("need one value per variable")
         if values:
@@ -349,14 +364,29 @@ class Polynomial:
                 raise ValueError("substitution targets disagree")
         else:
             tgt = 0
-        return self.at(values, lambda c: Polynomial.const(tgt, c))
+        total = {}
+        for e, c in self.terms.items():
+            term = None
+            for v, k in zip(values, e):
+                for _ in range(k):
+                    term = v if term is None else term * v
+            pairs = (((0,) * tgt, c),) if term is None else (
+                (m, c * a) for m, a in term.terms.items())
+            for m, a in pairs:
+                a += total.get(m, 0)
+                if a:
+                    total[m] = a
+                else:
+                    del total[m]
+        return Polynomial._raw(tgt, total)
 
     def at(self, values: Sequence, const):
         """self with values[i] put in for variable i, in the ring of the
-        values: polynomials, coefficient functions or jets.  const(c) is
-        the ring's constant c.  Each term is const(c) times each value k
-        times in variable order, and the terms are added in dict order, so
-        a float ring sees one fixed order of operations."""
+        values: coefficient functions, floats or float jets (`substitute`
+        and the exact `eval` have their own loops).  const(c) is the
+        ring's constant c.  Each term is const(c) times each value k times
+        in variable order, and the terms are added in dict order, so a
+        float ring sees one fixed order of operations."""
         total = const(0)
         for e, c in self.terms.items():
             term = const(c)
@@ -379,7 +409,15 @@ class Polynomial:
             raise ValueError("point dimension mismatch")
         if not all(isinstance(x, (int, Fraction)) for x in point):
             return self.at(point, float)
-        return self.at(point, lambda c: c) if self.terms else Q(0)
+        if not self.terms:
+            return Q(0)
+        total = 0
+        for e, c in self.terms.items():
+            for x, k in zip(point, e):
+                if k:
+                    c = c * x ** k
+            total = total + c
+        return total
 
     # -- text form ----------------------------------------------------------
 
@@ -590,7 +628,7 @@ class CoeffFn:
         )
 
     def _check(self, other: "CoeffFn"):
-        if self.chart != other.chart:
+        if self.chart is not other.chart and self.chart != other.chart:
             raise ChartMismatch("coefficient functions on different charts")
 
     # -- arithmetic ---------------------------------------------------------

@@ -3,7 +3,10 @@
 A LieRinehart value stores a chart, a module rank r, an anchor matrix
 (rho(X_i) as a vector field, one row per frame element) and the bracket
 structure table c[i][j] with [X_i, X_j] = sum_k c[i][j][k] * X_k.  All
-structure data are CoeffFn's on the chart.
+structure data are CoeffFn's on the chart, held in nested tuples: an
+algebra never changes after construction, so the PBW products that `uea`
+keeps in its `pbw_memo` stay valid.  A changed algebra is a new
+LieRinehart.
 
 algebroid_of_groupoid re-verifies the algebroid a groupoid model stores:
 frame_field derives each left-invariant frame field from the model's
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 import random
 
-from .coeffs import Chart, CoeffFn, Polynomial, Q
+from .coeffs import Chart, CoeffFn, Polynomial
 from .errors import ParentMismatch, VerificationFailed
 
 
@@ -26,7 +29,7 @@ def random_polynomial(rng: random.Random, nvars: int, max_deg: int = 2) -> Polyn
         for _ in range(rng.randint(0, max_deg)):
             if nvars:
                 exp[rng.randrange(nvars)] += 1
-        terms[tuple(exp)] = terms.get(tuple(exp), Q(0)) + rng.randint(-3, 3)
+        terms[tuple(exp)] = terms.get(tuple(exp), 0) + rng.randint(-3, 3)
     return Polynomial(nvars, terms)
 
 
@@ -36,19 +39,24 @@ class LieRinehart:
     def __init__(self, chart: Chart, rank: int, anchor, bracket, basis_names=None):
         self.chart = chart
         self.rank = rank
+        self.zero = CoeffFn.const(chart, 0)
+        self.one = CoeffFn.const(chart, 1)
         # anchor[i][d]: CoeffFn, the d-th component of rho(X_i)
-        self.anchor = [[self._fn(c) for c in row] for row in anchor]
+        self.anchor = tuple(tuple(self._fn(c) for c in row) for row in anchor)
         if len(self.anchor) != rank or any(len(row) != chart.dim for row in self.anchor):
             raise ValueError("anchor must be a rank x dim matrix")
-        # bracket[i][j]: list of r CoeffFn
-        self.bracket_table = [
-            [[self._fn(c) for c in bracket[i][j]] for j in range(rank)] for i in range(rank)
-        ]
+        # bracket[i][j]: r CoeffFn
+        self.bracket_table = tuple(
+            tuple(tuple(self._fn(c) for c in bracket[i][j]) for j in range(rank))
+            for i in range(rank)
+        )
         for i in range(rank):
             for j in range(rank):
                 if len(self.bracket_table[i][j]) != rank:
                     raise ValueError("bracket entries must have length rank")
         self.basis_names = list(basis_names) if basis_names else [f"X{i+1}" for i in range(rank)]
+        # (i, exp) -> X_i * X^exp in PBW normal form, filled by uea on first use
+        self.pbw_memo = {}
 
     def _fn(self, c) -> CoeffFn:
         if isinstance(c, CoeffFn):
@@ -72,17 +80,17 @@ class LieRinehart:
     # -- sections -----------------------------------------------------------
 
     def basis_section(self, i: int) -> "Section":
-        coeffs = [CoeffFn.const(self.chart, 1 if k == i else 0) for k in range(self.rank)]
-        return Section(self, coeffs)
+        return Section(self, [self.one if k == i else self.zero for k in range(self.rank)])
 
     def zero_section(self) -> "Section":
-        return Section(self, [CoeffFn.const(self.chart, 0)] * self.rank)
+        return Section(self, [self.zero] * self.rank)
 
     def frame_anchor_apply(self, i: int, f: CoeffFn) -> CoeffFn:
         """rho(X_i) applied to f."""
-        out = CoeffFn.const(self.chart, 0)
-        for d in range(self.chart.dim):
-            out = out + self.anchor[i][d] * f.derive(d)
+        out = self.zero
+        for d, a in enumerate(self.anchor[i]):
+            if not a.is_zero:
+                out = out + a * f.derive(d)
         return out
 
 
@@ -135,7 +143,7 @@ def anchor_apply(X: Section, f: CoeffFn) -> CoeffFn:
     A = X.parent
     if f.chart != A.chart:
         raise ParentMismatch("function lives on a different chart")
-    out = CoeffFn.const(A.chart, 0)
+    out = A.zero
     for i in range(A.rank):
         out = out + X.coeffs[i] * A.frame_anchor_apply(i, f)
     return out

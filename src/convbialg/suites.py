@@ -47,6 +47,7 @@ from .dist import (
 from .errors import ConvBialgError
 from .groupoid import bisection_inv, germ_of, unit_bisection
 from .lie_rinehart import (
+    LieRinehart,
     check_axioms,
     heisenberg_algebra,
     random_polynomial,
@@ -127,9 +128,11 @@ def suite_lie_rinehart(seed=0xC0FFEE, models=None):
         rep = check_axioms(A, seed=seed)
         checks.append({"name": f"axioms on {name}", "pass": rep["passed"],
                        "witness": [c for c in rep["checks"] if not c["pass"]] or None})
-    bad = heisenberg_algebra()
+    H = heisenberg_algebra()
     # corrupt antisymmetry: [Y, X] should be -Z
-    bad.bracket_table[1][0] = [CoeffFn.const(bad.chart, 0)] * 2 + [CoeffFn.const(bad.chart, 1)]
+    table = [list(row) for row in H.bracket_table]
+    table[1][0] = (H.zero, H.zero, H.one)
+    bad = LieRinehart(H.chart, H.rank, H.anchor, table, H.basis_names)
     rep = check_axioms(bad, seed=seed)
     checks.append({
         "name": "corrupted table fails with witness",

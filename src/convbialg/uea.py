@@ -8,7 +8,10 @@ product is computed by terminating rewriting:
     X_j * X_i ->  X_i * X_j + [X_j, X_i]    (bracket table, j > i)
 
 Each rewrite strictly decreases (degree, inversions), so normalization
-terminates even with function coefficients in the bracket table.
+terminates even with function coefficients in the bracket table.  The
+normal form of X_i * X^exp for a bare monomial depends only on the algebra,
+so it is rewritten once per (algebra, i, exp) and kept in the algebra's
+`pbw_memo`; an algebra's anchor and table are tuples and never change.
 
 TermSum is the canonical form shared by every finite formal sum of the
 package: UEAElement and TensorElement here, ConvElement, ConvTensor and
@@ -136,7 +139,7 @@ class UEAElement(TermSum):
 
     @staticmethod
     def one(parent) -> "UEAElement":
-        return UEAElement.from_coeff(parent, CoeffFn.const(parent.chart, 1))
+        return UEAElement._raw(parent, [((0,) * parent.rank, parent.one)])
 
     @staticmethod
     def from_coeff(parent, f) -> "UEAElement":
@@ -147,7 +150,7 @@ class UEAElement(TermSum):
     def generator(parent, i: int) -> "UEAElement":
         exp = [0] * parent.rank
         exp[i] = 1
-        return UEAElement._raw(parent, {tuple(exp): CoeffFn.const(parent.chart, 1)})
+        return UEAElement._raw(parent, {tuple(exp): parent.one})
 
     # -- structure ----------------------------------------------------------
 
@@ -156,7 +159,7 @@ class UEAElement(TermSum):
         return max((sum(e) for e in self.terms), default=-1)
 
     def degree0(self) -> CoeffFn:
-        return self.terms.get(tuple([0] * self.parent.rank), CoeffFn.const(self.parent.chart, 0))
+        return self.terms.get((0,) * self.parent.rank, self.parent.zero)
 
     def text(self) -> str:
         if not self.terms:
@@ -202,25 +205,34 @@ def _left_mul_gen(i: int, u: UEAElement) -> UEAElement:
     pairs = []
     for exp, g in u.terms.items():
         # X_i * g X^exp = g * (X_i X^exp) + X_i(g) X^exp
-        body = _gen_times_monomial(A, i, exp)
+        body = _gen_monomial(A, i, exp)
         pairs.extend((e, g * f) for e, f in body.terms.items())
         pairs.append((exp, A.frame_anchor_apply(i, g)))
     return UEAElement._raw(A, pairs)
 
 
+def _gen_monomial(A: LieRinehart, i: int, exp: tuple) -> UEAElement:
+    """Normal form of X_i * X^exp, from A's memo: rewritten by
+    _gen_times_monomial once per (A, i, exp)."""
+    out = A.pbw_memo.get((i, exp))
+    if out is None:
+        out = A.pbw_memo[i, exp] = _gen_times_monomial(A, i, exp)
+    return out
+
+
 def _gen_times_monomial(A: LieRinehart, i: int, exp: tuple) -> UEAElement:
-    """Normal form of X_i * X^exp for a bare monomial."""
+    """Normal form of X_i * X^exp for a bare monomial, by rewriting."""
     first = next((j for j, k in enumerate(exp) if k), None)
     if first is None or i <= first:
         e2 = list(exp)
         e2[i] += 1
-        return UEAElement._raw(A, {tuple(e2): CoeffFn.const(A.chart, 1)})
+        return UEAElement._raw(A, {tuple(e2): A.one})
     # i > first: X_i X_first X^rest = X_first X_i X^rest + [X_i, X_first] X^rest
     rest = list(exp)
     rest[first] -= 1
     rest = tuple(rest)
-    pairs = list(_left_mul_gen(first, _gen_times_monomial(A, i, rest)).terms.items())
-    rest_elem = UEAElement._raw(A, {rest: CoeffFn.const(A.chart, 1)})
+    pairs = list(_left_mul_gen(first, _gen_monomial(A, i, rest)).terms.items())
+    rest_elem = UEAElement._raw(A, {rest: A.one})
     for k, c in enumerate(A.bracket_table[i][first]):
         if not c.is_zero:
             pairs.extend((e, c * f) for e, f in _left_mul_gen(k, rest_elem).terms.items())
@@ -269,8 +281,7 @@ class TensorElement(TermSum):
     def pure_tensors(self):
         """List of (u, v) pairs with the coefficient carried by u."""
         A = self.parent
-        one = CoeffFn.const(A.chart, 1)
-        return [(UEAElement._raw(A, {a: f}), UEAElement._raw(A, {b: one}))
+        return [(UEAElement._raw(A, {a: f}), UEAElement._raw(A, {b: A.one}))
                 for (a, b), f in self.terms.items()]
 
     def mul(self, other: "TensorElement") -> "TensorElement":
@@ -315,7 +326,7 @@ def coproduct(u: UEAElement) -> TensorElement:
 def counit(u: UEAElement) -> CoeffFn:
     """epsilon(u): the degree-0 coefficient, checked equal to rho(u)(1)."""
     eps = u.degree0()
-    if eps != anchor_rep(u, CoeffFn.const(u.parent.chart, 1)):
+    if eps != anchor_rep(u, u.parent.one):
         raise VerificationFailed("counit characterizations disagree")
     return eps
 
@@ -325,7 +336,7 @@ def anchor_rep(u: UEAElement, f: CoeffFn) -> CoeffFn:
     A = u.parent
     if f.chart != A.chart:
         raise ChartMismatch("function on wrong chart")
-    out = CoeffFn.const(A.chart, 0)
+    out = A.zero
     for exp, g in u.terms.items():
         word = [i for i, k in enumerate(exp) for _ in range(k)]
         acc = f

@@ -249,6 +249,68 @@ class TestConstantFactor:
             assert_fn_canonical(got)
 
 
+def generic_at(p, values, const):
+    """The generic evaluator as `Polynomial.at` runs it: each term is
+    const(c) times each value k times in variable order, and the terms are
+    added in dict order."""
+    total = const(0)
+    for e, c in p.terms.items():
+        term = const(c)
+        for v, k in zip(values, e):
+            for _ in range(k):
+                term = term * v
+        total = total + term
+    return total
+
+
+def exact_values(data, n, value):
+    """n values: drawn by `value`, the negative of an earlier one (so that
+    terms cancel), or a constant."""
+    out = []
+    for _ in range(n):
+        kind = data.draw(st.sampled_from(["value", "negative", "constant"]))
+        if kind == "negative" and out:
+            out.append(-data.draw(st.sampled_from(out)))
+        elif kind == "constant":
+            out.append(data.draw(RATIONALS))
+        else:
+            out.append(data.draw(value))
+    return out
+
+
+class TestExactFastPaths:
+    """`substitute` and the exact `eval` give what the generic evaluator
+    gives in their rings: the same keys in the same order, the same values
+    and the same scalar types."""
+
+    @given(st.data())
+    def test_substitute_matches_the_generic_path(self, data):
+        n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2))
+        values = [v if isinstance(v, Polynomial) else Polynomial.const(m, v)
+                  for v in exact_values(data, n, polys(m))]
+        p = data.draw(polys(n, 3))
+        want = generic_at(p, values, lambda c: Polynomial.const(m, c))
+        assert typed_terms(p.substitute(values)) == typed_terms(want)
+
+    def test_a_cancelled_key_comes_back_at_the_end(self):
+        y = Polynomial.var(1, 0)
+        p = Polynomial(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 0): 5, (0, 0, 1): 1})
+        got = p.substitute([y, -y, y])
+        assert typed_terms(got) == [((0,), int, 5), ((1,), int, 1)]
+        assert typed_terms(got) == typed_terms(
+            generic_at(p, [y, -y, y], lambda c: Polynomial.const(1, c)))
+
+    @given(st.data())
+    def test_exact_eval_matches_the_generic_path(self, data):
+        n = data.draw(st.integers(1, 3))
+        scalars = st.sampled_from([0, 1, -2, 3, F(1, 2), F(-2, 3), F(4, 1)])
+        point = tuple(exact_values(data, n, scalars))
+        p = data.draw(polys(n, 3))
+        got = p.eval(point)
+        want = generic_at(p, point, lambda c: c) if p.terms else Q(0)
+        assert got == want and type(got) is type(want)
+
+
 def test_no_float_reaches_a_polynomial(monkeypatch):
     """Every coefficient that the lie-rinehart and uea suites put into a
     Polynomial through the trusted constructor is a canonical scalar."""

@@ -3,6 +3,7 @@ import pytest
 from convbialg.coeffs import Chart, CoeffFn, Polynomial
 from convbialg.errors import VerificationFailed
 from convbialg.lie_rinehart import (
+    LieRinehart,
     algebroid_of_groupoid,
     anchor_apply,
     bracket,
@@ -25,16 +26,24 @@ class TestAxioms:
         assert check_axioms(rank_zero_algebroid(Chart.line("M")))["passed"]
 
     def test_corrupted_table_fails_with_witness(self):
-        bad = heisenberg_algebra()
-        bad.bracket_table[1][0] = [
-            CoeffFn.const(bad.chart, 0),
-            CoeffFn.const(bad.chart, 0),
-            CoeffFn.const(bad.chart, 1),
-        ]
+        H = heisenberg_algebra()
+        table = [list(row) for row in H.bracket_table]
+        table[1][0] = (H.zero, H.zero, H.one)
+        bad = LieRinehart(H.chart, H.rank, H.anchor, table, H.basis_names)
         rep = check_axioms(bad)
         assert not rep["passed"]
         failed = [c for c in rep["checks"] if not c["pass"]]
         assert failed and any(c["witness"] for c in failed)
+
+
+    def test_structure_data_are_immutable(self):
+        H = heisenberg_algebra()
+        with pytest.raises(TypeError):
+            H.bracket_table[1][0] = (H.zero, H.zero, H.one)
+        with pytest.raises(TypeError):
+            H.bracket_table[1][0][2] = H.one
+        with pytest.raises(TypeError):
+            tangent_line_algebroid().anchor[0][0] = H.zero
 
 
 class TestBracket:

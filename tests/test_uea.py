@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from convbialg.adjoint import ad_uea
 from convbialg.coeffs import CoeffFn, Polynomial
 from convbialg.errors import ChartMismatch, VerificationFailed
 from convbialg.lie_rinehart import (
+    LieRinehart,
     heisenberg_algebra,
     random_polynomial,
     tangent_line_algebroid,
@@ -70,6 +72,66 @@ class TestRewriting:
             A = algs[k % 2]
             u, v = rand_uea(rng, A, 3), rand_uea(rng, A, 3)
             assert oracle_mul(u, v) == uea_mul(u, v).terms
+
+
+class TestPBWMemo:
+    """X_i * X^exp is rewritten once per (algebra, i, exp) and kept in the
+    algebra's pbw_memo; the products stay those of the free oracle."""
+
+    @staticmethod
+    def products(A, rng, count=20):
+        pairs = [(rand_uea(rng, A, 3), rand_uea(rng, A, 3)) for _ in range(count)]
+        return [(u, v, uea_mul(u, v)) for u, v in pairs]
+
+    def test_fresh_algebras_agree_with_the_oracle(self):
+        for make in (tangent_line_algebroid, heisenberg_algebra):
+            A = make()
+            assert not A.pbw_memo
+            for round_ in range(2):
+                for u, v, prod in self.products(A, random.Random(round_)):
+                    assert oracle_mul(u, v) == prod.terms
+            assert A.pbw_memo
+
+    def test_algebras_keep_their_own_memo(self):
+        H = heisenberg_algebra()
+        table = [list(row) for row in H.bracket_table]
+        table[0][1] = (H.zero, H.zero, H.one.scale(2))
+        table[1][0] = (H.zero, H.zero, H.one.scale(-2))
+        H2 = LieRinehart(H.chart, H.rank, H.anchor, table, H.basis_names)
+        for A, c in ((H, 1), (H2, 2), (H, 1)):
+            X, Y = UEAElement.generator(A, 0), UEAElement.generator(A, 1)
+            assert uea_mul(Y, X).terms == {(1, 1, 0): A.one,
+                                           (0, 0, 1): CoeffFn.const(A.chart, -c)}
+        assert H.pbw_memo is not H2.pbw_memo
+        rng = random.Random(7)
+        for _ in range(10):
+            u, v = rand_uea(rng, H2, 3), rand_uea(rng, H2, 3)
+            assert oracle_mul(u, v) == uea_mul(u, v).terms
+
+    def test_each_monomial_product_is_rewritten_once(self, monkeypatch):
+        rewrite = convbialg.uea._gen_times_monomial
+        seen = Counter()
+
+        def counted(A, i, exp):
+            seen[id(A), i, exp] += 1
+            return rewrite(A, i, exp)
+
+        monkeypatch.setattr(convbialg.uea, "_gen_times_monomial", counted)
+        algebras = (tangent_line_algebroid(), heisenberg_algebra())
+        rounds = [[prod.terms for A in algebras
+                   for _, _, prod in self.products(A, random.Random(3))] for _ in range(2)]
+        assert rounds[0] == rounds[1]
+        assert seen and set(seen.values()) == {1}
+        assert len(seen) == sum(len(A.pbw_memo) for A in algebras)
+
+    def test_shared_units_keep_the_scalar_check(self):
+        A = heisenberg_algebra()
+        with pytest.raises(TypeError):
+            CoeffFn.const(A.chart, 0.0)
+        with pytest.raises(TypeError):
+            CoeffFn.const(A.chart, 1.0)
+        assert UEAElement.one(A).terms == {(0, 0, 0): CoeffFn.const(A.chart, 1)}
+        assert A.zero == CoeffFn.const(A.chart, 0) and A.zero.is_zero
 
 
 def test_counit_disagreement_raises(monkeypatch):

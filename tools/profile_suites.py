@@ -7,8 +7,12 @@ built afresh, as `convbialg check` runs them) under cProfile with the
 package imported from `src/` of the tree this script lives in.  It prints
 the profiled total, then the calls and cumulative seconds of the term
 constructors of the exact kernel (`Polynomial.__init__`, `CoeffFn.__init__`,
-`_uea_term`), of `Fraction.__new__`, of the float solves of tau^-1 and tau
-(`groupoid._solve_monotone`), of the bisection products
+`_uea_term`), of `Fraction.__new__`, of `Polynomial.substitute` (its own
+loop) and `Polynomial.at` (the generic evaluator, left to the float, jet
+and `ad_matrix` rings), of `CoeffFn.const` (each algebra's zero and one are
+built once), of `uea._gen_times_monomial` (the PBW rewrite of X_i * X^exp,
+once per algebra, generator and monomial), of the float solves of tau^-1
+and tau (`groupoid._solve_monotone`), of the bisection products
 (`groupoid.bisection_mul`, made once per id pair), of
 `PolynomialGroupoid.beta_polys` (every call; its cumulative time shows the
 derivations made once per bisection id), of `adjoint.ad_uea` (the
@@ -41,6 +45,10 @@ WATCHED = (
     ("CoeffFn.__init__", coeffs.CoeffFn.__init__),
     ("_uea_term", uea._uea_term),
     ("Fraction.__new__", Fraction.__new__),
+    ("Polynomial.substitute", coeffs.Polynomial.substitute),
+    ("Polynomial.at", coeffs.Polynomial.at),
+    ("CoeffFn.const", coeffs.CoeffFn.const),
+    ("uea._gen_times_monomial", uea._gen_times_monomial),
     ("groupoid._solve_monotone", groupoid._solve_monotone),
     ("groupoid.bisection_mul", groupoid.bisection_mul),
     ("PolynomialGroupoid.beta_polys", groupoid.PolynomialGroupoid.beta_polys),
