@@ -29,6 +29,11 @@ sum (f_i o s) * P_i with f_i a coefficient function on the base and P_i a
 polynomial on the arrow chart; this block is closed under the frame fields.
 Those are the fields stored on the model; lie_rinehart.algebroid_of_groupoid
 derives them independently when the model is built.
+
+Both branches of the commuting-square check take a list of test functions
+and return one gap per F: the exact one computes U(Ad_E)u once per (E, u),
+and the series one, for flat kinks, builds U(Ad_E)u's operator jets and the
+values of u's coefficients once per (E, u, arrow).
 """
 
 from __future__ import annotations
@@ -461,17 +466,22 @@ def _flat_series_data(E: Bisection, x0: float):
     return E.model.derive_once(("flat_series", E.bid, x0), compute)
 
 
-def commuting_square_gap_numeric(model, E: Bisection, u: UEAElement, F: Polynomial, g):
-    """|LHS - RHS| of the commuting square at the arrow g, for pair-model
-    bisections whose tau is a flat kink (rank-1 case, series arithmetic)."""
-    if model.kind != "pair":
-        raise ValueError("series check is for the pair model")
+def commuting_square_gap_numeric(model, E: Bisection, u: UEAElement, Fs, g):
+    """|LHS - RHS| of the commuting square at the arrow g for each test
+    function F in Fs: one gap per F, in order.  For a bisection whose tau is
+    a flat kink (rank-1 case, series arithmetic); ValueError on any other.
+
+    Side A's operator jets and side B's values of u's coefficients depend
+    on (E, u, g) alone, so they are built once for all of Fs."""
+    if not E.is_flat:
+        raise ValueError(f"series check is for flat bisections, not {E.bid}")
     y0, x0 = float(g[0]), float(g[1])
     s0, tau_jet, sigma, w = _flat_series_data(E, x0)
     # ---- side A: Ω(U(Ad_E)u)(F) at (y0, x0) -------------------------------
-    # U(Ad_E)(f * D^j) = (f o tau^{-1}) * (w D)^j with w = tau' o tau^{-1};
-    # build the operator's coefficient jets at x0 and apply them to F.
-    side_a = 0.0
+    # U(Ad_E)(f * D^j) = (f o tau^{-1}) * (w D)^j with w = tau' o tau^{-1}:
+    # with (wD)^j = sum c_k D^k, side A is sum ((f o tau^{-1}) c_k)(x0) D^k F,
+    # and side_a keeps the pairs (k, ((f o tau^{-1}) c_k)(x0)) in sum order.
+    side_a = []
     for exp, f in u.terms.items():
         j = exp[0]
         # operator coefficients c_k with (wD)^j = sum c_k D^k, as jets
@@ -491,22 +501,27 @@ def commuting_square_gap_numeric(model, E: Bisection, u: UEAElement, F: Polynomi
             coeffs = new
         fval = jet_of_coeff(f, s0)
         fx = _jet_compose(fval, sigma, s0)   # f o tau^{-1} at x0
-        for k, c in coeffs.items():
-            dF = F
-            for _ in range(k):
-                dF = dF.derive(1)
-            side_a += (fx * c).value() * float(dF.eval((y0, x0)))
+        side_a.extend((k, (fx * c).value()) for k, c in coeffs.items())
     # ---- side B: Ω(u)(F o R_E^{-1}) at R_E(g) = (y0, s0) -------------------
     # H(y, x) = F(y, tau(x)); D^j H via the jet of x -> F(y0, tau(x)) at s0.
-    H_jet = F.at([Jet.const(y0), tau_jet], Jet.const)
-    side_b = 0.0
+    side_b = [(exp[0], float(f.eval((s0,)))) for exp, f in u.terms.items()]
     fact = [1.0]
     for k in range(1, JET_ORDER):
         fact.append(fact[-1] * k)
-    for exp, f in u.terms.items():
-        j = exp[0]
-        side_b += float(f.eval((s0,))) * H_jet.a[j] * fact[j]
-    return abs(side_a - side_b)
+    gaps = []
+    for F in Fs:
+        dF = [F]   # dF[k] = D^k F
+        a = 0.0
+        for k, ck in side_a:
+            while len(dF) <= k:
+                dF.append(dF[-1].derive(1))
+            a += ck * float(dF[k].eval((y0, x0)))
+        H_jet = F.at([Jet.const(y0), tau_jet], Jet.const)
+        b = 0.0
+        for j, fs0 in side_b:
+            b += fs0 * H_jet.a[j] * fact[j]
+        gaps.append(abs(a - b))
+    return gaps
 
 
 # ---------------------------------------------------------------------------

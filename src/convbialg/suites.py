@@ -295,9 +295,11 @@ def suite_commuting_square(seed=0xC0FFEE, models=None, nu=20, nf=5):
                 u = _random_uea(rng, A, max_deg=2)
                 Fs = [random_polynomial(rng, n, 3) for _ in range(nf)]
                 if flat:
-                    for F in Fs:
-                        for g in ((0.5, 0.35), (-1.25, -0.8)):
-                            gap = commuting_square_gap_numeric(model, E, u, F, g)
+                    per_arrow = [commuting_square_gap_numeric(model, E, u, Fs, g)
+                                 for g in ((0.5, 0.35), (-1.25, -0.8))]
+                    # F-major, arrow-minor: the order of the worst gap and the witness
+                    for gaps in zip(*per_arrow):
+                        for gap in gaps:
                             worst = max_keep_nan(worst, gap)
                             numeric_count += 1
                             if not gap <= 1e-9:

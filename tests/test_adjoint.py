@@ -8,6 +8,7 @@ from convbialg.adjoint import ad_matrix, ad_uea
 from convbialg.coeffs import CoeffFn, Polynomial
 from convbialg.errors import UnsupportedComposition, VerificationFailed
 from convbialg.groupoid import Bisection, PairModel, bisection_inv, bisection_mul
+from convbialg.lie_rinehart import random_polynomial
 from convbialg.models import etale_model, heisenberg_model, pair_model
 from convbialg.uea import UEAElement, uea_mul
 
@@ -101,10 +102,13 @@ class TestPairCrosscheck:
         assert calls == [model, fresh]
 
     @pytest.mark.parametrize("name", ["E00", "E01", "E10", "E11"])
-    def test_flat_kink_matrix_is_tau_prime(self, pair, name):
+    def test_flat_kink_matrix_is_tau_prime(self, pair, name, monkeypatch):
         E = pair.lookup(name)
+        calls = _counting_at(monkeypatch)
         (row,) = ad_matrix(E)
         assert row == [E.tau_coeff().derive()] and not row[0].is_poly
+        # a flat argument takes Polynomial.at in the CoeffFn ring
+        assert calls == pair.derived["conjugation_jacobian"][0]
         with pytest.raises(UnsupportedComposition):
             ad_matrix(bisection_inv(E))
 
@@ -183,3 +187,100 @@ class TestEtaleAdjoint:
         out = ad_uea(d, f)
         assert out.degree0() == CoeffFn(A.chart, Polynomial.parse("1/2*x0", 1))
 
+
+
+def _jacobian_at(E):
+    """ad_matrix's entries through Polynomial.at in the CoeffFn ring, one
+    CoeffFn.const per term: the path of flat arguments."""
+    model = E.model
+    base = model.base
+    J = model.derived["conjugation_jacobian"]
+    alpha = model.alpha_fns(E)
+    args = ([CoeffFn.var(base, m) for m in range(base.dim)] + alpha
+            + [f.derive(m) for f in alpha for m in range(base.dim)])
+    return [[p.at(args, lambda c: CoeffFn.const(base, c)) for p in row] for row in J]
+
+
+def _layout(f):
+    """The terms of f's polynomial and flat parts, in order, with the type
+    of each scalar."""
+    return [[(k, c, type(c)) for k, c in part.items()]
+            for part in (f.poly.terms, f.flat_neg, f.flat_pos)]
+
+
+def _counting_at(monkeypatch):
+    """Wrap Polynomial.at; the returned list gets each polynomial it runs on."""
+    calls = []
+    real = Polynomial.at
+    monkeypatch.setattr(Polynomial, "at", lambda p, *a: calls.append(p) or real(p, *a))
+    return calls
+
+
+def _rational_elements(model):
+    rng = random.Random(17)
+    return [Bisection(model, element=tuple(F(rng.randint(-5, 5), rng.randint(1, 4))
+                                           for _ in range(3))) for _ in range(6)]
+
+
+class TestMatrixBySubstitution:
+    @pytest.mark.parametrize("make, extra", [
+        (pair_model, lambda model: []), (heisenberg_model, _rational_elements)])
+    def test_substitute_gives_the_entries_of_at(self, make, extra, monkeypatch):
+        # the registered non-flat bisections, their inverses and products
+        model = make()
+        base = [E for E in model.registry.values() if not E.is_flat] + extra(model)
+        bisections = (base + [bisection_inv(E) for E in base]
+                      + [bisection_mul(E2, E1) for E2 in base[:4] for E1 in base[:4]])
+        calls = _counting_at(monkeypatch)
+        matrices = [ad_matrix(E) for E in bisections]
+        assert not calls  # every argument is polynomial
+        monkeypatch.undo()
+        for E, M in zip(bisections, matrices):
+            ref = _jacobian_at(E)
+            assert M == ref
+            assert [[_layout(f) for f in row] for row in M] == \
+                [[_layout(f) for f in row] for row in ref]
+
+
+def _ad_uea_from_one(E, u):
+    """ad_uea with each monomial's product started from UEAElement.one."""
+    A = u.parent
+    if u.is_zero:
+        return u
+    moved = [(exp, E.to_target(f)) for exp, f in u.terms.items()]
+    if u.degree() <= 0:
+        return UEAElement._raw(A, moved)
+    M = ad_matrix(E)
+    units = [tuple(int(i == k) for k in range(A.rank)) for i in range(A.rank)]
+    gens = [UEAElement._raw(A, [(units[i], E.to_target(M[i][j])) for i in range(A.rank)])
+            for j in range(A.rank)]
+    pairs = []
+    for exp, tf in moved:
+        acc = UEAElement.one(A)
+        for j, k in enumerate(exp):
+            for _ in range(k):
+                acc = uea_mul(acc, gens[j])
+        pairs.extend((e, tf * g) for e, g in acc.terms.items())
+    return UEAElement._raw(A, pairs)
+
+
+@pytest.mark.parametrize("make", [pair_model, heisenberg_model, etale_model])
+def test_ad_uea_equals_the_product_started_from_one(make):
+    model = make()
+    A = model.algebroid
+    rng = random.Random(18)
+    bisections = [E for E in model.registry.values() if not E.is_flat]
+    for _ in range(30):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            exp = [0] * A.rank
+            for _ in range(rng.randint(0, 3)):
+                if A.rank:
+                    exp[rng.randrange(A.rank)] += 1
+            terms[tuple(exp)] = CoeffFn(A.chart, random_polynomial(rng, A.chart.dim, 2))
+        u = UEAElement(A, terms)
+        for E in bisections:
+            got, ref = ad_uea(E, u), _ad_uea_from_one(E, u)
+            assert got == ref
+            assert [(e, _layout(f)) for e, f in got.terms.items()] == \
+                [(e, _layout(f)) for e, f in ref.terms.items()]

@@ -9,6 +9,7 @@ from convbialg.coeffs import CoeffFn, Polynomial, Q
 from convbialg.errors import UnsupportedComposition, UnsupportedRegistry
 from convbialg.dist import (
     ArrowFn,
+    Jet,
     TransvDist,
     _defcheck_term_pair,
     commuting_square_gap,
@@ -535,11 +536,98 @@ class TestCommutingSquare:
         rng = random.Random(10)
         A = pair.algebroid
         D = UEAElement.generator(A, 0)
-        for _ in range(3):
-            Fq = random_polynomial(rng, 2, 2)
-            gap = commuting_square_gap_numeric(pair, pair.lookup("E01"), D, Fq,
-                                               (0.5, 0.35))
-            assert gap < 1e-9
+        Fs = [random_polynomial(rng, 2, 2) for _ in range(3)]
+        gaps = commuting_square_gap_numeric(pair, pair.lookup("E01"), D, Fs, (0.5, 0.35))
+        assert len(gaps) == len(Fs)
+        assert all(gap < 1e-9 for gap in gaps)
+
+
+ARROWS = ((0.5, 0.35), (-1.25, -0.8))
+KINKS = ("E00", "E01", "E10", "E11")
+
+
+def _series_gap_reference(model, E, u, F, g):
+    """The series gap of one test function, side A's jets built anew for it:
+    commuting_square_gap_numeric's body before it took a list of test
+    functions."""
+    y0, x0 = float(g[0]), float(g[1])
+    s0, tau_jet, sigma, w = dist_module._flat_series_data(E, x0)
+    side_a = 0.0
+    for exp, f in u.terms.items():
+        j = exp[0]
+        coeffs = {0: Jet.const(1)}
+        for _ in range(j):
+            new = {}
+            for k, c in coeffs.items():
+                wm = w
+                binom = 1
+                for m in range(k + 1):
+                    key = k - m + 1
+                    term = (c * wm).scale(binom)
+                    new[key] = new.get(key, Jet.const(0)) + term
+                    wm = wm.shift()
+                    binom = binom * (k - m) // (m + 1)
+            coeffs = new
+        fval = dist_module.jet_of_coeff(f, s0)
+        fx = dist_module._jet_compose(fval, sigma, s0)
+        for k, c in coeffs.items():
+            dF = F
+            for _ in range(k):
+                dF = dF.derive(1)
+            side_a += (fx * c).value() * float(dF.eval((y0, x0)))
+    H_jet = F.at([Jet.const(y0), tau_jet], Jet.const)
+    side_b = 0.0
+    fact = [1.0]
+    for k in range(1, dist_module.JET_ORDER):
+        fact.append(fact[-1] * k)
+    for exp, f in u.terms.items():
+        j = exp[0]
+        side_b += float(f.eval((s0,))) * H_jet.a[j] * fact[j]
+    return abs(side_a - side_b)
+
+
+def _series_operators(A):
+    """Operators of degree 0, 1 and 2 on the pair algebroid, the last two
+    with 2 and 3 terms."""
+    D = UEAElement.generator(A, 0)
+    f = UEAElement.from_coeff(A, CoeffFn(A.chart, Polynomial.parse("1 + x0", 1)))
+    g = UEAElement.from_coeff(A, CoeffFn(A.chart, Polynomial.parse("2 - 1/3*x0^2", 1)))
+    return [f, uea_mul(g, D) + f, uea_mul(f, uea_mul(D, D)) + D + g]
+
+
+class TestSeriesGapList:
+    @pytest.mark.parametrize("name", KINKS)
+    def test_each_gap_equals_the_gap_of_its_test_function_alone(self, name):
+        rng = random.Random(15)
+        model = pair_model()
+        E = model.lookup(name)
+        Fs = [random_polynomial(rng, 2, 3) for _ in range(4)]
+        for u in _series_operators(model.algebroid):
+            for g in ARROWS:
+                gaps = commuting_square_gap_numeric(model, E, u, Fs, g)
+                assert gaps == [_series_gap_reference(model, E, u, Fq, g) for Fq in Fs]
+                assert all(gap < 1e-9 for gap in gaps)
+        assert commuting_square_gap_numeric(model, E, u, [], ARROWS[0]) == []
+
+    def test_one_coefficient_jet_per_term_and_arrow(self, monkeypatch):
+        rng = random.Random(16)
+        model = pair_model()
+        Fs = [random_polynomial(rng, 2, 3) for _ in range(5)]
+        u = _series_operators(model.algebroid)[2]
+        calls = []
+        _counting(monkeypatch, "jet_of_coeff", calls)
+        for g in ARROWS:
+            commuting_square_gap_numeric(model, model.lookup("E10"), u, Fs, g)
+        assert len(calls) == len(u.terms) * len(ARROWS)
+
+    @pytest.mark.parametrize("make, name", [
+        (pair_model, "shift"), (heisenberg_model, "k123"), (etale_model, "d")])
+    def test_a_bisection_that_is_not_flat_raises(self, make, name):
+        model = make()
+        u = UEAElement.one(model.algebroid)
+        F = Polynomial.var(model.arrow_chart.dim, 0)
+        with pytest.raises(ValueError, match="series check is for flat bisections"):
+            commuting_square_gap_numeric(model, model.lookup(name), u, [F], ARROWS[0])
 
 
 class TestFlatSeriesData:
@@ -551,16 +639,15 @@ class TestFlatSeriesData:
         u = uea_mul(f, uea_mul(D, D)) + D
         Fs = [random_polynomial(rng, 2, 3) for _ in range(3)]
         model = pair_model()
-        for name in ("E00", "E01", "E10", "E11"):
-            for g in ((0.5, 0.35), (-1.25, -0.8)):
-                for Fq in Fs:
-                    first = commuting_square_gap_numeric(model, model.lookup(name), u, Fq, g)
-                    again = commuting_square_gap_numeric(model, model.lookup(name), u, Fq, g)
-                    fresh_model = pair_model()
-                    fresh = commuting_square_gap_numeric(
-                        fresh_model, fresh_model.lookup(name), u, Fq, g)
-                    assert first == again == fresh
-                    assert first < 1e-9
+        for name in KINKS:
+            for g in ARROWS:
+                first = commuting_square_gap_numeric(model, model.lookup(name), u, Fs, g)
+                again = commuting_square_gap_numeric(model, model.lookup(name), u, Fs, g)
+                fresh_model = pair_model()
+                fresh = commuting_square_gap_numeric(
+                    fresh_model, fresh_model.lookup(name), u, Fs, g)
+                assert first == again == fresh
+                assert all(gap < 1e-9 for gap in first)
         assert ("flat_series", model.lookup("E01").bid, 0.35) in model.derived
 
 

@@ -2,10 +2,9 @@
 
 A comparison of an attribute `kind` with the name of a model kind
 ("pair", "group" or "etale_action") picks a branch by kind outside the
-model classes.  One is left: `dist.commuting_square_gap_numeric` refuses
-every model but the pair groupoid, because its series check is written for
-the rank-1 algebroid of that model.  Everything else asks a model hook, or
-tests the mathematics (`model.algebroid.rank`, `model.base.dim`).
+model classes.  None is left: the library asks a model hook, or tests the
+mathematics (`model.algebroid.rank`, `model.base.dim`, `Bisection.is_flat`,
+which `dist.commuting_square_gap_numeric` requires of its bisection).
 Comparisons with other kinds, such as the "point" and "interval" strata of
 `conv`, are not model kinds and are not counted.
 
@@ -19,7 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted(ROOT.glob("src/convbialg/*.py"))
 MODEL_KINDS = {"pair", "group", "etale_action"}
 # (module, function) of the kind tests that are left
-ALLOWED = {("dist", "commuting_square_gap_numeric")}
+ALLOWED = set()
 
 
 class _KindScan(ast.NodeVisitor):
@@ -51,7 +50,7 @@ def kind_tests(path):
     return scan.found
 
 
-def test_one_kind_test_is_left():
+def test_no_kind_test_is_left():
     found = [(path.stem, fn, line) for path in LIBRARY for fn, line in kind_tests(path)]
     sites = "; ".join(f"{module}.{fn}:{line}" for module, fn, line in found)
     assert len(found) <= len(ALLOWED), f"model kind tests at {sites}"

@@ -19,9 +19,12 @@ derivations made once per bisection id), of `adjoint.ad_uea` (the
 commuting square makes one per (E, u), a sweep of `dist.term_products` one
 per (bid, u')), of `groupoid.bisection_inv` (one per bid in such a sweep), of
 `dist.ArrowFn.apply_frame` (its frame fields are embedded once per model and
-layout) and of `dist._defcheck_term_pair` (every term pair of the defining
+layout), of `dist._defcheck_term_pair` (every term pair of the defining
 formula; its cumulative time shows the first stages derived once per
-(F, bid, u)), then the 25 functions with the most self time.  Profiled
+(F, bid, u)), of `dist.commuting_square_gap_numeric` (the commuting square's
+series branch, one call per (E, u, arrow) for all test functions) and of
+`dist.jet_of_coeff` (one per term of u and arrow there), then the 25
+functions with the most self time.  Profiled
 seconds are slower than plain ones; compare them only with another run of
 this script on the same machine.
 """
@@ -56,6 +59,8 @@ WATCHED = (
     ("groupoid.bisection_inv", groupoid.bisection_inv),
     ("dist.ArrowFn.apply_frame", dist.ArrowFn.apply_frame),
     ("dist._defcheck_term_pair", dist._defcheck_term_pair),
+    ("dist.commuting_square_gap_numeric", dist.commuting_square_gap_numeric),
+    ("dist.jet_of_coeff", dist.jet_of_coeff),
 )
 TOP = 25
 
