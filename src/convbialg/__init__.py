@@ -21,7 +21,6 @@ from .dist import (
     TransvDist,
     commuting_square_gap,
     commuting_square_gap_numeric,
-    dist_eval,
     dist_eval_at,
     dist_mul,
     dist_mul_defcheck,

@@ -14,7 +14,9 @@ ConvElement and TransvDist (in dist) are BisectionSums: TermSums keyed by
 registered bisection ids.  Canonical form merges terms with syntactically
 identical ids (ids are content-derived, so products of registered
 bisections merge); semantic equality is germ-pointwise.  ConvTensor is the
-TermSum keyed by pairs of ids.
+TermSum keyed by pairs of ids.  Its product, mu and map_slots share one
+walk over its pure terms <u|E> tensor <v|F>; map_slots applies a map to
+either slot, such as the right action of a base function or the antipode.
 
 stratify cuts the base into open intervals and breakpoints on which the
 germ-class structure of a set of bisections is constant; a point base is
@@ -156,66 +158,32 @@ class ConvTensor(TermSum):
     def swap(self) -> "ConvTensor":
         return self._like(((b, a), t.swap()) for (a, b), t in self.terms.items())
 
-    def pure_terms(self):
-        """(E_left_id, u, E_right_id, v) quadruples with coefficients on u."""
-        out = []
+    def _pure(self):
+        """The pure terms as (<u|E>, <v|F>) pairs, the coefficient on u."""
+        model = self.model
         for (bl, br), t in self.terms.items():
             for u, v in t.pure_tensors():
-                out.append((bl, u, br, v))
-        return out
+                yield ConvElement(model, {bl: u}), ConvElement(model, {br: v})
+
+    def _sum(self, slot_pairs) -> "ConvTensor":
+        """The sum of x tensor y over (x, y) pairs of ConvElements."""
+        return self._like(((bl, br), TensorElement.of(u, v)) for x, y in slot_pairs
+                          for bl, u in x.terms.items() for br, v in y.terms.items())
 
     def mul(self, other: "ConvTensor") -> "ConvTensor":
-        model = self.model
-        pairs = []
-        for bl1, u1, br1, v1 in self.pure_terms():
-            for bl2, u2, br2, v2 in other.pure_terms():
-                left = conv_mul(
-                    ConvElement(model, {bl1: u1}), ConvElement(model, {bl2: u2})
-                )
-                right = conv_mul(
-                    ConvElement(model, {br1: v1}), ConvElement(model, {br2: v2})
-                )
-                pairs.extend(((bidl, bidr), TensorElement.of(ul, vr))
-                             for bidl, ul in left.terms.items()
-                             for bidr, vr in right.terms.items())
-        return ConvTensor(model, pairs)
+        return self._sum((conv_mul(x1, x2), conv_mul(y1, y2))
+                         for x1, y1 in self._pure() for x2, y2 in other._pure())
 
     def mu(self) -> ConvElement:
         """Multiply the two slots together."""
-        model = self.model
-        return ConvElement.zero(model).plus(
-            conv_mul(ConvElement(model, {bl: u}), ConvElement(model, {br: v}))
-            for bl, u, br, v in self.pure_terms()
-        )
+        return ConvElement.zero(self.model).plus(conv_mul(x, y) for x, y in self._pure())
 
-    def act_right_left(self, r: CoeffFn) -> "ConvTensor":
-        """The right R-action on the left tensor factor."""
-        model = self.model
-        rr = ConvElement.from_coeff(model, r)
-        pairs = []
-        for bl, u, br, v in self.pure_terms():
-            acted = conv_mul(ConvElement(model, {bl: u}), rr)
-            pairs.extend(((bid, br), TensorElement.of(w, v)) for bid, w in acted.terms.items())
-        return ConvTensor(model, pairs)
-
-    def act_right_right(self, r: CoeffFn) -> "ConvTensor":
-        """The right R-action on the right tensor factor."""
-        model = self.model
-        rr = ConvElement.from_coeff(model, r)
-        pairs = []
-        for bl, u, br, v in self.pure_terms():
-            acted = conv_mul(ConvElement(model, {br: v}), rr)
-            pairs.extend(((bl, bid), TensorElement.of(u, w)) for bid, w in acted.terms.items())
-        return ConvTensor(model, pairs)
-
-    def apply_antipode_left(self) -> "ConvTensor":
-        """(S tensor id), defined on tensors with degree-0 left slots."""
-        model = self.model
-        pairs = []
-        for bl, u, br, v in self.pure_terms():
-            s = antipode_etale(ConvElement(model, {bl: u}))
-            pairs.extend(((bid, br), TensorElement.of(w, v)) for bid, w in s.terms.items())
-        return ConvTensor(model, pairs)
+    def map_slots(self, left=None, right=None) -> "ConvTensor":
+        """The sum of left(x) tensor right(y) over the pure terms x tensor y;
+        None is the identity.  With x -> x . iota(r) on either slot this is
+        the right R-action there; with left=antipode_etale, (S tensor id)."""
+        return self._sum((x if left is None else left(x), y if right is None else right(y))
+                         for x, y in self._pure())
 
 
 def conv_coproduct(a: ConvElement) -> ConvTensor:

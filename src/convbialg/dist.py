@@ -33,7 +33,8 @@ derives them independently when the model is built.
 Both branches of the commuting-square check take a list of test functions
 and return one gap per F: the exact one computes U(Ad_E)u once per (E, u),
 and the series one, for flat kinks, builds U(Ad_E)u's operator jets and the
-values of u's coefficients once per (E, u, arrow).
+values f(s0) of u's coefficients once per (E, u, arrow).  Both sides read
+those values, since side A's (f o tau^{-1})(x0) is f(s0).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import random
 from .adjoint import ad_uea
 from .coeffs import CoeffFn, Polynomial, Q
 from .conv import BisectionSum
-from .errors import ChartMismatch, DomainError, UnsupportedComposition, UnsupportedRegistry
+from .errors import ChartMismatch, DomainError, UnsupportedComposition
 from .groupoid import Bisection, bisection_inv
 from .uea import UEAElement, uea_mul
 
@@ -172,22 +173,6 @@ class TransvDist(BisectionSum):
 
     def __repr__(self):
         return f"TransvDist({self.text()})"
-
-
-def dist_eval(T: TransvDist, F):
-    """T(F) as a coefficient function on the base; UnsupportedComposition
-    where model.beta_polys has no polynomial beta_E."""
-    model = T.model
-    # [[E, D]](F) = D(F) o beta_E, and c o s o beta_E = c o tau^{-1}
-    out = CoeffFn.const(model.base, 0)
-    for bid, u in T.terms.items():
-        E = model.registry[bid]
-        if not E.target_domain().is_whole:
-            raise UnsupportedRegistry(f"dist_eval needs t(E) to be the whole base: {bid}")
-        beta = model.beta_polys(E)
-        for c, P in omega_apply(model, u, F).terms:
-            out = out + E.to_target(c) * CoeffFn(model.base, P.substitute(beta))
-    return out
 
 
 def dist_eval_at(T: TransvDist, F, x):
@@ -409,12 +394,6 @@ def _jet_at(tower, x0: float) -> Jet:
     return Jet(coeffs)
 
 
-def jet_of_coeff(f: CoeffFn, x0: float) -> Jet:
-    """Taylor jet of a 1-D coefficient function at x0 (float arithmetic on
-    exactly computed symbolic derivatives)."""
-    return _jet_at(_derivative_tower(f, JET_ORDER), x0)
-
-
 def jet_inverse(tj: Jet, s0: float) -> Jet:
     """Jet at x0 = tj.value() of the compositional inverse of t -> tau(t),
     given the jet of tau at s0 (Newton iteration on truncated series)."""
@@ -450,18 +429,16 @@ def _jet_reciprocal(j: Jet) -> Jet:
 
 
 def _flat_series_data(E: Bisection, x0: float):
-    """(s0, jet of tau at s0, jet of tau^{-1} at x0, jet of w = tau' o tau^{-1}
-    at x0) with s0 = tau^{-1}(x0).  They depend on E and x0 alone, so they
-    are computed once per (model, bid, x0), from one tower of tau's
-    derivatives."""
+    """(s0, jet of tau at s0, jet of w = tau' o tau^{-1} at x0) with
+    s0 = tau^{-1}(x0).  They depend on E and x0 alone, so they are computed
+    once per (model, bid, x0), from one tower of tau's derivatives."""
 
     def compute():
         tower = _derivative_tower(E.tau_coeff(), JET_ORDER + 1)
         s0 = float(E.tau_inv_apply(x0))
         tau_jet = _jet_at(tower, s0)
-        sigma = jet_inverse(tau_jet, s0)
-        w = _jet_compose(_jet_at(tower[1:], s0), sigma, s0)
-        return s0, tau_jet, sigma, w
+        w = _jet_compose(_jet_at(tower[1:], s0), jet_inverse(tau_jet, s0), s0)
+        return s0, tau_jet, w
 
     return E.model.derive_once(("flat_series", E.bid, x0), compute)
 
@@ -476,14 +453,17 @@ def commuting_square_gap_numeric(model, E: Bisection, u: UEAElement, Fs, g):
     if not E.is_flat:
         raise ValueError(f"series check is for flat bisections, not {E.bid}")
     y0, x0 = float(g[0]), float(g[1])
-    s0, tau_jet, sigma, w = _flat_series_data(E, x0)
+    s0, tau_jet, w = _flat_series_data(E, x0)
+    # ---- side B: Ω(u)(F o R_E^{-1}) at R_E(g) = (y0, s0) -------------------
+    # H(y, x) = F(y, tau(x)); D^j H via the jet of x -> F(y0, tau(x)) at s0.
+    side_b = [(exp[0], float(f.eval((s0,)))) for exp, f in u.terms.items()]
     # ---- side A: Ω(U(Ad_E)u)(F) at (y0, x0) -------------------------------
     # U(Ad_E)(f * D^j) = (f o tau^{-1}) * (w D)^j with w = tau' o tau^{-1}:
     # with (wD)^j = sum c_k D^k, side A is sum ((f o tau^{-1}) c_k)(x0) D^k F,
-    # and side_a keeps the pairs (k, ((f o tau^{-1}) c_k)(x0)) in sum order.
+    # and side_a keeps the pairs (k, ((f o tau^{-1}) c_k)(x0)) in sum order;
+    # (f o tau^{-1})(x0) is f(s0), side B's value.
     side_a = []
-    for exp, f in u.terms.items():
-        j = exp[0]
+    for j, fs0 in side_b:
         # operator coefficients c_k with (wD)^j = sum c_k D^k, as jets
         coeffs = {0: Jet.const(1)}
         for _ in range(j):
@@ -499,12 +479,10 @@ def commuting_square_gap_numeric(model, E: Bisection, u: UEAElement, Fs, g):
                     wm = wm.shift()
                     binom = binom * (k - m) // (m + 1)
             coeffs = new
-        fval = jet_of_coeff(f, s0)
-        fx = _jet_compose(fval, sigma, s0)   # f o tau^{-1} at x0
+        # a product's value reads only its factors' values, so f o tau^{-1}
+        # enters as the constant jet f(s0)
+        fx = Jet.const(fs0)
         side_a.extend((k, (fx * c).value()) for k, c in coeffs.items())
-    # ---- side B: Ω(u)(F o R_E^{-1}) at R_E(g) = (y0, s0) -------------------
-    # H(y, x) = F(y, tau(x)); D^j H via the jet of x -> F(y0, tau(x)) at s0.
-    side_b = [(exp[0], float(f.eval((s0,)))) for exp, f in u.terms.items()]
     fact = [1.0]
     for k in range(1, JET_ORDER):
         fact.append(fact[-1] * k)

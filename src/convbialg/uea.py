@@ -292,18 +292,13 @@ class TensorElement(TermSum):
             for u2, v2 in other.pure_tensors()
         )
 
-    def act_right_left_slot(self, f: CoeffFn) -> "TensorElement":
-        """Multiply f into the left tensor factor from the right."""
-        rf = UEAElement.from_coeff(self.parent, f)
+    def map_slots(self, left=None, right=None) -> "TensorElement":
+        """The sum of left(u) tensor right(v) over the pure tensors u tensor v;
+        None is the identity.  With u -> u * f on either slot this is the
+        right R-action there."""
         return TensorElement.zero(self.parent).plus(
-            TensorElement.of(uea_mul(u, rf), v) for u, v in self.pure_tensors()
-        )
-
-    def act_right_right_slot(self, f: CoeffFn) -> "TensorElement":
-        """Multiply f into the right tensor factor from the right."""
-        rf = UEAElement.from_coeff(self.parent, f)
-        return TensorElement.zero(self.parent).plus(
-            TensorElement.of(u, uea_mul(v, rf)) for u, v in self.pure_tensors()
+            TensorElement.of(u if left is None else left(u), v if right is None else right(v))
+            for u, v in self.pure_tensors()
         )
 
 

@@ -1,0 +1,30 @@
+"""The environment that tools/bench_pairs.py gives each tree's subprocesses.
+
+    PYTHONPATH=src python -m pytest -q tests/test_bench_pairs.py
+"""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def test_each_tree_gets_its_own_empty_bytecode_cache(tmp_path):
+    envs = bench_pairs.tree_envs(str(tmp_path))
+    assert sorted(envs) == ["base", "change"]
+    prefixes = [envs[side]["PYTHONPYCACHEPREFIX"] for side in ("base", "change")]
+    assert prefixes[0] != prefixes[1]
+    for side, prefix in zip(("base", "change"), prefixes):
+        assert Path(prefix).parent == tmp_path
+        assert os.listdir(prefix) == []
+        assert envs[side]["PYTHONPATH"] == "src"
+        # a subprocess started with this environment caches under its prefix
+        out = subprocess.run([sys.executable, "-c", "import sys; print(sys.pycache_prefix)"],
+                             env=envs[side], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == prefix

@@ -5,6 +5,7 @@ import pytest
 
 from convbialg.conv import (
     ConvElement,
+    ConvTensor,
     Stratum,
     _breakpoints,
     antipode_etale,
@@ -17,9 +18,11 @@ from convbialg.conv import (
 from convbialg.coeffs import CoeffFn, Polynomial, Q
 from convbialg.errors import NotEtaleElement
 from convbialg.groupoid import Bisection, Diffeo1D, germ_of
+from convbialg.lie_rinehart import random_polynomial
 from convbialg.models import etale_model, heisenberg_model, model_from_json, pair_model
 from convbialg.textform import parse_conv
-from convbialg.uea import UEAElement, counit
+from convbialg.suites import _random_conv_element, _random_etale_element
+from convbialg.uea import TensorElement, UEAElement
 
 
 @pytest.fixture(scope="module")
@@ -112,8 +115,6 @@ class TestCoalgebra:
 
     def test_coproduct_multiplicative(self, h3):
         rng = random.Random(4)
-        from convbialg.suites import _random_conv_element
-
         for _ in range(10):
             a = _random_conv_element(rng, h3)
             b = _random_conv_element(rng, h3)
@@ -124,25 +125,99 @@ class TestCoalgebra:
         def counit_slot(d, left):
             """(epsilon tensor id)(d) when left, else (id tensor epsilon)(d):
             the counit of one slot enters the product as iota(epsilon)."""
-            model = d.model
-            parts = []
-            for bl, u, br, v in d.pure_terms():
-                eps = counit(u if left else v)
-                if eps.is_zero:
-                    continue
-                iota = ConvElement.from_coeff(model, eps)
-                parts.append(conv_mul(iota, ConvElement(model, {br: v})) if left
-                             else conv_mul(ConvElement(model, {bl: u}), iota))
-            return ConvElement.zero(model).plus(parts)
+            def iota_eps(x):
+                return ConvElement.from_coeff(d.model, conv_counit(x))
+            return (d.map_slots(left=iota_eps) if left else d.map_slots(right=iota_eps)).mu()
 
         rng = random.Random(5)
-        from convbialg.suites import _random_etale_element
-
         for _ in range(10):
             a = _random_etale_element(rng, etale)
             d = conv_coproduct(a)
             assert counit_slot(d, left=True) == a
             assert counit_slot(d, left=False) == a
+
+
+    @pytest.mark.parametrize("name", ["pair", "h3", "etale"])
+    def test_map_slots_matches_the_one_slot_maps(self, name, request):
+        model = request.getfixturevalue(name)
+        A = model.algebroid
+        rng = random.Random(6)
+        draws = [_random_conv_element(rng, model) for _ in range(5)]
+        if name == "etale":
+            draws += [_random_etale_element(rng, model) for _ in range(5)]
+        for a in draws:
+            d = conv_coproduct(a)
+            r = CoeffFn(A.chart, random_polynomial(rng, A.chart.dim, 2))
+            rr = ConvElement.from_coeff(model, r)
+
+            def times_r(x):
+                return conv_mul(x, rr)
+
+            # the same terms in the same order
+            assert _items(d.map_slots(left=times_r)) == _items(_act_right_left(d, r))
+            assert _items(d.map_slots(right=times_r)) == _items(_act_right_right(d, r))
+            if name == "etale":
+                assert _items(d.map_slots(left=antipode_etale)) == _items(
+                    _apply_antipode_left(d))
+            assert d.map_slots() == d
+
+    @pytest.mark.parametrize("name", ["pair", "h3"])
+    def test_coproduct_lands_in_the_balanced_subspace(self, name, request):
+        # hopf-etale's law (i) on the models that suite does not run on
+        model = request.getfixturevalue(name)
+        A = model.algebroid
+        rng = random.Random(8)
+        for _ in range(10):
+            d = conv_coproduct(_random_conv_element(rng, model))
+            rr = ConvElement.from_coeff(
+                model, CoeffFn(A.chart, random_polynomial(rng, A.chart.dim, 2)))
+
+            def times_r(x):
+                return conv_mul(x, rr)
+
+            assert d.map_slots(left=times_r) == d.map_slots(right=times_r)
+
+
+def _items(t):
+    return list(t.terms.items())
+
+
+def _pure_terms(d):
+    """(E_left_id, u, E_right_id, v), the coefficient on u, as ConvTensor
+    had them before map_slots."""
+    return [(bl, u, br, v) for (bl, br), t in d.terms.items() for u, v in t.pure_tensors()]
+
+
+def _act_right_left(d, r):
+    """The right R-action on the left slot, as ConvTensor had it."""
+    model = d.model
+    rr = ConvElement.from_coeff(model, r)
+    pairs = []
+    for bl, u, br, v in _pure_terms(d):
+        acted = conv_mul(ConvElement(model, {bl: u}), rr)
+        pairs.extend(((bid, br), TensorElement.of(w, v)) for bid, w in acted.terms.items())
+    return ConvTensor(model, pairs)
+
+
+def _act_right_right(d, r):
+    """The right R-action on the right slot, as ConvTensor had it."""
+    model = d.model
+    rr = ConvElement.from_coeff(model, r)
+    pairs = []
+    for bl, u, br, v in _pure_terms(d):
+        acted = conv_mul(ConvElement(model, {br: v}), rr)
+        pairs.extend(((bl, bid), TensorElement.of(u, w)) for bid, w in acted.terms.items())
+    return ConvTensor(model, pairs)
+
+
+def _apply_antipode_left(d):
+    """(S tensor id), as ConvTensor had it."""
+    model = d.model
+    pairs = []
+    for bl, u, br, v in _pure_terms(d):
+        s = antipode_etale(ConvElement(model, {bl: u}))
+        pairs.extend(((bid, br), TensorElement.of(w, v)) for bid, w in s.terms.items())
+    return ConvTensor(model, pairs)
 
 
 class TestAntipode:

@@ -3,10 +3,12 @@
 A top-level function, a class or a method that is not a dunder is reached
 when its name is referenced outside its own body from a library module
 (not `__init__.py`, which only re-exports), a demo, a tool or perfbench.
-A reference is a name, an attribute, or an identifier inside a string
-constant other than a docstring, since perfbench names what it traces in
-strings.  Names are matched without their module or class, so a method is
-reached by any attribute of its name.  A reference inside the body of a
+A reference is a name or an attribute.  In `perfbench/tracing.py`, which
+names what it traces in strings, an identifier inside a string constant
+other than a docstring is one too; elsewhere a string is data, so an
+expression head such as the CLI's "dist_eval" reaches nothing.  Names are
+matched without their module or class, so a method is reached by any
+attribute of its name.  A reference inside the body of a
 definition that is not reached does not count, and the scan repeats until
 nothing more drops out.  The tests do not count: a definition that only a
 test calls is API that no verdict reaches.
@@ -25,6 +27,7 @@ CALLERS = sorted(
                 *ROOT.glob("perfbench/*.py")]
     if p.name != "__init__.py"
 )
+STRINGS = [ROOT / "perfbench" / "tracing.py"]  # callers whose strings name definitions
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -53,9 +56,9 @@ def _docstrings(tree):
             and isinstance(n.value.value, str)}
 
 
-def references(tree):
-    """(name, line) of each name, attribute and identifier in a string
-    constant that is not a docstring."""
+def references(tree, strings):
+    """(name, line) of each name and attribute, and when strings is true of
+    each identifier in a string constant that is not a docstring."""
     skip = _docstrings(tree)
     out = []
     for node in ast.walk(tree):
@@ -63,15 +66,16 @@ def references(tree):
             out.append((node.id, node.lineno))
         elif isinstance(node, ast.Attribute):
             out.append((node.attr, node.lineno))
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+        elif (strings and isinstance(node, ast.Constant) and isinstance(node.value, str)
               and id(node) not in skip):
             out.extend((w, node.lineno) for w in _IDENT.findall(node.value))
     return out
 
 
-def unreached(library=LIBRARY, callers=CALLERS):
+def unreached(library=LIBRARY, callers=CALLERS, strings=STRINGS):
     """The qualified names of the library definitions that nothing outside
-    the tests reaches, iterated to a fixed point."""
+    the tests reaches, iterated to a fixed point; only the callers listed in
+    strings reach through identifiers in strings."""
     names, spans = {}, {}  # qualname -> name; qualname -> (path, first, last line)
     for path in library:
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -81,7 +85,8 @@ def unreached(library=LIBRARY, callers=CALLERS):
     # name -> for each reference to it, the definitions whose bodies hold it
     defined, enclosing = set(names.values()), {}
     for path in callers:
-        for name, line in references(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, line in references(tree, path in strings):
             if name in defined:
                 enclosing.setdefault(name, []).append(
                     {q for q, (p, first, last) in spans.items()
@@ -100,11 +105,13 @@ def test_every_definition_is_reached():
     assert not dead, "reached only from tests, or not at all: " + ", ".join(dead)
 
 
-def _scan(tmp_path, library, caller):
+def _scan(tmp_path, library, caller, strings=False):
+    """The scan of library from itself and caller, which may reach through
+    its strings."""
     lib, call = tmp_path / "lib.py", tmp_path / "caller.py"
     lib.write_text(library)
     call.write_text(caller)
-    return unreached([lib], [lib, call])
+    return unreached([lib], [lib, call], [call] if strings else [])
 
 
 def test_scan_drops_a_chain_of_dead_definitions(tmp_path):
@@ -120,9 +127,19 @@ def test_scan_drops_a_chain_of_dead_definitions(tmp_path):
                                                  "lib.only_gone"]
 
 
+STRING_LIBRARY = ('"""traced_by_docstring is named here only."""\n'
+                  "def traced():\n    pass\n\n"
+                  "def traced_by_docstring():\n    pass\n")
+STRING_CALLER = 'NAMES = [("lib.traced", "lib", "traced")]\n'
+
+
 def test_a_string_reaches_and_a_docstring_does_not(tmp_path):
-    library = ('"""traced_by_docstring is named here only."""\n'
-               "def traced():\n    pass\n\n"
-               "def traced_by_docstring():\n    pass\n")
-    caller = 'NAMES = [("lib.traced", "lib", "traced")]\n'
-    assert _scan(tmp_path, library, caller) == ["lib.traced_by_docstring"]
+    assert _scan(tmp_path, STRING_LIBRARY, STRING_CALLER, strings=True) == [
+        "lib.traced_by_docstring"]
+
+
+def test_an_ordinary_string_does_not_reach(tmp_path):
+    # a caller outside the string list: "traced" in its strings is data,
+    # as the CLI's expression heads are
+    assert _scan(tmp_path, STRING_LIBRARY, STRING_CALLER) == [
+        "lib.traced", "lib.traced_by_docstring"]

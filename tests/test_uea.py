@@ -200,7 +200,48 @@ def test_tensor_balanced_action():
     u = rand_uea(rng, H3)
     r = CoeffFn.const(H3.chart, 3)
     d = coproduct(u)
-    assert d.act_right_left_slot(r) == d.act_right_right_slot(r)
+    rf = UEAElement.from_coeff(H3, r)
+
+    def times_r(w):
+        return uea_mul(w, rf)
+
+    assert d.map_slots(left=times_r) == d.map_slots(right=times_r)
+
+
+def _act_right_left_slot(d, f):
+    """The right action of f on the left slot, as TensorElement had it
+    before map_slots."""
+    rf = UEAElement.from_coeff(d.parent, f)
+    return TensorElement.zero(d.parent).plus(
+        TensorElement.of(uea_mul(u, rf), v) for u, v in d.pure_tensors())
+
+
+def _act_right_right_slot(d, f):
+    """The right action of f on the right slot, as TensorElement had it
+    before map_slots."""
+    rf = UEAElement.from_coeff(d.parent, f)
+    return TensorElement.zero(d.parent).plus(
+        TensorElement.of(u, uea_mul(v, rf)) for u, v in d.pure_tensors())
+
+
+@pytest.mark.parametrize("which", ["line", "h3"])
+def test_map_slots_is_the_right_action_on_either_slot(which):
+    A = LINE if which == "line" else H3
+    rng = random.Random(7)
+    for _ in range(10):
+        d = coproduct(rand_uea(rng, A))
+        f = CoeffFn(A.chart, random_polynomial(rng, A.chart.dim, 2))
+        rf = UEAElement.from_coeff(A, f)
+
+        def times_f(w):
+            return uea_mul(w, rf)
+
+        left, right = d.map_slots(left=times_f), d.map_slots(right=times_f)
+        # the same terms in the same order
+        assert list(left.terms.items()) == list(_act_right_left_slot(d, f).terms.items())
+        assert list(right.terms.items()) == list(_act_right_right_slot(d, f).terms.items())
+        assert left == right
+        assert d.map_slots() == d
 
 
 @pytest.mark.parametrize("exp", [(1.9, 0, 0), (1.0, 0, 0), (True, 0, 0), (0, -1, 0), (1, 0)])

@@ -20,6 +20,12 @@ run's exit code and metrics, and, over the pairs where both runs gave
 metrics, per-metric medians and quartiles for each side and how many pairs
 the change won.  Each tree must have `perfbench/` at its root and the
 package under `src/`.
+
+Each tree's subprocesses get their own bytecode cache: a fresh, empty
+PYTHONPYCACHEPREFIX directory, made once per tree for each comparison.  So
+neither side can read a cache that the other side lacks, such as a stale
+`__pycache__/` left in one tree, which with PYTHONDONTWRITEBYTECODE=1 once
+halved that tree's import time.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 
 SUITES = ("cartier-gabriel", "commuting-square", "etale-iso", "fd-sanity", "hopf-etale",
           "kernel-example", "lie-rinehart", "phi-homomorphism", "prop43", "uea")
@@ -46,15 +53,22 @@ PAIRS = 10
 SECONDS = 20
 
 
-def _env():
-    return dict(os.environ, PYTHONPATH="src")
+def tree_envs(scratch):
+    """The environment of each side's subprocesses: the package from `src/`
+    and a new, empty bytecode cache of its own under scratch."""
+    envs = {}
+    for side in ("base", "change"):
+        prefix = os.path.join(scratch, f"pycache-{side}")
+        os.mkdir(prefix)
+        envs[side] = dict(os.environ, PYTHONPATH="src", PYTHONPYCACHEPREFIX=prefix)
+    return envs
 
 
-def _run(tree, workload, seed):
+def _run(tree, env, workload, seed):
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(SECONDS), "--trace", "0"],
-        cwd=tree, env=_env(), capture_output=True, text=True)
+        cwd=tree, env=env, capture_output=True, text=True)
     run = {"seed": seed, "exit": out.returncode, "metrics": None}
     lines = out.stdout.strip().splitlines()
     try:
@@ -67,26 +81,26 @@ def _run(tree, workload, seed):
     return run
 
 
-def _hash_run(tree, argv):
-    out = subprocess.run(argv, cwd=tree, env=_env(), capture_output=True)
+def _hash_run(tree, env, argv):
+    out = subprocess.run(argv, cwd=tree, env=env, capture_output=True)
     return {"exit": out.returncode, "stdout": hashlib.sha256(out.stdout).hexdigest(),
             "stderr": hashlib.sha256(out.stderr).hexdigest()}
 
 
-def _report_hashes(tree):
+def _report_hashes(tree, env):
     cli = [sys.executable, "-c", CLI]
     hashes = {}
     for name in SUITES:
-        hashes[f"check {name}"] = _hash_run(tree, cli + ["check", "--suite", name,
-                                                         "--output", "json"])
+        hashes[f"check {name}"] = _hash_run(tree, env, cli + ["check", "--suite", name,
+                                                              "--output", "json"])
     for name in DEMOS:
-        hashes[f"demo {name}"] = _hash_run(tree, cli + ["demo", name, "--output", "json"])
+        hashes[f"demo {name}"] = _hash_run(tree, env, cli + ["demo", name, "--output", "json"])
     for expr in EVALS:
-        hashes[f"eval {expr}"] = _hash_run(tree, cli + ["eval", expr])
+        hashes[f"eval {expr}"] = _hash_run(tree, env, cli + ["eval", expr])
     for script in sorted(f for f in os.listdir(os.path.join(tree, "demos"))
                          if f.endswith(".py")):
-        hashes[f"demos/{script}"] = _hash_run(tree, [sys.executable,
-                                                     os.path.join("demos", script)])
+        hashes[f"demos/{script}"] = _hash_run(tree, env, [sys.executable,
+                                                          os.path.join("demos", script)])
     return hashes
 
 
@@ -121,8 +135,9 @@ def _summary(runs):
     return summary
 
 
-def compare(base, change):
-    base_hashes, change_hashes = _report_hashes(base), _report_hashes(change)
+def compare(base, change, envs):
+    base_hashes = _report_hashes(base, envs["base"])
+    change_hashes = _report_hashes(change, envs["change"])
     print("reports identical:", base_hashes == change_hashes, file=sys.stderr, flush=True)
     workloads = {}
     for workload in WORKLOADS:
@@ -131,7 +146,7 @@ def compare(base, change):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for side in order:
                 tree = base if side == "base" else change
-                runs[side].append(_run(tree, workload, 1001 + i))
+                runs[side].append(_run(tree, envs[side], workload, 1001 + i))
                 print(workload, i, side, runs[side][-1]["exit"], runs[side][-1]["metrics"],
                       file=sys.stderr, flush=True)
         workloads[workload] = {"summary": _summary(runs), "runs": runs}
@@ -150,7 +165,9 @@ def main(argv=None):
     p.add_argument("--change", default=".", help="source tree of the change")
     p.add_argument("--out", required=True)
     args = p.parse_args(argv)
-    result = compare(os.path.abspath(args.base), os.path.abspath(args.change))
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
+        result = compare(os.path.abspath(args.base), os.path.abspath(args.change),
+                         tree_envs(scratch))
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")

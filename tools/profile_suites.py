@@ -21,12 +21,11 @@ per (bid, u')), of `groupoid.bisection_inv` (one per bid in such a sweep), of
 `dist.ArrowFn.apply_frame` (its frame fields are embedded once per model and
 layout), of `dist._defcheck_term_pair` (every term pair of the defining
 formula; its cumulative time shows the first stages derived once per
-(F, bid, u)), of `dist.commuting_square_gap_numeric` (the commuting square's
-series branch, one call per (E, u, arrow) for all test functions) and of
-`dist.jet_of_coeff` (one per term of u and arrow there), then the 25
-functions with the most self time.  Profiled
-seconds are slower than plain ones; compare them only with another run of
-this script on the same machine.
+(F, bid, u)) and of `dist.commuting_square_gap_numeric` (the commuting
+square's series branch, one call per (E, u, arrow) for all test functions),
+then the 25 functions with the most self time.  Profiled seconds are slower
+than plain ones; compare them only with another run of this script on the
+same machine.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ WATCHED = (
     ("dist.ArrowFn.apply_frame", dist.ArrowFn.apply_frame),
     ("dist._defcheck_term_pair", dist._defcheck_term_pair),
     ("dist.commuting_square_gap_numeric", dist.commuting_square_gap_numeric),
-    ("dist.jet_of_coeff", dist.jet_of_coeff),
 )
 TOP = 25
 
