@@ -28,3 +28,22 @@ def test_each_tree_gets_its_own_empty_bytecode_cache(tmp_path):
         out = subprocess.run([sys.executable, "-c", "import sys; print(sys.pycache_prefix)"],
                              env=envs[side], capture_output=True, text=True, check=True)
         assert out.stdout.strip() == prefix
+
+
+def test_each_tree_writes_its_bytecode_cache(tmp_path, monkeypatch):
+    # set in the calling shell, the variable reaches neither side
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    envs = bench_pairs.tree_envs(str(scratch))
+    modules = tmp_path / "modules"
+    modules.mkdir()
+    (modules / "probe_module.py").write_text("VALUE = 1\n", encoding="utf-8")
+    for side in ("base", "change"):
+        env = envs[side]
+        assert "PYTHONDONTWRITEBYTECODE" not in env
+        subprocess.run([sys.executable, "-c", "import probe_module"], cwd=modules, env=env,
+                       check=True)
+        cached = [p.name for p in Path(env["PYTHONPYCACHEPREFIX"]).rglob("*.pyc")]
+        assert any(name.startswith("probe_module.") for name in cached)
+    assert not (modules / "__pycache__").exists()

@@ -21,8 +21,10 @@ from convbialg.groupoid import Bisection, Diffeo1D, germ_of
 from convbialg.lie_rinehart import random_polynomial
 from convbialg.models import etale_model, heisenberg_model, model_from_json, pair_model
 from convbialg.textform import parse_conv
-from convbialg.suites import _random_conv_element, _random_etale_element
+from convbialg.suites import _random_etale_element
 from convbialg.uea import TensorElement, UEAElement
+
+from conv_draws import random_conv_element
 
 
 @pytest.fixture(scope="module")
@@ -79,11 +81,9 @@ class TestAlgebra:
 
     def test_associativity_random(self, pair, h3, etale):
         rng = random.Random(0xC0FFEE)
-        from convbialg.suites import _random_conv_element
-
         for model in (pair, h3, etale):
             for _ in range(15):
-                a, b, c = (_random_conv_element(rng, model) for _ in range(3))
+                a, b, c = (random_conv_element(rng, model) for _ in range(3))
                 assert conv_mul(conv_mul(a, b), c) == conv_mul(a, conv_mul(b, c))
 
     def test_eval_germ(self, pair):
@@ -116,8 +116,8 @@ class TestCoalgebra:
     def test_coproduct_multiplicative(self, h3):
         rng = random.Random(4)
         for _ in range(10):
-            a = _random_conv_element(rng, h3)
-            b = _random_conv_element(rng, h3)
+            a = random_conv_element(rng, h3)
+            b = random_conv_element(rng, h3)
             assert conv_coproduct(conv_mul(a, b)) == conv_coproduct(a).mul(
                 conv_coproduct(b))
 
@@ -142,7 +142,7 @@ class TestCoalgebra:
         model = request.getfixturevalue(name)
         A = model.algebroid
         rng = random.Random(6)
-        draws = [_random_conv_element(rng, model) for _ in range(5)]
+        draws = [random_conv_element(rng, model) for _ in range(5)]
         if name == "etale":
             draws += [_random_etale_element(rng, model) for _ in range(5)]
         for a in draws:
@@ -168,7 +168,7 @@ class TestCoalgebra:
         A = model.algebroid
         rng = random.Random(8)
         for _ in range(10):
-            d = conv_coproduct(_random_conv_element(rng, model))
+            d = conv_coproduct(random_conv_element(rng, model))
             rr = ConvElement.from_coeff(
                 model, CoeffFn(A.chart, random_polynomial(rng, A.chart.dim, 2)))
 
@@ -306,9 +306,7 @@ class TestZeroTest:
 
     def test_round_trip_text(self, pair, h3, etale):
         rng = random.Random(8)
-        from convbialg.suites import _random_conv_element
-
         for model in (pair, h3, etale):
             for _ in range(10):
-                a = _random_conv_element(rng, model)
+                a = random_conv_element(rng, model)
                 assert parse_conv(model, a.text()) == a

@@ -20,6 +20,8 @@ from convbialg.models import (
 from convbialg.phi import phi
 from convbialg.textform import parse_coeff, parse_conv, parse_dist, parse_uea, split_top
 
+from conv_draws import random_conv_element
+
 
 @pytest.fixture(scope="module")
 def models():
@@ -74,12 +76,10 @@ class TestTextForms:
                 assert parse_uea(A, u.text()) == u
 
     def test_element_round_trips(self, models):
-        from convbialg.suites import _random_conv_element
-
         rng = random.Random(1)
         for m in models.values():
             for _ in range(10):
-                a = _random_conv_element(rng, m)
+                a = random_conv_element(rng, m)
                 assert parse_conv(m, a.text()) == a
                 T = phi(a)
                 assert parse_dist(m, T.text()) == T

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from convbialg.conv import ConvElement, conv_is_zero, conv_mul
@@ -5,14 +7,24 @@ from convbialg.coeffs import CoeffFn, Polynomial, Q
 from convbialg.dist import dist_eval_at, dist_mul
 from convbialg.errors import UnsupportedRegistry
 from convbialg.groupoid import bisection_inv
-from convbialg.models import etale_model, heisenberg_model, model_from_json, pair_model
+from convbialg.models import (
+    FACTORIES,
+    builtin_models,
+    etale_model,
+    heisenberg_model,
+    model_from_json,
+    pair_model,
+)
 from convbialg.phi import (
     dist_is_zero,
     kernel_test,
     phi,
     stratify,
 )
+from convbialg.suites import _single_terms, run_suite
 from convbialg.uea import UEAElement
+
+from conv_draws import random_conv_element
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +102,34 @@ class TestPhi:
         a = ConvElement.single(h3, h3.lookup("kx"), UEAElement.generator(H, 0))
         b = ConvElement.single(h3, h3.lookup("ky"), UEAElement.generator(H, 1))
         assert phi(conv_mul(a, b)) == dist_mul(phi(a), phi(b))
+
+    @pytest.mark.parametrize("key", sorted(FACTORIES))
+    def test_homomorphism_on_random_sums(self, key):
+        # the phi-homomorphism suite checks single terms; this keeps the law
+        # on sums of 1-2 terms, some over product bisections
+        model = FACTORIES[key]()
+        rng = random.Random(0xC0FFEE)
+        for _ in range(5):
+            a, b = random_conv_element(rng, model), random_conv_element(rng, model)
+            assert phi(conv_mul(a, b)) == dist_mul(phi(a), phi(b))
+
+
+class TestSingleTerms:
+    def test_terms_name_aliases_and_do_not_depend_on_earlier_suites(self):
+        fresh, used = builtin_models(), builtin_models()
+        for name in ("prop43", "phi-homomorphism"):
+            run_suite(name, models=used)
+        for key, model in fresh.items():
+            assert len(used[key].registry) > len(model.registry)  # products were registered
+            names = {bid: alias for alias, bid in model.aliases.items()}
+            bank = _single_terms(random.Random(0xC0FFEE), model)
+            assert len(bank) == 10
+            for a in bank:
+                [(bid, u)] = a.terms.items()
+                assert not model.registry[bid].is_flat
+                assert a.text() == f"<{u.text()} | {names[bid]}>"
+            again = _single_terms(random.Random(0xC0FFEE), used[key])
+            assert [a.text() for a in again] == [a.text() for a in bank]
 
 
 class TestKernel:

@@ -4,22 +4,30 @@ Each case replaces names that one suite reads from `convbialg.suites` with
 versions that give wrong answers, runs the suite, and asserts that exactly
 the checks the plant breaks fail with a witness, read back from the CLI's
 canonical JSON, and that those bytes hash as they did when the plant was
-recorded.
+recorded.  Two defects of the layers below phi-homomorphism, c1 in conv_mul
+and m4 in ad_uea, are planted too: the suite's two-term witness is read
+back on newly built models, where it fails the law again under the plant
+and holds without it.
 
     PYTHONPATH=src python -m pytest -q tests/test_witnesses.py
 """
 
 import hashlib
+import importlib
 import json
+from functools import reduce
 
 import pytest
 
 import convbialg.suites as suites
+from convbialg.adjoint import ad_uea
 from convbialg.cli import _emit_json
 from convbialg.coeffs import CoeffFn, Polynomial
-from convbialg.conv import ConvTensor
+from convbialg.conv import ConvElement, ConvTensor
 from convbialg.groupoid import unit_bisection
-from convbialg.uea import TensorElement, UEAElement
+from convbialg.models import FACTORIES
+from convbialg.textform import parse_conv
+from convbialg.uea import TensorElement, UEAElement, uea_mul
 
 
 def _plus_one_counit(real):
@@ -105,9 +113,9 @@ PLANTS = {
         "605fcd11fafc734de110802feac05f77ca3bb29dece21ab852df68884e8ab552"),
     "phi-homomorphism-dist-mul-plus-t1": (
         "phi-homomorphism", {"dist_mul": lambda real: lambda T2, T1: real(T2, T1) + T1}, {},
-        ["etale: 100 random pairs exact", "heisenberg: 100 random pairs exact",
-         "pair: 100 random pairs exact"],
-        "0fc72d1ab011a0908e252a5ac5d245267f9807659e346aaa82b59faccc9194e0"),
+        ["etale: 100 term pairs exact", "heisenberg: 100 term pairs exact",
+         "pair: 100 term pairs exact"],
+        "37770606573d2ad478e0798899004a95c21f80a8a1c088169467ca3ccc4d0f51"),
     "cartier-gabriel-in-kernel-and-mul-plus-a1": (
         "cartier-gabriel", {"kernel_test": _always_in_kernel,
                             "conv_mul": lambda real: lambda a2, a1: real(a2, a1) + a1}, {},
@@ -165,6 +173,72 @@ def test_prop43_witness_names_both_operators(monkeypatch):
         [(bid2, u2)] = T2.terms.items()
         [(bid1, u1)] = T1.terms.items()
         assert witness.startswith(f"{bid2}*{bid1} with u2={u2.text()}, u1={u1.text()} at x=")
+
+
+def _c1_conv_mul(real):
+    """conv_mul with the factors of each term product swapped:
+    Ad_E2(u1) . u2 in place of u2 . Ad_E2(u1)."""
+    def plant(a2, a1):
+        model = a2.model
+        return ConvElement(model, [
+            (model.registered_product(model.registry[bid2], model.registry[bid1]).bid,
+             uea_mul(ad_uea(model.registry[bid2], u1), u2))
+            for bid2, u2 in a2.terms.items() for bid1, u1 in a1.terms.items()])
+    return plant
+
+
+def _m4_ad_uea(real):
+    """ad_uea with the generator factors of each monomial multiplied in
+    reverse order, from the real images of its coefficient and generators."""
+    def plant(E, u):
+        A = u.parent
+        out = UEAElement.zero(A)
+        for exp, f in u.terms.items():
+            factors = [real(E, UEAElement.generator(A, j))
+                       for j, k in enumerate(exp) for _ in range(k)]
+            out = out + reduce(uea_mul, reversed(factors), real(E, UEAElement.from_coeff(A, f)))
+        return out
+    return plant
+
+
+# two defects below the suite's own layer: c1 in conv_mul, which the suite
+# reads from convbialg.suites, and m4 in ad_uea, which conv_mul, phi and
+# dist_mul read from their own modules; with the witness of each failing
+# check
+PHI_PLANTS = {
+    "c1": ([("convbialg.suites", "conv_mul", _c1_conv_mul)],
+           {"heisenberg": "<7 * Y | kx> ; <1 + -2 * X^2 | kz>",
+            "pair": "<-3 * D | M> ; <(2*x0^2) * D | M>"}),
+    "m4": ([(module, "ad_uea", _m4_ad_uea)
+            for module in ("convbialg.conv", "convbialg.dist", "convbialg.phi")],
+           {"heisenberg": "<7 * Y | kx> ; <1 + -2 * X^2 | kz>"}),
+}
+
+
+def _phi_multiplicative(key, witness):
+    """The phi-homomorphism law on the two terms of a witness, read back
+    on a newly built model."""
+    model = FACTORIES[key]()
+    a, b = (parse_conv(model, text) for text in witness.split(" ; "))
+    assert len(a.terms) == len(b.terms) == 1
+    return suites.phi(suites.conv_mul(a, b)) == suites.dist_mul(suites.phi(a), suites.phi(b))
+
+
+@pytest.mark.parametrize("plant", sorted(PHI_PLANTS))
+def test_phi_homomorphism_witness_replays_on_new_models(plant, monkeypatch):
+    plants, expected = PHI_PLANTS[plant]
+    for module, attr, make in plants:
+        # importlib: the package's `phi` attribute is the function, not the module
+        module = importlib.import_module(module)
+        monkeypatch.setattr(module, attr, make(getattr(module, attr)))
+    report = suites.suite_phi_homomorphism()
+    witnesses = {c["name"].split(":")[0]: c["witness"] for c in report["checks"] if not c["pass"]}
+    assert witnesses == expected
+    for key, witness in witnesses.items():
+        assert not _phi_multiplicative(key, witness)
+    monkeypatch.undo()
+    for key, witness in witnesses.items():
+        assert _phi_multiplicative(key, witness)
 
 
 def _counted(cases, drawn):
