@@ -40,6 +40,7 @@ those values, since side A's (f o tau^{-1})(x0) is f(s0).
 from __future__ import annotations
 
 import random
+from itertools import product
 
 from .adjoint import ad_uea
 from .coeffs import CoeffFn, Polynomial, Q
@@ -517,17 +518,8 @@ def test_bank(model, seed: int = 0xC0FFEE, max_deg: int = 4):
                                      "whose test functions are polynomials")
     rng = random.Random(seed)
     n = model.arrow_chart.dim
-    bank = []
-
-    def monos(deg, prefix):
-        if len(prefix) == n:
-            if sum(prefix) <= deg:
-                bank.append(Polynomial(n, {tuple(prefix): Q(1)}))
-            return
-        for k in range(deg + 1 - sum(prefix)):
-            monos(deg, prefix + [k])
-
-    monos(max_deg, [])
+    bank = [Polynomial(n, {e: 1}) for e in product(range(max_deg + 1), repeat=n)
+            if sum(e) <= max_deg]
     for _ in range(5):
         bank.append(model.random_test_function(rng, 3))
     return bank

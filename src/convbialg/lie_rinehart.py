@@ -82,9 +82,6 @@ class LieRinehart:
     def basis_section(self, i: int) -> "Section":
         return Section(self, [self.one if k == i else self.zero for k in range(self.rank)])
 
-    def zero_section(self) -> "Section":
-        return Section(self, [self.zero] * self.rank)
-
     def frame_anchor_apply(self, i: int, f: CoeffFn) -> CoeffFn:
         """rho(X_i) applied to f."""
         out = self.zero
@@ -150,26 +147,16 @@ def anchor_apply(X: Section, f: CoeffFn) -> CoeffFn:
 
 
 def bracket(X: Section, Y: Section) -> Section:
-    """[X, Y] extended from the structure table by the Leibniz rule."""
+    """[X, Y] extended from the structure table by the Leibniz rule:
+    [X, Y]_k = sum_ij h_i k_j c_ij^k + rho(X)(k_k) - rho(Y)(h_k)."""
     X._check(Y)
     A = X.parent
-    out = A.zero_section()
-    for i in range(A.rank):
-        hi = X.coeffs[i]
-        if hi.is_zero:
-            continue
-        for j in range(A.rank):
-            kj = Y.coeffs[j]
-            if kj.is_zero:
-                continue
-            table = Section(A, A.bracket_table[i][j])
-            out = out + table.rmul(hi * kj)
-    # derivative terms: rho(X)(k_j) X_j - rho(Y)(h_i) X_i
-    for j in range(A.rank):
-        out = out + A.basis_section(j).rmul(anchor_apply(X, Y.coeffs[j]))
-    for i in range(A.rank):
-        out = out - A.basis_section(i).rmul(anchor_apply(Y, X.coeffs[i]))
-    return out
+    pairs = [(h * k, A.bracket_table[i][j])
+             for i, h in enumerate(X.coeffs) if not h.is_zero
+             for j, k in enumerate(Y.coeffs) if not k.is_zero]
+    return Section(A, [sum((hk * c[m] for hk, c in pairs),
+                           anchor_apply(X, Y.coeffs[m]) - anchor_apply(Y, X.coeffs[m]))
+                       for m in range(A.rank)])
 
 
 def check_axioms(A: LieRinehart, seed: int = 0xC0FFEE) -> dict:

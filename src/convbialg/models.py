@@ -177,7 +177,7 @@ def model_from_json(data) -> GroupoidModel:
             data = json.loads(data)
         factory = _DOC_MODELS[data["model"]]
         entries = list(data.get("bisections", []))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ParseError(f"bad model document: {exc}")
     model = factory(register_defaults=False)
     model.register(unit_bisection(model), alias=model.unit_alias)
@@ -190,11 +190,12 @@ def model_from_json(data) -> GroupoidModel:
 
 
 def load_model_doc(path: str) -> dict:
-    """The JSON object in a model file."""
+    """The JSON object in a model file.  Text that is not UTF-8 (a
+    UnicodeDecodeError is a ValueError) or nests too deeply is a ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ParseError(f"malformed model JSON: {exc}")
     if not isinstance(doc, dict):
         raise ParseError(f"a model document is a JSON object, got {type(doc).__name__}")

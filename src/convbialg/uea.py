@@ -22,6 +22,8 @@ from (key, value) pairs, by TermSum.merge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from math import comb, prod
 
 from .coeffs import CoeffFn, check_exponents
 from .errors import ChartMismatch, ParentMismatch, VerificationFailed
@@ -303,19 +305,12 @@ class TensorElement(TermSum):
 
 
 def coproduct(u: UEAElement) -> TensorElement:
-    """Delta(u): generators are primitive, coefficients are grouplike-scalar."""
-    A = u.parent
-    pairs = []
-    one = UEAElement.one(A)
-    for exp, f in u.terms.items():
-        acc = TensorElement.of(one, one)
-        for i, k in enumerate(exp):
-            gen = UEAElement.generator(A, i)
-            prim = TensorElement.of(one, gen) + TensorElement.of(gen, one)
-            for _ in range(k):
-                acc = acc.mul(prim)
-        pairs.extend((key, f * g) for key, g in acc.terms.items())
-    return TensorElement(A, pairs)
+    """Delta(f X^a) = sum_{b <= a} prod_i C(a_i, b_i) * f X^b tensor X^(a-b):
+    generators are primitive, coefficients are grouplike-scalar."""
+    return TensorElement(u.parent, [
+        ((b, tuple(k - j for k, j in zip(a, b))), f.scale(prod(map(comb, a, b))))
+        for a, f in u.terms.items()
+        for b in product(*(range(k + 1) for k in a))])
 
 
 def counit(u: UEAElement) -> CoeffFn:

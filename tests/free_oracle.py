@@ -11,9 +11,20 @@ applied in a different order than the rewriting engine in the package
 (right multiplication instead of left, anchor applied directly from the
 anchor matrix).  Output is a {exponent: CoeffFn} dict comparable with
 UEAElement.terms.
+
+line_rank2_algebra is a test algebra whose bracket table is not constant.
 """
 
-from convbialg.coeffs import CoeffFn
+from convbialg.coeffs import Chart, CoeffFn
+from convbialg.lie_rinehart import LieRinehart
+
+
+def line_rank2_algebra():
+    """Rank 2 on the line: rho(X1) = d/dt, rho(X2) = 0, [X1, X2] = t * X2."""
+    chart = Chart.line("M")
+    zero, one, t = CoeffFn.const(chart, 0), CoeffFn.const(chart, 1), CoeffFn.var(chart)
+    table = [[[zero, zero], [zero, t]], [[zero, -t], [zero, zero]]]
+    return LieRinehart(chart, 2, [[one], [zero]], table)
 
 
 def _anchor_deriv(A, i, g):

@@ -2,7 +2,7 @@
 
 `eval` expressions are built from the grammar of the text forms and then
 mutated with grammar fragments and junk characters.  `check` always gets a
-missing or malformed `--model`, so no suite runs.
+missing, malformed or unreadable `--model`, so no suite runs.
 """
 
 import json
@@ -69,6 +69,9 @@ MALFORMED_DOCS = ["", "{", "[]", "1", "null", '"abc"', '"{}"', "{}", '{"model": 
                   '{"model": "etale", "bisections": [{"id": "g", "gamma": ["1"]}]}',
                   '{"model": "etale", "bisections": [{"id": "g", "gamma": ["1", "0"], '
                   '"domain": [["1"]]}]}']
+# files that are not a JSON text: UTF-16 with a byte order mark (not UTF-8),
+# and arrays nested deeper than the JSON decoder recurses
+UNREADABLE_DOCS = {"utf16-bom": b"\xff\xfe{\x00}\x00", "deep": b"[" * 200_000}
 junk = st.text(st.sampled_from("abc-_0129x/ .{}[]\",:é"), max_size=8)
 
 
@@ -116,6 +119,20 @@ def test_eval_never_crashes(docs, capsys, expr, model, output):
 def test_malformed_model_document_exits_2(docs, capsys, command, doc):
     docs["scratch"].write_text(doc)
     assert _run(command + ["--model", str(docs["scratch"])], capsys) == 2
+
+
+@pytest.mark.parametrize("doc", sorted(UNREADABLE_DOCS))
+def test_unreadable_model_file_exits_2_with_one_error_line(docs, capsys, doc):
+    docs["scratch"].write_bytes(UNREADABLE_DOCS[doc])
+    argv = ["check", "--suite", "fd-sanity", "--model", str(docs["scratch"])]
+    try:
+        code = main(argv)
+    finally:
+        captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
 
 
 @FUZZ

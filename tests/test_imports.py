@@ -9,13 +9,21 @@ No library module imports inside a function, where an import can hide a
 cycle between modules.  The one exemption is the pair of imports that
 `suites.run_all` makes only when it starts worker processes.
 
+The one submodule that a package attribute shadows is `phi`, whose
+function `__init__.py` re-exports under the module's name.
+
     PYTHONPATH=src python -m pytest -q tests/test_imports.py
 """
 
 import ast
+import importlib
+import inspect
+import pkgutil
 from pathlib import Path
 
 import pytest
+
+import convbialg
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -105,3 +113,12 @@ def test_scan_finds_an_import_inside_a_function(tmp_path):
     module.write_text("import os\n\ndef f():\n    from .a import b\n\n    def g():\n"
                       "        import sys, json\n    return b\n")
     assert function_imports(module) == [("f", ".a", 4), ("f", "json", 7), ("f", "sys", 7)]
+
+
+def test_phi_is_the_one_shadowed_submodule():
+    modules = {m.name: importlib.import_module(f"convbialg.{m.name}")
+               for m in pkgutil.iter_modules(convbialg.__path__)}
+    shadowed = {name for name, module in modules.items()
+                if getattr(convbialg, name) is not module}
+    assert shadowed == {"phi"}
+    assert inspect.ismodule(modules["phi"]) and convbialg.phi is modules["phi"].phi

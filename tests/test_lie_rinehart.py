@@ -1,18 +1,48 @@
+import random
+
 import pytest
 
 from convbialg.coeffs import Chart, CoeffFn, Polynomial
 from convbialg.errors import VerificationFailed
 from convbialg.lie_rinehart import (
     LieRinehart,
+    Section,
     algebroid_of_groupoid,
     anchor_apply,
     bracket,
     check_axioms,
     heisenberg_algebra,
+    random_polynomial,
     rank_zero_algebroid,
     tangent_line_algebroid,
 )
 from convbialg.models import builtin_models
+
+from free_oracle import line_rank2_algebra
+
+ALGEBRAS = {"tangent-line": tangent_line_algebroid, "heisenberg": heisenberg_algebra,
+            "line-rank2": line_rank2_algebra}
+
+
+def leibniz_bracket(X, Y):
+    """[X, Y] the long way, by Section arithmetic: the table section
+    [X_i, X_j] times h_i k_j for every pair of frame elements, then
+    rho(X)(k_m) X_m - rho(Y)(h_m) X_m for every m."""
+    A = X.parent
+    out = Section(A, [A.zero] * A.rank)
+    for i, h in enumerate(X.coeffs):
+        for j, k in enumerate(Y.coeffs):
+            out = out + Section(A, A.bracket_table[i][j]).rmul(h * k)
+    for m in range(A.rank):
+        out = out + A.basis_section(m).rmul(anchor_apply(X, Y.coeffs[m]))
+        out = out - A.basis_section(m).rmul(anchor_apply(Y, X.coeffs[m]))
+    return out
+
+
+def random_section(rng, A):
+    """Polynomial coefficients of degree <= 2; about one in four is zero."""
+    return Section(A, [CoeffFn(A.chart, random_polynomial(rng, A.chart.dim))
+                       if rng.random() < 0.75 else A.zero for _ in range(A.rank)])
 
 
 class TestAxioms:
@@ -21,6 +51,9 @@ class TestAxioms:
 
     def test_heisenberg(self):
         assert check_axioms(heisenberg_algebra())["passed"]
+
+    def test_line_rank2(self):
+        assert check_axioms(line_rank2_algebra())["passed"]
 
     def test_rank_zero(self):
         assert check_axioms(rank_zero_algebroid(Chart.line("M")))["passed"]
@@ -68,6 +101,39 @@ class TestBracket:
         lhs = bracket(D, D.rmul(f))
         # [D, x D] = D, since the bracket table is zero in rank 1
         assert lhs.coeffs[0] == CoeffFn.const(A.chart, 1)
+
+
+    @pytest.mark.parametrize("name", sorted(ALGEBRAS))
+    def test_closed_formula_is_the_leibniz_expansion(self, name):
+        A = ALGEBRAS[name]()
+        rng = random.Random(0xB8AC)
+        for _ in range(30):
+            X, Y = random_section(rng, A), random_section(rng, A)
+            assert bracket(X, Y) == leibniz_bracket(X, Y)
+
+    def test_a_structure_function_meets_the_anchor(self):
+        # [X1, t X2] = t [X1, X2] + rho(X1)(t) X2 = (t^2 + 1) X2
+        A = line_rank2_algebra()
+        t = CoeffFn.var(A.chart)
+        X1, X2 = A.basis_section(0), A.basis_section(1)
+        assert bracket(X1, X2) == X2.rmul(t)
+        assert bracket(X1, X2.rmul(t)) == X2.rmul(t * t + A.one)
+        assert bracket(X2.rmul(t), X1) == X2.rmul(-(t * t + A.one))
+
+    def test_one_section_per_bracket(self, monkeypatch):
+        A = line_rank2_algebra()
+        rng = random.Random(7)
+        X, Y = random_section(rng, A), random_section(rng, A)
+        built = []
+        real = Section.__init__
+
+        def counting(self, parent, coeffs):
+            built.append(self)
+            real(self, parent, coeffs)
+
+        monkeypatch.setattr(Section, "__init__", counting)
+        bracket(X, Y)
+        assert len(built) == 1
 
 
 class TestGroupoidConsistency:

@@ -41,6 +41,10 @@ class TestModelJson:
         with pytest.raises(ParseError):
             model_from_json({"model": "pair", "bisections": [{"id": "x"}]})
 
+    def test_text_that_nests_too_deeply_raises(self):
+        with pytest.raises(ParseError):
+            model_from_json("[" * 200_000)
+
 
 class TestTextForms:
     def test_split_top_respects_brackets(self):

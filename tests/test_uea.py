@@ -25,10 +25,11 @@ from convbialg.uea import (
     uea_mul,
 )
 
-from free_oracle import oracle_mul
+from free_oracle import line_rank2_algebra, oracle_mul
 
 LINE = tangent_line_algebroid()
 H3 = heisenberg_algebra()
+LINE2 = line_rank2_algebra()
 
 
 def rand_uea(rng, A, max_deg=2):
@@ -176,6 +177,50 @@ class TestCoalgebra:
         assert counit(D).is_zero
         f = CoeffFn(LINE.chart, Polynomial.parse("x0 + 2", 1))
         assert counit(UEAElement.from_coeff(LINE, f)) == f
+
+
+def product_coproduct(u):
+    """Delta(u) as f * prod_i (X_i x 1 + 1 x X_i)^a_i for each term f X^a,
+    multiplied out by TensorElement.mul."""
+    A = u.parent
+    one = UEAElement.one(A)
+    pairs = []
+    for exp, f in u.terms.items():
+        acc = TensorElement.of(one, one)
+        for i, k in enumerate(exp):
+            gen = UEAElement.generator(A, i)
+            for _ in range(k):
+                acc = acc.mul(TensorElement.of(one, gen) + TensorElement.of(gen, one))
+        pairs.extend((key, f * g) for key, g in acc.terms.items())
+    return TensorElement(A, pairs)
+
+
+COALGEBRAS = {"line": LINE, "h3": H3, "line-rank2": LINE2}
+
+
+@pytest.mark.parametrize("which", sorted(COALGEBRAS))
+def test_coproduct_formula_is_the_product_of_primitives(which):
+    """Same terms, and in the same order: conv_coproduct keeps it, and the
+    demos print it."""
+    A = COALGEBRAS[which]
+    rng = random.Random(0xDE17A)
+    for _ in range(15):
+        u = rand_uea(rng, A, max_deg=4)
+        d, want = coproduct(u), product_coproduct(u)
+        assert d == want and list(d.terms) == list(want.terms)
+
+
+def test_coproduct_multiplies_nothing(monkeypatch):
+    rng = random.Random(4)
+    us = [rand_uea(rng, A, max_deg=4) for A in COALGEBRAS.values() for _ in range(3)]
+    want = [product_coproduct(u) for u in us]
+
+    def refuse(*_):
+        raise AssertionError("coproduct multiplied")
+
+    monkeypatch.setattr(convbialg.uea, "uea_mul", refuse)
+    monkeypatch.setattr(TensorElement, "mul", refuse)
+    assert [coproduct(u) for u in us] == want
 
 
 @settings(max_examples=30, deadline=None)

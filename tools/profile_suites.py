@@ -5,27 +5,10 @@
 Runs `run_all()` (every suite in sorted order, serially, each on models
 built afresh, as `convbialg check` runs them) under cProfile with the
 package imported from `src/` of the tree this script lives in.  It prints
-the profiled total, then the calls and cumulative seconds of the term
-constructors of the exact kernel (`Polynomial.__init__`, `CoeffFn.__init__`,
-`_uea_term`), of `Fraction.__new__`, of `Polynomial.substitute` (its own
-loop) and `Polynomial.at` (the generic evaluator, left to the float, jet
-and `ad_matrix` rings), of `CoeffFn.const` (each algebra's zero and one are
-built once), of `uea._gen_times_monomial` (the PBW rewrite of X_i * X^exp,
-once per algebra, generator and monomial), of the float solves of tau^-1
-and tau (`groupoid._solve_monotone`), of the bisection products
-(`groupoid.bisection_mul`, made once per id pair), of
-`PolynomialGroupoid.beta_polys` (every call; its cumulative time shows the
-derivations made once per bisection id), of `adjoint.ad_uea` (the
-commuting square makes one per (E, u), a sweep of `dist.term_products` one
-per (bid, u')), of `groupoid.bisection_inv` (one per bid in such a sweep), of
-`dist.ArrowFn.apply_frame` (its frame fields are embedded once per model and
-layout), of `dist._defcheck_term_pair` (every term pair of the defining
-formula; its cumulative time shows the first stages derived once per
-(F, bid, u)) and of `dist.commuting_square_gap_numeric` (the commuting
-square's series branch, one call per (E, u, arrow) for all test functions),
-then the 25 functions with the most self time.  Profiled seconds are slower
-than plain ones; compare them only with another run of this script on the
-same machine.
+the profiled total, the calls and cumulative seconds of each function in
+`WATCHED`, then the 25 functions with the most self time.  Profiled
+seconds are slower than plain ones; compare them only with another run of
+this script on the same machine.
 """
 
 from __future__ import annotations
