@@ -94,6 +94,21 @@ def parse_rational(value) -> Fraction:
         raise ParseError(f"bad rational {value!r}") from None
 
 
+class DeriveOnce:
+    """An owner (a model, a bisection, an algebra) whose data never change
+    once built: `derived` keeps each datum derived from them, by key, from
+    its first use on; a computation that raises stores nothing."""
+
+    __slots__ = ()
+
+    def derive_once(self, key, compute):
+        """derived[key], computed by compute() on first use."""
+        value = self.derived.get(key)
+        if value is None:
+            value = self.derived[key] = compute()
+        return value
+
+
 # ---------------------------------------------------------------------------
 # Regions and charts
 # ---------------------------------------------------------------------------

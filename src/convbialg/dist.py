@@ -14,9 +14,10 @@ and dist_mul_defcheck evaluates the *defining* double formula
     T'(g -> T|_{s(g)}(F o L_g))(x)
 independently via doubled-variable polynomial manipulation, as an oracle.
 term_products yields the rewritten terms of a sweep over term pairs (dist_mul
-is one sweep); it makes E^-1 once per bid and Adbar once per (bid, D') and
-drops both when the sweep ends.  The first stage of the defining formula,
-which depends on (F, E, D) alone, is kept in model.derived.
+is one sweep); E^-1 is the one kept on E (groupoid.bisection_inv), and Adbar
+is computed once per (bid, D') and dropped when the sweep ends.  The first
+stage of the defining formula, which depends on (F, E, D) alone, is kept on
+E (see Bisection).
 
 A test function F is read through model.test_value(F, g).  On the etale
 action groupoid it is a table {gamma: f} read with .get, the algebroid has
@@ -202,21 +203,18 @@ def _omega_value(model, u: UEAElement, F, g, total):
 def term_products(model, left, right):
     """(bid of E'.E, Adbar_{E^-1}(u') u) for each term (bid', u') of left
     and each term (bid, u) of right, left-major: the terms of
-    [[E', u']] * [[E, u]].  E^-1 is computed once per bid and
-    Adbar = ad_uea(E^-1, u') once per (bid, value of u'); both memos live
-    as long as the generator, one sweep of the terms."""
+    [[E', u']] * [[E, u]].  Adbar = ad_uea(E^-1, u') is computed once per
+    (bid, value of u') and kept for one sweep only: keeping every image
+    of ad_uea costs more memory than computing it again costs time."""
     right = list(right)
-    inverses, adbars = {}, {}
+    adbars = {}
     for bid2, u2 in left:
         E2 = model.registry[bid2]
         for bid1, u1 in right:
             E1 = model.registry[bid1]
             adbar = adbars.get((bid1, u2))
             if adbar is None:
-                inv = inverses.get(bid1)
-                if inv is None:
-                    inv = inverses[bid1] = bisection_inv(E1)
-                adbar = adbars[bid1, u2] = ad_uea(inv, u2)
+                adbar = adbars[bid1, u2] = ad_uea(bisection_inv(E1), u2)
             v = uea_mul(adbar, u1)
             yield model.registered_product(E2, E1).bid, v
 
@@ -263,7 +261,7 @@ def _defcheck_term_pair(model, E2, u2, E1, u1, F, x0):
         return af.substitute(n, gvars + h_vals, E1.to_target)
 
     # stage 1 depends on (F, E1, u1) alone, so it is derived once per triple
-    inner = model.derive_once(("defcheck_stage1", F, E1.bid, u1), stage1)
+    inner = E1.derive_once(("defcheck_stage1", F, u1), stage1)
     # stage 2: apply the outer operator in the g block and evaluate at g
     return inner.apply_uea(u2).eval_arrow(g)
 
@@ -312,7 +310,7 @@ def commuting_square_gap(model, E: Bisection, u: UEAElement, Fs):
 
 def _right_translation_inv(E: Bisection):
     """R_E^{-1}(g) = g . alpha_E(s(g))^{-1} as polynomials on the arrow
-    chart, derived once per (model, bid)."""
+    chart, derived once per bisection."""
     model = E.model
 
     def compute():
@@ -322,7 +320,7 @@ def _right_translation_inv(E: Bisection):
         alpha_inv = [q.substitute(alpha_s) for q in model.inv_map]
         return [p.substitute(gvars + alpha_inv) for p in model.mult_map]
 
-    return model.derive_once(("right_translation_inv", E.bid), compute)
+    return E.derive_once("right_translation_inv", compute)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +430,7 @@ def _jet_reciprocal(j: Jet) -> Jet:
 def _flat_series_data(E: Bisection, x0: float):
     """(s0, jet of tau at s0, jet of w = tau' o tau^{-1} at x0) with
     s0 = tau^{-1}(x0).  They depend on E and x0 alone, so they are computed
-    once per (model, bid, x0), from one tower of tau's derivatives."""
+    once per (E, x0), from one tower of tau's derivatives."""
 
     def compute():
         tower = _derivative_tower(E.tau_coeff(), JET_ORDER + 1)
@@ -441,7 +439,7 @@ def _flat_series_data(E: Bisection, x0: float):
         w = _jet_compose(_jet_at(tower[1:], s0), jet_inverse(tau_jet, s0), s0)
         return s0, tau_jet, w
 
-    return E.model.derive_once(("flat_series", E.bid, x0), compute)
+    return E.derive_once(("flat_series", x0), compute)
 
 
 def commuting_square_gap_numeric(model, E: Bisection, u: UEAElement, Fs, g):

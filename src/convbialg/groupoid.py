@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffs import Chart, CoeffFn, Polynomial, Q, Region, parse_rational, to_float
+from .coeffs import Chart, CoeffFn, DeriveOnce, Polynomial, Q, Region, parse_rational, to_float
 from .errors import (
     ChartMismatch,
     DomainError,
@@ -261,7 +261,7 @@ def _coord(x):
 # ---------------------------------------------------------------------------
 
 
-class GroupoidModel:
+class GroupoidModel(DeriveOnce):
     """A groupoid over a base chart, with a registry of its local bisections.
 
     Each subclass is one model kind and supplies everything that depends on
@@ -295,36 +295,16 @@ class GroupoidModel:
     along a bisection, and alpha_polys and beta_polys (alpha_E and
     alpha_E o tau^{-1} as polynomials) come from alpha_fns; on these a group
     and the pair groupoid share one formula for Ad_E, beta_E, R_E^{-1} and
-    the transport of coefficients; other models have no beta_polys.  The
-    kind tests left outside this module are listed in the README ("Model
-    kinds"), each with its reason.
+    the transport of coefficients; other models have no beta_polys.
 
-    `derived` holds data that the layers derive from the model alone or
-    from one or two bisections, computed on first use (`derive_once`):
-    the conjugation Jacobian of a model (key "conjugation_jacobian"), the
-    frame field X-bar_i embedded in an h-block of nvars variables at
-    h_offset, with the source derivatives it meets (key ("frame_field", i,
-    nvars, h_offset); dist.ArrowFn.apply_frame), R_E^{-1} of a bisection as
-    polynomials (key ("right_translation_inv", bid)), beta_E as polynomials
-    (key ("beta_polys", bid)), the registered product E2 . E1 (key
-    ("product", bid2, bid1); the registry's object, see
-    registered_product), the series data of a flat kink at a point (key
-    ("flat_series", bid, x)), the first stage of the defining-formula
-    check of a test function F and a term [[E1, u1]] (key
-    ("defcheck_stage1", F, bid1, u1); dist._defcheck_term_pair), and the
-    float solves of Bisection.tau_inv_apply and tau_apply where tau is
-    known only in the other direction (keys
-    ("tau_inv_solve", bid, y) and ("tau_solve", bid, x); a point equal to
-    an earlier one, of any number type, converts to the same float and so
-    has the same solution).  A computation that raises stores nothing, so
-    it raises again on the next call.  Keys name the datum and, where it
-    depends on a bisection, its id, not the Bisection object, since
-    bisection_inv builds a new object on every call.  Inverses themselves
-    are not kept, nor the images of adjoint.ad_uea: keeping every
-    bisection_inv result, or every generator image per bid, costs more
-    memory than rebuilding it costs time (dist.term_products keeps both for
-    one sweep of term pairs only).  It is never serialized and lives as long
-    as the model.
+    `derived` (see DeriveOnce) holds what the layers derive from the model
+    alone or from two bisections: the conjugation Jacobian (key
+    "conjugation_jacobian"), the frame field X-bar_i embedded in an h-block
+    of nvars variables at h_offset, with the source derivatives it meets
+    (key ("frame_field", i, nvars, h_offset); dist.ArrowFn.apply_frame),
+    and the registered product E2 . E1 (key ("product", bid2, bid1); the
+    registry's object, see registered_product).  What derives from one
+    bisection alone lives on the Bisection.
     """
 
     kind = None
@@ -355,13 +335,6 @@ class GroupoidModel:
     def beta_polys(self, E):
         """beta_E as polynomials: only PolynomialGroupoid has them."""
         raise UnsupportedComposition("beta_E is not polynomial")
-
-    def derive_once(self, key, compute):
-        """derived[key], computed by compute() on first use."""
-        value = self.derived.get(key)
-        if value is None:
-            value = self.derived[key] = compute()
-        return value
 
     # -- registry ------------------------------------------------------------
 
@@ -451,9 +424,9 @@ class PolynomialGroupoid(GroupoidModel):
 
     def beta_polys(self, E):
         """beta_E = alpha_E o tau^{-1} as polynomials on the base, derived
-        once per bisection id."""
-        return self.derive_once(
-            ("beta_polys", E.bid),
+        once per bisection."""
+        return E.derive_once(
+            "beta_polys",
             lambda: [_poly_of(E.to_target(f), "beta_E") for f in self.alpha_fns(E)])
 
     def s_of(self, g):
@@ -763,15 +736,22 @@ class EtaleActionModel(GroupoidModel):
 # ---------------------------------------------------------------------------
 
 
-class Bisection:
+class Bisection(DeriveOnce):
     """A local bisection of a groupoid model, given by a diffeomorphism tau
     (pair), a group element (group) or a group element gamma and a domain
     (etale).  The model checks the data and derives the content id; the
     kind-specific methods hand off to it.  is_flat (is tau a flat kink
     rather than an affine map?) is set once, before the model's check; a
-    group or etale bisection has no tau there, and is not flat."""
+    group or etale bisection has no tau there, and is not flat.
 
-    __slots__ = ("model", "bid", "tau", "domain", "element", "gamma", "is_flat")
+    `derived` (see DeriveOnce) holds what derives from this bisection
+    alone: its one inverse ("inverse"; never registered), beta_E and
+    R_E^{-1} as polynomials, the series data and the float solves of a
+    flat kink per point (a point equal to an earlier one, of any number
+    type, has the same float and so the same solution), and the first
+    stage of the defining-formula check per (F, u) (dist)."""
+
+    __slots__ = ("model", "bid", "tau", "domain", "element", "gamma", "is_flat", "derived")
 
     def __init__(self, model, tau=None, domain=None, element=None, gamma=None):
         self.model = model
@@ -779,6 +759,7 @@ class Bisection:
         self.element = element
         self.gamma = gamma
         self.is_flat = tau is not None and tau.affine_parts() is None
+        self.derived = {}
         model.init_bisection(self, domain)
 
     def __eq__(self, other):
@@ -802,19 +783,18 @@ class Bisection:
 
     def tau_apply(self, x):
         """tau(x); a float solve (tau given by its inverse only) is made once
-        per (bid, x) and kept in model.derived."""
+        per x."""
         tau = self.tau_diffeo()
         if tau.fwd is not None:
             return tau.apply(x)
-        return self.model.derive_once(("tau_solve", self.bid, x), lambda: tau.apply(x))
+        return self.derive_once(("tau_solve", x), lambda: tau.apply(x))
 
     def tau_inv_apply(self, y):
-        """tau^{-1}(y); a float solve (a flat kink) is made once per (bid, y)
-        and kept in model.derived."""
+        """tau^{-1}(y); a float solve (a flat kink) is made once per y."""
         tau = self.tau_diffeo()
         if tau.inv is not None:
             return tau.apply_inv(y)
-        return self.model.derive_once(("tau_inv_solve", self.bid, y), lambda: tau.apply_inv(y))
+        return self.derive_once(("tau_inv_solve", y), lambda: tau.apply_inv(y))
 
     def to_target(self, f: CoeffFn) -> CoeffFn:
         """f o tau^{-1}: a function over s(E) moved to t(E); f itself when
@@ -863,7 +843,8 @@ def bisection_mul(E2: Bisection, E1: Bisection) -> Bisection:
 
 
 def bisection_inv(E: Bisection) -> Bisection:
-    return E.model.bisection_inv(E)
+    """E^{-1}, built by the model once per bisection and kept on it."""
+    return E.derive_once("inverse", lambda: E.model.bisection_inv(E))
 
 
 # ---------------------------------------------------------------------------

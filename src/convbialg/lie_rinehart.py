@@ -5,8 +5,8 @@ A LieRinehart value stores a chart, a module rank r, an anchor matrix
 structure table c[i][j] with [X_i, X_j] = sum_k c[i][j][k] * X_k.  All
 structure data are CoeffFn's on the chart, held in nested tuples: an
 algebra never changes after construction, so the PBW products that `uea`
-keeps in its `pbw_memo` stay valid.  A changed algebra is a new
-LieRinehart.
+keeps in its `derived` store (see coeffs.DeriveOnce) stay valid.  A
+changed algebra is a new LieRinehart.
 
 algebroid_of_groupoid re-verifies the algebroid a groupoid model stores:
 frame_field derives each left-invariant frame field from the model's
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 
-from .coeffs import Chart, CoeffFn, Polynomial
+from .coeffs import Chart, CoeffFn, DeriveOnce, Polynomial
 from .errors import ParentMismatch, VerificationFailed
 
 
@@ -33,7 +33,7 @@ def random_polynomial(rng: random.Random, nvars: int, max_deg: int = 2) -> Polyn
     return Polynomial(nvars, terms)
 
 
-class LieRinehart:
+class LieRinehart(DeriveOnce):
     """A free Lie-Rinehart algebra over the coefficient ring of a chart."""
 
     def __init__(self, chart: Chart, rank: int, anchor, bracket, basis_names=None):
@@ -55,8 +55,8 @@ class LieRinehart:
                 if len(self.bracket_table[i][j]) != rank:
                     raise ValueError("bracket entries must have length rank")
         self.basis_names = list(basis_names) if basis_names else [f"X{i+1}" for i in range(rank)]
-        # (i, exp) -> X_i * X^exp in PBW normal form, filled by uea on first use
-        self.pbw_memo = {}
+        # ("pbw", i, exp) -> X_i * X^exp in PBW normal form, filled by uea
+        self.derived = {}
 
     def _fn(self, c) -> CoeffFn:
         if isinstance(c, CoeffFn):
@@ -164,7 +164,8 @@ def check_axioms(A: LieRinehart, seed: int = 0xC0FFEE) -> dict:
 
     Checks antisymmetry of the table, Jacobi on frame triples, anchor
     compatibility rho([X,Y]) = [rhoX, rhoY] on random polynomials, and the
-    Leibniz rule with random functions.
+    Leibniz rule with random functions, in the right argument and then in
+    the left one.
     """
     rng = random.Random(seed)
     checks = []
@@ -203,14 +204,19 @@ def check_axioms(A: LieRinehart, seed: int = 0xC0FFEE) -> dict:
     record("anchor_bracket", ok, witness)
 
     ok, witness = True, None
-    for x in basis:
-        for y in basis:
-            for _ in range(5):
-                f = CoeffFn(A.chart, random_polynomial(rng, A.chart.dim))
-                lhs = bracket(x, y.rmul(f))
-                rhs = bracket(x, y).rmul(f) + y.rmul(anchor_apply(x, f))
-                if not (lhs - rhs).is_zero:
-                    ok, witness = False, f"Leibniz fails on ({x!r},{y!r},{f!r})"
+    # Leibniz in the right argument, [X, f Y] - rho(X)(f) Y = f [X, Y], then
+    # in the left one, [f X, Y] + rho(Y)(f) X = f [X, Y], each on 5 draws of f
+    sides = (("Leibniz fails on",
+              lambda x, y, f: bracket(x, y.rmul(f)) - y.rmul(anchor_apply(x, f))),
+             ("Leibniz fails in the left argument on",
+              lambda x, y, f: bracket(x.rmul(f), y) + x.rmul(anchor_apply(y, f))))
+    for fails, moved in sides:
+        for x in basis:
+            for y in basis:
+                for _ in range(5):
+                    f = CoeffFn(A.chart, random_polynomial(rng, A.chart.dim))
+                    if not (moved(x, y, f) - bracket(x, y).rmul(f)).is_zero:
+                        ok, witness = False, f"{fails} ({x!r},{y!r},{f!r})"
     record("leibniz", ok, witness)
 
     return {"passed": all(c["pass"] for c in checks), "checks": checks}

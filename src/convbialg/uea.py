@@ -11,7 +11,8 @@ Each rewrite strictly decreases (degree, inversions), so normalization
 terminates even with function coefficients in the bracket table.  The
 normal form of X_i * X^exp for a bare monomial depends only on the algebra,
 so it is rewritten once per (algebra, i, exp) and kept in the algebra's
-`pbw_memo`; an algebra's anchor and table are tuples and never change.
+`derived` store (key ("pbw", i, exp)); an algebra's anchor and table are
+tuples and never change.
 
 TermSum is the canonical form shared by every finite formal sum of the
 package: UEAElement and TensorElement here, ConvElement, ConvTensor and
@@ -214,12 +215,9 @@ def _left_mul_gen(i: int, u: UEAElement) -> UEAElement:
 
 
 def _gen_monomial(A: LieRinehart, i: int, exp: tuple) -> UEAElement:
-    """Normal form of X_i * X^exp, from A's memo: rewritten by
+    """Normal form of X_i * X^exp, kept on A: rewritten by
     _gen_times_monomial once per (A, i, exp)."""
-    out = A.pbw_memo.get((i, exp))
-    if out is None:
-        out = A.pbw_memo[i, exp] = _gen_times_monomial(A, i, exp)
-    return out
+    return A.derive_once(("pbw", i, exp), lambda: _gen_times_monomial(A, i, exp))
 
 
 def _gen_times_monomial(A: LieRinehart, i: int, exp: tuple) -> UEAElement:

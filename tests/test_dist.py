@@ -21,6 +21,7 @@ from convbialg.dist import (
     term_products,
 )
 from convbialg.dist import test_bank as dist_test_bank
+from convbialg.groupoid import bisection_inv
 from convbialg.lie_rinehart import frame_field, random_polynomial
 from convbialg.models import etale_model, heisenberg_model, model_from_json, pair_model
 from convbialg.uea import UEAElement, uea_mul
@@ -311,7 +312,8 @@ class TestTermProducts:
                 TransvDist.single(model, model.registry[bid1], u1))
 
     def test_one_inverse_per_bid_and_one_adjoint_action_per_bid_and_operator(
-            self, h3, monkeypatch):
+            self, monkeypatch):
+        h3 = heisenberg_model()
         X, v = _operators(h3)
         kx, ky, k123 = (h3.lookup(name) for name in ("kx", "ky", "k123"))
         # u' = X on two bisections, and an equal value built anew on a third
@@ -319,15 +321,18 @@ class TestTermProducts:
         T2 = TransvDist(h3, {kx.bid: X, ky.bid: v, k123.bid: X_again})
         T1 = TransvDist(h3, {kx.bid: v, k123.bid: X})
         inverses, actions = [], []
-        _counting(monkeypatch, "bisection_inv", inverses)
+        real = type(h3).bisection_inv
+        monkeypatch.setattr(type(h3), "bisection_inv",
+                            lambda model, E: inverses.append(E) or real(model, E))
         _counting(monkeypatch, "ad_uea", actions)
         for calls in (1, 2):
             dist_mul(T2, T1)
-            # the memo lives for one call: each call derives everything once
-            assert len(inverses) == 2 * calls
+            # an inverse is kept on its bisection, the Adbar memo for one call
+            assert sorted(E.bid for E in inverses) == sorted([kx.bid, k123.bid])
             assert len(actions) == 4 * calls
-        assert sorted(E.bid for (E,) in inverses) == sorted([kx.bid, k123.bid] * 2)
         assert len({(E.bid, u) for E, u in actions[:4]}) == 4
+        assert all(E is bisection_inv(E1)
+                   for (E, _), E1 in zip(actions, (kx, k123) * 4))
 
     def test_an_unsupported_product_still_raises(self, pair):
         # Adbar needs the Ad matrix of E01^-1, an inverted flat kink
@@ -361,7 +366,9 @@ def _defcheck_reference(model, E2, u2, E1, u1, F, x0):
 class TestDefcheckStage1:
     @staticmethod
     def _stage1_keys(model):
-        return {k for k in model.derived if k[0] == "defcheck_stage1"}
+        """(F, bid, u) of every stage 1 kept on a registered bisection."""
+        return {(k[1], E.bid, k[2]) for E in model.registry.values()
+                for k in E.derived if k[0] == "defcheck_stage1"}
 
     @pytest.mark.parametrize("make, names", [(pair_model, ("shift", "dbl", "half")),
                                              (heisenberg_model, ("kx", "ky", "k123"))])
@@ -380,18 +387,19 @@ class TestDefcheckStage1:
                         for u2 in (X, v):
                             inner, value = _defcheck_reference(model, E2, u2, E1, u1, F2, x)
                             assert _defcheck_term_pair(model, E2, u2, E1, u1, F2, x) == value
-                            key = ("defcheck_stage1", F2, E1.bid, u1)
-                            assert model.derived[key].terms == inner
-                            triples.add(key)
+                            key = ("defcheck_stage1", F2, u1)
+                            assert E1.derived[key].terms == inner
+                            triples.add((F2, E1.bid, u1))
                     assert self._stage1_keys(model) == triples
+        assert not [k for k in model.derived if k[0] == "defcheck_stage1"]
         # a second sweep adds no key and gives the same values
-        derived = dict(model.derived)
+        derived = {E.bid: dict(E.derived) for E in Es}
         for F2 in Fs:
             for E1 in Es:
                 for u1 in (X, v):
                     assert (_defcheck_term_pair(model, Es[0], v, E1, u1, F2, x)
                             == _defcheck_reference(model, Es[0], v, E1, u1, F2, x)[1])
-        assert model.derived == derived
+        assert {E.bid: E.derived for E in Es} == derived
 
     def test_a_stage_that_raises_leaves_no_key(self, pair):
         # beta of E01 needs its inverse map, which is not representable
@@ -640,7 +648,7 @@ class TestFlatSeriesData:
                     fresh_model, fresh_model.lookup(name), u, Fs, g)
                 assert first == again == fresh
                 assert all(gap < 1e-9 for gap in first)
-        assert ("flat_series", model.lookup("E01").bid, 0.35) in model.derived
+        assert ("flat_series", 0.35) in model.lookup("E01").derived
 
 
 def test_test_bank_nonempty(pair, h3):

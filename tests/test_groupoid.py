@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -17,6 +18,8 @@ from convbialg.groupoid import (
     AffineMap,
     Bisection,
     Diffeo1D,
+    EtaleActionModel,
+    GroupModel,
     PairModel,
     _product_domain,
     _solve_monotone,
@@ -27,6 +30,7 @@ from convbialg.groupoid import (
 )
 from convbialg.lie_rinehart import tangent_line_algebroid
 from convbialg.models import etale_model, heisenberg_model, model_from_json, pair_model
+from convbialg.suites import run_suite
 from convbialg.textform import parse_conv, parse_dist
 
 
@@ -227,8 +231,9 @@ class TestBisections:
 
 
 class TestDerivedOnce:
-    """Products and beta_E are derived once per id (pair) and kept in
-    model.derived; a derivation that raises keeps nothing."""
+    """Products are derived once per id pair and kept in model.derived,
+    beta_E and the inverse once per bisection and kept on it; a derivation
+    that raises keeps nothing."""
 
     def test_registered_product_is_the_registry_object(self):
         model = pair_model()
@@ -278,7 +283,8 @@ class TestDerivedOnce:
         dbl = model.lookup("dbl")
         first = model.beta_polys(dbl)
         assert model.beta_polys(dbl) is first
-        assert model.beta_polys(Bisection(model, tau=Diffeo1D.affine(model.base, 2, 0))) is first
+        assert dbl.derived["beta_polys"] is first
+        assert not [k for k in model.derived if k[0] == "beta_polys"]
 
     def test_flat_beta_polys_raise_every_time_and_keep_nothing(self):
         model = pair_model()
@@ -286,7 +292,34 @@ class TestDerivedOnce:
         for _ in range(2):
             with pytest.raises(UnsupportedComposition, match="inverse map not representable"):
                 model.beta_polys(flat)
-        assert ("beta_polys", flat.bid) not in model.derived
+            assert "beta_polys" not in flat.derived
+        assert not [k for k in model.derived if k[0] == "beta_polys"]
+
+    @pytest.mark.parametrize("make", [pair_model, heisenberg_model, etale_model])
+    def test_one_inverse_per_bisection(self, make):
+        model = make()
+        for E in list(model.registry.values()):
+            inv = bisection_inv(E)
+            assert bisection_inv(E) is inv and E.derived["inverse"] is inv
+            assert inv.bid == model.bisection_inv(E).bid
+        # inverses are kept on their bisections, never registered
+        assert len(model.registry) == len(make().registry)
+
+    def test_one_inverse_build_per_model_and_bid_across_suites(self, monkeypatch):
+        builds = Counter()
+        for cls in (PairModel, GroupModel, EtaleActionModel):
+            def counting(model, E, real=cls.bisection_inv):
+                builds[model, E.bid] += 1
+                return real(model, E)
+            monkeypatch.setattr(cls, "bisection_inv", counting)
+        for name in ("phi-homomorphism", "prop43", "hopf-etale", "cartier-gabriel"):
+            assert run_suite(name)["pass"]
+        assert builds and set(builds.values()) == {1}
+        models = {model for model, _ in builds}
+        assert {model.kind for model in models} == {"pair", "group", "etale_action"}
+        # the models keep only data of the model or of two bisections
+        assert {k if isinstance(k, str) else k[0] for model in models
+                for k in model.derived} == {"conjugation_jacobian", "frame_field", "product"}
 
 
 class TestGerms:

@@ -1,7 +1,10 @@
+import importlib
+import json
 import random
 
 import pytest
 
+from convbialg.cli import main
 from convbialg.coeffs import Chart, CoeffFn, Polynomial
 from convbialg.errors import VerificationFailed
 from convbialg.lie_rinehart import (
@@ -68,6 +71,29 @@ class TestAxioms:
         failed = [c for c in rep["checks"] if not c["pass"]]
         assert failed and any(c["witness"] for c in failed)
 
+
+    def test_a_bracket_without_its_left_anchor_term_fails_leibniz(self, monkeypatch, capsys):
+        # the closed formula without - rho(Y)(h_k): constant frame
+        # coefficients never meet it, so only Leibniz in the left argument
+        # (tangent line, [f D, D] = -f' D) sees it
+        lie_rinehart = importlib.import_module("convbialg.lie_rinehart")
+
+        def planted(X, Y):
+            A = X.parent
+            pairs = [(h * k, A.bracket_table[i][j])
+                     for i, h in enumerate(X.coeffs) if not h.is_zero
+                     for j, k in enumerate(Y.coeffs) if not k.is_zero]
+            return Section(A, [sum((hk * c[m] for hk, c in pairs), anchor_apply(X, Y.coeffs[m]))
+                               for m in range(A.rank)])
+
+        monkeypatch.setattr(lie_rinehart, "bracket", planted)
+        assert main(["check", "--suite", "lie-rinehart", "--output", "json"]) == 1
+        (suite,) = json.loads(capsys.readouterr().out)["suites"]
+        failed = {c["name"]: c["witness"] for c in suite["checks"] if not c["pass"]}
+        assert list(failed) == ["axioms on tangent-line"]
+        (leibniz,) = failed["axioms on tangent-line"]
+        assert leibniz["name"] == "leibniz"
+        assert leibniz["witness"].startswith("Leibniz fails in the left argument")
 
     def test_structure_data_are_immutable(self):
         H = heisenberg_algebra()

@@ -77,7 +77,7 @@ class TestRewriting:
 
 class TestPBWMemo:
     """X_i * X^exp is rewritten once per (algebra, i, exp) and kept in the
-    algebra's pbw_memo; the products stay those of the free oracle."""
+    algebra's derived store; the products stay those of the free oracle."""
 
     @staticmethod
     def products(A, rng, count=20):
@@ -87,11 +87,11 @@ class TestPBWMemo:
     def test_fresh_algebras_agree_with_the_oracle(self):
         for make in (tangent_line_algebroid, heisenberg_algebra):
             A = make()
-            assert not A.pbw_memo
+            assert not A.derived
             for round_ in range(2):
                 for u, v, prod in self.products(A, random.Random(round_)):
                     assert oracle_mul(u, v) == prod.terms
-            assert A.pbw_memo
+            assert A.derived and {k[0] for k in A.derived} == {"pbw"}
 
     def test_algebras_keep_their_own_memo(self):
         H = heisenberg_algebra()
@@ -103,7 +103,7 @@ class TestPBWMemo:
             X, Y = UEAElement.generator(A, 0), UEAElement.generator(A, 1)
             assert uea_mul(Y, X).terms == {(1, 1, 0): A.one,
                                            (0, 0, 1): CoeffFn.const(A.chart, -c)}
-        assert H.pbw_memo is not H2.pbw_memo
+        assert H.derived is not H2.derived
         rng = random.Random(7)
         for _ in range(10):
             u, v = rand_uea(rng, H2, 3), rand_uea(rng, H2, 3)
@@ -123,7 +123,7 @@ class TestPBWMemo:
                    for _, _, prod in self.products(A, random.Random(3))] for _ in range(2)]
         assert rounds[0] == rounds[1]
         assert seen and set(seen.values()) == {1}
-        assert len(seen) == sum(len(A.pbw_memo) for A in algebras)
+        assert len(seen) == sum(len(A.derived) for A in algebras)
 
     def test_shared_units_keep_the_scalar_check(self):
         A = heisenberg_algebra()

@@ -39,6 +39,10 @@ WATCHED = (
     ("PolynomialGroupoid.beta_polys", groupoid.PolynomialGroupoid.beta_polys),
     ("adjoint.ad_uea", adjoint.ad_uea),
     ("groupoid.bisection_inv", groupoid.bisection_inv),
+    # the inverses built: bisection_inv keeps one per bisection
+    ("PairModel.bisection_inv", groupoid.PairModel.bisection_inv),
+    ("GroupModel.bisection_inv", groupoid.GroupModel.bisection_inv),
+    ("EtaleActionModel.bisection_inv", groupoid.EtaleActionModel.bisection_inv),
     ("dist.ArrowFn.apply_frame", dist.ArrowFn.apply_frame),
     ("dist._defcheck_term_pair", dist._defcheck_term_pair),
     ("dist.commuting_square_gap_numeric", dist.commuting_square_gap_numeric),
