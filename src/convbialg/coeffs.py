@@ -27,6 +27,9 @@ two exact rings have their own loops with the same results:
 `Polynomial.substitute` (polynomials into a polynomial) adds the terms in
 place into one dict, and the exact `Polynomial.eval` works in plain
 rationals; neither builds a constant per term.
+
+A Region, the domain of a bisection, is a finite union of open intervals of
+the line: the base of every model is the line or a point.
 """
 
 from __future__ import annotations
@@ -113,19 +116,18 @@ class DeriveOnce:
 # Regions and charts
 # ---------------------------------------------------------------------------
 
-# An interval is a pair (lo, hi) of Fractions, either of which may be None
-# for an unbounded side.  A box is a tuple of dim intervals; a region is a
-# finite union of open boxes.
-
 
 @dataclass(frozen=True)
 class Region:
-    dim: int
-    boxes: tuple  # tuple of boxes; each box a tuple of (lo, hi) pairs
+    """A finite union of open intervals of the line: `intervals` is a tuple of
+    (lo, hi) pairs of rationals, None on an unbounded side.  A point-base
+    bisection takes the whole region, of which only is_whole is asked."""
+
+    intervals: tuple
 
     @staticmethod
-    def whole(dim: int) -> "Region":
-        return Region(dim, (tuple((None, None) for _ in range(dim)),))
+    def whole() -> "Region":
+        return Region(((None, None),))
 
     @staticmethod
     def interval(lo, hi) -> "Region":
@@ -133,78 +135,40 @@ class Region:
         hi = None if hi is None else _q(hi)
         if lo is not None and hi is not None and not lo < hi:
             raise ValueError("need lo < hi")
-        return Region(1, (((lo, hi),),))
+        return Region(((lo, hi),))
 
     @staticmethod
     def union(*regions: "Region") -> "Region":
         if not regions:
             raise ValueError("empty union")
-        dim = regions[0].dim
-        boxes = []
-        for r in regions:
-            if r.dim != dim:
-                raise ValueError("dimension mismatch in union")
-            boxes.extend(r.boxes)
-        return Region(dim, tuple(boxes))
+        return Region(tuple(iv for r in regions for iv in r.intervals))
 
     @property
     def is_whole(self) -> bool:
-        return any(all(lo is None and hi is None for lo, hi in box) for box in self.boxes)
+        return (None, None) in self.intervals
 
-    def contains(self, point: Sequence) -> bool:
-        if len(point) != self.dim:
-            raise ValueError("point dimension mismatch")
-        for box in self.boxes:
-            ok = True
-            for (lo, hi), x in zip(box, point):
-                if lo is not None and not x > lo:
-                    ok = False
-                    break
-                if hi is not None and not x < hi:
-                    ok = False
-                    break
-            if ok:
-                return True
-        # dim-0 region: the single point is the empty tuple
-        return self.dim == 0 and bool(self.boxes)
+    def contains(self, x) -> bool:
+        """Is the coordinate x in the region?"""
+        return any((lo is None or x > lo) and (hi is None or x < hi)
+                   for lo, hi in self.intervals)
 
     def intersect(self, other: "Region") -> "Region":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        boxes = []
-        for a in self.boxes:
-            for b in other.boxes:
-                box = []
-                empty = False
-                for (lo1, hi1), (lo2, hi2) in zip(a, b):
-                    lo = lo1 if lo2 is None else (lo2 if lo1 is None else max(lo1, lo2))
-                    hi = hi1 if hi2 is None else (hi2 if hi1 is None else min(hi1, hi2))
-                    if lo is not None and hi is not None and not lo < hi:
-                        empty = True
-                        break
-                    box.append((lo, hi))
-                if not empty:
-                    boxes.append(tuple(box))
-        if self.dim == 0:
-            return Region(0, ((),)) if (self.boxes and other.boxes) else Region(0, ())
-        return Region(self.dim, tuple(boxes))
+        out = []
+        for lo1, hi1 in self.intervals:
+            for lo2, hi2 in other.intervals:
+                lo = lo1 if lo2 is None else (lo2 if lo1 is None else max(lo1, lo2))
+                hi = hi1 if hi2 is None else (hi2 if hi1 is None else min(hi1, hi2))
+                if lo is None or hi is None or lo < hi:
+                    out.append((lo, hi))
+        return Region(tuple(out))
 
     def affine_image(self, p: Fraction, q: Fraction) -> "Region":
-        """Image of a 1-D region under t -> p*t + q (p != 0)."""
-        if self.dim != 1:
-            raise ValueError("affine_image needs a 1-D region")
+        """Image of the region under t -> p*t + q (p != 0)."""
         p, q = _q(p), _q(q)
         if p == 0:
             raise ValueError("degenerate affine map")
-        boxes = []
-        for ((lo, hi),) in self.boxes:
-            a = None if lo is None else p * lo + q
-            b = None if hi is None else p * hi + q
-            if p > 0:
-                boxes.append(((a, b),))
-            else:
-                boxes.append(((b, a),))
-        return Region(1, tuple(boxes))
+        ends = [tuple(None if e is None else p * e + q for e in iv) for iv in self.intervals]
+        return Region(tuple(iv if p > 0 else iv[::-1] for iv in ends))
 
 
 @dataclass(frozen=True)
@@ -708,13 +672,9 @@ class CoeffFn:
         """self after the map whose components are `inner` (on a common chart)."""
         if len(inner) != self.chart.dim:
             raise ValueError("need one inner function per variable")
-        if self.chart.dim == 0:
-            if not inner:
-                raise UnsupportedComposition("0-dim composition needs a target chart")
-        target = inner[0].chart if inner else None
-        if target is None:
-            # constant on a point chart: nothing to substitute
-            return self
+        if not inner:
+            raise UnsupportedComposition("0-dim composition needs a target chart")
+        target = inner[0].chart
         if any(g.chart != target for g in inner):
             raise ChartMismatch("inner functions on different charts")
         if self.is_poly and all(g.is_poly for g in inner):

@@ -292,10 +292,8 @@ def _breakpoints(bisections):
     pts = set()
     diffeos = []
     for E in bisections:
-        for box in E.domain.boxes:
-            for end in box[0]:
-                if end is not None:
-                    pts.add(Q(end))
+        pts.update(Q(end) for interval in E.domain.intervals for end in interval
+                   if end is not None)
         d = E.tau_diffeo()
         aff = d.affine_parts()
         if aff is None:

@@ -217,29 +217,23 @@ def _region_text(r: Region) -> str:
     if r.is_whole:
         return "R"
 
-    def key(box):
-        return tuple(
-            (float("-inf") if lo is None else lo, float("inf") if hi is None else hi)
-            for lo, hi in box
-        )
+    def key(interval):
+        lo, hi = interval
+        return (float("-inf") if lo is None else lo, float("inf") if hi is None else hi)
 
-    return "u".join(
-        "x".join(f"({lo},{hi})" for lo, hi in box) for box in sorted(r.boxes, key=key)
-    )
+    return "u".join(f"({lo},{hi})" for lo, hi in sorted(r.intervals, key=key))
 
 
 def _region_to_json(r: Region):
     if r.is_whole:
         return "R"
-    return [
-        [None if lo is None else str(lo), None if hi is None else str(hi)]
-        for ((lo, hi),) in r.boxes
-    ]
+    return [[None if lo is None else str(lo), None if hi is None else str(hi)]
+            for lo, hi in r.intervals]
 
 
 def _region_from_json(data) -> Region:
     if data in (None, "R"):
-        return Region.whole(1)
+        return Region.whole()
     def bound(c):
         return None if c is None else parse_rational(c)
 
@@ -497,7 +491,7 @@ class PairModel(PolynomialGroupoid):
     def init_bisection(self, E, domain):
         if E.tau is None:
             raise ValueError("pair bisection needs a diffeomorphism")
-        E.domain = domain if domain is not None else Region.whole(1)
+        E.domain = domain if domain is not None else Region.whole()
         if E.is_flat and not E.domain.is_whole:
             # flat-kink maps are only tracked on the full line
             raise UnsupportedRegistry("flat bisections must have full-line domain")
@@ -606,7 +600,7 @@ class GroupModel(PolynomialGroupoid):
         if len(E.element) != self.arrow_chart.dim:
             raise ValueError(f"group element needs {self.arrow_chart.dim} coordinates, "
                              f"got {len(E.element)}")
-        E.domain = Region.whole(0)
+        E.domain = Region.whole()
         E.bid = "k[" + ",".join(str(c) for c in E.element) + "]"
 
     def alpha(self, E, x):
@@ -681,7 +675,7 @@ class EtaleActionModel(GroupoidModel):
         if E.gamma is None:
             raise ValueError("etale bisection needs a group element")
         E.tau = Diffeo1D.affine(self.base, E.gamma.p, E.gamma.q)
-        E.domain = domain if domain is not None else Region.whole(1)
+        E.domain = domain if domain is not None else Region.whole()
         E.bid = f"g{E.gamma.text()}@{_region_text(E.domain)}"
 
     def alpha(self, E, x):
@@ -738,9 +732,10 @@ class EtaleActionModel(GroupoidModel):
 
 class Bisection(DeriveOnce):
     """A local bisection of a groupoid model, given by a diffeomorphism tau
-    (pair), a group element (group) or a group element gamma and a domain
-    (etale).  The model checks the data and derives the content id; the
-    kind-specific methods hand off to it.  is_flat (is tau a flat kink
+    (pair), a group element (group) or a group element gamma (etale), over
+    its domain s(E): a Region of the line (all of it by default), and the
+    whole region over a point base.  The model checks the data and derives
+    the content id; the kind-specific methods hand off to it.  is_flat (is tau a flat kink
     rather than an affine map?) is set once, before the model's check; a
     group or etale bisection has no tau there, and is not flat.
 
@@ -824,11 +819,11 @@ class Bisection(DeriveOnce):
         return self.model.beta(self, y)
 
     def contains_source(self, x) -> bool:
-        return self.domain.is_whole or self.domain.contains(_point(x))
+        return self.domain.is_whole or self.domain.contains(_coord(x))
 
     def contains_target(self, y) -> bool:
         tdom = self.target_domain()
-        return tdom.is_whole or tdom.contains(_point(y))
+        return tdom.is_whole or tdom.contains(_coord(y))
 
 
 def unit_bisection(model) -> Bisection:

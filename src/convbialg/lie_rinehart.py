@@ -16,6 +16,7 @@ multiplication polynomials, and their commutators must give the table.
 from __future__ import annotations
 
 import random
+from itertools import product
 
 from .coeffs import Chart, CoeffFn, DeriveOnce, Polynomial
 from .errors import ParentMismatch, VerificationFailed
@@ -31,6 +32,16 @@ def random_polynomial(rng: random.Random, nvars: int, max_deg: int = 2) -> Polyn
                 exp[rng.randrange(nvars)] += 1
         terms[tuple(exp)] = terms.get(tuple(exp), 0) + rng.randint(-3, 3)
     return Polynomial(nvars, terms)
+
+
+def law(name, cases, holds, describe):
+    """The check of a law: it fails on the first case where holds(*case) is
+    false, with describe(*case) as its witness.  cases is consumed lazily,
+    so no case after the first failure is drawn."""
+    for case in cases:
+        if not holds(*case):
+            return {"name": name, "pass": False, "witness": describe(*case)}
+    return {"name": name, "pass": True, "witness": None}
 
 
 class LieRinehart(DeriveOnce):
@@ -168,58 +179,38 @@ def check_axioms(A: LieRinehart, seed: int = 0xC0FFEE) -> dict:
     the left one.
     """
     rng = random.Random(seed)
-    checks = []
-
-    def record(name, ok, witness=None):
-        checks.append({"name": name, "pass": bool(ok), "witness": witness})
-
-    ok = True
-    witness = None
-    for i in range(A.rank):
-        for j in range(A.rank):
-            for k in range(A.rank):
-                if not (A.bracket_table[i][j][k] + A.bracket_table[j][i][k]).is_zero:
-                    ok, witness = False, f"c[{i}][{j}][{k}] != -c[{j}][{i}][{k}]"
-    record("antisymmetry", ok, witness)
-
+    c = A.bracket_table
     basis = [A.basis_section(i) for i in range(A.rank)]
-    triples = [(x, y, z) for x in basis for y in basis for z in basis]
-    ok, witness = True, None
-    for x, y, z in triples:
-        jac = bracket(x, bracket(y, z)) + bracket(y, bracket(z, x)) + bracket(z, bracket(x, y))
-        if not jac.is_zero:
-            ok, witness = False, f"Jacobi fails on ({x!r}, {y!r}, {z!r})"
-            break
-    record("jacobi", ok, witness)
 
-    ok, witness = True, None
-    for x in basis:
-        for y in basis:
-            for _ in range(5):
-                p = CoeffFn(A.chart, random_polynomial(rng, A.chart.dim))
-                lhs = anchor_apply(bracket(x, y), p)
-                rhs = anchor_apply(x, anchor_apply(y, p)) - anchor_apply(y, anchor_apply(x, p))
-                if lhs != rhs:
-                    ok, witness = False, f"anchor not a Lie map on ({x!r},{y!r},{p!r})"
-    record("anchor_bracket", ok, witness)
+    def with_functions():
+        """(x, y, f) on every pair of basis sections, with 5 draws of f each."""
+        return ((x, y, CoeffFn(A.chart, random_polynomial(rng, A.chart.dim)))
+                for x, y in product(basis, repeat=2) for _ in range(5))
 
-    ok, witness = True, None
     # Leibniz in the right argument, [X, f Y] - rho(X)(f) Y = f [X, Y], then
-    # in the left one, [f X, Y] + rho(Y)(f) X = f [X, Y], each on 5 draws of f
+    # in the left one, [f X, Y] + rho(Y)(f) X = f [X, Y]
     sides = (("Leibniz fails on",
               lambda x, y, f: bracket(x, y.rmul(f)) - y.rmul(anchor_apply(x, f))),
              ("Leibniz fails in the left argument on",
               lambda x, y, f: bracket(x.rmul(f), y) + x.rmul(anchor_apply(y, f))))
-    for fails, moved in sides:
-        for x in basis:
-            for y in basis:
-                for _ in range(5):
-                    f = CoeffFn(A.chart, random_polynomial(rng, A.chart.dim))
-                    if not (moved(x, y, f) - bracket(x, y).rmul(f)).is_zero:
-                        ok, witness = False, f"{fails} ({x!r},{y!r},{f!r})"
-    record("leibniz", ok, witness)
-
-    return {"passed": all(c["pass"] for c in checks), "checks": checks}
+    checks = [
+        law("antisymmetry", product(range(A.rank), repeat=3),
+            lambda i, j, k: (c[i][j][k] + c[j][i][k]).is_zero,
+            lambda i, j, k: f"c[{i}][{j}][{k}] != -c[{j}][{i}][{k}]"),
+        law("jacobi", product(basis, repeat=3),
+            lambda x, y, z: (bracket(x, bracket(y, z)) + bracket(y, bracket(z, x))
+                             + bracket(z, bracket(x, y))).is_zero,
+            lambda x, y, z: f"Jacobi fails on ({x!r}, {y!r}, {z!r})"),
+        law("anchor_bracket", with_functions(),
+            lambda x, y, p: anchor_apply(bracket(x, y), p)
+            == anchor_apply(x, anchor_apply(y, p)) - anchor_apply(y, anchor_apply(x, p)),
+            lambda x, y, p: f"anchor not a Lie map on ({x!r},{y!r},{p!r})"),
+        law("leibniz", ((fails, moved, *case) for fails, moved in sides
+                        for case in with_functions()),
+            lambda _, moved, x, y, f: (moved(x, y, f) - bracket(x, y).rmul(f)).is_zero,
+            lambda fails, _, x, y, f: f"{fails} ({x!r},{y!r},{f!r})"),
+    ]
+    return {"passed": all(check["pass"] for check in checks), "checks": checks}
 
 
 def frame_field(model, i):

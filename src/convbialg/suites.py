@@ -9,9 +9,9 @@ computed from the seed; no global state.  A suite reads only the models it
 is given or builds, so its report does not depend on what ran before it.
 Every float gate lives here, and max_keep_nan keeps a NaN from passing one.
 
-Most checks are laws, checked by _law on a stream of cases: the witness is
-the first case that fails, and no case after it is drawn, so the rng is
-drawn as far as that case and no further.
+Most checks are laws, checked by lie_rinehart.law on a stream of cases: the
+witness is the first case that fails, and no case after it is drawn, so the
+rng is drawn as far as that case and no further.
 
 phi-homomorphism checks its bilinear law on every ordered pair of a bank
 of single terms (_single_terms), which covers the span of the bank.  The
@@ -53,8 +53,10 @@ from .errors import ConvBialgError
 from .groupoid import bisection_inv, germ_of, unit_bisection
 from .lie_rinehart import (
     LieRinehart,
+    anchor_apply,
     check_axioms,
     heisenberg_algebra,
+    law,
     random_polynomial,
     rank_zero_algebroid,
     tangent_line_algebroid,
@@ -86,16 +88,6 @@ def max_keep_nan(worst, value):
     """max(worst, value), except that a NaN wins and stays: the float gates
     report the worst value, and max() would hide a NaN behind it."""
     return value if math.isnan(value) or value > worst else worst
-
-
-def _law(name, cases, holds, describe):
-    """The check of a law: it fails on the first case where holds(*case) is
-    false, with describe(*case) as its witness.  cases is consumed lazily,
-    so no case after the first failure is drawn."""
-    for case in cases:
-        if not holds(*case):
-            return {"name": name, "pass": False, "witness": describe(*case)}
-    return {"name": name, "pass": True, "witness": None}
 
 
 def _report(suite, checks, **extra):
@@ -199,20 +191,39 @@ def suite_uea(seed=0xC0FFEE, models=None):
 
         return d.map_slots(left=times_r) == d.map_slots(right=times_r)
 
+    def relations():
+        """Cases (name, a, b, [a, b]) of the defining relations on each
+        algebra: [X_i, X_j] on every pair of generators, then [X_i, f] =
+        rho(X_i)(f) on 5 draws of f per generator."""
+        for name, A in algebras:
+            gens = [UEAElement.generator(A, i) for i in range(A.rank)]
+            for i, j in product(range(A.rank), repeat=2):
+                yield name, gens[i], gens[j], UEAElement(A, [
+                    (tuple(int(m == k) for m in range(A.rank)), c)
+                    for k, c in enumerate(A.bracket_table[i][j])])
+            for i in range(A.rank):
+                for _ in range(5):
+                    f = CoeffFn(A.chart, random_polynomial(rng, A.chart.dim, 2))
+                    yield (name, gens[i], UEAElement.from_coeff(A, f),
+                           UEAElement.from_coeff(A, anchor_apply(A.basis_section(i), f)))
+
     return _report("uea", [
-        _law("associativity (100 triples)", draws(100, 3),
-             lambda _, u, v, w: uea_mul(uea_mul(u, v), w) == uea_mul(u, uea_mul(v, w)),
-             lambda name, u, v, w: f"{name}: ({u.text()})({v.text()})({w.text()})"),
-        _law("coassociativity", with_coproduct(30),
-             lambda _, u, d: _triple_expand(d, "left") == _triple_expand(d, "right"), text),
-        _law("counit axioms (eps x id, id x eps)", with_coproduct(30),
-             lambda _, u, d: _counit_slot(d, 0) == u and _counit_slot(d, 1) == u, text),
-        _law("Delta multiplicative (30 pairs)", draws(30, 2),
-             lambda _, u, v: coproduct(uea_mul(u, v)) == coproduct(u).mul(coproduct(v)),
-             lambda name, u, v: f"{name}: {u.text()} * {v.text()}"),
-        _law("Delta image in the balanced subspace", with_coefficient(30), balanced,
-             lambda name, u, d, r: f"{name}: {u.text()} with r={r.text()}"),
-        _law("cocommutativity", with_coproduct(30), lambda _, u, d: d.swap() == d, text),
+        law("associativity (100 triples)", draws(100, 3),
+            lambda _, u, v, w: uea_mul(uea_mul(u, v), w) == uea_mul(u, uea_mul(v, w)),
+            lambda name, u, v, w: f"{name}: ({u.text()})({v.text()})({w.text()})"),
+        law("coassociativity", with_coproduct(30),
+            lambda _, u, d: _triple_expand(d, "left") == _triple_expand(d, "right"), text),
+        law("counit axioms (eps x id, id x eps)", with_coproduct(30),
+            lambda _, u, d: _counit_slot(d, 0) == u and _counit_slot(d, 1) == u, text),
+        law("Delta multiplicative (30 pairs)", draws(30, 2),
+            lambda _, u, v: coproduct(uea_mul(u, v)) == coproduct(u).mul(coproduct(v)),
+            lambda name, u, v: f"{name}: {u.text()} * {v.text()}"),
+        law("Delta image in the balanced subspace", with_coefficient(30), balanced,
+            lambda name, u, d, r: f"{name}: {u.text()} with r={r.text()}"),
+        law("cocommutativity", with_coproduct(30), lambda _, u, d: d.swap() == d, text),
+        law("defining relations [X_i, X_j] and [X_i, f]", relations(),
+            lambda _, a, b, ab: uea_mul(a, b) - uea_mul(b, a) == ab,
+            lambda name, a, b, _: f"{name}: [{a.text()}, {b.text()}]"),
     ])
 
 
@@ -289,7 +300,7 @@ def suite_hopf_etale(seed=0xC0FFEE, models=None):
         ("S involution", pairs, lambda i, a, b: antipode_etale(antipode_etale(a)) == a),
         ("(viii) mu(S x id)Delta = eps o S (support-respecting form)", pairs, axiom_viii),
     ]
-    return _report("hopf-etale", [_law(name, cases, holds, _pair_text)
+    return _report("hopf-etale", [law(name, cases, holds, _pair_text)
                                   for name, cases, holds in laws])
 
 
@@ -427,7 +438,7 @@ def suite_phi_homomorphism(seed=0xC0FFEE, models=None):
     checks = []
     for mname, model in sorted(_all_models(models).items()):
         bank = [(a, phi(a)) for a in _single_terms(rng, model)]
-        checks.append(_law(
+        checks.append(law(
             f"{mname}: {len(bank) ** 2} term pairs exact",
             ((a, pa, b, pb) for (a, pa), (b, pb) in product(bank, bank)),
             lambda a, pa, b, pb: phi(conv_mul(a, b)) == dist_mul(pa, pb),
@@ -517,15 +528,15 @@ def suite_cartier_gabriel(seed=0xC0FFEE, models=None):
         return left == full and right == full
 
     return _report("cartier-gabriel", [
-        _law("injective on sums over <= 5 group elements", sums(),
-             lambda a: not kernel_test(a)["in_kernel"], lambda a: a.text()),
-        _law("twisted product delta_k' * Phi<u,k> = Phi(conv product)",
-             ((rng.choice(elements), rng.choice(elements), _random_heisenberg_u(rng, A))
-              for _ in range(20)),
-             twisted, lambda kp, k, u: (kp.bid, k.bid, u.text())),
-        _law("grouplike x primitive decomposition up to Ad twist",
-             ((rng.choice(elements), _random_heisenberg_u(rng, A)) for _ in range(20)),
-             decomposes, lambda k, u: (k.bid, u.text())),
+        law("injective on sums over <= 5 group elements", sums(),
+            lambda a: not kernel_test(a)["in_kernel"], lambda a: a.text()),
+        law("twisted product delta_k' * Phi<u,k> = Phi(conv product)",
+            ((rng.choice(elements), rng.choice(elements), _random_heisenberg_u(rng, A))
+             for _ in range(20)),
+            twisted, lambda kp, k, u: (kp.bid, k.bid, u.text())),
+        law("grouplike x primitive decomposition up to Ad twist",
+            ((rng.choice(elements), _random_heisenberg_u(rng, A)) for _ in range(20)),
+            decomposes, lambda k, u: (k.bid, u.text())),
     ])
 
 
@@ -552,10 +563,10 @@ def suite_etale_iso(seed=0xC0FFEE, models=None):
 
     polys = (Polynomial.const(1, 3), Polynomial(1, {(2,): Q(1), (0,): Q(-1)}))
     return _report("etale-iso", [
-        _law("ker(Phi) = 0: kernel_test agrees with germwise zero", sums(),
-             lambda a: kernel_test(a)["in_kernel"] == conv_is_zero(a), lambda a: a.text()),
-        _law("every [[E, f]] has preimage <f o tau^-1, E#>", product(bisections, polys),
-             has_preimage, lambda E, P: (E.bid, P.text())),
+        law("ker(Phi) = 0: kernel_test agrees with germwise zero", sums(),
+            lambda a: kernel_test(a)["in_kernel"] == conv_is_zero(a), lambda a: a.text()),
+        law("every [[E, f]] has preimage <f o tau^-1, E#>", product(bisections, polys),
+            has_preimage, lambda E, P: (E.bid, P.text())),
     ])
 
 

@@ -1,4 +1,5 @@
-"""The environment that tools/bench_pairs.py gives each tree's subprocesses.
+"""The environment that tools/bench_pairs.py gives each tree's subprocesses,
+and the names it reads from a tree.
 
     PYTHONPATH=src python -m pytest -q tests/test_bench_pairs.py
 """
@@ -8,6 +9,9 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from convbialg.cli import DEMOS
+from convbialg.suites import SUITES
 
 ROOT = Path(__file__).resolve().parent.parent
 _SPEC = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
@@ -47,3 +51,18 @@ def test_each_tree_writes_its_bytecode_cache(tmp_path, monkeypatch):
         cached = [p.name for p in Path(env["PYTHONPYCACHEPREFIX"]).rglob("*.pyc")]
         assert any(name.startswith("probe_module.") for name in cached)
     assert not (modules / "__pycache__").exists()
+
+
+def test_the_hashed_suites_and_demos_are_the_trees_own(tmp_path, monkeypatch):
+    # each report is named, not run: the names come from the tree itself
+    monkeypatch.setattr(bench_pairs, "_hash_run", lambda tree, env, argv: None)
+    envs = bench_pairs.tree_envs(str(tmp_path))
+    hashes = bench_pairs._report_hashes(str(ROOT), envs["change"])
+    assert [key[len("check "):] for key in hashes if key.startswith("check ")] == sorted(SUITES)
+    assert [key[len("demo "):] for key in hashes if key.startswith("demo ")] == sorted(DEMOS)
+
+
+def test_each_metric_is_better_as_the_benchmark_declares():
+    better = bench_pairs.metric_better(str(ROOT))
+    assert better["op_rate"] == better["adjoint.ad_matrix.useful_ratio"] == "higher"
+    assert better["verdicts_s"] == better["peak_rss_mb"] == "lower"

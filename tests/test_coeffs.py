@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from convbialg.coeffs import Chart, CoeffFn, Polynomial, Q, Region, _q
 from convbialg.errors import DomainError, UnsupportedComposition, UnsupportedProduct
+from convbialg.groupoid import _region_from_json, _region_to_json
 from convbialg.suites import run_suite
 
 LINE = Chart.line("M")
@@ -349,21 +350,55 @@ class TestScalars:
         assert type((f + f).flat_neg[1]) is int
 
 
+RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+POINTS = st.lists(RATIONALS, min_size=1, max_size=5)
+
+
+@st.composite
+def regions(draw):
+    """A union of 1-3 open intervals with rational or unbounded ends."""
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        lo, hi = sorted(draw(st.lists(RATIONALS, min_size=2, max_size=2, unique=True)))
+        parts.append(Region.interval(None if draw(st.booleans()) else lo,
+                                     None if draw(st.booleans()) else hi))
+    return Region.union(*parts)
+
+
 class TestRegion:
     def test_interval_contains(self):
         r = Region.interval(0, 1)
-        assert r.contains((F(1, 2),))
-        assert not r.contains((2,))
+        assert r.contains(F(1, 2))
+        assert not r.contains(2)
 
     def test_union_intersect(self):
         r = Region.union(Region.interval(0, 1), Region.interval(2, 3))
-        assert r.contains((F(5, 2),)) and not r.contains((F(3, 2),))
+        assert r.contains(F(5, 2)) and not r.contains(F(3, 2))
         s = r.intersect(Region.interval(F(1, 2), F(5, 2)))
-        assert s.contains((F(3, 4),)) and not s.contains((F(1, 4),))
+        assert s.contains(F(3, 4)) and not s.contains(F(1, 4))
 
     def test_affine_image(self):
         r = Region.interval(0, 1).affine_image(2, 1)
-        assert r.contains((F(3, 2),)) and not r.contains((F(1, 2),))
+        assert r.contains(F(3, 2)) and not r.contains(F(1, 2))
+
+    @given(regions(), regions(), POINTS)
+    def test_intersect_is_the_and_of_memberships(self, r, s, points):
+        both = r.intersect(s)
+        for x in points:
+            assert both.contains(x) == (r.contains(x) and s.contains(x))
+
+    @given(regions(), RATIONALS.filter(bool), RATIONALS, POINTS)
+    def test_affine_image_contains_exactly_the_images(self, r, p, q, points):
+        image = r.affine_image(p, q)
+        for x in points:
+            assert image.contains(p * x + q) == r.contains(x)
+
+    @given(regions())
+    def test_json_round_trip(self, r):
+        # the document of a region that covers the line is "R", read back
+        # as the whole line
+        back = _region_from_json(_region_to_json(r))
+        assert back == (Region.whole() if r.is_whole else r)
 
 
 class TestFlat:

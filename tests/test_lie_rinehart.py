@@ -71,6 +71,16 @@ class TestAxioms:
         failed = [c for c in rep["checks"] if not c["pass"]]
         assert failed and any(c["witness"] for c in failed)
 
+    def test_corrupted_table_names_its_first_failing_entry(self):
+        # [Y, X] = Z like [X, Y]: (0, 1, 2) is the first of the two entries
+        # that break antisymmetry
+        H = heisenberg_algebra()
+        table = [list(row) for row in H.bracket_table]
+        table[1][0] = (H.zero, H.zero, H.one)
+        bad = LieRinehart(H.chart, H.rank, H.anchor, table, H.basis_names)
+        checks = {c["name"]: c for c in check_axioms(bad)["checks"]}
+        assert checks["antisymmetry"] == {"name": "antisymmetry", "pass": False,
+                                          "witness": "c[0][1][2] != -c[1][0][2]"}
 
     def test_a_bracket_without_its_left_anchor_term_fails_leibniz(self, monkeypatch, capsys):
         # the closed formula without - rho(Y)(h_k): constant frame

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import convbialg.uea
 from convbialg.adjoint import ad_uea
+from convbialg.cli import main
 from convbialg.coeffs import CoeffFn, Polynomial
 from convbialg.errors import ChartMismatch, VerificationFailed
 from convbialg.lie_rinehart import (
@@ -133,6 +135,28 @@ class TestPBWMemo:
             CoeffFn.const(A.chart, 1.0)
         assert UEAElement.one(A).terms == {(0, 0, 0): CoeffFn.const(A.chart, 1)}
         assert A.zero == CoeffFn.const(A.chart, 0) and A.zero.is_zero
+
+
+def test_check_catches_pbw_rewriting_without_the_bracket(monkeypatch, capsys):
+    # X_i X_first X^rest rewritten to X_first X_i X^rest alone, without
+    # [X_i, X_first] X^rest: U(A) becomes the symmetric algebra, which only
+    # the defining relations tell apart, on Heisenberg ([X, Y] = Z)
+    rewrite = convbialg.uea._gen_times_monomial
+
+    def planted(A, i, exp):
+        first = next((j for j, k in enumerate(exp) if k), None)
+        if first is None or i <= first:
+            return rewrite(A, i, exp)
+        rest = list(exp)
+        rest[first] -= 1
+        return convbialg.uea._left_mul_gen(first, convbialg.uea._gen_monomial(A, i, tuple(rest)))
+
+    monkeypatch.setattr(convbialg.uea, "_gen_times_monomial", planted)
+    assert main(["check", "--suite", "uea", "--output", "json"]) == 1
+    (suite,) = json.loads(capsys.readouterr().out)["suites"]
+    failed = {c["name"]: c["witness"] for c in suite["checks"] if not c["pass"]}
+    assert list(failed) == ["defining relations [X_i, X_j] and [X_i, f]"]
+    assert failed["defining relations [X_i, X_j] and [X_i, f]"].startswith("heisenberg: ")
 
 
 def test_counit_disagreement_raises(monkeypatch):

@@ -6,6 +6,8 @@ First each tree's reports are hashed: the exit code and the sha256 of
 stdout and stderr of `convbialg check --suite NAME --output json` for every
 suite, `convbialg demo NAME --output json` for every demo, the README's
 `eval` examples and two more `eval` calls, and each script under `demos/`.
+Each tree names its own suites and demos, `convbialg.suites.SUITES` and
+`convbialg.cli.DEMOS`, read sorted in that tree's environment.
 Then pair i of a workload runs `python3 perfbench/run.py --workload W
 --seed 1001+i --seconds 20 --trace 0` once in each tree, one run at a time;
 10 pairs on each workload, the fewest that can show a 9-in-10 win or tell a
@@ -18,8 +20,9 @@ is recorded, and a benchmark run without a result line has no metrics.
 The output holds the report hashes and whether they are identical, every
 run's exit code and metrics, and, over the pairs where both runs gave
 metrics, per-metric medians and quartiles for each side and how many pairs
-the change won.  Each tree must have `perfbench/` at its root and the
-package under `src/`.
+the change won, with each metric better "lower" or "higher" as the change
+tree's BENCHMARK.json declares it.  Each tree must have `perfbench/` at its
+root and the package under `src/`.
 
 Each tree's subprocesses get their own bytecode cache: a fresh, empty
 PYTHONPYCACHEPREFIX directory, made once per tree for each comparison.  So
@@ -44,9 +47,8 @@ import subprocess
 import sys
 import tempfile
 
-SUITES = ("cartier-gabriel", "commuting-square", "etale-iso", "fd-sanity", "hopf-etale",
-          "kernel-example", "lie-rinehart", "phi-homomorphism", "prop43", "uea")
-DEMOS = ("cartier-gabriel", "etale-iso", "kernel-example")
+NAMES = ("import json; from convbialg.cli import DEMOS; from convbialg.suites import SUITES; "
+         "print(json.dumps([sorted(SUITES), sorted(DEMOS)]))")
 # the three `eval` examples of the README, a flat kink evaluated in floats,
 # and a product that fails with exit 2
 EVALS = ("conv_mul(<1|shift>,<1|dbl>)", "phi(<1*x0^2 | shift>)",
@@ -88,6 +90,22 @@ def _run(tree, env, workload, seed):
     return run
 
 
+def tree_names(tree, env):
+    """The suite names and the demo names of a tree, read in its own
+    environment."""
+    out = subprocess.run([sys.executable, "-c", NAMES], cwd=tree, env=env, capture_output=True,
+                         text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def metric_better(tree):
+    """Whether each metric is better "lower" or "higher", as the tree's
+    BENCHMARK.json declares it."""
+    with open(os.path.join(tree, "BENCHMARK.json"), encoding="utf-8") as fh:
+        bench = json.load(fh)
+    return {m["name"]: m["better"] for key in ("end_to_end", "per_layer") for m in bench[key]}
+
+
 def _hash_run(tree, env, argv):
     out = subprocess.run(argv, cwd=tree, env=env, capture_output=True)
     return {"exit": out.returncode, "stdout": hashlib.sha256(out.stdout).hexdigest(),
@@ -96,11 +114,12 @@ def _hash_run(tree, env, argv):
 
 def _report_hashes(tree, env):
     cli = [sys.executable, "-c", CLI]
+    suites, demos = tree_names(tree, env)
     hashes = {}
-    for name in SUITES:
+    for name in suites:
         hashes[f"check {name}"] = _hash_run(tree, env, cli + ["check", "--suite", name,
                                                               "--output", "json"])
-    for name in DEMOS:
+    for name in demos:
         hashes[f"demo {name}"] = _hash_run(tree, env, cli + ["demo", name, "--output", "json"])
     for expr in EVALS:
         hashes[f"eval {expr}"] = _hash_run(tree, env, cli + ["eval", expr])
@@ -116,12 +135,9 @@ def _quartiles(values):
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def _better(name):
-    return "higher" if name == "op_rate" else "lower"
-
-
-def _summary(runs):
-    """Per-metric figures over the pairs where both runs gave metrics."""
+def _summary(runs, better):
+    """Per-metric figures over the pairs where both runs gave metrics;
+    better maps each metric to "lower" or "higher"."""
     pairs = [(b["metrics"], c["metrics"]) for b, c in zip(runs["base"], runs["change"])
              if b["metrics"] is not None and c["metrics"] is not None]
     if len(pairs) < 2:
@@ -130,10 +146,10 @@ def _summary(runs):
     for name in pairs[0][0]:
         b = [mb[name] for mb, _ in pairs]
         c = [mc[name] for _, mc in pairs]
-        sign = 1 if _better(name) == "lower" else -1
+        sign = 1 if better[name] == "lower" else -1
         qb = _quartiles(b)
         summary[name] = {
-            "better": _better(name),
+            "better": better[name],
             "base": qb, "change": _quartiles(c), "base_iqr": qb["q3"] - qb["q1"],
             "change_wins": sum(sign * (y - x) < 0 for x, y in zip(b, c)),
             "pairs": len(pairs),
@@ -143,6 +159,7 @@ def _summary(runs):
 
 
 def compare(base, change, envs):
+    better = metric_better(change)
     base_hashes = _report_hashes(base, envs["base"])
     change_hashes = _report_hashes(change, envs["change"])
     print("reports identical:", base_hashes == change_hashes, file=sys.stderr, flush=True)
@@ -156,7 +173,7 @@ def compare(base, change, envs):
                 runs[side].append(_run(tree, envs[side], workload, 1001 + i))
                 print(workload, i, side, runs[side][-1]["exit"], runs[side][-1]["metrics"],
                       file=sys.stderr, flush=True)
-        workloads[workload] = {"summary": _summary(runs), "runs": runs}
+        workloads[workload] = {"summary": _summary(runs, better), "runs": runs}
     return {
         "command": f"python3 perfbench/run.py --workload W --seed 1001+i --seconds {SECONDS} "
                    "--trace 0",
