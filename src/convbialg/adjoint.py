@@ -2,17 +2,21 @@
 
 Ad_E is the derivative at the units of the conjugation C_E(h) =
 alpha_E(t(h)) . h . alpha_E(s(h))^{-1}.  ad_matrix compares, on every call
-and for every kind with polynomial structure maps, two independent forms of
-its matrix in the frame: the model's closed form (`closed_ad_matrix`: tau'
-for the pair groupoid, the stored matrix of a group), and one derivation
-from the structure polynomials, made once per model and evaluated at
-alpha_E (`alpha_fns`) and its first derivatives: by Polynomial.substitute
-when these are polynomial, each entry wrapped in one CoeffFn, and by
+(ad_uea makes one per bisection, see below) and for every kind with
+polynomial structure maps, two independent forms of its matrix in the
+frame: the model's closed form (`closed_ad_matrix`: tau' for the pair
+groupoid, the stored matrix of a group), and one derivation from the
+structure polynomials, made once per model and evaluated at alpha_E
+(`alpha_fns`) and its first derivatives: by Polynomial.substitute when
+these are polynomial, each entry wrapped in one CoeffFn, and by
 Polynomial.at in the CoeffFn ring when one is flat (a flat kink's tau).
 
 U(Ad_E) sends the generator X_j to column j of the matrix, with entries
 moved to t(E) by Bisection.to_target, and a coefficient f to f o tau^{-1};
-the image of a monomial is the PBW product of its generator images.
+the image of a monomial is the PBW product of its generator images.  The
+generator images are kept on the bisection ("ad_gens"), built once from an
+ad_matrix that passed its comparison; a mismatch raises and keeps nothing,
+so it fails every ad_uea call on that bisection.
 """
 
 from __future__ import annotations
@@ -89,6 +93,16 @@ def _equals(f: CoeffFn, c, A) -> bool:
     return f == A._fn(c)
 
 
+def _generator_images(E: Bisection):
+    """Ad_E(X_j) = sum_i (M[i][j] o tau^{-1}) X_i for each j: column j of
+    ad_matrix(E), moved to t(E)."""
+    A = E.model.algebroid
+    M = ad_matrix(E)
+    units = [tuple(int(i == k) for k in range(A.rank)) for i in range(A.rank)]
+    return [UEAElement._raw(A, [(units[i], E.to_target(M[i][j])) for i in range(A.rank)])
+            for j in range(A.rank)]
+
+
 def ad_uea(E: Bisection, u: UEAElement) -> UEAElement:
     """U(Ad_E): f -> f o tau^{-1} on degree 0, Ad_E on degree 1, extended
     multiplicatively and renormalized."""
@@ -100,11 +114,7 @@ def ad_uea(E: Bisection, u: UEAElement) -> UEAElement:
     moved = [(exp, E.to_target(f)) for exp, f in u.terms.items()]
     if u.degree() <= 0:
         return UEAElement._raw(A, moved)
-    # Ad_E(X_j) = sum_i (M[i][j] o tau^{-1}) X_i: column j of the matrix
-    M = ad_matrix(E)
-    units = [tuple(int(i == k) for k in range(A.rank)) for i in range(A.rank)]
-    gens = [UEAElement._raw(A, [(units[i], E.to_target(M[i][j])) for i in range(A.rank)])
-            for j in range(A.rank)]
+    gens = E.derive_once("ad_gens", lambda: _generator_images(E))
     pairs = []
     for exp, tf in moved:
         # the product starts from its first factor: 1 . g has the terms of g

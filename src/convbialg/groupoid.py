@@ -740,11 +740,13 @@ class Bisection(DeriveOnce):
     group or etale bisection has no tau there, and is not flat.
 
     `derived` (see DeriveOnce) holds what derives from this bisection
-    alone: its one inverse ("inverse"; never registered), beta_E and
-    R_E^{-1} as polynomials, the series data and the float solves of a
-    flat kink per point (a point equal to an earlier one, of any number
-    type, has the same float and so the same solution), and the first
-    stage of the defining-formula check per (F, u) (dist)."""
+    alone: its one inverse ("inverse"; never registered, but the registered
+    bisection of its id when there is one), the generator images of U(Ad_E)
+    ("ad_gens", adjoint), beta_E and R_E^{-1} as polynomials, the series
+    data and the float solves of a flat kink per point (a point equal to an
+    earlier one, of any number type, has the same float and so the same
+    solution), and the first stage of the defining-formula check per (F, u)
+    (dist)."""
 
     __slots__ = ("model", "bid", "tau", "domain", "element", "gamma", "is_flat", "derived")
 
@@ -822,6 +824,9 @@ class Bisection(DeriveOnce):
         return self.domain.is_whole or self.domain.contains(_coord(x))
 
     def contains_target(self, y) -> bool:
+        # an affine tau or a flat kink maps the whole line onto itself
+        if self.domain.is_whole:
+            return True
         tdom = self.target_domain()
         return tdom.is_whole or tdom.contains(_coord(y))
 
@@ -838,8 +843,13 @@ def bisection_mul(E2: Bisection, E1: Bisection) -> Bisection:
 
 
 def bisection_inv(E: Bisection) -> Bisection:
-    """E^{-1}, built by the model once per bisection and kept on it."""
-    return E.derive_once("inverse", lambda: E.model.bisection_inv(E))
+    """E^{-1}, built by the model once per bisection and kept on it: the
+    registered bisection of its id when there is one (the unit, or the
+    inverse of a registered map), so that both share their derived data."""
+    def build():
+        inv = E.model.bisection_inv(E)
+        return E.model.registry.get(inv.bid, inv)
+    return E.derive_once("inverse", build)
 
 
 # ---------------------------------------------------------------------------

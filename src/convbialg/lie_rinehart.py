@@ -95,11 +95,14 @@ class LieRinehart(DeriveOnce):
 
     def frame_anchor_apply(self, i: int, f: CoeffFn) -> CoeffFn:
         """rho(X_i) applied to f."""
-        out = self.zero
-        for d, a in enumerate(self.anchor[i]):
-            if not a.is_zero:
-                out = out + a * f.derive(d)
-        return out
+        return _sum([a * f.derive(d) for d, a in enumerate(self.anchor[i]) if not a.is_zero],
+                    self.zero)
+
+
+def _sum(terms, zero: CoeffFn) -> CoeffFn:
+    """The sum of a list of CoeffFns, started from its first term: the terms
+    in the order of zero + terms[0] + ..., without the zero."""
+    return sum(terms[1:], terms[0]) if terms else zero
 
 
 class Section:
@@ -151,10 +154,14 @@ def anchor_apply(X: Section, f: CoeffFn) -> CoeffFn:
     A = X.parent
     if f.chart != A.chart:
         raise ParentMismatch("function lives on a different chart")
-    out = A.zero
-    for i in range(A.rank):
-        out = out + X.coeffs[i] * A.frame_anchor_apply(i, f)
-    return out
+    # a term with h_i = 0 or rho(X_i)(f) = 0 is zero, and is left out
+    terms = []
+    for i, h in enumerate(X.coeffs):
+        if not h.is_zero:
+            rho_f = A.frame_anchor_apply(i, f)
+            if not rho_f.is_zero:
+                terms.append(h * rho_f)
+    return _sum(terms, A.zero)
 
 
 def bracket(X: Section, Y: Section) -> Section:

@@ -1,4 +1,6 @@
+import importlib
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -65,6 +67,7 @@ class TestPairAdjoint:
         for name in ("E00", "E01", "E10", "E11"):
             with pytest.raises(UnsupportedComposition, match="inverse map not representable"):
                 ad_uea(model.lookup(name), D)
+            assert "ad_gens" not in model.lookup(name).derived
         assert "conjugation_jacobian" not in model.derived
 
 
@@ -264,6 +267,19 @@ def _ad_uea_from_one(E, u):
     return UEAElement._raw(A, pairs)
 
 
+def _random_uea(rng, A, degree_one=False):
+    """A random element of U(A) with 1 to 3 terms of degree <= 3; with
+    degree_one, its first term has degree >= 1."""
+    terms = {}
+    for n in range(rng.randint(1, 3)):
+        exp = [0] * A.rank
+        for _ in range(rng.randint(int(degree_one and n == 0), 3)):
+            if A.rank:
+                exp[rng.randrange(A.rank)] += 1
+        terms[tuple(exp)] = CoeffFn(A.chart, random_polynomial(rng, A.chart.dim, 2))
+    return UEAElement(A, terms)
+
+
 @pytest.mark.parametrize("make", [pair_model, heisenberg_model, etale_model])
 def test_ad_uea_equals_the_product_started_from_one(make):
     model = make()
@@ -271,16 +287,58 @@ def test_ad_uea_equals_the_product_started_from_one(make):
     rng = random.Random(18)
     bisections = [E for E in model.registry.values() if not E.is_flat]
     for _ in range(30):
-        terms = {}
-        for _ in range(rng.randint(1, 3)):
-            exp = [0] * A.rank
-            for _ in range(rng.randint(0, 3)):
-                if A.rank:
-                    exp[rng.randrange(A.rank)] += 1
-            terms[tuple(exp)] = CoeffFn(A.chart, random_polynomial(rng, A.chart.dim, 2))
-        u = UEAElement(A, terms)
+        u = _random_uea(rng, A)
         for E in bisections:
             got, ref = ad_uea(E, u), _ad_uea_from_one(E, u)
             assert got == ref
             assert [(e, _layout(f)) for e, f in got.terms.items()] == \
                 [(e, _layout(f)) for e, f in ref.terms.items()]
+
+
+class TestKeptGeneratorImages:
+    """ad_uea keeps the generator images of Ad_E on E ("ad_gens"), built from
+    one ad_matrix(E) that passed its comparison with the closed form."""
+
+    @staticmethod
+    def _bisections(model):
+        """The registered non-flat bisections and their inverses."""
+        base = [E for E in model.registry.values() if not E.is_flat]
+        return base + [bisection_inv(E) for E in base]
+
+    @pytest.mark.parametrize("make", [pair_model, heisenberg_model])
+    def test_ad_matrix_runs_once_per_bisection(self, make, monkeypatch):
+        adjoint_module = importlib.import_module("convbialg.adjoint")
+        calls = Counter()
+        real = adjoint_module.ad_matrix
+        monkeypatch.setattr(adjoint_module, "ad_matrix", lambda E: calls.update([E]) or real(E))
+        model = make()
+        rng = random.Random(25)
+        us = [_random_uea(rng, model.algebroid, degree_one=True) for _ in range(4)]
+        bisections = self._bisections(model)
+        got = [[ad_uea(E, u) for u in us] for E in bisections]
+        again = [[ad_uea(E, u) for u in us] for E in bisections]
+        assert got == again
+        assert set(calls) == set(bisections) and set(calls.values()) == {1}
+        monkeypatch.undo()
+        # on a newly built model each call is the first on its bisection
+        for k, u in enumerate(us):
+            fresh = make()
+            v = UEAElement(fresh.algebroid, dict(u.terms))
+            for E, row in zip(self._bisections(fresh), got):
+                ref = ad_uea(E, v)
+                assert row[k] == ref
+                assert [(e, _layout(f)) for e, f in row[k].terms.items()] == \
+                    [(e, _layout(f)) for e, f in ref.terms.items()]
+
+    def test_a_wrong_closed_form_fails_every_call_and_keeps_nothing(self, monkeypatch):
+        def wrong(self, E):
+            return [[E.tau_diffeo().fwd.derive().scale(3)]]
+
+        monkeypatch.setattr(PairModel, "closed_ad_matrix", wrong)
+        model = pair_model()
+        dbl = model.lookup("dbl")
+        D = UEAElement.generator(model.algebroid, 0)
+        for _ in range(2):
+            with pytest.raises(VerificationFailed, match=r"\(0,0\) for pair\[2\*x0\]"):
+                ad_uea(dbl, D)
+        assert "ad_gens" not in dbl.derived

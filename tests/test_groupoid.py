@@ -3,6 +3,7 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from convbialg import groupoid
 from convbialg.coeffs import Chart, Polynomial, Q, Region
@@ -230,6 +231,43 @@ class TestBisections:
         assert unit_bisection(etale).gamma == AffineMap.of(1, 0)
 
 
+_ENDS = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@st.composite
+def _intervals(draw):
+    """A bounded, half-bounded or whole open interval."""
+    lo, hi = sorted(draw(st.lists(_ENDS, min_size=2, max_size=2, unique=True)))
+    return Region.interval(*draw(st.sampled_from([(lo, hi), (lo, None), (None, hi),
+                                                  (None, None)])))
+
+
+_REGIONS = st.one_of(_intervals(), st.lists(_intervals(), min_size=2, max_size=3)
+                     .map(lambda regions: Region.union(*regions)))
+
+
+class TestContainsTarget:
+    @given(p=_ENDS.filter(bool), q=_ENDS, domain=_REGIONS, data=st.data())
+    def test_agrees_with_the_target_domain(self, pair, p, q, domain, data):
+        E = Bisection(pair, tau=Diffeo1D.affine(pair.base, p, q), domain=domain)
+        t = E.target_domain()
+        # the images of the domain's ends, and points around them
+        ends = [p * e + q for iv in domain.intervals for e in iv if e is not None]
+        points = st.fractions(min_value=-25, max_value=25, max_denominator=8)
+        y = data.draw(st.one_of(points, st.sampled_from(ends)) if ends else points)
+        assert E.contains_target(y) == (t.is_whole or t.contains(y))
+        assert E.contains_target((y,)) == E.contains_target(y)
+
+    @pytest.mark.parametrize("make", [pair_model, heisenberg_model, etale_model])
+    def test_a_whole_source_builds_no_target_domain(self, make, monkeypatch):
+        # an affine tau or a flat kink maps the whole line onto itself
+        model = make()
+        whole = [E for E in model.registry.values() if E.domain.is_whole]
+        assert whole
+        monkeypatch.setattr(Bisection, "target_domain", lambda E: pytest.fail("target_domain"))
+        assert all(E.contains_target(y) for E in whole for y in (F(-3), 0, F(7, 2)))
+
+
 class TestDerivedOnce:
     """Products are derived once per id pair and kept in model.derived,
     beta_E and the inverse once per bisection and kept on it; a derivation
@@ -304,6 +342,15 @@ class TestDerivedOnce:
             assert inv.bid == model.bisection_inv(E).bid
         # inverses are kept on their bisections, never registered
         assert len(model.registry) == len(make().registry)
+
+    @pytest.mark.parametrize("make, name, inverse", [
+        (pair_model, "M", "M"), (pair_model, "dbl", "half"), (pair_model, "half", "dbl"),
+        (heisenberg_model, "e", "e"), (etale_model, "d", "dinv")])
+    def test_an_inverse_of_a_registered_id_is_the_registered_bisection(self, make, name,
+                                                                       inverse):
+        # so that the two share their derived data (the unit is its own inverse)
+        model = make()
+        assert bisection_inv(model.lookup(name)) is model.lookup(inverse)
 
     def test_one_inverse_build_per_model_and_bid_across_suites(self, monkeypatch):
         builds = Counter()

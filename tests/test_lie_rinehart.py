@@ -42,6 +42,19 @@ def leibniz_bracket(X, Y):
     return out
 
 
+def full_anchor_sum(X, f):
+    """rho(X)(f) = sum_i h_i * sum_d anchor[i][d] * df/dx_d, summed from zero
+    over every index, zero terms included."""
+    A = X.parent
+    out = A.zero
+    for i, h in enumerate(X.coeffs):
+        rho_f = A.zero
+        for d, a in enumerate(A.anchor[i]):
+            rho_f = rho_f + a * f.derive(d)
+        out = out + h * rho_f
+    return out
+
+
 def random_section(rng, A):
     """Polynomial coefficients of degree <= 2; about one in four is zero."""
     return Section(A, [CoeffFn(A.chart, random_polynomial(rng, A.chart.dim))
@@ -57,6 +70,9 @@ class TestAxioms:
 
     def test_line_rank2(self):
         assert check_axioms(line_rank2_algebra())["passed"]
+
+    def test_line_affine(self):
+        assert check_axioms(line_affine_algebra())["passed"]
 
     def test_rank_zero(self):
         assert check_axioms(rank_zero_algebroid(Chart.line("M")))["passed"]
@@ -170,6 +186,41 @@ class TestBracket:
         monkeypatch.setattr(Section, "__init__", counting)
         bracket(X, Y)
         assert len(built) == 1
+
+
+def line_affine_algebra():
+    """aff(1) acting on the line: rho(X1) = d/dt, rho(X2) = t d/dt and
+    [X1, X2] = X1, so two anchor terms can both be nonzero."""
+    chart = Chart.line("M")
+    zero, one, t = CoeffFn.const(chart, 0), CoeffFn.const(chart, 1), CoeffFn.var(chart)
+    table = [[[zero, zero], [one, zero]], [[-one, zero], [zero, zero]]]
+    return LieRinehart(chart, 2, [[one], [t]], table)
+
+
+class TestAnchor:
+    @pytest.mark.parametrize("make", [*ALGEBRAS.values(), line_affine_algebra])
+    def test_anchor_apply_is_the_full_sum(self, make):
+        # the same terms, in the same order, with the same scalar types
+        A = make()
+        rng = random.Random(0xA2C)
+        for _ in range(30):
+            X = random_section(rng, A)
+            f = CoeffFn(A.chart, random_polynomial(rng, A.chart.dim))
+            got, ref = anchor_apply(X, f), full_anchor_sum(X, f)
+            assert got == ref
+            assert [(e, c, type(c)) for e, c in got.poly.terms.items()] == \
+                [(e, c, type(c)) for e, c in ref.poly.terms.items()]
+
+    def test_a_zero_anchor_multiplies_nothing(self, monkeypatch):
+        H = heisenberg_algebra()
+        rng = random.Random(3)
+        cases = [(random_section(rng, H), CoeffFn(H.chart, random_polynomial(rng, 0)))
+                 for _ in range(10)]
+        products = []
+        real = CoeffFn.__mul__
+        monkeypatch.setattr(CoeffFn, "__mul__", lambda f, g: products.append((f, g)) or real(f, g))
+        assert all(anchor_apply(X, f).is_zero for X, f in cases)
+        assert not products
 
 
 class TestGroupoidConsistency:

@@ -23,7 +23,7 @@ from fractions import Fraction
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from convbialg import adjoint, coeffs, dist, groupoid, suites, uea  # noqa: E402
+from convbialg import adjoint, coeffs, dist, groupoid, lie_rinehart, suites, uea  # noqa: E402
 
 WATCHED = (
     ("Polynomial.__init__", coeffs.Polynomial.__init__),
@@ -38,6 +38,9 @@ WATCHED = (
     ("groupoid.bisection_mul", groupoid.bisection_mul),
     ("PolynomialGroupoid.beta_polys", groupoid.PolynomialGroupoid.beta_polys),
     ("adjoint.ad_uea", adjoint.ad_uea),
+    # one per bisection: ad_uea keeps the generator images on it
+    ("adjoint.ad_matrix", adjoint.ad_matrix),
+    ("lie_rinehart.anchor_apply", lie_rinehart.anchor_apply),
     ("groupoid.bisection_inv", groupoid.bisection_inv),
     # the inverses built: bisection_inv keeps one per bisection
     ("PairModel.bisection_inv", groupoid.PairModel.bisection_inv),
