@@ -7,13 +7,13 @@ polynomial structure maps, two independent forms of its matrix in the
 frame: the model's closed form (`closed_ad_matrix`: tau' for the pair
 groupoid, the stored matrix of a group), and one derivation from the
 structure polynomials, made once per model and evaluated at alpha_E
-(`alpha_fns`) and its first derivatives: by Polynomial.substitute when
-these are polynomial, each entry wrapped in one CoeffFn, and by
-Polynomial.at in the CoeffFn ring when one is flat (a flat kink's tau).
+(`alpha_fns`) and its first derivatives by Polynomial.at in the CoeffFn
+ring, whether these are polynomial or flat (a flat kink's tau).
 
 U(Ad_E) sends the generator X_j to column j of the matrix, with entries
 moved to t(E) by Bisection.to_target, and a coefficient f to f o tau^{-1};
-the image of a monomial is the PBW product of its generator images.  The
+the image of a monomial is the PBW product of the images of the
+generators of its word (uea.pbw_word), from the first factor on.  The
 generator images are kept on the bisection ("ad_gens"), built once from an
 ad_matrix that passed its comparison; a mismatch raises and keeps nothing,
 so it fails every ad_uea call on that bisection.
@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from functools import reduce
 
-from .coeffs import CoeffFn, Polynomial, Q
+from .coeffs import CoeffFn, Polynomial
 from .errors import VerificationFailed
 from .groupoid import Bisection
-from .uea import UEAElement, uea_mul
+from .uea import UEAElement, pbw_word, uea_mul
 
 
 def _conjugation_jacobian(model):
@@ -74,23 +74,12 @@ def ad_matrix(E: Bisection):
     alpha = model.alpha_fns(E)
     args = ([CoeffFn.var(base, m) for m in range(base.dim)] + alpha
             + [f.derive(m) for f in alpha for m in range(base.dim)])
-    if all(f.is_poly for f in args):
-        polys = [f.poly for f in args]
-        M = [[CoeffFn(base, p.substitute(polys)) for p in row] for row in J]
-    else:
-        M = [[p.at(args, lambda c: CoeffFn.const(base, c)) for p in row] for row in J]
+    M = [[p.at(args, lambda c: CoeffFn.const(base, c)) for p in row] for row in J]
     for i in range(A.rank):
         for j in range(A.rank):
-            if not _equals(M[i][j], closed[i][j], A):
+            if M[i][j] != A._fn(closed[i][j]):
                 raise VerificationFailed(f"Ad matrix mismatch at ({i},{j}) for {E.bid}")
     return M
-
-
-def _equals(f: CoeffFn, c, A) -> bool:
-    """f == A._fn(c), without building a CoeffFn for a rational c."""
-    if isinstance(c, (int, Q)):
-        return f.is_rational_const() and f.poly.constant_value() == c
-    return f == A._fn(c)
 
 
 def _generator_images(E: Bisection):
@@ -118,7 +107,7 @@ def ad_uea(E: Bisection, u: UEAElement) -> UEAElement:
     pairs = []
     for exp, tf in moved:
         # the product starts from its first factor: 1 . g has the terms of g
-        factors = [gens[j] for j, k in enumerate(exp) for _ in range(k)]
+        factors = [gens[j] for j in pbw_word(exp)]
         acc = reduce(uea_mul, factors) if factors else UEAElement.one(A)
         pairs.extend((e, tf * g) for e, g in acc.terms.items())
     return UEAElement._raw(A, pairs)

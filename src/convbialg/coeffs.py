@@ -88,9 +88,41 @@ def check_exponents(exp, n: int) -> tuple:
     return exp
 
 
+# Caps on input: the total degree of a parsed term, the magnitude of a flat
+# key or power, and the magnitude of a decimal exponent in a rational literal.
+MAX_DEGREE = 64
+MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"e([+-]?[\d_]*)\s*$", re.I)
+
+
+def _at_most(digits: str, cap: int) -> bool:
+    """Is the magnitude of the written int at most cap?  Decided without
+    converting a long digit string."""
+    digits = digits.lstrip("+-").replace("_", "").lstrip("0")
+    return len(digits) <= len(str(cap)) and int(digits or 0) <= cap
+
+
+def read_degree(text, what: str) -> int:
+    """An exponent or flat key from input, as an int of magnitude at most
+    MAX_DEGREE; ParseError otherwise."""
+    if not _at_most(str(text), MAX_DEGREE):
+        raise ParseError(f"{what} above {MAX_DEGREE} in magnitude")
+    return int(text)
+
+
+def check_degree(exp) -> None:
+    """ParseError when a parsed term's total degree is above MAX_DEGREE."""
+    if sum(exp) > MAX_DEGREE:
+        raise ParseError(f"a term of total degree above {MAX_DEGREE}")
+
+
 def parse_rational(value) -> Fraction:
     """A rational read from outside the program: a literal such as "3",
-    "-2/5" or "0.25", or a number; ParseError when it is not one."""
+    "-2/5", "0.25" or "1e300", or a number; ParseError when it is not one,
+    or when its decimal exponent is above MAX_EXPONENT in magnitude."""
+    m = _EXPONENT.search(value) if isinstance(value, str) else None
+    if m and not _at_most(m.group(1), MAX_EXPONENT):
+        raise ParseError(f"decimal exponent above {MAX_EXPONENT} in magnitude")
     try:
         return Q(value)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError):
@@ -443,7 +475,8 @@ class Polynomial:
                 i = int(vm.group(1))
                 if i >= nvars:
                     raise ParseError(f"variable x{i} out of range (nvars={nvars})")
-                exp[i] += int(vm.group(2) or 1)
+                exp[i] += read_degree(vm.group(2) or 1, "exponent")
+            check_degree(exp)
             key = tuple(exp)
             terms[key] = terms.get(key, Q(0)) + coeff
         return Polynomial(nvars, terms)

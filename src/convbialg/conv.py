@@ -78,7 +78,7 @@ class BisectionSum(TermSum):
     def text(self) -> str:
         if not self.terms:
             return "0"
-        names = {bid: alias for alias, bid in self.model.aliases.items()}
+        names = self.model.bid_names()
         return " + ".join(
             self._TERM.format(u=u.text(), E=names.get(bid, bid))
             for bid, u in sorted(self.terms.items())
@@ -281,7 +281,7 @@ class Stratification:
         self.strata = strata  # list of (Stratum, [class: [Bisection]])
 
     def table(self):
-        names = {bid: alias for alias, bid in self.model.aliases.items()}
+        names = self.model.bid_names()
         return [
             (st.text(), [[names.get(E.bid, E.bid) for E in cls] for cls in classes])
             for st, classes in self.strata

@@ -48,7 +48,7 @@ from .coeffs import CoeffFn, Polynomial, Q
 from .conv import BisectionSum
 from .errors import ChartMismatch, DomainError, UnsupportedComposition
 from .groupoid import Bisection, bisection_inv
-from .uea import UEAElement, uea_mul
+from .uea import UEAElement, act, uea_mul
 
 
 # ---------------------------------------------------------------------------
@@ -92,13 +92,8 @@ class ArrowFn:
         return ArrowFn(self.model, self.nvars, self.h_offset, new)
 
     def apply_uea(self, u: UEAElement) -> "ArrowFn":
-        terms = []
-        for exp, f in u.terms.items():
-            acc = self
-            word = [i for i, k in enumerate(exp) for _ in range(k)]
-            for i in reversed(word):
-                acc = acc.apply_frame(i)
-            terms.extend((f * c, P) for c, P in acc.terms)
+        terms = [(f * c, P) for f, acc in act(lambda i, y: y.apply_frame(i), u, self)
+                 for c, P in acc.terms]
         return ArrowFn(self.model, self.nvars, self.h_offset, terms)
 
     def substitute(self, new_nvars, subs, move) -> "ArrowFn":

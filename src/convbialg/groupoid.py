@@ -24,7 +24,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffs import Chart, CoeffFn, DeriveOnce, Polynomial, Q, Region, parse_rational, to_float
+from .coeffs import (Chart, CoeffFn, DeriveOnce, Polynomial, Q, Region, parse_rational,
+                     read_degree, to_float)
 from .errors import (
     ChartMismatch,
     DomainError,
@@ -73,7 +74,11 @@ class Diffeo1D:
 
     @staticmethod
     def flat_kink(chart: Chart, c_neg, c_pos) -> "Diffeo1D":
-        """t + c_neg*phi(t) for t <= 0, t + c_pos*phi(t) for t >= 0."""
+        """t + c_neg*phi(t) for t <= 0, t + c_pos*phi(t) for t >= 0.  Since
+        0 <= phi' <= 2 (3/2)^(3/2) e^(-3/2) < 0.82, this is a diffeomorphism
+        when c >= -1 on both sides; a smaller c is refused."""
+        if min(c_neg, c_pos) < -1:
+            raise ValueError("a flat kink t + c*phi(t) needs c >= -1")
         t = Polynomial.var(1, 0)
         return Diffeo1D(CoeffFn.flat_piece(chart, t, c_neg, c_pos), None)
 
@@ -345,6 +350,11 @@ class GroupoidModel(DeriveOnce):
         return self.derive_once(("product", E2.bid, E1.bid),
                                 lambda: self.register(bisection_mul(E2, E1)))
 
+    def bid_names(self) -> dict:
+        """{bid: alias} over the aliases; when a bid has two, the last one
+        registered wins."""
+        return {bid: alias for alias, bid in self.aliases.items()}
+
     def lookup(self, name: str) -> "Bisection":
         bid = self.aliases.get(name, name)
         if bid not in self.registry:
@@ -417,11 +427,8 @@ class PolynomialGroupoid(GroupoidModel):
         return [_poly_of(f, "alpha_E") for f in self.alpha_fns(E)]
 
     def beta_polys(self, E):
-        """beta_E = alpha_E o tau^{-1} as polynomials on the base, derived
-        once per bisection."""
-        return E.derive_once(
-            "beta_polys",
-            lambda: [_poly_of(E.to_target(f), "beta_E") for f in self.alpha_fns(E)])
+        """beta_E = alpha_E o tau^{-1} as polynomials on the base."""
+        return [_poly_of(E.to_target(f), "beta_E") for f in self.alpha_fns(E)]
 
     def s_of(self, g):
         return tuple(p.eval(g) for p in self.s_map)
@@ -572,7 +579,7 @@ class PairModel(PolynomialGroupoid):
             d = Diffeo1D.affine(self.base, parse_rational(tau["a"]), parse_rational(tau["b"]))
         elif tau["kind"] == "flat":
             if "i" in tau:
-                c_neg, c_pos = Q(2) ** int(tau["i"]), Q(2) ** int(tau["j"])
+                c_neg, c_pos = (Q(2) ** read_degree(tau[k], "flat power") for k in "ij")
             else:
                 c_neg, c_pos = parse_rational(tau["c_neg"]), parse_rational(tau["c_pos"])
             d = Diffeo1D.flat_kink(self.base, c_neg, c_pos)
@@ -742,11 +749,11 @@ class Bisection(DeriveOnce):
     `derived` (see DeriveOnce) holds what derives from this bisection
     alone: its one inverse ("inverse"; never registered, but the registered
     bisection of its id when there is one), the generator images of U(Ad_E)
-    ("ad_gens", adjoint), beta_E and R_E^{-1} as polynomials, the series
-    data and the float solves of a flat kink per point (a point equal to an
-    earlier one, of any number type, has the same float and so the same
-    solution), and the first stage of the defining-formula check per (F, u)
-    (dist)."""
+    ("ad_gens", adjoint), R_E^{-1} as polynomials, the series data of a
+    flat kink per point, the float solves of tau^{-1} per point (a point
+    equal to an earlier one, of any number type, has the same float and so
+    the same solution), and the first stage of the defining-formula check
+    per (F, u) (dist).  beta_E and tau(x) are recomputed on each call."""
 
     __slots__ = ("model", "bid", "tau", "domain", "element", "gamma", "is_flat", "derived")
 
@@ -779,12 +786,7 @@ class Bisection(DeriveOnce):
         return self.tau_diffeo().coeff()
 
     def tau_apply(self, x):
-        """tau(x); a float solve (tau given by its inverse only) is made once
-        per x."""
-        tau = self.tau_diffeo()
-        if tau.fwd is not None:
-            return tau.apply(x)
-        return self.derive_once(("tau_solve", x), lambda: tau.apply(x))
+        return self.tau_diffeo().apply(x)
 
     def tau_inv_apply(self, y):
         """tau^{-1}(y); a float solve (a flat kink) is made once per y."""

@@ -247,10 +247,6 @@ def field_commutator(V, W):
     return [_along(V, w) - _along(W, v) for v, w in zip(V, W)]
 
 
-def field_equal(V, W):
-    return all(a == b for a, b in zip(V, W))
-
-
 def algebroid_of_groupoid(model) -> LieRinehart:
     """The stored algebroid of a groupoid model, re-verified independently.
 
@@ -262,7 +258,7 @@ def algebroid_of_groupoid(model) -> LieRinehart:
     nv = model.arrow_chart.dim
     fields = [frame_field(model, i) for i in range(A.rank)]
     for i, V in enumerate(fields):
-        if not field_equal(V, model.frame[i]):
+        if V != model.frame[i]:
             raise VerificationFailed(f"stored frame field {i} disagrees with dL_g derivation")
         # tangency: dt(V) = 0 as a polynomial identity
         if not all(_along(V, tm).is_zero for tm in model.t_map):
@@ -285,7 +281,7 @@ def algebroid_of_groupoid(model) -> LieRinehart:
                     raise VerificationFailed("non-polynomial structure constants")
                 ck = model.along_source(c.poly)
                 want = [w + ck * v for w, v in zip(want, fields[k])]
-            if not field_equal(comm, want):
+            if comm != want:
                 raise VerificationFailed(f"bracket table mismatch at pair ({i},{j})")
     return A
 

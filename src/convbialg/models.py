@@ -61,7 +61,7 @@ def pair_model(register_defaults: bool = True) -> GroupoidModel:
     )
     algebroid_of_groupoid(model)
     if register_defaults:
-        model.register(unit_bisection(model), alias="M")
+        model.register(unit_bisection(model), alias=model.unit_alias)
         model.register(Bisection(model, tau=Diffeo1D.affine(base, 1, 1)), alias="shift")
         model.register(Bisection(model, tau=Diffeo1D.affine(base, 2, 0)), alias="dbl")
         model.register(Bisection(model, tau=Diffeo1D.affine(base, Q(1, 2), 0)), alias="half")
@@ -112,7 +112,7 @@ def heisenberg_model(register_defaults: bool = True) -> GroupoidModel:
     )
     algebroid_of_groupoid(model)
     if register_defaults:
-        model.register(unit_bisection(model), alias="e")
+        model.register(unit_bisection(model), alias=model.unit_alias)
         model.register(Bisection(model, element=(1, 0, 0)), alias="kx")
         model.register(Bisection(model, element=(0, 1, 0)), alias="ky")
         model.register(Bisection(model, element=(0, 0, 1)), alias="kz")
@@ -135,7 +135,7 @@ def etale_model(register_defaults: bool = True) -> GroupoidModel:
     )
     algebroid_of_groupoid(model)
     if register_defaults:
-        model.register(unit_bisection(model), alias="M")
+        model.register(unit_bisection(model), alias=model.unit_alias)
         model.register(Bisection(model, gamma=AffineMap.of(2, 0)), alias="d")
         model.register(Bisection(model, gamma=AffineMap.of(Q(1, 2), 0)), alias="dinv")
         model.register(Bisection(model, gamma=AffineMap.of(1, 1)), alias="sh")
@@ -160,7 +160,7 @@ def builtin_models():
 
 
 def model_to_json(model: GroupoidModel) -> dict:
-    names = {bid: alias for alias, bid in model.aliases.items()}
+    names = model.bid_names()
     return {
         "model": model.doc_key,
         "bisections": [

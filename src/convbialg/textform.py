@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 
-from .coeffs import Chart, CoeffFn, Polynomial, parse_rational
+from .coeffs import Chart, CoeffFn, Polynomial, check_degree, parse_rational, read_degree
 from .conv import ConvElement
 from .dist import TransvDist
 from .errors import ParseError
@@ -48,7 +48,7 @@ def split_top(text: str, sep: str):
 
 
 _FLAT_ENTRY = re.compile(
-    r"(-?\d+)\s*:\s*(?:Fraction\((-?\d+),\s*(-?\d+)\)|(-?\d+(?:/\d+)?))"
+    r"(\d+)\s*:\s*(?:Fraction\((-?\d+),\s*(-?\d+)\)|(-?\d+(?:/\d+)?))"
 )
 
 
@@ -62,7 +62,8 @@ def _parse_flat_dict(text: str) -> dict:
         m = _FLAT_ENTRY.fullmatch(entry.strip())
         if not m:
             raise ParseError(f"bad flat entry {entry.strip()!r}")
-        out[int(m.group(1))] = parse_rational(m.group(4) or f"{m.group(2)}/{m.group(3)}")
+        value = m.group(4) or f"{m.group(2)}/{m.group(3)}"
+        out[read_degree(m.group(1), "flat key")] = parse_rational(value)
     return out
 
 
@@ -117,7 +118,8 @@ def parse_uea(A, text: str) -> UEAElement:
                 m = _MONO_TOKEN.fullmatch(tok)
                 if not m or m.group(1) not in name_index:
                     raise ParseError(f"unknown generator {tok!r}")
-                exp[name_index[m.group(1)]] += int(m.group(2) or 1)
+                exp[name_index[m.group(1)]] += read_degree(m.group(2) or 1, "exponent")
+        check_degree(exp)
         pairs.append((tuple(exp), f))
     return UEAElement(A, pairs)
 

@@ -14,6 +14,10 @@ so it is rewritten once per (algebra, i, exp) and kept in the algebra's
 `derived` store (key ("pbw", i, exp)); an algebra's anchor and table are
 tuples and never change.
 
+An action of U(A) is fixed by its generators: `act` walks the word of each
+monomial (`pbw_word`) for uea_mul, anchor_rep and Omega (dist), and
+adjoint.ad_uea multiplies the images of the same word.
+
 TermSum is the canonical form shared by every finite formal sum of the
 package: UEAElement and TensorElement here, ConvElement, ConvTensor and
 TransvDist (through BisectionSum) in conv and dist.  A sum is built once,
@@ -239,18 +243,26 @@ def _gen_times_monomial(A: LieRinehart, i: int, exp: tuple) -> UEAElement:
     return UEAElement._raw(A, pairs)
 
 
+def pbw_word(exp: tuple) -> list:
+    """The generators whose product is X^exp = X_1^a_1 ... X_r^a_r, in order."""
+    return [i for i, k in enumerate(exp) for _ in range(k)]
+
+
+def act(gen, u: UEAElement, x):
+    """(f, X^a . x) for each term f X^a of u, given the generator action
+    gen(i, y) = X_i . y: the word of X^a is applied to x last generator first."""
+    for exp, f in u.terms.items():
+        acc = x
+        for i in reversed(pbw_word(exp)):
+            acc = gen(i, acc)
+        yield f, acc
+
+
 def uea_mul(u: UEAElement, v: UEAElement) -> UEAElement:
     """PBW normal form of the product u * v."""
     u._check(v)
-    A = u.parent
-    pairs = []
-    for exp, f in u.terms.items():
-        word = [i for i, k in enumerate(exp) for _ in range(k)]
-        acc = v
-        for i in reversed(word):
-            acc = _left_mul_gen(i, acc)
-        pairs.extend((e, f * g) for e, g in acc.terms.items())
-    return UEAElement._raw(A, pairs)
+    return UEAElement._raw(u.parent, [(e, f * g) for f, acc in act(_left_mul_gen, u, v)
+                                      for e, g in acc.terms.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +337,7 @@ def anchor_rep(u: UEAElement, f: CoeffFn) -> CoeffFn:
     if f.chart != A.chart:
         raise ChartMismatch("function on wrong chart")
     out = A.zero
-    for exp, g in u.terms.items():
-        word = [i for i, k in enumerate(exp) for _ in range(k)]
-        acc = f
-        for i in reversed(word):
-            acc = A.frame_anchor_apply(i, acc)
+    for g, acc in act(A.frame_anchor_apply, u, f):
         out = out + g * acc
     return out
 

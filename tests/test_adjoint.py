@@ -192,18 +192,6 @@ class TestEtaleAdjoint:
 
 
 
-def _jacobian_at(E):
-    """ad_matrix's entries through Polynomial.at in the CoeffFn ring, one
-    CoeffFn.const per term: the path of flat arguments."""
-    model = E.model
-    base = model.base
-    J = model.derived["conjugation_jacobian"]
-    alpha = model.alpha_fns(E)
-    args = ([CoeffFn.var(base, m) for m in range(base.dim)] + alpha
-            + [f.derive(m) for f in alpha for m in range(base.dim)])
-    return [[p.at(args, lambda c: CoeffFn.const(base, c)) for p in row] for row in J]
-
-
 def _layout(f):
     """The terms of f's polynomial and flat parts, in order, with the type
     of each scalar."""
@@ -225,24 +213,30 @@ def _rational_elements(model):
                                            for _ in range(3))) for _ in range(6)]
 
 
-class TestMatrixBySubstitution:
+class TestOneEvaluationPath:
     @pytest.mark.parametrize("make, extra", [
         (pair_model, lambda model: []), (heisenberg_model, _rational_elements)])
-    def test_substitute_gives_the_entries_of_at(self, make, extra, monkeypatch):
+    def test_polynomial_arguments_take_at_and_no_substitute(self, make, extra, monkeypatch):
         # the registered non-flat bisections, their inverses and products
         model = make()
         base = [E for E in model.registry.values() if not E.is_flat] + extra(model)
         bisections = (base + [bisection_inv(E) for E in base]
                       + [bisection_mul(E2, E1) for E2 in base[:4] for E1 in base[:4]])
+        ad_matrix(base[0])  # derives the Jacobian, by substitution
+        J = model.derived["conjugation_jacobian"]
         calls = _counting_at(monkeypatch)
+        substituted = []
+        real = Polynomial.substitute
+        monkeypatch.setattr(Polynomial, "substitute",
+                            lambda p, *a: substituted.append(p) or real(p, *a))
         matrices = [ad_matrix(E) for E in bisections]
-        assert not calls  # every argument is polynomial
+        assert not substituted
+        assert calls == [p for _ in bisections for row in J for p in row]
         monkeypatch.undo()
+        A = model.algebroid
         for E, M in zip(bisections, matrices):
-            ref = _jacobian_at(E)
-            assert M == ref
-            assert [[_layout(f) for f in row] for row in M] == \
-                [[_layout(f) for f in row] for row in ref]
+            assert M == [[A._fn(c) for c in row] for row in model.closed_ad_matrix(E)]
+            assert all(f.is_poly for row in M for f in row)
 
 
 def _ad_uea_from_one(E, u):

@@ -16,13 +16,14 @@ from convbialg.models import builtin_models, model_to_json
 ALIASES = ["M", "shift", "dbl", "half", "E00", "E01", "E10", "E11", "e", "kx", "k123",
            "d", "dinv", "sh", "w", "nope"]
 GENERATORS = ["D", "X", "Y", "Z", "X1"]
-LITERALS = ["0", "1", "2", "-1", "1/2", "-3/4", "1/0", "1e400", "-1e400"]
+LITERALS = ["0", "1", "2", "-1", "1/2", "-3/4", "1/0", "1e400", "-1e400", "1e99999999"]
 FRAGMENTS = ["conv_mul(", "phi(", "dist_eval(", "(", ")", "<", ">", "[[", "]]", "[", "]",
              "{", "}", "|", ",", " + ", " * ", "+", "*", "^", "/", "-", " ", "x0", "x1",
              "x7", "phi[", "flat[neg={", "@", "#", "\\", "é", *ALIASES, *GENERATORS]
 
 lit = st.sampled_from(LITERALS)
-power = st.sampled_from(["", "^2", "^3"])
+# the last two are above the cap on the degree of a parsed term
+power = st.sampled_from(["", "^2", "^3", "^65", "^999999999"])
 coeff = st.one_of(lit, st.builds(lambda c, v, p: f"{c}*{v}{p}", lit,
                                  st.sampled_from(["x0", "x1"]), power),
                   st.builds(lambda c: f"1 + phi[{c},1]", lit))

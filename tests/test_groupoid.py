@@ -178,12 +178,14 @@ class TestSolveMonotone:
         assert E.tau_inv_apply(0.5) == first and E.tau_inv_apply(F(1, 2)) == first
         assert calls == [0.5]
         assert first == _solve_monotone(E.tau_coeff(), 0.5)
+        # tau of the inverted kink solves on each call: nothing keeps it
         inverted = bisection_inv(E)
         assert inverted.tau_apply(0.5) == first and inverted.tau_apply(0.5) == first
-        assert calls == [0.5, 0.5]
+        assert calls == [0.5, 0.5, 0.5]
+        assert not inverted.derived
         # an affine tau is evaluated, never solved
         assert model.lookup("shift").tau_inv_apply(F(1, 2)) == F(-1, 2)
-        assert len(calls) == 2
+        assert len(calls) == 3
 
 
 class TestBisections:
@@ -316,12 +318,14 @@ class TestDerivedOnce:
                 model.registered_product(restricted, flat)
         assert not [k for k in model.derived if k[0] == "product"]
 
-    def test_beta_polys_once_per_bid(self):
+    def test_beta_polys_are_recomputed_and_keep_nothing(self):
         model = pair_model()
         dbl = model.lookup("dbl")
         first = model.beta_polys(dbl)
-        assert model.beta_polys(dbl) is first
-        assert dbl.derived["beta_polys"] is first
+        assert first == [Polynomial.var(1, 0), Polynomial(1, {(1,): F(1, 2)})]
+        again = model.beta_polys(dbl)
+        assert again == first and again is not first
+        assert "beta_polys" not in dbl.derived
         assert not [k for k in model.derived if k[0] == "beta_polys"]
 
     def test_flat_beta_polys_raise_every_time_and_keep_nothing(self):

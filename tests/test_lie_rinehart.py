@@ -236,3 +236,14 @@ class TestGroupoidConsistency:
         model.frame[1][2] = Polynomial.parse("2*x0", 3)
         with pytest.raises(VerificationFailed):
             algebroid_of_groupoid(model)
+
+    @pytest.mark.parametrize("cut", [1, 2])
+    def test_frame_field_of_the_wrong_length_detected(self, cut):
+        # a prefix of the derived field, or the field with one entry more
+        from convbialg.models import heisenberg_model
+
+        model = heisenberg_model()
+        field = model.frame[1]
+        model.frame[1] = field[:cut] if cut == 2 else field + [Polynomial(3, {})]
+        with pytest.raises(VerificationFailed, match="stored frame field 1"):
+            algebroid_of_groupoid(model)

@@ -9,7 +9,7 @@ import pytest
 
 import convbialg.suites
 from convbialg.cli import main
-from convbialg.coeffs import Chart, CoeffFn, Polynomial, Q
+from convbialg.coeffs import Chart, CoeffFn, Polynomial, Q, parse_rational
 from convbialg.errors import ParseError
 from convbialg.models import (
     builtin_models,
@@ -40,6 +40,21 @@ class TestModelJson:
             model_from_json({"model": "nope"})
         with pytest.raises(ParseError):
             model_from_json({"model": "pair", "bisections": [{"id": "x"}]})
+
+    def test_unit_is_registered_under_the_unit_alias(self, models):
+        for m in models.values():
+            assert m.lookup(m.unit_alias) is m.registry[m.unit_bisection().bid]
+            assert model_from_json(model_to_json(m)).lookup(m.unit_alias).bid == \
+                m.lookup(m.unit_alias).bid
+
+    def test_the_last_alias_of_a_bid_names_it(self):
+        model = pair_model()
+        dbl = model.lookup("dbl")
+        model.register(dbl, alias="double")
+        assert model.bid_names()[dbl.bid] == "double"
+        ids = [e["id"] for e in model_to_json(model)["bisections"]]
+        assert "double" in ids and "dbl" not in ids
+        assert parse_conv(model, "<1 | dbl>").text() == "<1 | double>"
 
     def test_text_that_nests_too_deeply_raises(self):
         with pytest.raises(ParseError):
@@ -242,6 +257,101 @@ class TestCli:
         prod = conv_mul(parse_conv(m, "<1*x0 * D|shift>"), parse_conv(m, "<2|dbl>"))
         assert prod.text() == text
         assert parse_conv(m, text) == prod
+
+
+def _pair_doc_with(tau):
+    """The builtin pair model's document, plus a bisection K with the given tau."""
+    doc = model_to_json(pair_model())
+    doc["bisections"].append({"id": "K", "tau": tau})
+    return doc
+
+
+class TestInputCaps:
+    @pytest.mark.parametrize("expr", [
+        "phi(<1*x0^99999999 | shift>)", "dist_eval([[shift, 1]], x0, 1e99999999)"])
+    def test_inputs_beyond_the_caps_exit_2_at_once(self, expr):
+        run = subprocess.run([sys.executable, "-m", "convbialg.cli", "eval", expr],
+                             capture_output=True, text=True, timeout=30,
+                             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert run.returncode == 2 and run.stdout == ""
+        assert run.stderr.startswith("error: ") and "Traceback" not in run.stderr
+
+    @pytest.mark.parametrize("text, ok", [
+        ("x0^64", True), ("x0^65", False), ("x0^32*x1^32 + x1^65", False),
+        ("x0^32*x0^32", True), ("x0^32*x1^33", False), ("x0^" + "9" * 5000, False)])
+    def test_total_degree_of_a_polynomial_term(self, text, ok):
+        if ok:
+            assert Polynomial.parse(text, 2).degree() == 64
+        else:
+            with pytest.raises(ParseError):
+                Polynomial.parse(text, 2)
+
+    @pytest.mark.parametrize("text, ok", [
+        ("1 * X^64", True), ("1 * X^65", False), ("1 * X^32 Y^32", True),
+        ("1 * X^32 Y^33", False), ("1 * X^32 * Y^33", False)])
+    def test_total_degree_of_an_enveloping_algebra_term(self, text, ok, models):
+        A = models["heisenberg"].algebroid
+        if ok:
+            assert parse_uea(A, text).degree() == 64
+        else:
+            with pytest.raises(ParseError):
+                parse_uea(A, text)
+
+    @pytest.mark.parametrize("key, ok", [(0, True), (64, True), (65, False), (-1, False)])
+    def test_flat_key(self, key, ok):
+        # a key k is the power of t^(-k), and k >= 0
+        text = f"1 + flat[neg={{{key}: 1}}, pos={{}}]"
+        if ok:
+            assert parse_coeff(Chart.line(), text).flat_neg == {key: 1}
+        else:
+            with pytest.raises(ParseError):
+                parse_coeff(Chart.line(), text)
+
+    @pytest.mark.parametrize("power, ok", [(64, True), (-64, True), (65, False), (-65, False),
+                                           ("99999999", False)])
+    def test_flat_power_of_a_document(self, power, ok):
+        doc = _pair_doc_with({"kind": "flat", "i": power, "j": 0})
+        if ok:
+            assert model_from_json(doc).lookup("K").tau_coeff().phi_coeffs()[0] == Q(2) ** power
+        else:
+            with pytest.raises(ParseError):
+                model_from_json(doc)
+
+    @pytest.mark.parametrize("text, ok", [
+        ("1e300", True), ("1e400", True), ("1e1000", True), ("-1e-1000", True),
+        ("1e1001", False), ("1e-1001", False), ("1E+1_001", False), ("1e" + "9" * 5000, False)])
+    def test_decimal_exponent_of_a_rational(self, text, ok):
+        if ok:
+            assert parse_rational(text) == Q(text)
+        else:
+            with pytest.raises(ParseError):
+                parse_rational(text)
+
+    def test_cap_and_cap_plus_one_on_the_cli(self, capsys):
+        assert main(["eval", "phi(<1*x0^64 | M>)"]) == 0
+        assert capsys.readouterr().out.strip() == "[[M, 1*x0^64]]"
+        assert main(["eval", "phi(<1*x0^65 | M>)"]) == 2
+        assert capsys.readouterr().err == "error: exponent above 64 in magnitude\n"
+
+    def test_flat_kink_that_is_not_a_diffeomorphism_exits_2(self, tmp_path, capsys):
+        # tau(t) = t - 2 exp(-1/t^2) for t > 0 is not monotone: tau(0.6) > tau(0.8)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(_pair_doc_with({"kind": "flat", "c_neg": "1", "c_pos": "-2"})))
+        for argv in (["check"], ["eval", "dist_eval([[K,1]],x0+x1,2/5)"]):
+            assert main(argv + ["--model", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "needs c >= -1" in captured.err
+
+    @pytest.mark.parametrize("c_neg, c_pos", [("-1", "0"), ("0", "-1"), ("0", "0")])
+    def test_flat_kink_with_c_at_least_minus_one_is_accepted(self, c_neg, c_pos, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(_pair_doc_with({"kind": "flat", "c_neg": c_neg,
+                                                   "c_pos": c_pos})))
+        # F = x0 + x1 at the arrow (2/5, tau^-1(2/5)); tau is the identity for
+        # t >= 0 when c_pos = 0, and t - phi(t) < t there when c_pos = -1
+        assert main(["eval", "dist_eval([[K,1]],x0+x1,2/5)", "--model", str(path)]) == 0
+        value = Q(capsys.readouterr().out.strip())
+        assert value == Q(4, 5) if c_pos == "0" else value > Q(4, 5)
 
 
 SUBSET = ("hopf-etale", "prop43")
