@@ -22,11 +22,10 @@ see two ints goes through Q (Fraction), as in Q(a, b) or Q(a) / b, and a
 negative power needs a Fraction base.
 
 `Polynomial.at` puts values into a polynomial in any ring that has `*`,
-`+` and a constant map: coefficient functions, floats, float jets.  The
-two exact rings have their own loops with the same results:
-`Polynomial.substitute` (polynomials into a polynomial) adds the terms in
-place into one dict, and the exact `Polynomial.eval` works in plain
-rationals; neither builds a constant per term.
+`+` and a constant map: coefficient functions, rationals (`Polynomial.eval`
+at a rational point), floats, float jets.  Polynomials into a polynomial
+have their own loop with the same results: `Polynomial.substitute` adds
+the terms in place into one dict, and builds no constant per term.
 
 A Region, the domain of a bisection, is a finite union of open intervals of
 the line: the base of every model is the line or a point.
@@ -393,9 +392,9 @@ class Polynomial:
 
     def at(self, values: Sequence, const):
         """self with values[i] put in for variable i, in the ring of the
-        values: coefficient functions, floats or float jets (`substitute`
-        and the exact `eval` have their own loops).  const(c) is the
-        ring's constant c.  Each term is const(c) times each value k times
+        values: coefficient functions, rationals (`eval`), floats or float
+        jets (`substitute` has its own loop).  const(c) is the ring's
+        constant c.  Each term is const(c) times each value k times
         in variable order, and the terms are added in dict order, so a
         float ring sees one fixed order of operations."""
         total = const(0)
@@ -416,19 +415,15 @@ class Polynomial:
         return Polynomial._raw(total, {(0,) * offset + e + pad: c for e, c in self.terms.items()})
 
     def eval(self, point: Sequence):
+        """The value at a point: exact at rationals (the zero polynomial
+        gives Q(0)), a float otherwise."""
         if len(point) != self.nvars:
             raise ValueError("point dimension mismatch")
         if not all(isinstance(x, (int, Fraction)) for x in point):
             return self.at(point, float)
         if not self.terms:
             return Q(0)
-        total = 0
-        for e, c in self.terms.items():
-            for x, k in zip(point, e):
-                if k:
-                    c = c * x ** k
-            total = total + c
-        return total
+        return self.at(point, lambda c: c)  # a rational is its own constant
 
     # -- text form ----------------------------------------------------------
 
@@ -472,10 +467,9 @@ class Polynomial:
             coeff = parse_rational(m.group("coeff")) if m.group("coeff") else Q(1)
             exp = [0] * nvars
             for vm in re.finditer(r"x(\d+)(?:\^(\d+))?", m.group("mons")):
-                i = int(vm.group(1))
-                if i >= nvars:
-                    raise ParseError(f"variable x{i} out of range (nvars={nvars})")
-                exp[i] += read_degree(vm.group(2) or 1, "exponent")
+                if not _at_most(vm.group(1), nvars - 1):
+                    raise ParseError(f"variable x{vm.group(1)} out of range (nvars={nvars})")
+                exp[int(vm.group(1))] += read_degree(vm.group(2) or 1, "exponent")
             check_degree(exp)
             key = tuple(exp)
             terms[key] = terms.get(key, Q(0)) + coeff

@@ -18,12 +18,14 @@ TermSum keyed by pairs of ids.  Its product, mu and map_slots share one
 walk over its pure terms <u|E> tensor <v|F>; map_slots applies a map to
 either slot, such as the right action of a base function or the antipode.
 
-stratify cuts the base into open intervals and breakpoints on which the
-germ-class structure of a set of bisections is constant; a point base is
-one point stratum.  class_sums is the one walk over those strata and their
-germ classes, giving each class with the sum of its terms: conv_is_zero
-tests each sum on the image of its stratum, and the zero test of phi sums
-the classes through one arrow first.
+stratify cuts the base at the breakpoints of a set of bisections into open
+intervals and points, on which their germ-class structure is constant; a
+point base is one point stratum.  class_sums is the one walk over those
+strata and their germ classes, giving each class with the sum of its
+terms: conv_is_zero tests each sum on the image of its stratum, and the
+zero test of phi sums the classes through one arrow first.  The line
+geometry of a bisection (its breakpoints, the image of a stratum under
+tau_E) is groupoid's: this module reads no tau.
 """
 
 from __future__ import annotations
@@ -33,13 +35,14 @@ from fractions import Fraction
 from typing import Optional
 
 from .adjoint import ad_uea
-from .coeffs import CoeffFn, Q
+from .coeffs import CoeffFn, Q, Region
 from .errors import ChartMismatch, NotEtaleElement, UnsupportedRegistry
 from .groupoid import (
     Bisection,
     GermArrow,
     bisection_germ_eq,
     bisection_inv,
+    breakpoints,
     germ_classes,
     unit_bisection,
 )
@@ -251,18 +254,12 @@ class Stratum:
         return GermUEA((self.point,), v).is_zero
 
     def image(self, E: Bisection) -> "Stratum":
-        """tau_E of this stratum.  Flat kinks fix 0 and preserve order, so
-        they map each sign interval into itself; that is all vanishing on
-        an interval needs to know."""
+        """tau_E of this stratum, exactly as far as vanishing reads it
+        (Bisection.image and point_image)."""
         if self.kind == "point":
-            return self if self.point is None else Stratum("point", point=E.tau_apply(self.point))
-        aff = E.tau_diffeo().affine_parts()
-        if aff is None:
-            return self
-        a, b = aff
-        lo = None if self.lo is None else a * self.lo + b
-        hi = None if self.hi is None else a * self.hi + b
-        return Stratum("interval", lo=lo, hi=hi) if a > 0 else Stratum("interval", lo=hi, hi=lo)
+            return self if self.point is None else Stratum("point", point=E.point_image(self.point))
+        ((lo, hi),) = E.image(Region.interval(self.lo, self.hi)).intervals
+        return Stratum("interval", lo=lo, hi=hi)
 
     def text(self) -> str:
         if self.kind == "point":
@@ -288,36 +285,14 @@ class Stratification:
         ]
 
 
-def _breakpoints(bisections):
-    pts = set()
-    diffeos = []
-    for E in bisections:
-        pts.update(Q(end) for interval in E.domain.intervals for end in interval
-                   if end is not None)
-        d = E.tau_diffeo()
-        aff = d.affine_parts()
-        if aff is None:
-            pts.add(Q(0))  # flat kinks break exactly at the origin
-        diffeos.append(aff)
-    # pairwise coincidence points of affine maps (arrow crossings)
-    seen = [a for a in diffeos if a is not None]
-    for i in range(len(seen)):
-        for j in range(i + 1, len(seen)):
-            (a1, b1), (a2, b2) = seen[i], seen[j]
-            if a1 != a2:
-                pts.add(Q(b2 - b1, a1 - a2))
-    return sorted(pts)
-
-
 def stratify(model, bisections) -> Stratification:
     if not model.base.dim:
         # a point base: one stratum, on which the germ classes are the
         # bisections (for a group, its elements)
         return Stratification(model, [(Stratum("point"), [[E] for E in bisections])])
-    bps = _breakpoints(bisections)
     strata_shapes = []
     prev = None
-    for b in bps:
+    for b in breakpoints(bisections):
         strata_shapes.append(Stratum("interval", lo=prev, hi=b))
         strata_shapes.append(Stratum("point", point=b))
         prev = b

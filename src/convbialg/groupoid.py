@@ -47,8 +47,9 @@ class Diffeo1D:
 
     Stores the forward map and, when representable, the inverse map as
     CoeffFns.  Affine maps carry both; the flat-kink maps carry only the
-    forward direction, and their inverses only the backward one.  Both
-    directions can always be *evaluated* (numerically if need be).
+    forward direction, and their inverses only the backward one.  apply
+    reads the forward map, and raises UnsupportedComposition without one;
+    apply_inv solves a missing inverse numerically.
     """
 
     __slots__ = ("fwd", "inv")
@@ -114,9 +115,7 @@ class Diffeo1D:
     # -- evaluation ---------------------------------------------------------
 
     def apply(self, x):
-        if self.fwd is not None:
-            return self.fwd.eval((x,))
-        return _solve_monotone(self.inv, x)
+        return self.coeff().eval((x,))
 
     def apply_inv(self, y):
         if self.inv is not None:
@@ -525,14 +524,7 @@ class PairModel(PolynomialGroupoid):
     def same_arrow(self, E, F, x) -> bool:
         """Exact: tau_E(x) = tau_F(x).  Only here do bisections of distinct
         germs pass through one arrow (the flat kinks at 0)."""
-        try:
-            gap = E.tau_coeff() - F.tau_coeff()
-        except UnsupportedComposition:
-            if bisection_germ_eq(E, F, (x,)):
-                return True
-            raise UnsupportedRegistry(
-                "cannot decide arrow coincidence for inverted flat bisections")
-        return gap.value_is_zero_exact(x)
+        return (E.tau_coeff() - F.tau_coeff()).value_is_zero_exact(x)
 
     def unit_bisection(self):
         return Bisection(self, tau=Diffeo1D.identity(self.base))
@@ -544,17 +536,7 @@ class PairModel(PolynomialGroupoid):
         return Bisection(self, tau=E.tau.inverse(), domain=E.target_domain())
 
     def germ_eq(self, E1, E2, x):
-        d1, d2 = E1.tau, E2.tau
-        if d1.fwd is not None and d2.fwd is not None:
-            return (d1.fwd - d2.fwd).has_zero_germ_at(x)
-        if d1.inv is None or d2.inv is None:
-            raise UnsupportedRegistry("cannot compare the germs of a flat kink and an "
-                                      "inverted one")
-        # compare the inverse maps at the image point, taken exactly from
-        # the side with a forward map (affine), or solved on d1 for two
-        # inverted kinks
-        y = ((d2 if d2.fwd is not None else d1).apply(x[0]),)
-        return (d1.inv - d2.inv).has_zero_germ_at(y)
+        return (E1.tau.coeff() - E2.tau.coeff()).has_zero_germ_at(x)
 
     def bisection_to_json(self, E):
         aff = E.tau.affine_parts()
@@ -742,9 +724,15 @@ class Bisection(DeriveOnce):
     (pair), a group element (group) or a group element gamma (etale), over
     its domain s(E): a Region of the line (all of it by default), and the
     whole region over a point base.  The model checks the data and derives
-    the content id; the kind-specific methods hand off to it.  is_flat (is tau a flat kink
-    rather than an affine map?) is set once, before the model's check; a
-    group or etale bisection has no tau there, and is not flat.
+    the content id; the kind-specific methods hand off to it.  is_flat (is
+    tau a flat kink rather than an affine map?) is set once, before the
+    model's check; a group or etale bisection has no tau there, and is not
+    flat.
+
+    The line geometry of tau_E is here: target_domain, image, point_image
+    and the module's breakpoints.  The inverse of a flat kink, which no
+    suite registers, has no forward map: it moves coefficients
+    (to_target), and what reads tau_E refuses it (UnsupportedComposition).
 
     `derived` (see DeriveOnce) holds what derives from this bisection
     alone: its one inverse ("inverse"; never registered, but the registered
@@ -806,11 +794,27 @@ class Bisection(DeriveOnce):
         return f if self.tau is None else f.compose([self.tau.coeff()])
 
     def target_domain(self) -> Region:
-        """t(E) as a region of the base."""
-        aff = None if self.tau is None else self.tau.affine_parts()
-        if aff is None:
-            return self.domain  # a point base, or a flat kink of the full line
-        return self.domain.affine_image(*aff)
+        """t(E) as a region of the base (a flat kink's is the whole line)."""
+        return self.image(self.domain)
+
+    # -- the line geometry of tau_E -------------------------------------------
+
+    def _affine_parts(self):
+        """(a, b) with tau = a*t + b; None for a flat kink or with no tau."""
+        return None if self.tau is None else self.tau.affine_parts()
+
+    def image(self, region: Region) -> Region:
+        """tau_E(region) as far as a zero test reads it, which is the sides of
+        0 it meets: exact under an affine tau.  A flat kink fixes 0 and keeps
+        order, so region stands for its image; so it does with no tau."""
+        aff = self._affine_parts()
+        return region if aff is None else region.affine_image(*aff)
+
+    def point_image(self, x):
+        """tau_E(x) as far as a germ at it reads it, as for image: a*x + b
+        under an affine tau, else x itself."""
+        aff = self._affine_parts()
+        return x if aff is None else aff[0] * x + aff[1]
 
     # -- sections of s and t --------------------------------------------------
 
@@ -831,6 +835,28 @@ class Bisection(DeriveOnce):
             return True
         tdom = self.target_domain()
         return tdom.is_whole or tdom.contains(_coord(y))
+
+
+def breakpoints(bisections) -> list:
+    """The sorted points of the line where the germ classes of bisections
+    over the line can change: the ends of their domains, 0 for a flat kink
+    (kinks of distinct germs meet there), and the points where two affine
+    maps cross."""
+    pts = set()
+    affine = []
+    for E in bisections:
+        pts.update(Q(end) for interval in E.domain.intervals for end in interval
+                   if end is not None)
+        if E.is_flat:
+            pts.add(Q(0))
+        aff = E._affine_parts()
+        if aff is not None:
+            affine.append(aff)
+    for i, (a1, b1) in enumerate(affine):
+        for a2, b2 in affine[i + 1:]:
+            if a1 != a2:
+                pts.add(Q(b2 - b1, a1 - a2))
+    return sorted(pts)
 
 
 def unit_bisection(model) -> Bisection:

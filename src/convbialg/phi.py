@@ -47,9 +47,9 @@ def _stratified_zero(T: TransvDist):
     for st, sums in class_sums(model, T.terms):
         # germ-distinct classes through one arrow are summed together on a
         # point stratum only.  Bisections can also cross inside an interval
-        # stratum (a flat kink is not affine, so _breakpoints adds no such
-        # crossing), but each class sum is continuous there: if it vanishes
-        # off the crossing, it vanishes at it
+        # stratum (a flat kink is not affine, so groupoid.breakpoints adds
+        # no such crossing), but each class sum is continuous there: if it
+        # vanishes off the crossing, it vanishes at it
         arrows = []  # per arrow: a bisection through it, its classes, their sum
         for cls, total in sums:
             for arrow in arrows:

@@ -24,8 +24,10 @@ FRAGMENTS = ["conv_mul(", "phi(", "dist_eval(", "(", ")", "<", ">", "[[", "]]", 
 lit = st.sampled_from(LITERALS)
 # the last two are above the cap on the degree of a parsed term
 power = st.sampled_from(["", "^2", "^3", "^65", "^999999999"])
+# an index of 5,000 digits, beyond what int() converts, is out of range
+long_index = "x" + "9" * 5000
 coeff = st.one_of(lit, st.builds(lambda c, v, p: f"{c}*{v}{p}", lit,
-                                 st.sampled_from(["x0", "x1"]), power),
+                                 st.sampled_from(["x0", "x1", long_index]), power),
                   st.builds(lambda c: f"1 + phi[{c},1]", lit))
 uea_term = st.one_of(coeff, st.builds(lambda c, g, p: f"({c}) * {g}{p}", coeff,
                                       st.sampled_from(GENERATORS), power))
@@ -36,7 +38,7 @@ conv = st.lists(st.builds(lambda u, E: f"<{u}|{E}>", uea, alias),
 dist = st.lists(st.builds(lambda E, u: f"[[{E}, {u}]]", alias, uea),
                 min_size=1, max_size=2).map(" + ".join)
 test_fn = st.lists(st.builds(lambda c, v, p: f"{c}*{v}{p}", lit,
-                             st.sampled_from(["x0", "x1", "x2"]), power),
+                             st.sampled_from(["x0", "x1", "x2", long_index]), power),
                    min_size=1, max_size=3).map(" + ".join)
 expression = st.one_of(
     st.builds(lambda a, b: f"conv_mul({a},{b})", conv, conv),
@@ -108,6 +110,8 @@ FUZZ = settings(max_examples=150, deadline=None,
        output=st.sampled_from([[], ["--output", "json"]]))
 # a flat part on the point base of a group once escaped as a ValueError
 @example(expr="phi(<(1 + phi[0,1]) * X|k123>)", model="heisenberg", output=[])
+# a variable index of 5,000 digits once escaped as a ValueError
+@example(expr=f"dist_eval([[M, 1]], 1*{long_index}, 1)", model=None, output=[])
 def test_eval_never_crashes(docs, capsys, expr, model, output):
     argv = ["eval", expr] + output
     if model is not None:

@@ -7,7 +7,6 @@ from convbialg.conv import (
     ConvElement,
     ConvTensor,
     Stratum,
-    _breakpoints,
     antipode_etale,
     conv_coproduct,
     conv_counit,
@@ -17,7 +16,7 @@ from convbialg.conv import (
 )
 from convbialg.coeffs import CoeffFn, Polynomial, Q
 from convbialg.errors import NotEtaleElement
-from convbialg.groupoid import Bisection, Diffeo1D, germ_of
+from convbialg.groupoid import Bisection, Diffeo1D, breakpoints, germ_of
 from convbialg.lie_rinehart import random_polynomial
 from convbialg.models import etale_model, heisenberg_model, model_from_json, pair_model
 from convbialg.textform import parse_conv
@@ -258,10 +257,24 @@ class TestStrata:
         st = Stratum("interval", lo=None, hi=1)  # samples 0, then 1/2
         assert st.second_sample() == F(1, 2) and type(st.second_sample()) is F
 
+    def test_image_of_a_point_stratum_is_exact(self, pair):
+        p = Stratum("point", point=F(1, 3))
+        image = p.image(pair.lookup("E01"))  # a kink: the point itself
+        assert image == p and type(image.point) is F
+        image = p.image(pair.lookup("dbl"))  # 2p, a rational
+        assert image.point == F(2, 3) and type(image.point) is F
+
+    def test_image_of_an_interval_is_ordered(self, pair):
+        flip = Bisection(pair, tau=Diffeo1D.affine(pair.base, -2, 1))
+        assert Stratum("interval", lo=0, hi=1).image(flip) == Stratum("interval", lo=-1, hi=1)
+        assert Stratum("interval", hi=1).image(flip) == Stratum("interval", lo=-1)
+        st = Stratum("interval", lo=F(1, 2), hi=2)
+        assert st.image(pair.lookup("E10")) == st  # a kink keeps each side of 0
+
     def test_crossing_of_int_affine_maps(self, pair):
         # 2x and -x + 1 cross at 1/3
         maps = [Diffeo1D.affine(pair.base, 2, 0), Diffeo1D.affine(pair.base, -1, 1)]
-        pts = _breakpoints([Bisection(pair, tau=d) for d in maps])
+        pts = breakpoints([Bisection(pair, tau=d) for d in maps])
         assert pts == [F(1, 3)] and type(pts[0]) is F
 
 

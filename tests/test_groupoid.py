@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from convbialg import groupoid
-from convbialg.coeffs import Chart, Polynomial, Q, Region
+from convbialg.coeffs import Chart, CoeffFn, Polynomial, Q, Region
 from convbialg.conv import conv_mul
 from convbialg.dist import dist_mul
 from convbialg.errors import (
@@ -30,8 +30,9 @@ from convbialg.groupoid import (
     unit_bisection,
 )
 from convbialg.lie_rinehart import tangent_line_algebroid
-from convbialg.models import etale_model, heisenberg_model, model_from_json, pair_model
-from convbialg.suites import run_suite
+from convbialg.models import (FACTORIES, builtin_models, etale_model, heisenberg_model,
+                              model_from_json, pair_model)
+from convbialg.suites import SUITES, run_suite
 from convbialg.textform import parse_conv, parse_dist
 
 
@@ -178,14 +179,14 @@ class TestSolveMonotone:
         assert E.tau_inv_apply(0.5) == first and E.tau_inv_apply(F(1, 2)) == first
         assert calls == [0.5]
         assert first == _solve_monotone(E.tau_coeff(), 0.5)
-        # tau of the inverted kink solves on each call: nothing keeps it
+        # the inverted kink has no forward map: tau is refused, not solved
         inverted = bisection_inv(E)
-        assert inverted.tau_apply(0.5) == first and inverted.tau_apply(0.5) == first
-        assert calls == [0.5, 0.5, 0.5]
-        assert not inverted.derived
+        with pytest.raises(UnsupportedComposition):
+            inverted.tau_apply(0.5)
+        assert calls == [0.5] and not inverted.derived
         # an affine tau is evaluated, never solved
         assert model.lookup("shift").tau_inv_apply(F(1, 2)) == F(-1, 2)
-        assert len(calls) == 3
+        assert len(calls) == 1
 
 
 class TestBisections:
@@ -382,18 +383,33 @@ class TestGerms:
 
     def test_inverted_kink_against_an_affine_map(self):
         # K = t + phi(t) for t >= 0 is the identity on (-inf, 0], and so is
-        # its inverse: K^-1 and M share the germ at -1, not at 0 or 1
+        # its inverse; but K^-1 has no forward map, so its germ is compared
+        # with none, in either order, at any point
         model = model_from_json({"model": "pair", "bisections": [
             {"id": "K", "tau": {"kind": "flat", "c_neg": "0", "c_pos": "1"}}]})
         K, M = model.lookup("K"), model.lookup("M")
         Kinv = bisection_inv(K)
-        assert bisection_germ_eq(Kinv, M, (F(-1),))
-        assert bisection_germ_eq(M, Kinv, (F(-1),))
-        for x in (F(0), F(1)):
-            assert not bisection_germ_eq(Kinv, M, (x,))
-            assert not bisection_germ_eq(M, Kinv, (x,))
-        # a forward kink against an inverted one is refused, not guessed
-        with pytest.raises(UnsupportedRegistry):
-            bisection_germ_eq(K, Kinv, (F(-1),))
-        with pytest.raises(UnsupportedRegistry):
-            bisection_germ_eq(Kinv, K, (F(-1),))
+        for x in (F(-1), F(0), F(1)):
+            for E1, E2 in ((Kinv, M), (M, Kinv), (K, Kinv), (Kinv, K)):
+                with pytest.raises(UnsupportedComposition):
+                    bisection_germ_eq(E1, E2, (x,))
+
+    def test_an_inverted_kink_moves_coefficients_and_refuses_its_forward_map(self, pair):
+        E00 = pair.lookup("E00")
+        inverted = bisection_inv(E00)
+        f = CoeffFn(pair.base, Polynomial.parse("3*x0 + 1", 1))
+        # f o tau
+        assert inverted.to_target(f) == E00.tau_coeff().scale(3) + CoeffFn.const(pair.base, 1)
+        for refused in (lambda: inverted.tau_apply(F(1, 2)),
+                        lambda: bisection_germ_eq(inverted, E00, (F(1),)),
+                        lambda: pair.same_arrow(inverted, E00, F(0))):
+            with pytest.raises(UnsupportedComposition):
+                refused()
+
+    def test_no_registry_holds_a_map_without_a_forward_direction(self):
+        models = builtin_models()
+        for name in SUITES:
+            run_suite(name, models=models)
+        held = [E for model in models.values() for E in model.registry.values()]
+        assert len(held) > sum(len(m().registry) for m in FACTORIES.values())
+        assert not [E.bid for E in held if E.tau is not None and E.tau.fwd is None]

@@ -266,9 +266,14 @@ def _pair_doc_with(tau):
     return doc
 
 
+LONG_INDEX = "x" + "9" * 5000  # beyond the 4,300 digits that int() converts
+
+
 class TestInputCaps:
     @pytest.mark.parametrize("expr", [
-        "phi(<1*x0^99999999 | shift>)", "dist_eval([[shift, 1]], x0, 1e99999999)"])
+        "phi(<1*x0^99999999 | shift>)", "dist_eval([[shift, 1]], x0, 1e99999999)",
+        f"phi(<1*{LONG_INDEX} | M>)", f"conv_mul(<1*{LONG_INDEX} | M>, <1 | M>)",
+        f"dist_eval([[M, 1]], {LONG_INDEX}, 1)"], ids=lambda expr: expr[:30])
     def test_inputs_beyond_the_caps_exit_2_at_once(self, expr):
         run = subprocess.run([sys.executable, "-m", "convbialg.cli", "eval", expr],
                              capture_output=True, text=True, timeout=30,

@@ -5,7 +5,7 @@ import pytest
 from convbialg.conv import ConvElement, conv_is_zero, conv_mul
 from convbialg.coeffs import CoeffFn, Polynomial, Q
 from convbialg.dist import dist_eval_at, dist_mul
-from convbialg.errors import UnsupportedRegistry
+from convbialg.errors import UnsupportedComposition
 from convbialg.groupoid import bisection_inv
 from convbialg.models import (
     FACTORIES,
@@ -77,8 +77,9 @@ class TestSameArrow:
         assert pair.same_arrow(pair.lookup("E00"), pair.lookup("E01"), Q(0))
 
     def test_inverted_flat_kinks_are_refused(self, pair):
+        # an inverted kink has no forward map to compare at 0
         E00inv, E01inv = (bisection_inv(pair.lookup(n)) for n in ("E00", "E01"))
-        with pytest.raises(UnsupportedRegistry):
+        with pytest.raises(UnsupportedComposition):
             pair.same_arrow(E00inv, E01inv, Q(0))
 
     def test_a_germ_class_fixes_its_arrow_off_the_pair_model(self, h3, etale):
