@@ -91,22 +91,27 @@ def check_exponents(exp, n: int) -> tuple:
 # key or power, and the magnitude of a decimal exponent in a rational literal.
 MAX_DEGREE = 64
 MAX_EXPONENT = 1000
-_EXPONENT = re.compile(r"e([+-]?[\d_]*)\s*$", re.I)
+_EXPONENT = re.compile(r"e([+-]?\d+(?:_\d+)*)\s*$", re.I)
 
 
-def _at_most(digits: str, cap: int) -> bool:
-    """Is the magnitude of the written int at most cap?  Decided without
-    converting a long digit string."""
-    digits = digits.lstrip("+-").replace("_", "").lstrip("0")
-    return len(digits) <= len(str(cap)) and int(digits or 0) <= cap
+def _bounded_int(text: str, cap: int):
+    """The int that text writes (as int() reads it), when its magnitude is
+    at most cap; else None.  A long digit string, leading zeros counted,
+    is never converted: int() refuses one past 4,300 digits."""
+    m = re.fullmatch(r"\s*([+-]?)(\d+(?:_\d+)*)\s*", text)
+    digits = m and (m.group(2).replace("_", "").lstrip("0") or "0")
+    if m and len(digits) <= len(str(cap)) and int(digits) <= cap:
+        return int(m.group(1) + digits)
+    return None
 
 
 def read_degree(text, what: str) -> int:
     """An exponent or flat key from input, as an int of magnitude at most
     MAX_DEGREE; ParseError otherwise."""
-    if not _at_most(str(text), MAX_DEGREE):
+    value = _bounded_int(str(text), MAX_DEGREE)
+    if value is None:
         raise ParseError(f"{what} above {MAX_DEGREE} in magnitude")
-    return int(text)
+    return value
 
 
 def check_degree(exp) -> None:
@@ -120,7 +125,7 @@ def parse_rational(value) -> Fraction:
     "-2/5", "0.25" or "1e300", or a number; ParseError when it is not one,
     or when its decimal exponent is above MAX_EXPONENT in magnitude."""
     m = _EXPONENT.search(value) if isinstance(value, str) else None
-    if m and not _at_most(m.group(1), MAX_EXPONENT):
+    if m and _bounded_int(m.group(1), MAX_EXPONENT) is None:
         raise ParseError(f"decimal exponent above {MAX_EXPONENT} in magnitude")
     try:
         return Q(value)
@@ -467,9 +472,10 @@ class Polynomial:
             coeff = parse_rational(m.group("coeff")) if m.group("coeff") else Q(1)
             exp = [0] * nvars
             for vm in re.finditer(r"x(\d+)(?:\^(\d+))?", m.group("mons")):
-                if not _at_most(vm.group(1), nvars - 1):
+                i = _bounded_int(vm.group(1), nvars - 1)
+                if i is None:
                     raise ParseError(f"variable x{vm.group(1)} out of range (nvars={nvars})")
-                exp[int(vm.group(1))] += read_degree(vm.group(2) or 1, "exponent")
+                exp[i] += read_degree(vm.group(2) or 1, "exponent")
             check_degree(exp)
             key = tuple(exp)
             terms[key] = terms.get(key, Q(0)) + coeff

@@ -199,15 +199,17 @@ def conv_coproduct(a: ConvElement) -> ConvTensor:
 
 
 def antipode_etale(b: ConvElement) -> ConvElement:
-    """S<f, E> = <f o tau_E, E^{-1}> termwise; degree-0 terms only."""
+    """S<f, E> = <f o tau_E, E^{-1}> termwise; degree-0 terms only, and no
+    flat kink, whose inverse no registry holds."""
     model = b.model
     pairs = []
     for bid, u in b.terms.items():
-        if u.degree() > 0:
-            raise NotEtaleElement("antipode needs degree-0 terms")
         E = model.registry[bid]
+        inv = bisection_inv(E)
+        if u.degree() > 0 or not inv.has_forward_map:
+            raise NotEtaleElement("antipode needs degree-0 terms and forward inverses")
         w = UEAElement.from_coeff(model.algebroid, E.to_source(u.degree0()))
-        pairs.append((model.register(bisection_inv(E)).bid, w))
+        pairs.append((model.register(inv).bid, w))
     return ConvElement(model, pairs)
 
 

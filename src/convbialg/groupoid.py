@@ -125,21 +125,10 @@ class Diffeo1D:
     # -- composition --------------------------------------------------------
 
     def compose(self, other: "Diffeo1D") -> "Diffeo1D":
-        """self after other."""
-        fwd = None
-        if self.fwd is not None and other.fwd is not None:
-            try:
-                fwd = self.fwd.compose([other.fwd])
-            except UnsupportedComposition:
-                fwd = None
-        inv = None
-        if self.inv is not None and other.inv is not None:
-            try:
-                inv = other.inv.compose([self.inv])
-            except UnsupportedComposition:
-                inv = None
-        if fwd is None and inv is None:
-            raise UnsupportedComposition("diffeomorphism composite not representable")
+        """self after other; UnsupportedComposition when either factor has no
+        forward map, or their composite leaves the representable class."""
+        fwd = self.coeff().compose([other.coeff()])
+        inv = None if self.inv is None or other.inv is None else other.inv.compose([self.inv])
         return Diffeo1D(fwd, inv)
 
     def text(self) -> str:
@@ -337,6 +326,8 @@ class GroupoidModel(DeriveOnce):
     # -- registry ------------------------------------------------------------
 
     def register(self, E: "Bisection", alias=None) -> "Bisection":
+        if not E.has_forward_map:  # the zero tests and products read tau_E forward
+            raise UnsupportedRegistry(f"{E.bid} has no forward map to register")
         existing = self.registry.get(E.bid)
         if existing is None:
             self.registry[E.bid] = E
@@ -724,15 +715,13 @@ class Bisection(DeriveOnce):
     (pair), a group element (group) or a group element gamma (etale), over
     its domain s(E): a Region of the line (all of it by default), and the
     whole region over a point base.  The model checks the data and derives
-    the content id; the kind-specific methods hand off to it.  is_flat (is
-    tau a flat kink rather than an affine map?) is set once, before the
-    model's check; a group or etale bisection has no tau there, and is not
-    flat.
+    the content id; the kind-specific methods hand off to it.  is_flat (is tau a flat kink
+    rather than an affine map?) is set once, before the model's check; a
+    group or etale bisection has no tau there, and is not flat.
 
     The line geometry of tau_E is here: target_domain, image, point_image
-    and the module's breakpoints.  The inverse of a flat kink, which no
-    suite registers, has no forward map: it moves coefficients
-    (to_target), and what reads tau_E refuses it (UnsupportedComposition).
+    and breakpoints.  The inverse of a flat kink has no forward map: it
+    moves coefficients (to_target), and no registry holds it.
 
     `derived` (see DeriveOnce) holds what derives from this bisection
     alone: its one inverse ("inverse"; never registered, but the registered
@@ -793,28 +782,41 @@ class Bisection(DeriveOnce):
         is no tau."""
         return f if self.tau is None else f.compose([self.tau.coeff()])
 
+    @property
+    def has_forward_map(self) -> bool:
+        """False only for the inverse of a flat kink (or of a product with one)."""
+        return self.tau is None or self.tau.fwd is not None
+
     def target_domain(self) -> Region:
         """t(E) as a region of the base (a flat kink's is the whole line)."""
         return self.image(self.domain)
 
     # -- the line geometry of tau_E -------------------------------------------
 
-    def _affine_parts(self):
-        """(a, b) with tau = a*t + b; None for a flat kink or with no tau."""
-        return None if self.tau is None else self.tau.affine_parts()
+    def _line_parts(self):
+        """(a, b) with tau = a*t + b, or a*K + b for a flat kink K (every
+        forward map a model builds); UnsupportedComposition without one."""
+        terms = self.tau.coeff().poly.terms
+        return terms.get((1,), 0), terms.get((0,), 0)
 
     def image(self, region: Region) -> Region:
-        """tau_E(region) as far as a zero test reads it, which is the sides of
-        0 it meets: exact under an affine tau.  A flat kink fixes 0 and keeps
-        order, so region stands for its image; so it does with no tau."""
-        aff = self._affine_parts()
-        return region if aff is None else region.affine_image(*aff)
+        """tau_E(region) as far as a zero test reads it, the sides of 0 it
+        meets: exact under a*t + b, which stands for a*K (K fixes 0, keeps
+        order); under a*K + b, b != 0, the ends go through tau (exact at 0)."""
+        if self.tau is None or region.is_whole:
+            return region
+        a, b = self._line_parts()
+        if not (self.is_flat and b):
+            return region.affine_image(a, b)
+        ends = [tuple(e if e is None else self.tau.apply(e) for e in iv) for iv in region.intervals]
+        return Region(tuple(iv if a > 0 else iv[::-1] for iv in ends))
 
     def point_image(self, x):
-        """tau_E(x) as far as a germ at it reads it, as for image: a*x + b
-        under an affine tau, else x itself."""
-        aff = self._affine_parts()
-        return x if aff is None else aff[0] * x + aff[1]
+        """tau_E(x) as far as a germ at it reads it, as for image."""
+        if self.tau is None:
+            return x
+        a, b = self._line_parts()
+        return self.tau.apply(x) if self.is_flat and b else a * x + b
 
     # -- sections of s and t --------------------------------------------------
 
@@ -849,9 +851,8 @@ def breakpoints(bisections) -> list:
                    if end is not None)
         if E.is_flat:
             pts.add(Q(0))
-        aff = E._affine_parts()
-        if aff is not None:
-            affine.append(aff)
+        elif E.tau is not None:
+            affine.append(E._line_parts())
     for i, (a1, b1) in enumerate(affine):
         for a2, b2 in affine[i + 1:]:
             if a1 != a2:

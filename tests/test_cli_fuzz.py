@@ -22,12 +22,15 @@ FRAGMENTS = ["conv_mul(", "phi(", "dist_eval(", "(", ")", "<", ">", "[[", "]]", 
              "x7", "phi[", "flat[neg={", "@", "#", "\\", "é", *ALIASES, *GENERATORS]
 
 lit = st.sampled_from(LITERALS)
-# the last two are above the cap on the degree of a parsed term
-power = st.sampled_from(["", "^2", "^3", "^65", "^999999999"])
-# an index of 5,000 digits, beyond what int() converts, is out of range
+# digit strings past the 4,300 that int() converts: an index of 5,000 nines
+# (out of range), and an index and a power behind 5,000 zeros
 long_index = "x" + "9" * 5000
+padded_index = "x" + "0" * 5000 + "2"
+# the last two are above the cap on the degree of a parsed term
+power = st.sampled_from(["", "^2", "^" + "0" * 5000 + "3", "^65", "^999999999"])
 coeff = st.one_of(lit, st.builds(lambda c, v, p: f"{c}*{v}{p}", lit,
-                                 st.sampled_from(["x0", "x1", long_index]), power),
+                                 st.sampled_from(["x0", "x1", long_index, padded_index]),
+                                 power),
                   st.builds(lambda c: f"1 + phi[{c},1]", lit))
 uea_term = st.one_of(coeff, st.builds(lambda c, g, p: f"({c}) * {g}{p}", coeff,
                                       st.sampled_from(GENERATORS), power))
@@ -38,7 +41,8 @@ conv = st.lists(st.builds(lambda u, E: f"<{u}|{E}>", uea, alias),
 dist = st.lists(st.builds(lambda E, u: f"[[{E}, {u}]]", alias, uea),
                 min_size=1, max_size=2).map(" + ".join)
 test_fn = st.lists(st.builds(lambda c, v, p: f"{c}*{v}{p}", lit,
-                             st.sampled_from(["x0", "x1", "x2", long_index]), power),
+                             st.sampled_from(["x0", "x1", "x2", long_index, padded_index]),
+                             power),
                    min_size=1, max_size=3).map(" + ".join)
 expression = st.one_of(
     st.builds(lambda a, b: f"conv_mul({a},{b})", conv, conv),
@@ -112,6 +116,7 @@ FUZZ = settings(max_examples=150, deadline=None,
 @example(expr="phi(<(1 + phi[0,1]) * X|k123>)", model="heisenberg", output=[])
 # a variable index of 5,000 digits once escaped as a ValueError
 @example(expr=f"dist_eval([[M, 1]], 1*{long_index}, 1)", model=None, output=[])
+@example(expr=f"phi(<1*{padded_index}^{'0' * 5000}2 | M>)", model=None, output=[])
 def test_eval_never_crashes(docs, capsys, expr, model, output):
     argv = ["eval", expr] + output
     if model is not None:

@@ -245,6 +245,18 @@ class TestAntipode:
         with pytest.raises(NotEtaleElement):
             antipode_etale(a)
 
+    def test_refuses_a_flat_kink_whose_inverse_has_no_forward_map(self):
+        model = pair_model()
+        A = model.algebroid
+        one = UEAElement.from_coeff(A, CoeffFn.const(A.chart, 1))
+        kinked = model.registered_product(model.lookup("shift"), model.lookup("E00"))
+        for a in (conv1(model, "E00", one) - conv1(model, "E01", one),
+                  ConvElement.single(model, kinked, one)):
+            held = set(model.registry)
+            with pytest.raises(NotEtaleElement):
+                antipode_etale(a)
+            assert set(model.registry) == held
+
 
 class TestStrata:
     """Stratum samples and breakpoints stay exact when their data are ints,
@@ -270,6 +282,23 @@ class TestStrata:
         assert Stratum("interval", hi=1).image(flip) == Stratum("interval", lo=-1)
         st = Stratum("interval", lo=F(1, 2), hi=2)
         assert st.image(pair.lookup("E10")) == st  # a kink keeps each side of 0
+
+    def test_image_under_a_kink_after_an_affine_map(self):
+        # K + 1 and -2K + 1 for the kink K = E00: 0 goes to 1 exactly, and
+        # (0, oo) to (1, oo) and (-oo, 1), off the side of 0 it was on
+        model = pair_model()
+        shift = model.lookup("shift")
+        flip = model.register(Bisection(model, tau=Diffeo1D.affine(model.base, -2, 1)))
+        for outer, image in ((shift, Stratum("interval", lo=1)),
+                             (flip, Stratum("interval", hi=1))):
+            P = model.registered_product(outer, model.lookup("E00"))
+            point = Stratum("point", point=F(0)).image(P).point
+            assert point == 1 and type(point) is not float
+            assert Stratum("interval", lo=0).image(P) == image
+        # 2K keeps each side of 0, exactly
+        P = model.registered_product(model.lookup("dbl"), model.lookup("E00"))
+        assert Stratum("point", point=F(1, 3)).image(P) == Stratum("point", point=F(2, 3))
+        assert Stratum("interval", hi=0).image(P) == Stratum("interval", hi=0)
 
     def test_crossing_of_int_affine_maps(self, pair):
         # 2x and -x + 1 cross at 1/3
@@ -306,6 +335,19 @@ class TestZeroTest:
         # but its value on any germ over a negative source point is zero
         g = eval_germ(a, germ_of(pair.lookup("E00"), (F(-1),)))
         assert g.is_zero
+
+    @pytest.mark.parametrize("b, zero", [(1, True), (-1, False)])
+    def test_kinks_after_a_shift_are_read_at_the_shifted_point(self, b, zero):
+        # E00 + b and E01 + b agree on (-inf, 0), where the difference
+        # cancels.  Off it they split, and each class carries f, flat on
+        # t < 0 only, read on (b, oo) and at b: zero for b = 1, not for -1
+        model = pair_model()
+        A = model.algebroid
+        shift = model.register(Bisection(model, tau=Diffeo1D.affine(model.base, 1, b)))
+        f = UEAElement.from_coeff(A, CoeffFn(A.chart, Polynomial(1, {}), flat_neg={1: Q(1)}))
+        P0, P1 = (model.registered_product(shift, model.lookup(n)) for n in ("E00", "E01"))
+        a = ConvElement.single(model, P0, f) - ConvElement.single(model, P1, f)
+        assert len(a.terms) == 2 and conv_is_zero(a) is zero
 
     def test_zero_on_the_image_of_the_stratum(self):
         # S: x -> x + 2 on (-2, oo), whose image is (0, oo).  The coefficient

@@ -402,9 +402,24 @@ class TestGerms:
         assert inverted.to_target(f) == E00.tau_coeff().scale(3) + CoeffFn.const(pair.base, 1)
         for refused in (lambda: inverted.tau_apply(F(1, 2)),
                         lambda: bisection_germ_eq(inverted, E00, (F(1),)),
-                        lambda: pair.same_arrow(inverted, E00, F(0))):
+                        lambda: pair.same_arrow(inverted, E00, F(0)),
+                        # its product with an affine map would have no forward map either
+                        lambda: bisection_mul(inverted, pair.lookup("shift"))):
             with pytest.raises(UnsupportedComposition):
                 refused()
+
+    def test_a_map_without_a_forward_direction_is_not_registered(self):
+        model = pair_model()
+        held = dict(model.registry)
+        for E in (model.lookup("E00"),
+                  model.registered_product(model.lookup("shift"), model.lookup("E01"))):
+            inverted = bisection_inv(E)
+            assert not inverted.has_forward_map and E.has_forward_map
+            with pytest.raises(UnsupportedRegistry):
+                model.register(inverted)
+            assert inverted.bid not in model.registry
+        assert set(model.registry) - set(held) == {
+            model.registered_product(model.lookup("shift"), model.lookup("E01")).bid}
 
     def test_no_registry_holds_a_map_without_a_forward_direction(self):
         models = builtin_models()

@@ -267,13 +267,16 @@ def _pair_doc_with(tau):
 
 
 LONG_INDEX = "x" + "9" * 5000  # beyond the 4,300 digits that int() converts
+PADDED_INDEX = "x" + "0" * 5000 + "2"  # x2, out of range; int() refuses the zeros too
 
 
 class TestInputCaps:
     @pytest.mark.parametrize("expr", [
         "phi(<1*x0^99999999 | shift>)", "dist_eval([[shift, 1]], x0, 1e99999999)",
         f"phi(<1*{LONG_INDEX} | M>)", f"conv_mul(<1*{LONG_INDEX} | M>, <1 | M>)",
-        f"dist_eval([[M, 1]], {LONG_INDEX}, 1)"], ids=lambda expr: expr[:30])
+        f"dist_eval([[M, 1]], {LONG_INDEX}, 1)", f"phi(<1*{PADDED_INDEX} | M>)",
+        f"conv_mul(<1*{PADDED_INDEX} | M>, <1 | M>)", f"dist_eval([[M, 1]], {PADDED_INDEX}, 1)"],
+        ids=lambda expr: expr[:30])
     def test_inputs_beyond_the_caps_exit_2_at_once(self, expr):
         run = subprocess.run([sys.executable, "-m", "convbialg.cli", "eval", expr],
                              capture_output=True, text=True, timeout=30,
@@ -290,6 +293,11 @@ class TestInputCaps:
         else:
             with pytest.raises(ParseError):
                 Polynomial.parse(text, 2)
+
+    def test_leading_zeros_of_an_index_or_exponent(self):
+        zeros = "0" * 5000
+        assert Polynomial.parse(f"x{zeros}1^{zeros}2", 2) == Polynomial.parse("x1^2", 2)
+        assert main(["eval", f"phi(<1*x{zeros}^{zeros}3 | M>)"]) == 0
 
     @pytest.mark.parametrize("text, ok", [
         ("1 * X^64", True), ("1 * X^65", False), ("1 * X^32 Y^32", True),
