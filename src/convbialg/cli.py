@@ -11,6 +11,7 @@ any other library error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -37,7 +38,10 @@ def _jobs(text):
     return n
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process:
+    parse_args reads it and never changes it."""
     p = argparse.ArgumentParser(prog="convbialg",
                                 description="convolution bialgebra toolkit")
     sub = p.add_subparsers(dest="command", required=True)

@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -120,17 +119,28 @@ def check_degree(exp) -> None:
         raise ParseError(f"a term of total degree above {MAX_DEGREE}")
 
 
+def _clipped(text: str, keep: int = 20) -> str:
+    """text for an error message: as it is, or its first keep characters
+    and its length when it is longer."""
+    return text if len(text) <= keep else f"{text[:keep]}... ({len(text)} characters)"
+
+
 def parse_rational(value) -> Fraction:
     """A rational read from outside the program: a literal such as "3",
     "-2/5", "0.25" or "1e300", or a number; ParseError when it is not one,
-    or when its decimal exponent is above MAX_EXPONENT in magnitude."""
+    or when its decimal exponent is above MAX_EXPONENT in magnitude.  The
+    exponent is rewritten from its value, so leading zeros cost nothing."""
+    literal = value
     m = _EXPONENT.search(value) if isinstance(value, str) else None
-    if m and _bounded_int(m.group(1), MAX_EXPONENT) is None:
-        raise ParseError(f"decimal exponent above {MAX_EXPONENT} in magnitude")
+    if m:
+        exponent = _bounded_int(m.group(1), MAX_EXPONENT)
+        if exponent is None:
+            raise ParseError(f"decimal exponent above {MAX_EXPONENT} in magnitude")
+        literal = f"{value[:m.start(1)]}{exponent}{value[m.end(1):]}"
     try:
-        return Q(value)
+        return Q(literal)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError):
-        raise ParseError(f"bad rational {value!r}") from None
+        raise ParseError(f"bad rational {_clipped(repr(value))}") from None
 
 
 class DeriveOnce:
@@ -148,18 +158,73 @@ class DeriveOnce:
         return value
 
 
+# The keys of the structure checks that passed in this process (see
+# verify_once).  A key holds immutable values only, no model or algebra, so
+# the record grows by one key per distinct structure and check, and keeps
+# no registry or derived store alive.
+_PASSED = set()
+
+
+def verify_once(key, verify) -> None:
+    """Run verify(), a check that raises when it fails, unless a key equal
+    to key has passed before in this process.  key must hold, by value,
+    everything that verify reads: then an equal key is a structure that
+    passed the same check.  A check that raises records nothing."""
+    if key not in _PASSED:
+        verify()
+        _PASSED.add(key)
+
+
 # ---------------------------------------------------------------------------
-# Regions and charts
+# Value classes: regions and charts
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Region:
+class Value:
+    """A small immutable value, as a frozen dataclass is one: the fields
+    named in `__slots__` are set once, by __init__ in their order, and kept
+    together in `_values` too; two values are equal when they are of one
+    class with equal fields; the hash and the repr are those of the fields.
+    (The dataclasses module, with the inspect module that it imports, costs
+    every process about 1 MB and 10 ms of import.)"""
+
+    __slots__ = ("_values",)
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields")
+        object.__setattr__(self, "_values", values)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Region(Value):
     """A finite union of open intervals of the line: `intervals` is a tuple of
     (lo, hi) pairs of rationals, None on an unbounded side.  A point-base
     bisection takes the whole region, of which only is_whole is asked."""
 
-    intervals: tuple
+    __slots__ = ("intervals",)
 
     @staticmethod
     def whole() -> "Region":
@@ -207,16 +272,15 @@ class Region:
         return Region(tuple(iv if p > 0 else iv[::-1] for iv in ends))
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(Value):
     """A chart: R^dim with a name.  A 0-dimensional chart is a single point."""
 
-    dim: int
-    name: str = "chart"
+    __slots__ = ("dim", "name")
 
-    def __post_init__(self):
-        if self.dim < 0:
+    def __init__(self, dim: int, name: str = "chart"):
+        if dim < 0:
             raise ValueError("dim must be >= 0")
+        super().__init__(dim, name)
 
     @staticmethod
     def line(name: str = "R") -> "Chart":
@@ -474,7 +538,8 @@ class Polynomial:
             for vm in re.finditer(r"x(\d+)(?:\^(\d+))?", m.group("mons")):
                 i = _bounded_int(vm.group(1), nvars - 1)
                 if i is None:
-                    raise ParseError(f"variable x{vm.group(1)} out of range (nvars={nvars})")
+                    raise ParseError(f"variable x{_clipped(vm.group(1))} out of range "
+                                     f"(nvars={nvars})")
                 exp[i] += read_degree(vm.group(2) or 1, "exponent")
             check_degree(exp)
             key = tuple(exp)

@@ -30,12 +30,11 @@ tau_E) is groupoid's: this module reads no tau.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .adjoint import ad_uea
-from .coeffs import CoeffFn, Q, Region
+from .coeffs import CoeffFn, Q, Region, Value
 from .errors import ChartMismatch, NotEtaleElement, UnsupportedRegistry
 from .groupoid import (
     Bisection,
@@ -218,15 +217,16 @@ def antipode_etale(b: ConvElement) -> ConvElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(Value):
     """An open interval or a single breakpoint of the base line; a model
-    over a point base has the single point stratum, with no point."""
+    over a point base has the single point stratum, with no point.  kind
+    is "interval" or "point"."""
 
-    kind: str  # "interval" | "point"
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
-    point: Optional[Fraction] = None
+    __slots__ = ("kind", "lo", "hi", "point")
+
+    def __init__(self, kind: str, lo: Optional[Fraction] = None, hi: Optional[Fraction] = None,
+                 point: Optional[Fraction] = None):
+        super().__init__(kind, lo, hi, point)
 
     def sample(self):
         if self.kind == "point":

@@ -21,11 +21,9 @@ key, so that products of registered bisections merge syntactically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
-from .coeffs import (Chart, CoeffFn, DeriveOnce, Polynomial, Q, Region, parse_rational,
-                     read_degree, to_float)
+from .coeffs import (Chart, CoeffFn, DeriveOnce, Polynomial, Q, Region, Value,
+                     parse_rational, read_degree, to_float, verify_once)
 from .errors import (
     ChartMismatch,
     DomainError,
@@ -174,12 +172,10 @@ def _solve_monotone(f: CoeffFn, y) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(Value):
     """x -> p*x + q with rational p != 0."""
 
-    p: Fraction
-    q: Fraction
+    __slots__ = ("p", "q")
 
     @staticmethod
     def of(p, q) -> "AffineMap":
@@ -307,6 +303,14 @@ class GroupoidModel(DeriveOnce):
         self.aliases = {}
         self.derived = {}
 
+    def structure_key(self) -> tuple:
+        """By value, everything that the structure checks read (see
+        coeffs.verify_once): the model's class, whose methods they call, its
+        charts, and the algebroid's chart, rank, anchor and bracket table."""
+        A = self.algebroid
+        return (type(self), self.base, self.arrow_chart,
+                A.chart, A.rank, A.anchor, A.bracket_table)
+
     def mult_arrow(self, g2, g1):
         """g2 * g1, defined when s(g2) = t(g1)."""
         if self.s_of(g2) != self.t_of(g1):
@@ -369,7 +373,14 @@ class PolynomialGroupoid(GroupoidModel):
         self.mult_map = mult_map
         self.frame = frame
         self.unit_frame = unit_frame
-        self._verify_structure()
+        verify_once(("structure maps", self.structure_key()), self._verify_structure)
+
+    def structure_key(self) -> tuple:
+        """The base key, and the structure maps and both frames as tuples."""
+        maps = (self.s_map, self.t_map, self.unit_map, self.inv_map, self.mult_map)
+        frames = (self.frame, self.unit_frame)
+        return (super().structure_key() + tuple(tuple(m) for m in maps)
+                + tuple(tuple(map(tuple, f)) for f in frames))
 
     def _verify_structure(self):
         n = self.arrow_chart.dim
@@ -886,12 +897,10 @@ def bisection_inv(E: Bisection) -> Bisection:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GermArrow:
+class GermArrow(Value):
     """The germ of a bisection at the arrow with the given source point."""
 
-    bid: str
-    source: tuple
+    __slots__ = ("bid", "source")
 
     def bisection(self, model) -> Bisection:
         return model.registry[self.bid]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from .coeffs import Chart, CoeffFn, DeriveOnce, Polynomial
+from .coeffs import Chart, CoeffFn, DeriveOnce, Polynomial, verify_once
 from .errors import ParentMismatch, VerificationFailed
 
 
@@ -252,8 +252,14 @@ def algebroid_of_groupoid(model) -> LieRinehart:
 
     For each frame element the left-invariant extension must be tangent to
     t-fibers, push to the anchor under ds at units, and the commutators of
-    the extensions must reproduce the bracket table.
+    the extensions must reproduce the bracket table.  A structure equal to
+    one that passed in this process passes at once (coeffs.verify_once).
     """
+    verify_once(("algebroid", model.structure_key()), lambda: _verify_algebroid(model))
+    return model.algebroid
+
+
+def _verify_algebroid(model) -> None:
     A = model.algebroid
     nv = model.arrow_chart.dim
     fields = [frame_field(model, i) for i in range(A.rank)]
@@ -283,7 +289,6 @@ def algebroid_of_groupoid(model) -> LieRinehart:
                 want = [w + ck * v for w, v in zip(want, fields[k])]
             if comm != want:
                 raise VerificationFailed(f"bracket table mismatch at pair ({i},{j})")
-    return A
 
 
 # ---------------------------------------------------------------------------

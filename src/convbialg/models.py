@@ -8,7 +8,8 @@
 
 Each factory wires the structure polynomials, the left-invariant frame and
 the algebroid, then re-verifies the frame and bracket data independently
-via algebroid_of_groupoid.
+via algebroid_of_groupoid: once per distinct structure in a process (see
+coeffs.verify_once).
 """
 
 from __future__ import annotations

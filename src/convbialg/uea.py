@@ -26,11 +26,10 @@ from (key, value) pairs, by TermSum.merge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import comb, prod
 
-from .coeffs import CoeffFn, check_exponents
+from .coeffs import CoeffFn, Value, check_exponents
 from .errors import ChartMismatch, ParentMismatch, VerificationFailed
 from .lie_rinehart import LieRinehart
 
@@ -347,12 +346,10 @@ def anchor_rep(u: UEAElement, f: CoeffFn) -> CoeffFn:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GermUEA:
+class GermUEA(Value):
     """An enveloping-algebra element considered near a base point."""
 
-    base_point: tuple
-    elem: UEAElement
+    __slots__ = ("base_point", "elem")
 
     @property
     def is_zero(self) -> bool:

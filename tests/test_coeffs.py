@@ -1,12 +1,15 @@
+import copy
 import math
+import pickle
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
 from convbialg.coeffs import Chart, CoeffFn, Polynomial, Q, Region, _q
+from convbialg.conv import Stratum
 from convbialg.errors import DomainError, UnsupportedComposition, UnsupportedProduct
-from convbialg.groupoid import _region_from_json, _region_to_json
+from convbialg.groupoid import AffineMap, GermArrow, _region_from_json, _region_to_json
 from convbialg.suites import run_suite
 
 LINE = Chart.line("M")
@@ -363,6 +366,40 @@ def regions(draw):
         parts.append(Region.interval(None if draw(st.booleans()) else lo,
                                      None if draw(st.booleans()) else hi))
     return Region.union(*parts)
+
+
+class TestValues:
+    """Region, Chart and the other small value classes behave as the frozen
+    dataclasses they replace: equal by class and fields, hashed and shown
+    by their fields, immutable, and copied and pickled whole."""
+
+    @pytest.mark.parametrize("value", [
+        Chart(1, "M"), Chart.point(), Region.interval(0, F(1, 2)), AffineMap.of(2, 1),
+        GermArrow("shift", (F(1),)), Stratum("interval", hi=1), Stratum("point", point=F(1, 3))])
+    def test_fields(self, value):
+        fields = tuple(getattr(value, name) for name in value.__slots__)
+        assert hash(value) == hash(fields)
+        assert repr(value) == f"{type(value).__qualname__}(" + ", ".join(
+            f"{name}={field!r}" for name, field in zip(value.__slots__, fields)) + ")"
+        assert value == type(value)(*fields) and value != fields
+        for other in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert other == value and type(other) is type(value)
+        with pytest.raises(AttributeError):
+            setattr(value, value.__slots__[0], None)
+        with pytest.raises(AttributeError):
+            delattr(value, value.__slots__[0])
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+    def test_checks(self):
+        assert Chart(2) == Chart(2, "chart") != Chart(2, "G")
+        assert Chart.line("M") != Chart.point("M")
+        with pytest.raises(ValueError, match="dim must be >= 0"):
+            Chart(-1)
+        with pytest.raises(TypeError):
+            Region()
+        with pytest.raises(TypeError):
+            AffineMap(1, 2, 3)
 
 
 class TestRegion:

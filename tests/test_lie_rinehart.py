@@ -247,3 +247,84 @@ class TestGroupoidConsistency:
         model.frame[1] = field[:cut] if cut == 2 else field + [Polynomial(3, {})]
         with pytest.raises(VerificationFailed, match="stored frame field 1"):
             algebroid_of_groupoid(model)
+
+
+def _constructor_args(model):
+    """The constructor arguments of a built polynomial model, lists copied."""
+    args = {"name": model.name, "base": model.base, "arrow_chart": model.arrow_chart,
+            "algebroid": model.algebroid}
+    for field in ("s_map", "t_map", "unit_map", "inv_map", "mult_map"):
+        args[field] = list(getattr(model, field))
+    for field in ("frame", "unit_frame"):
+        args[field] = [list(row) for row in getattr(model, field)]
+    if hasattr(model, "stored_ad_matrix"):
+        args["stored_ad_matrix"] = model.stored_ad_matrix
+    return args
+
+
+def _changed(args, field):
+    """args with one field that the structure checks read changed."""
+    pair = args["s_map"] != []
+    n = args["arrow_chart"].dim
+    if field == "frame":
+        args["frame"][0][1] = Polynomial.const(n, 2)
+    elif field == "unit_frame":
+        args["unit_frame"][0][1] = Polynomial.const(args["base"].dim, 2)
+    elif field == "mult_map":
+        # c + c' + a b' + (a + a')^2: mult(inv(g), g) is still the unit,
+        # but (g3 g2) g1 - g3 (g2 g1) has c-part (a3 + a2)^2 - (a2 + a1)^2
+        a_plus_a = Polynomial.var(6, 0) + Polynomial.var(6, 3)
+        args["mult_map"][2] = args["mult_map"][2] + a_plus_a * a_plus_a
+    else:
+        A = args["algebroid"]
+        anchor, table = A.anchor, [[list(c) for c in row] for row in A.bracket_table]
+        if field == "anchor":  # rho(D) = 2 d/dt on the pair model
+            anchor = [[2]]
+        else:  # [D, D] = 2 D, or [X, Y] = 2 Z
+            i, j, k = (0, 0, 0) if pair else (0, 1, 2)
+            table[i][j][k] = 2
+        args["algebroid"] = LieRinehart(A.chart, A.rank, anchor, table, A.basis_names)
+    return args
+
+
+CHANGES = [("pair", "frame"), ("pair", "unit_frame"), ("pair", "anchor"), ("pair", "bracket"),
+           ("heisenberg", "frame"), ("heisenberg", "unit_frame"), ("heisenberg", "mult_map"),
+           ("heisenberg", "bracket")]
+
+
+class TestVerifiedOnce:
+    """Each structure check runs once per distinct structure in a process.
+    A structure that differs from a verified one in any field the checks
+    read is checked in full."""
+
+    def test_each_structure_is_verified_once(self, monkeypatch):
+        builtin_models()
+        lie_rinehart = importlib.import_module("convbialg.lie_rinehart")
+        runs = []
+        real = lie_rinehart._verify_algebroid
+        monkeypatch.setattr(lie_rinehart, "_verify_algebroid",
+                            lambda model: runs.append(model) or real(model))
+        models = builtin_models()
+        assert all(algebroid_of_groupoid(m) is m.algebroid for m in models.values())
+        assert runs == []
+        model = models["pair"]
+        model.frame = [[Polynomial(2, {}), Polynomial.const(2, 1)]]  # equal, not the same lists
+        algebroid_of_groupoid(model)
+        assert runs == []
+
+    @pytest.mark.parametrize("kind, field", CHANGES, ids=lambda v: v)
+    def test_a_changed_structure_is_checked_after_a_good_one(self, kind, field):
+        models = builtin_models()  # every kind verified in this process
+        good = models[kind]
+        for _ in range(2):  # the failure recorded nothing
+            # the constructor path, as a factory runs it
+            with pytest.raises(VerificationFailed):
+                algebroid_of_groupoid(type(good)(**_changed(_constructor_args(good), field)))
+            # an explicit check of a built model whose field changed
+            model = models[kind]
+            attr = "algebroid" if field in ("anchor", "bracket") else field
+            setattr(model, attr, _changed(_constructor_args(model), field)[attr])
+            with pytest.raises(VerificationFailed):
+                algebroid_of_groupoid(model)
+            models = builtin_models()
+        assert algebroid_of_groupoid(models[kind]) is models[kind].algebroid

@@ -13,6 +13,8 @@ from convbialg.coeffs import Chart, CoeffFn, Polynomial, Q, parse_rational
 from convbialg.errors import ParseError
 from convbialg.models import (
     builtin_models,
+    etale_model,
+    heisenberg_model,
     model_from_json,
     model_to_json,
     pair_model,
@@ -102,6 +104,34 @@ class TestTextForms:
                 assert parse_conv(m, a.text()) == a
                 T = phi(a)
                 assert parse_dist(m, T.text()) == T
+
+
+# Runs each argv of the JSON list on stdin in its own forked child, in
+# which main() never ran, and prints [exit code, stdout, stderr] of each.
+FORK_PER_ARGV = """
+import json, os, sys, tempfile
+from convbialg.cli import main
+
+results = []
+for argv in json.load(sys.stdin):
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        pid = os.fork()
+        if pid == 0:
+            os.dup2(out.fileno(), 1)
+            os.dup2(err.fileno(), 2)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            sys.stdout.flush()
+            sys.stderr.flush()
+            os._exit(code)
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        out.seek(0)
+        err.seek(0)
+        results.append([code, out.read().decode(), err.read().decode()])
+print(json.dumps(results))
+"""
 
 
 class TestCli:
@@ -246,6 +276,35 @@ class TestCli:
         assert run.returncode == 0, run.stderr
         assert run.stdout == in_process
 
+    def test_repeated_calls_print_what_a_fresh_process_prints(self, tmp_path, capsys):
+        # one process keeps the parser and the verified model structures
+        # across calls of main(); each call must still print what the same
+        # argv prints in a process where main() never ran
+        paths = {}
+        for key, make in (("heisenberg", heisenberg_model), ("etale", etale_model)):
+            paths[key] = tmp_path / f"{key}.json"
+            paths[key].write_text(json.dumps(model_to_json(make())))
+        argvs = [["eval", "conv_mul(<1*x0 * D|shift>,<2|dbl>)"],
+                 ["eval", "phi(<1 * X + 2 * Y | k123>)", "--model", str(paths["heisenberg"])],
+                 ["eval", "conv_mul(<(1*x0) | d>,<(2) | sh>)", "--model", str(paths["etale"]),
+                  "--output", "json"],
+                 ["check", "--suite", "fd-sanity", "--output", "json"],
+                 ["check", "--jobs", "0"]]
+        fresh = subprocess.run([sys.executable, "-c", FORK_PER_ARGV], input=json.dumps(argvs),
+                               capture_output=True, text=True, timeout=120,
+                               env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert fresh.returncode == 0, fresh.stderr
+        expected = json.loads(fresh.stdout)
+        assert [code for code, _, _ in expected] == [0, 0, 0, 0, 2]
+        for _ in range(2):
+            for argv, want in zip(argvs, expected):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse rejects the option
+                    code = exc.code
+                captured = capsys.readouterr()
+                assert [code, captured.out, captured.err] == want, argv
+
     def test_eval_round_trip(self, capsys, models):
         # the printed result of an eval re-parses to an equal element on a
         # model that has seen the same product registration
@@ -275,7 +334,8 @@ class TestInputCaps:
         "phi(<1*x0^99999999 | shift>)", "dist_eval([[shift, 1]], x0, 1e99999999)",
         f"phi(<1*{LONG_INDEX} | M>)", f"conv_mul(<1*{LONG_INDEX} | M>, <1 | M>)",
         f"dist_eval([[M, 1]], {LONG_INDEX}, 1)", f"phi(<1*{PADDED_INDEX} | M>)",
-        f"conv_mul(<1*{PADDED_INDEX} | M>, <1 | M>)", f"dist_eval([[M, 1]], {PADDED_INDEX}, 1)"],
+        f"conv_mul(<1*{PADDED_INDEX} | M>, <1 | M>)", f"dist_eval([[M, 1]], {PADDED_INDEX}, 1)",
+        f"dist_eval([[M, 1]], x0, 1e{'0' * 5000}1x)"],
         ids=lambda expr: expr[:30])
     def test_inputs_beyond_the_caps_exit_2_at_once(self, expr):
         run = subprocess.run([sys.executable, "-m", "convbialg.cli", "eval", expr],
@@ -283,6 +343,8 @@ class TestInputCaps:
                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
         assert run.returncode == 2 and run.stdout == ""
         assert run.stderr.startswith("error: ") and "Traceback" not in run.stderr
+        # the 5,000-digit index or literal is clipped in the message
+        assert len(run.stderr) < 200
 
     @pytest.mark.parametrize("text, ok", [
         ("x0^64", True), ("x0^65", False), ("x0^32*x1^32 + x1^65", False),
@@ -339,6 +401,17 @@ class TestInputCaps:
         else:
             with pytest.raises(ParseError):
                 parse_rational(text)
+
+    @pytest.mark.parametrize("text, want", [
+        ("1e" + "0" * 5000 + "1", 10), ("-2.5E-" + "0" * 5000 + "1", Q(-1, 4)),
+        ("3e+" + "0" * 5000, 3), ("1e" + "0" * 5000 + "1001", None)],
+        ids=lambda v: v.replace("0" * 5000, "<5000 zeros>") if isinstance(v, str) else "")
+    def test_leading_zeros_of_a_decimal_exponent(self, text, want):
+        if want is None:
+            with pytest.raises(ParseError, match="exponent above 1000"):
+                parse_rational(text)
+        else:
+            assert parse_rational(text) == want
 
     def test_cap_and_cap_plus_one_on_the_cli(self, capsys):
         assert main(["eval", "phi(<1*x0^64 | M>)"]) == 0
