@@ -15,7 +15,7 @@ import functools
 import json
 import sys
 
-from .coeffs import parse_rational
+from .coeffs import _clipped, parse_rational
 from .conv import conv_mul
 from .dist import dist_eval_at
 from .errors import ConvBialgError, ParseError
@@ -132,7 +132,7 @@ def _eval_expr(model, expr: str):
             x = parse_rational(parts[2])
             F = model.parse_test_function(parts[1])
             return str(dist_eval_at(T, F, x))
-    raise ParseError(f"unknown expression head in {expr!r}", 0)
+    raise ParseError(f"unknown expression head in {_clipped(repr(expr))}", 0)
 
 
 def cmd_eval(args) -> int:
@@ -173,7 +173,8 @@ def main(argv=None) -> int:
             return cmd_eval(args)
         return cmd_demo(args)
     except (ConvBialgError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 2
 
 

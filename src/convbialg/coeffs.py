@@ -158,23 +158,6 @@ class DeriveOnce:
         return value
 
 
-# The keys of the structure checks that passed in this process (see
-# verify_once).  A key holds immutable values only, no model or algebra, so
-# the record grows by one key per distinct structure and check, and keeps
-# no registry or derived store alive.
-_PASSED = set()
-
-
-def verify_once(key, verify) -> None:
-    """Run verify(), a check that raises when it fails, unless a key equal
-    to key has passed before in this process.  key must hold, by value,
-    everything that verify reads: then an equal key is a structure that
-    passed the same check.  A check that raises records nothing."""
-    if key not in _PASSED:
-        verify()
-        _PASSED.add(key)
-
-
 # ---------------------------------------------------------------------------
 # Value classes: regions and charts
 # ---------------------------------------------------------------------------
@@ -532,7 +515,7 @@ class Polynomial:
                 continue
             m = Polynomial._TERM_RE.fullmatch(chunk)
             if not m or (m.group("coeff") is None and not m.group("mons").strip()):
-                raise ParseError(f"bad polynomial term {chunk!r}")
+                raise ParseError(f"bad polynomial term {_clipped(repr(chunk))}")
             coeff = parse_rational(m.group("coeff")) if m.group("coeff") else Q(1)
             exp = [0] * nvars
             for vm in re.finditer(r"x(\d+)(?:\^(\d+))?", m.group("mons")):

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 
 from .coeffs import (Chart, CoeffFn, DeriveOnce, Polynomial, Q, Region, Value,
-                     parse_rational, read_degree, to_float, verify_once)
+                     _clipped, parse_rational, read_degree, to_float)
 from .errors import (
     ChartMismatch,
     DomainError,
@@ -288,6 +288,10 @@ class GroupoidModel(DeriveOnce):
     and the registered product E2 . E1 (key ("product", bid2, bid1); the
     registry's object, see registered_product).  What derives from one
     bisection alone lives on the Bisection.
+
+    The models of a kind share one structure (charts, algebroid, structure
+    maps and frames, all immutable): each is a `fresh()` copy of one
+    verified model (see models), with its own registry, aliases and derived.
     """
 
     kind = None
@@ -303,13 +307,13 @@ class GroupoidModel(DeriveOnce):
         self.aliases = {}
         self.derived = {}
 
-    def structure_key(self) -> tuple:
-        """By value, everything that the structure checks read (see
-        coeffs.verify_once): the model's class, whose methods they call, its
-        charts, and the algebroid's chart, rank, anchor and bracket table."""
-        A = self.algebroid
-        return (type(self), self.base, self.arrow_chart,
-                A.chart, A.rank, A.anchor, A.bracket_table)
+    def fresh(self) -> "GroupoidModel":
+        """A model of this structure with its own empty registry, aliases
+        and derived store; the structure objects are shared, not copied."""
+        model = object.__new__(type(self))
+        model.__dict__.update(self.__dict__)
+        model.registry, model.aliases, model.derived = {}, {}, {}
+        return model
 
     def mult_arrow(self, g2, g1):
         """g2 * g1, defined when s(g2) = t(g1)."""
@@ -352,7 +356,7 @@ class GroupoidModel(DeriveOnce):
     def lookup(self, name: str) -> "Bisection":
         bid = self.aliases.get(name, name)
         if bid not in self.registry:
-            raise KeyError(f"unknown bisection {name!r}")
+            raise KeyError(f"unknown bisection {_clipped(repr(name))}")
         return self.registry[bid]
 
     def __repr__(self):
@@ -366,21 +370,10 @@ class PolynomialGroupoid(GroupoidModel):
     def __init__(self, name, base, arrow_chart, algebroid, s_map, t_map, unit_map,
                  inv_map, mult_map, frame, unit_frame):
         super().__init__(name, base, arrow_chart, algebroid)
-        self.s_map = s_map
-        self.t_map = t_map
-        self.unit_map = unit_map
-        self.inv_map = inv_map
-        self.mult_map = mult_map
-        self.frame = frame
-        self.unit_frame = unit_frame
-        verify_once(("structure maps", self.structure_key()), self._verify_structure)
-
-    def structure_key(self) -> tuple:
-        """The base key, and the structure maps and both frames as tuples."""
-        maps = (self.s_map, self.t_map, self.unit_map, self.inv_map, self.mult_map)
-        frames = (self.frame, self.unit_frame)
-        return (super().structure_key() + tuple(tuple(m) for m in maps)
-                + tuple(tuple(map(tuple, f)) for f in frames))
+        self.s_map, self.t_map, self.unit_map, self.inv_map, self.mult_map = (
+            tuple(m) for m in (s_map, t_map, unit_map, inv_map, mult_map))
+        self.frame, self.unit_frame = (tuple(map(tuple, f)) for f in (frame, unit_frame))
+        self._verify_structure()
 
     def _verify_structure(self):
         n = self.arrow_chart.dim

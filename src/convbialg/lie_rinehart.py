@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from .coeffs import Chart, CoeffFn, DeriveOnce, Polynomial, verify_once
+from .coeffs import Chart, CoeffFn, DeriveOnce, Polynomial
 from .errors import ParentMismatch, VerificationFailed
 
 
@@ -65,7 +65,7 @@ class LieRinehart(DeriveOnce):
             for j in range(rank):
                 if len(self.bracket_table[i][j]) != rank:
                     raise ValueError("bracket entries must have length rank")
-        self.basis_names = list(basis_names) if basis_names else [f"X{i+1}" for i in range(rank)]
+        self.basis_names = tuple(basis_names or (f"X{i+1}" for i in range(rank)))
         # ("pbw", i, exp) -> X_i * X^exp in PBW normal form, filled by uea
         self.derived = {}
 
@@ -252,19 +252,14 @@ def algebroid_of_groupoid(model) -> LieRinehart:
 
     For each frame element the left-invariant extension must be tangent to
     t-fibers, push to the anchor under ds at units, and the commutators of
-    the extensions must reproduce the bracket table.  A structure equal to
-    one that passed in this process passes at once (coeffs.verify_once).
+    the extensions must reproduce the bracket table.  Every call runs the
+    whole check; the structure builders of models call it once per kind.
     """
-    verify_once(("algebroid", model.structure_key()), lambda: _verify_algebroid(model))
-    return model.algebroid
-
-
-def _verify_algebroid(model) -> None:
     A = model.algebroid
     nv = model.arrow_chart.dim
     fields = [frame_field(model, i) for i in range(A.rank)]
     for i, V in enumerate(fields):
-        if V != model.frame[i]:
+        if V != list(model.frame[i]):
             raise VerificationFailed(f"stored frame field {i} disagrees with dL_g derivation")
         # tangency: dt(V) = 0 as a polynomial identity
         if not all(_along(V, tm).is_zero for tm in model.t_map):
@@ -289,6 +284,7 @@ def _verify_algebroid(model) -> None:
                 want = [w + ck * v for w, v in zip(want, fields[k])]
             if comm != want:
                 raise VerificationFailed(f"bracket table mismatch at pair ({i},{j})")
+    return A
 
 
 # ---------------------------------------------------------------------------

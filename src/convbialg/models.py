@@ -6,15 +6,18 @@
 * the Heisenberg group over a point, and
 * the action groupoid of a group of affine maps on the line (etale).
 
-Each factory wires the structure polynomials, the left-invariant frame and
-the algebroid, then re-verifies the frame and bracket data independently
-via algebroid_of_groupoid: once per distinct structure in a process (see
-coeffs.verify_once).
+The structure of each kind (structure polynomials, left-invariant frame
+and algebroid) is built once per process, on first use, by a cached
+`_*_structure` builder: the model constructor verifies the structure maps,
+and algebroid_of_groupoid re-verifies the frame and bracket data
+independently.  Every model is a `fresh()` copy of that verified model,
+with its own registry; the factories register the default bisections.
 """
 
 from __future__ import annotations
 
 import json
+from functools import cache
 
 from .coeffs import Chart, Polynomial, Q, Region
 from .errors import ParseError
@@ -41,7 +44,8 @@ from .lie_rinehart import (
 # ---------------------------------------------------------------------------
 
 
-def pair_model(register_defaults: bool = True) -> GroupoidModel:
+@cache
+def _pair_structure() -> GroupoidModel:
     A = tangent_line_algebroid()
     base = A.chart
     v2 = [Polynomial.var(2, i) for i in range(2)]
@@ -61,15 +65,19 @@ def pair_model(register_defaults: bool = True) -> GroupoidModel:
         unit_frame=[[Polynomial.const(1, 0), Polynomial.const(1, 1)]],
     )
     algebroid_of_groupoid(model)
-    if register_defaults:
-        model.register(unit_bisection(model), alias=model.unit_alias)
-        model.register(Bisection(model, tau=Diffeo1D.affine(base, 1, 1)), alias="shift")
-        model.register(Bisection(model, tau=Diffeo1D.affine(base, 2, 0)), alias="dbl")
-        model.register(Bisection(model, tau=Diffeo1D.affine(base, Q(1, 2), 0)), alias="half")
-        for i in (0, 1):
-            for j in (0, 1):
-                E = Bisection(model, tau=Diffeo1D.flat_kink(base, 2**i, 2**j))
-                model.register(E, alias=f"E{i}{j}")
+    return model
+
+
+def pair_model() -> GroupoidModel:
+    model = _fresh(_pair_structure())
+    base = model.base
+    model.register(Bisection(model, tau=Diffeo1D.affine(base, 1, 1)), alias="shift")
+    model.register(Bisection(model, tau=Diffeo1D.affine(base, 2, 0)), alias="dbl")
+    model.register(Bisection(model, tau=Diffeo1D.affine(base, Q(1, 2), 0)), alias="half")
+    for i in (0, 1):
+        for j in (0, 1):
+            E = Bisection(model, tau=Diffeo1D.flat_kink(base, 2**i, 2**j))
+            model.register(E, alias=f"E{i}{j}")
     return model
 
 
@@ -78,7 +86,8 @@ def pair_model(register_defaults: bool = True) -> GroupoidModel:
 # ---------------------------------------------------------------------------
 
 
-def heisenberg_model(register_defaults: bool = True) -> GroupoidModel:
+@cache
+def _heisenberg_structure() -> GroupoidModel:
     A = heisenberg_algebra()
     v3 = [Polynomial.var(3, i) for i in range(3)]
     v6 = [Polynomial.var(6, i) for i in range(6)]
@@ -112,12 +121,15 @@ def heisenberg_model(register_defaults: bool = True) -> GroupoidModel:
         stored_ad_matrix=stored_ad,
     )
     algebroid_of_groupoid(model)
-    if register_defaults:
-        model.register(unit_bisection(model), alias=model.unit_alias)
-        model.register(Bisection(model, element=(1, 0, 0)), alias="kx")
-        model.register(Bisection(model, element=(0, 1, 0)), alias="ky")
-        model.register(Bisection(model, element=(0, 0, 1)), alias="kz")
-        model.register(Bisection(model, element=(1, 2, 3)), alias="k123")
+    return model
+
+
+def heisenberg_model() -> GroupoidModel:
+    model = _fresh(_heisenberg_structure())
+    model.register(Bisection(model, element=(1, 0, 0)), alias="kx")
+    model.register(Bisection(model, element=(0, 1, 0)), alias="ky")
+    model.register(Bisection(model, element=(0, 0, 1)), alias="kz")
+    model.register(Bisection(model, element=(1, 2, 3)), alias="k123")
     return model
 
 
@@ -126,7 +138,8 @@ def heisenberg_model(register_defaults: bool = True) -> GroupoidModel:
 # ---------------------------------------------------------------------------
 
 
-def etale_model(register_defaults: bool = True) -> GroupoidModel:
+@cache
+def _etale_structure() -> GroupoidModel:
     base = Chart.line("M")
     model = EtaleActionModel(
         name="affine-action",
@@ -135,20 +148,33 @@ def etale_model(register_defaults: bool = True) -> GroupoidModel:
         algebroid=rank_zero_algebroid(base),
     )
     algebroid_of_groupoid(model)
-    if register_defaults:
-        model.register(unit_bisection(model), alias=model.unit_alias)
-        model.register(Bisection(model, gamma=AffineMap.of(2, 0)), alias="d")
-        model.register(Bisection(model, gamma=AffineMap.of(Q(1, 2), 0)), alias="dinv")
-        model.register(Bisection(model, gamma=AffineMap.of(1, 1)), alias="sh")
-        model.register(Bisection(model, gamma=AffineMap.of(2, 1)), alias="a21")
-        wdom = Region.union(Region.interval(0, 1), Region.interval(2, 3))
-        model.register(Bisection(model, gamma=AffineMap.of(1, 1), domain=wdom), alias="w")
     return model
 
 
-# Factories by document key.  Documents may also name a model by its kind.
+def etale_model() -> GroupoidModel:
+    model = _fresh(_etale_structure())
+    model.register(Bisection(model, gamma=AffineMap.of(2, 0)), alias="d")
+    model.register(Bisection(model, gamma=AffineMap.of(Q(1, 2), 0)), alias="dinv")
+    model.register(Bisection(model, gamma=AffineMap.of(1, 1)), alias="sh")
+    model.register(Bisection(model, gamma=AffineMap.of(2, 1)), alias="a21")
+    wdom = Region.union(Region.interval(0, 1), Region.interval(2, 3))
+    model.register(Bisection(model, gamma=AffineMap.of(1, 1), domain=wdom), alias="w")
+    return model
+
+
+def _fresh(structure: GroupoidModel) -> GroupoidModel:
+    """A fresh copy of a verified structure, its unit registered."""
+    model = structure.fresh()
+    model.register(unit_bisection(model), alias=model.unit_alias)
+    return model
+
+
+# Factories by document key.
 FACTORIES = {"pair": pair_model, "heisenberg": heisenberg_model, "etale": etale_model}
-_DOC_MODELS = {**FACTORIES, "group": heisenberg_model, "etale_action": etale_model}
+# Structures by document key.  Documents may also name a model by its kind.
+_STRUCTURES = {"pair": _pair_structure, "heisenberg": _heisenberg_structure,
+               "etale": _etale_structure, "group": _heisenberg_structure,
+               "etale_action": _etale_structure}
 
 
 def builtin_models():
@@ -176,12 +202,11 @@ def model_from_json(data) -> GroupoidModel:
     try:
         if isinstance(data, str):
             data = json.loads(data)
-        factory = _DOC_MODELS[data["model"]]
+        structure = _STRUCTURES[data["model"]]
         entries = list(data.get("bisections", []))
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ParseError(f"bad model document: {exc}")
-    model = factory(register_defaults=False)
-    model.register(unit_bisection(model), alias=model.unit_alias)
+    model = _fresh(structure())
     for entry in entries:
         try:
             model.register(model.bisection_from_json(entry), alias=entry["id"])

@@ -142,7 +142,7 @@ def parse_conv(model, text: str):
         try:
             E = model.lookup(pieces[1].strip())
         except KeyError as exc:
-            raise ParseError(str(exc))
+            raise ParseError(exc.args[0])
         pairs.append((E.bid, u))
     return ConvElement(model, pairs)
 
@@ -164,7 +164,7 @@ def parse_dist(model, text: str):
         try:
             E = model.lookup(pieces[0].strip())
         except KeyError as exc:
-            raise ParseError(str(exc))
+            raise ParseError(exc.args[0])
         u = parse_uea(model.algebroid, ",".join(pieces[1:]))
         pairs.append((E.bid, u))
     return TransvDist(model, pairs)

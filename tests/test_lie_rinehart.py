@@ -7,6 +7,7 @@ import pytest
 from convbialg.cli import main
 from convbialg.coeffs import Chart, CoeffFn, Polynomial
 from convbialg.errors import VerificationFailed
+from convbialg.groupoid import GroupModel, PolynomialGroupoid
 from convbialg.lie_rinehart import (
     LieRinehart,
     Section,
@@ -232,8 +233,9 @@ class TestGroupoidConsistency:
     def test_broken_frame_detected(self):
         from convbialg.models import heisenberg_model
 
-        model = heisenberg_model()
-        model.frame[1][2] = Polynomial.parse("2*x0", 3)
+        args = _constructor_args(heisenberg_model())
+        args["frame"][1][2] = Polynomial.parse("2*x0", 3)
+        model = GroupModel(**args)  # the structure maps are unchanged and pass
         with pytest.raises(VerificationFailed):
             algebroid_of_groupoid(model)
 
@@ -242,9 +244,10 @@ class TestGroupoidConsistency:
         # a prefix of the derived field, or the field with one entry more
         from convbialg.models import heisenberg_model
 
-        model = heisenberg_model()
-        field = model.frame[1]
-        model.frame[1] = field[:cut] if cut == 2 else field + [Polynomial(3, {})]
+        args = _constructor_args(heisenberg_model())
+        field = args["frame"][1]
+        args["frame"][1] = field[:cut] if cut == 2 else field + [Polynomial(3, {})]
+        model = GroupModel(**args)
         with pytest.raises(VerificationFailed, match="stored frame field 1"):
             algebroid_of_groupoid(model)
 
@@ -293,24 +296,35 @@ CHANGES = [("pair", "frame"), ("pair", "unit_frame"), ("pair", "anchor"), ("pair
 
 
 class TestVerifiedOnce:
-    """Each structure check runs once per distinct structure in a process.
-    A structure that differs from a verified one in any field the checks
+    """Each kind's structure is built and verified once per process, and
+    an explicit algebroid_of_groupoid checks in full on every call.  A
+    structure that differs from a verified one in any field the checks
     read is checked in full."""
 
     def test_each_structure_is_verified_once(self, monkeypatch):
-        builtin_models()
+        builtin_models()  # every kind built in this process
         lie_rinehart = importlib.import_module("convbialg.lie_rinehart")
-        runs = []
-        real = lie_rinehart._verify_algebroid
-        monkeypatch.setattr(lie_rinehart, "_verify_algebroid",
-                            lambda model: runs.append(model) or real(model))
+        models_module = importlib.import_module("convbialg.models")
+        structure_runs, algebroid_runs, fields = [], [], []
+
+        def counted(runs, fn):
+            return lambda *args: runs.append(args[1:]) or fn(*args)
+
+        monkeypatch.setattr(PolynomialGroupoid, "_verify_structure",
+                            counted(structure_runs, PolynomialGroupoid._verify_structure))
+        monkeypatch.setattr(models_module, "algebroid_of_groupoid",
+                            counted(algebroid_runs, algebroid_of_groupoid))
+        # frame_field is read by the algebroid check alone, once per frame element
+        monkeypatch.setattr(lie_rinehart, "frame_field",
+                            counted(fields, lie_rinehart.frame_field))
         models = builtin_models()
-        assert all(algebroid_of_groupoid(m) is m.algebroid for m in models.values())
-        assert runs == []
-        model = models["pair"]
-        model.frame = [[Polynomial(2, {}), Polynomial.const(2, 1)]]  # equal, not the same lists
-        algebroid_of_groupoid(model)
-        assert runs == []
+        assert structure_runs == algebroid_runs == fields == []
+        for _ in range(2):
+            for key in ("pair", "heisenberg"):
+                fields.clear()
+                assert algebroid_of_groupoid(models[key]) is models[key].algebroid
+                assert fields == [(i,) for i in range(models[key].algebroid.rank)]
+        assert structure_runs == algebroid_runs == []
 
     @pytest.mark.parametrize("kind, field", CHANGES, ids=lambda v: v)
     def test_a_changed_structure_is_checked_after_a_good_one(self, kind, field):
@@ -328,3 +342,48 @@ class TestVerifiedOnce:
                 algebroid_of_groupoid(model)
             models = builtin_models()
         assert algebroid_of_groupoid(models[kind]) is models[kind].algebroid
+
+
+class TestSharedStructure:
+    """The models of a kind share one verified structure and nothing else:
+    each has its own registry, aliases and derived store."""
+
+    def test_structure_is_shared_and_stores_are_not(self):
+        from convbialg.models import model_from_json, model_to_json, pair_model
+
+        first = pair_model()
+        models = [first, pair_model(), model_from_json(model_to_json(first))]
+        for field in ("base", "mult_map", "frame", "algebroid"):
+            assert len({id(getattr(m, field)) for m in models}) == 1
+        for field in ("registry", "aliases", "derived"):
+            assert len({id(getattr(m, field)) for m in models}) == len(models)
+        a, b, c = models
+        product = a.registered_product(a.lookup("shift"), a.lookup("dbl"))
+        assert a.registry[product.bid] is product
+        for other in (b, c):
+            assert product.bid not in other.registry
+            assert not [k for k in other.derived if k[0] == "product"]
+
+    def test_cached_structures_stay_empty_after_a_run(self):
+        from convbialg.suites import run_all
+
+        models_module = importlib.import_module("convbialg.models")
+        structures = [models_module._pair_structure(), models_module._heisenberg_structure(),
+                      models_module._etale_structure()]
+        assert run_all()["pass"]
+        for structure in structures:
+            assert structure.registry == structure.aliases == structure.derived == {}
+
+    def test_structure_cannot_be_written_in_place(self):
+        from convbialg.models import heisenberg_model
+
+        model = heisenberg_model()
+        with pytest.raises(TypeError):
+            model.frame[0][1] = Polynomial.parse("x0", 3)
+        with pytest.raises(TypeError):
+            model.frame[0] = model.frame[1]
+        with pytest.raises(TypeError):
+            model.mult_map[2] = model.mult_map[0]
+        with pytest.raises(TypeError):
+            model.algebroid.basis_names[0] = "W"
+        assert algebroid_of_groupoid(heisenberg_model()) is model.algebroid

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import convbialg.cli
 import convbialg.suites
 from convbialg.cli import main
 from convbialg.coeffs import Chart, CoeffFn, Polynomial, Q, parse_rational
@@ -412,6 +413,24 @@ class TestInputCaps:
                 parse_rational(text)
         else:
             assert parse_rational(text) == want
+
+    @pytest.mark.parametrize("expr", [
+        f"phi(<1*y{'9' * 5000} | M>)", f"phi(<1 | M{'9' * 5000}>)",
+        f"conv_mul(<1 | M>){'9' * 5000}", "dist_eval([[Mxx, 1]], 1, 0)"],
+        ids=lambda expr: expr[:20])
+    def test_an_echoed_token_is_clipped_and_not_quoted_again(self, expr, capsys):
+        assert main(["eval", expr]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "error:" not in err[1:]
+        assert len(err) < 200 and not err.startswith('error: "')
+
+    def test_a_key_error_prints_its_message(self, monkeypatch, capsys):
+        def unknown(model, expr):
+            raise KeyError("unknown bisection 'Q'")
+
+        monkeypatch.setattr(convbialg.cli, "_eval_expr", unknown)
+        assert main(["eval", "phi(<1 | Q>)"]) == 2
+        assert capsys.readouterr().err == "error: unknown bisection 'Q'\n"
 
     def test_cap_and_cap_plus_one_on_the_cli(self, capsys):
         assert main(["eval", "phi(<1*x0^64 | M>)"]) == 0

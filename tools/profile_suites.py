@@ -57,9 +57,9 @@ WATCHED = (
     ("dist.ArrowFn.apply_frame", dist.ArrowFn.apply_frame),
     ("dist._defcheck_term_pair", dist._defcheck_term_pair),
     ("dist.commuting_square_gap_numeric", dist.commuting_square_gap_numeric),
-    # the fixed cost of a CLI call: built or run once per process and structure
+    # the fixed cost of a CLI call: built or run once per process and kind
     ("cli.build_parser", cli.build_parser.__wrapped__),
-    ("lie_rinehart._verify_algebroid", lie_rinehart._verify_algebroid),
+    ("lie_rinehart.algebroid_of_groupoid", lie_rinehart.algebroid_of_groupoid),
     ("PolynomialGroupoid._verify_structure", groupoid.PolynomialGroupoid._verify_structure),
 )
 TOP = 25
