@@ -22,10 +22,12 @@ see two ints goes through Q (Fraction), as in Q(a, b) or Q(a) / b, and a
 negative power needs a Fraction base.
 
 `Polynomial.at` puts values into a polynomial in any ring that has `*`,
-`+` and a constant map: coefficient functions, rationals (`Polynomial.eval`
-at a rational point), floats, float jets.  Polynomials into a polynomial
-have their own loop with the same results: `Polynomial.substitute` adds
-the terms in place into one dict, and builds no constant per term.
+`+` and a constant map: coefficient functions, floats (`Polynomial.eval`
+at a point with a float), float jets.  Two rings have their own loops with
+the results of `at`: `Polynomial.substitute` puts polynomials in and adds
+the terms in place into one dict, building no constant per term, and
+`Polynomial.eval` at a rational point sums the terms as one integer
+numerator over one integer denominator, building one Fraction per value.
 
 A Region, the domain of a bisection, is a finite union of open intervals of
 the line: the base of every model is the line or a point.
@@ -444,11 +446,11 @@ class Polynomial:
 
     def at(self, values: Sequence, const):
         """self with values[i] put in for variable i, in the ring of the
-        values: coefficient functions, rationals (`eval`), floats or float
-        jets (`substitute` has its own loop).  const(c) is the ring's
-        constant c.  Each term is const(c) times each value k times
-        in variable order, and the terms are added in dict order, so a
-        float ring sees one fixed order of operations."""
+        values: coefficient functions, floats or float jets (`substitute`
+        and `eval` at a rational point have their own loops).  const(c) is
+        the ring's constant c.  Each term is const(c) times each value k
+        times in variable order, and the terms are added in dict order, so
+        a float ring sees one fixed order of operations."""
         total = const(0)
         for e, c in self.terms.items():
             term = const(c)
@@ -467,15 +469,34 @@ class Polynomial:
         return Polynomial._raw(total, {(0,) * offset + e + pad: c for e, c in self.terms.items()})
 
     def eval(self, point: Sequence):
-        """The value at a point: exact at rationals (the zero polynomial
-        gives Q(0)), a float otherwise."""
+        """The value at a point: a float when a coordinate is one (through
+        `at`, in its order of operations), else exact, with the scalar type
+        that `at` gives in the rationals.  That is a Fraction when a Fraction
+        coefficient, or a Fraction coordinate with a nonzero exponent,
+        enters a term, an int otherwise, and Q(0) for the zero polynomial.
+        The terms are summed as one integer numerator over one integer
+        denominator, so the value makes one Fraction, not one per
+        operation."""
         if len(point) != self.nvars:
             raise ValueError("point dimension mismatch")
         if not all(isinstance(x, (int, Fraction)) for x in point):
             return self.at(point, float)
         if not self.terms:
             return Q(0)
-        return self.at(point, lambda c: c)  # a rational is its own constant
+        num, den, exact = 0, 1, False
+        for e, c in self.terms.items():
+            tn, td = c.numerator, c.denominator
+            exact = exact or type(c) is not int
+            for x, k in zip(point, e):
+                if k:
+                    tn *= x.numerator ** k
+                    td *= x.denominator ** k
+                    exact = exact or isinstance(x, Fraction)
+            if td == den:
+                num += tn
+            else:
+                num, den = num * td + tn * den, den * td
+        return Q(num, den) if exact else num
 
     # -- text form ----------------------------------------------------------
 

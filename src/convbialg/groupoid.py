@@ -666,7 +666,7 @@ class EtaleActionModel(GroupoidModel):
         return (E.gamma, _coord(x))
 
     def beta(self, E, y):
-        return (E.gamma, E.gamma.inverse()(_coord(y)))
+        return (E.gamma, E.derive_once("gamma_inv", E.gamma.inverse)(_coord(y)))
 
     def unit_bisection(self):
         return Bisection(self, gamma=AffineMap.of(1, 0))
@@ -733,8 +733,10 @@ class Bisection(DeriveOnce):
     ("ad_gens", adjoint), R_E^{-1} as polynomials, the series data of a
     flat kink per point, the float solves of tau^{-1} per point (a point
     equal to an earlier one, of any number type, has the same float and so
-    the same solution), and the first stage of the defining-formula check
-    per (F, u) (dist).  beta_E and tau(x) are recomputed on each call."""
+    the same solution), the first stage of the defining-formula check
+    per (F, u) (dist), and the inverse group element of an etale
+    bisection ("gamma_inv"), which beta_E applies.  The values beta_E(y)
+    and tau(x) are computed on each call."""
 
     __slots__ = ("model", "bid", "tau", "domain", "element", "gamma", "is_flat", "derived")
 

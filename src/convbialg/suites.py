@@ -384,10 +384,9 @@ def suite_prop43(seed=0xC0FFEE, models=None):
         # the rewriting side of each pair, in the order of the loops below
         terms = [(E.bid, u) for E, u in bank]
         products = term_products(model, terms, terms)
-        for E2, u2 in bank:
-            for E1, u1 in bank:
-                T2 = TransvDist.single(model, E2, u2)
-                T1 = TransvDist.single(model, E1, u1)
+        singles = [TransvDist.single(model, E, u) for E, u in bank]
+        for (E2, u2), T2 in zip(bank, singles):
+            for (E1, u1), T1 in zip(bank, singles):
                 prod = TransvDist(model, [next(products)])
                 F = fbank[count % len(fbank)]
                 x = xs[count % len(xs)]

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import re
 
-from .coeffs import Chart, CoeffFn, Polynomial, check_degree, parse_rational, read_degree
+from .coeffs import (Chart, CoeffFn, Polynomial, _clipped, check_degree, parse_rational,
+                     read_degree)
 from .conv import ConvElement
 from .dist import TransvDist
 from .errors import ParseError
@@ -55,13 +56,13 @@ _FLAT_ENTRY = re.compile(
 def _parse_flat_dict(text: str) -> dict:
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
-        raise ParseError(f"bad flat dict {text!r}")
+        raise ParseError(f"bad flat dict {_clipped(repr(text))}")
     out = {}
     body = text[1:-1].strip()
     for entry in split_top(body, ",") if body else []:
         m = _FLAT_ENTRY.fullmatch(entry.strip())
         if not m:
-            raise ParseError(f"bad flat entry {entry.strip()!r}")
+            raise ParseError(f"bad flat entry {_clipped(repr(entry.strip()))}")
         value = m.group(4) or f"{m.group(2)}/{m.group(3)}"
         out[read_degree(m.group(1), "flat key")] = parse_rational(value)
     return out
@@ -71,13 +72,13 @@ def parse_coeff(chart: Chart, text: str) -> CoeffFn:
     """Inverse of CoeffFn.text()."""
     text = text.strip()
     if chart.dim != 1 and text.endswith("]") and (" + phi[" in text or " + flat[" in text):
-        raise ParseError(f"flat parts exist only on the line: {text!r}")
+        raise ParseError(f"flat parts exist only on the line: {_clipped(repr(text))}")
     k = text.rfind(" + phi[")
     if k >= 0 and text.endswith("]"):
         body = text[k + len(" + phi[") : -1]
         cs = body.split(",")
         if len(cs) != 2:
-            raise ParseError(f"bad phi part in {text!r}")
+            raise ParseError(f"bad phi part in {_clipped(repr(text))}")
         p = Polynomial.parse(text[:k], chart.dim)
         return CoeffFn.flat_piece(chart, p, parse_rational(cs[0]), parse_rational(cs[1]))
     k = text.rfind(" + flat[")
@@ -85,7 +86,7 @@ def parse_coeff(chart: Chart, text: str) -> CoeffFn:
         body = text[k + len(" + flat[") : -1]
         m = re.fullmatch(r"neg=(\{.*?\}),\s*pos=(\{.*\})", body)
         if not m:
-            raise ParseError(f"bad flat part in {text!r}")
+            raise ParseError(f"bad flat part in {_clipped(repr(text))}")
         p = Polynomial.parse(text[:k], chart.dim)
         return CoeffFn(chart, p, _parse_flat_dict(m.group(1)), _parse_flat_dict(m.group(2)))
     return CoeffFn(chart, Polynomial.parse(text, chart.dim))
@@ -106,7 +107,7 @@ def parse_uea(A, text: str) -> UEAElement:
     for term in split_top(text, " + "):
         term = term.strip()
         if not term:
-            raise ParseError(f"empty term in {text!r}")
+            raise ParseError(f"empty term in {_clipped(repr(text))}")
         pieces = split_top(term, " * ")
         ctext = pieces[0].strip()
         if ctext.startswith("(") and ctext.endswith(")"):
@@ -117,7 +118,7 @@ def parse_uea(A, text: str) -> UEAElement:
             for tok in mono.split():
                 m = _MONO_TOKEN.fullmatch(tok)
                 if not m or m.group(1) not in name_index:
-                    raise ParseError(f"unknown generator {tok!r}")
+                    raise ParseError(f"unknown generator {_clipped(repr(tok))}")
                 exp[name_index[m.group(1)]] += read_degree(m.group(2) or 1, "exponent")
         check_degree(exp)
         pairs.append((tuple(exp), f))
@@ -133,11 +134,11 @@ def parse_conv(model, text: str):
     for term in split_top(text, " + "):
         term = term.strip()
         if not (term.startswith("<") and term.endswith(">")):
-            raise ParseError(f"expected <u | E>, got {term!r}")
+            raise ParseError(f"expected <u | E>, got {_clipped(repr(term))}")
         inner = term[1:-1]
         pieces = split_top(inner, "|")
         if len(pieces) != 2:
-            raise ParseError(f"expected one '|' in {term!r}")
+            raise ParseError(f"expected one '|' in {_clipped(repr(term))}")
         u = parse_uea(model.algebroid, pieces[0])
         try:
             E = model.lookup(pieces[1].strip())
@@ -156,11 +157,11 @@ def parse_dist(model, text: str):
     for term in split_top(text, " + "):
         term = term.strip()
         if not (term.startswith("[[") and term.endswith("]]")):
-            raise ParseError(f"expected [[E, u]], got {term!r}")
+            raise ParseError(f"expected [[E, u]], got {_clipped(repr(term))}")
         inner = term[2:-2]
         pieces = split_top(inner, ",")
         if len(pieces) < 2:
-            raise ParseError(f"expected [[E, u]], got {term!r}")
+            raise ParseError(f"expected [[E, u]], got {_clipped(repr(term))}")
         try:
             E = model.lookup(pieces[0].strip())
         except KeyError as exc:

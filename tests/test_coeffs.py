@@ -314,6 +314,25 @@ class TestExactFastPaths:
         want = generic_at(p, point, lambda c: c) if p.terms else Q(0)
         assert got == want and type(got) is type(want)
 
+    @given(st.data())
+    def test_exact_eval_matches_at_in_the_rationals(self, data):
+        n = data.draw(st.integers(1, 3))
+        scalars = st.one_of(st.integers(-5, 5), st.fractions(-4, 4, max_denominator=6))
+        exps = st.tuples(*[st.integers(0, 3)] * n)
+        p = Polynomial(n, data.draw(st.dictionaries(exps, scalars, max_size=5)))
+        point = data.draw(st.tuples(*[scalars] * n))
+        got = p.eval(point)
+        want = p.at(point, lambda c: c) if p.terms else Q(0)
+        assert got == want and type(got) is type(want)
+
+    def test_a_fraction_coordinate_that_no_term_raises_gives_an_int(self):
+        p = Polynomial(2, {(2, 0): 3, (0, 0): -1})
+        got = p.eval((2, F(1, 3)))
+        assert got == 11 and type(got) is int
+        # an integral Fraction that a term raises makes a Fraction
+        got = p.eval((F(2), F(1, 3)))
+        assert got == 11 and type(got) is F
+
 
 def test_no_float_reaches_a_polynomial(monkeypatch):
     """Every coefficient that the lie-rinehart and uea suites put into a

@@ -338,6 +338,27 @@ class TestDerivedOnce:
             assert "beta_polys" not in flat.derived
         assert not [k for k in model.derived if k[0] == "beta_polys"]
 
+    def test_etale_beta_keeps_one_inverse_group_element(self, monkeypatch):
+        model = etale_model()
+        model.register(Bisection(model, gamma=AffineMap.of(2, 1), domain=Region.interval(0, 1)))
+        bisections = list(model.registry.values())
+        assert any(not E.domain.is_whole for E in bisections)
+        builds = []
+        real = AffineMap.inverse
+
+        def counting(g):
+            builds.append(g)
+            return real(g)
+
+        monkeypatch.setattr(AffineMap, "inverse", counting)
+        ys = (F(3, 2), 2, F(5, 2))  # in the target domain (1, 3) of the restricted one
+        for E in bisections:
+            for y in ys:
+                assert model.beta(E, y) == (E.gamma, real(E.gamma)(y))
+                assert E.beta(y) == (E.gamma, real(E.gamma)(y))
+            assert E.derived["gamma_inv"] == real(E.gamma)
+        assert len(builds) == len(bisections)
+
     @pytest.mark.parametrize("make", [pair_model, heisenberg_model, etale_model])
     def test_one_inverse_per_bisection(self, make):
         model = make()

@@ -424,6 +424,35 @@ class TestInputCaps:
         assert err.startswith("error: ") and err.count("\n") == 1 and "error:" not in err[1:]
         assert len(err) < 200 and not err.startswith('error: "')
 
+    @pytest.mark.parametrize("expr", [
+        f"phi(<1 | M>{'9' * 5000})", f"phi(<1 | M | {'9' * 5000}>)",
+        f"dist_eval([[M, 1]{'9' * 5000}], 1, 0)"],
+        ids=lambda expr: expr[:20])
+    def test_a_malformed_term_is_clipped_in_its_shape_error(self, expr):
+        run = subprocess.run([sys.executable, "-m", "convbialg.cli", "eval", expr],
+                             capture_output=True, text=True, timeout=30,
+                             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert run.returncode == 2 and run.stdout == ""
+        assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+        assert len(run.stderr) < 120
+
+    @pytest.mark.parametrize("parse, text", [
+        ("coeff2", "9" * 5000 + " + phi[1,1]"),
+        ("coeff", "9" * 5000 + " + phi[1]"),
+        ("coeff", "9" * 5000 + " + flat[x]"),
+        ("coeff", "1 + flat[neg={" + "9" * 5000 + "}, pos={}]"),
+        ("uea", "1 +  + " + "9" * 5000),
+        ("uea", "1 * " + "Q" * 5000)],
+        ids=["flat-off-the-line", "phi-part", "flat-part", "flat-entry", "empty-term",
+             "generator"])
+    def test_a_parse_error_clips_the_text_it_echoes(self, parse, text, models):
+        parsers = {"coeff": lambda: parse_coeff(Chart.line(), text),
+                   "coeff2": lambda: parse_coeff(Chart.space(2), text),
+                   "uea": lambda: parse_uea(models["heisenberg"].algebroid, text)}
+        with pytest.raises(ParseError) as info:
+            parsers[parse]()
+        assert len(str(info.value)) < 120 and str(info.value).endswith(" characters)")
+
     def test_a_key_error_prints_its_message(self, monkeypatch, capsys):
         def unknown(model, expr):
             raise KeyError("unknown bisection 'Q'")

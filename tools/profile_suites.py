@@ -1,19 +1,28 @@
-"""Profile the ten suites, or one round of the `eval` stream, with cProfile.
+"""Profile the ten suites, or one round of a perfbench stream, with cProfile.
 
-    python3 tools/profile_suites.py [--workload {suites,eval}]
+    python3 tools/profile_suites.py [--workload {suites,eval,big-model}]
 
 With `--workload suites` (the default) it runs `run_all()` (every suite in
 sorted order, serially, each on models built afresh, as `convbialg check`
-runs them).  With `--workload eval` it builds the stream of perfbench's
-`eval` workload at seed 1001 (the first seed of tools/bench_pairs.py) from
-perfbench/workloads.py, runs one round unprofiled, so that what a process
-builds once is built, then profiles a second round: 112 in-process calls of
-`convbialg.cli.main`, as perfbench times them.  The package is imported
-from `src/` of the tree this script lives in.  It prints the profiled
-total, the calls and cumulative seconds of each function in `WATCHED`,
-then the 25 functions with the most self time.  Profiled seconds are
-slower than plain ones; compare them only with another run of this script
-on the same machine.
+runs them).  With `--workload eval` or `--workload big-model` it builds the
+stream of that perfbench workload at seed 1001 (the first seed of
+tools/bench_pairs.py) from perfbench/workloads.py, runs one round
+unprofiled, so that what a process builds once is built, then profiles a
+second round.  An `eval` round is 112 in-process calls of
+`convbialg.cli.main`; a `big-model` round runs commuting-square and prop43
+on models with 8 extra bisections each, as perfbench times them.  The
+package is imported from `src/` of the tree this script lives in.  It
+prints the profiled total, the calls and cumulative seconds of each
+function in `WATCHED`, then the 25 functions with the most self time.
+
+Profiled seconds are slower than plain ones; compare them only with
+another run of this script on the same machine.  cProfile also overstates
+code that makes many small Fraction operations, since each one is a
+profiled call.  Before `Polynomial.eval` summed in integers, it put that
+function at 25% of a profiled prop43 call on `big-model`, where its
+19,946 calls at 5.3 us each were about 22% of the 0.48 s of CPU of an
+unprofiled one.  So a profile points at where to look; a gain is claimed
+from tools/bench_pairs.py, not from a profile.
 """
 
 from __future__ import annotations
@@ -40,10 +49,13 @@ WATCHED = (
     ("Fraction.__new__", Fraction.__new__),
     ("Polynomial.substitute", coeffs.Polynomial.substitute),
     ("Polynomial.at", coeffs.Polynomial.at),
+    ("Polynomial.eval", coeffs.Polynomial.eval),
     ("CoeffFn.const", coeffs.CoeffFn.const),
     ("uea._gen_times_monomial", uea._gen_times_monomial),
     ("groupoid._solve_monotone", groupoid._solve_monotone),
     ("groupoid.bisection_mul", groupoid.bisection_mul),
+    # beta_E of an etale bisection: its inverse is kept on it as "gamma_inv"
+    ("AffineMap.inverse", groupoid.AffineMap.inverse),
     ("PolynomialGroupoid.beta_polys", groupoid.PolynomialGroupoid.beta_polys),
     ("adjoint.ad_uea", adjoint.ad_uea),
     # one per bisection: ad_uea keeps the generator images on it
@@ -63,7 +75,7 @@ WATCHED = (
     ("PolynomialGroupoid._verify_structure", groupoid.PolynomialGroupoid._verify_structure),
 )
 TOP = 25
-EVAL_SEED = 1001
+STREAM_SEED = 1001
 
 
 def _key(fn):
@@ -103,21 +115,24 @@ def _suites(prof):
     return "ten suites", report["pass"], wall
 
 
-def _eval(prof):
+def _stream(name, prof):
     with tempfile.TemporaryDirectory() as workdir:
-        stream = workloads.make("eval", EVAL_SEED, workdir)
+        stream = workloads.make(name, STREAM_SEED, workdir)
         stream.run_round(_Direct)
         _, wall = _profile(prof, lambda: stream.run_round(_Direct))
     # perfbench's output checks, outside the profile
-    return f"one eval round of {len(stream.stream)} calls", not stream.check(), wall
+    return f"one {name} round", not stream.check(), wall
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description="cProfile of one workload")
-    parser.add_argument("--workload", choices=("suites", "eval"), default="suites")
+    parser.add_argument("--workload", choices=("suites", "eval", "big-model"), default="suites")
     args = parser.parse_args(argv)
     prof = cProfile.Profile()
-    label, passed, wall = (_suites if args.workload == "suites" else _eval)(prof)
+    if args.workload == "suites":
+        label, passed, wall = _suites(prof)
+    else:
+        label, passed, wall = _stream(args.workload, prof)
     stats = pstats.Stats(prof).stats  # key -> (primitive calls, calls, self s, cumulative s, callers)
     profiled = sum(row[2] for row in stats.values())
     print(f"{label}, pass={passed}: {profiled:.2f} s profiled, {wall:.2f} s wall")
