@@ -66,8 +66,6 @@ def ad_matrix(E: Bisection):
     """
     model = E.model
     A = model.algebroid
-    if A.rank == 0:
-        return []
     closed = model.closed_ad_matrix(E)
     J = model.derive_once("conjugation_jacobian", lambda: _conjugation_jacobian(model))
     base = model.base

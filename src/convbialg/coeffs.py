@@ -412,7 +412,8 @@ class Polynomial:
         return Polynomial._raw(self.nvars, terms)
 
     def substitute(self, values: Sequence["Polynomial"]) -> "Polynomial":
-        """Plug a polynomial (on a common target variable set) into each variable.
+        """Plug a polynomial (on a common target variable set) into each of
+        its one or more variables.
 
         The result is `self.at(values, lambda c: Polynomial.const(tgt, c))`
         key for key, in order and in scalar type: each term's values are
@@ -422,12 +423,9 @@ class Polynomial:
         back)."""
         if len(values) != self.nvars:
             raise ValueError("need one value per variable")
-        if values:
-            tgt = values[0].nvars
-            if any(v.nvars != tgt for v in values):
-                raise ValueError("substitution targets disagree")
-        else:
-            tgt = 0
+        tgt = values[0].nvars
+        if any(v.nvars != tgt for v in values):
+            raise ValueError("substitution targets disagree")
         total = {}
         for e, c in self.terms.items():
             term = None

@@ -240,9 +240,8 @@ class Stratum(Value):
         return Q(self.lo + self.hi, 2)
 
     def second_sample(self):
+        """A second point of an interval stratum, beside sample()."""
         s = self.sample()
-        if self.kind == "point":
-            return s
         if self.hi is None:
             return s + 1
         return Q(s + self.hi, 2)

@@ -19,9 +19,9 @@ is computed once per (bid, D') and dropped when the sweep ends.  The first
 stage of the defining formula, which depends on (F, E, D) alone, is kept on
 E (see Bisection).
 
-A test function F is read through model.test_value(F, g).  On the etale
-action groupoid it is a table {gamma: f} read with .get, the algebroid has
-rank 0 and Ω(u) multiplies by u's coefficient along s: [[E, f]](F)(x) =
+At rank 0 a test function F is read through model.test_value(F, g).  The
+etale action groupoid is the one rank-0 kind: F is a table {gamma: f} read
+with .get, and Ω(u) multiplies by u's coefficient along s: [[E, f]](F)(x) =
 f(s(g)) F(g) at g = beta_E(x), and the defining formula is
 f2(s(g2)) f1(s(g1)) F(g2 g1) with g1 = beta_{E1}(s(g2)).
 

@@ -83,10 +83,6 @@ class Diffeo1D:
 
     # -- queries ------------------------------------------------------------
 
-    @property
-    def chart(self) -> Chart:
-        return (self.fwd or self.inv).chart
-
     def affine_parts(self):
         return None if self.fwd is None else self.fwd.affine_parts()
 
@@ -252,8 +248,9 @@ class GroupoidModel(DeriveOnce):
 
     * `kind`, `doc_key` (the "model" value of its JSON document) and
       `unit_alias` (the name of the unit bisection in a document);
-    * the arrow arithmetic `s_of`, `t_of`, `unit_of`, `inv_arrow` and
-      `_mult`, which `mult_arrow` calls once the arrows compose;
+    * the arrow arithmetic `s_of`, `t_of` and `_mult`, which `mult_arrow`
+      calls once the arrows compose (PolynomialGroupoid adds `unit_of` and
+      `inv_arrow`, which GroupModel's unit and inverse read);
     * the bisection hooks `init_bisection` (validation and the content id),
       `alpha`, `beta`, `unit_bisection`, `bisection_mul`, `bisection_inv` and
       `germ_eq`;
@@ -262,11 +259,12 @@ class GroupoidModel(DeriveOnce):
       test of phi then sums their germ classes together;
     * the JSON form of one bisection, `bisection_to_json` and
       `bisection_from_json`;
-    * the test functions on the arrows: `test_value(F, g)` (F at the arrow
-      g), `random_test_function(rng, max_deg)` and `parse_test_function`
-      (one read from a polynomial expression); a polynomial on the arrow
-      chart for PolynomialGroupoid, a table {gamma: f} read with .get for
-      the etale action groupoid;
+    * the test functions on the arrows: `random_test_function(rng,
+      max_deg)` and `parse_test_function` (one read from a polynomial
+      expression); a polynomial on the arrow chart for PolynomialGroupoid,
+      a table {gamma: f} read with .get for the etale action groupoid,
+      whose `test_value(F, g)` (F at the arrow g) is the rank-0 kind's hook
+      that dist reads;
     * with polynomial structure maps (PolynomialGroupoid), `alpha_fns`
       (alpha_E as functions on the base) and `closed_ad_matrix` (the closed
       form of Ad_E that adjoint.ad_matrix compares with its derivation).
@@ -439,9 +437,6 @@ class PolynomialGroupoid(GroupoidModel):
     def inv_arrow(self, g):
         return tuple(p.eval(g) for p in self.inv_map)
 
-    def test_value(self, F, g):
-        return F.eval(g)
-
     def random_test_function(self, rng, max_deg):
         return random_polynomial(rng, self.arrow_chart.dim, max_deg)
 
@@ -466,11 +461,8 @@ def _poly_of(fn: CoeffFn, name: str) -> Polynomial:
     return fn.poly
 
 
-def _flat_powers(fn: CoeffFn):
-    """(i, j) with tau = t + 2^i phi (t<=0), t + 2^j phi (t>=0), if so shaped."""
-    pc = fn.phi_coeffs()
-    if pc is None or fn.poly != Polynomial.var(1, 0):
-        return None
+def _flat_powers(pc):
+    """(i, j) with (c_neg, c_pos) = pc = (2^i, 2^j), if so shaped."""
     out = []
     for c in pc:
         i = 0
@@ -538,11 +530,16 @@ class PairModel(PolynomialGroupoid):
         if aff is not None:
             tau = {"kind": "affine", "a": str(aff[0]), "b": str(aff[1])}
         else:
-            powers = _flat_powers(E.tau.coeff())
+            fn = E.tau.coeff()
+            pc = fn.phi_coeffs()
+            if pc is None or fn.poly != Polynomial.var(1, 0):
+                # a product such as shift . E00, tau = t + 1 + phi(t)
+                raise UnsupportedRegistry(
+                    f"{E.bid} has no document form: a flat tau is t + c*phi(t)")
+            powers = _flat_powers(pc)
             if powers is not None:
                 tau = {"kind": "flat", "i": powers[0], "j": powers[1]}
             else:
-                pc = E.tau.coeff().phi_coeffs()
                 tau = {"kind": "flat", "c_neg": str(pc[0]), "c_pos": str(pc[1])}
         out = {"tau": tau}
         if not E.domain.is_whole:
@@ -551,7 +548,7 @@ class PairModel(PolynomialGroupoid):
 
     def bisection_from_json(self, entry):
         tau = entry["tau"]
-        domain = _region_from_json(entry.get("domain")) if entry.get("domain") else None
+        domain = _region_from_json(entry.get("domain"))
         if tau["kind"] == "affine":
             d = Diffeo1D.affine(self.base, parse_rational(tau["a"]), parse_rational(tau["b"]))
         elif tau["kind"] == "flat":
@@ -646,14 +643,8 @@ class EtaleActionModel(GroupoidModel):
     def t_of(self, g):
         return (g[0](g[1]),)
 
-    def unit_of(self, x):
-        return (AffineMap.of(1, 0), x[0])
-
     def _mult(self, g2, g1):
         return (g2[0].after(g1[0]), g1[1])
-
-    def inv_arrow(self, g):
-        return (g[0].inverse(), g[0](g[1]))
 
     def init_bisection(self, E, domain):
         if E.gamma is None:
@@ -818,9 +809,8 @@ class Bisection(DeriveOnce):
         return Region(tuple(iv if a > 0 else iv[::-1] for iv in ends))
 
     def point_image(self, x):
-        """tau_E(x) as far as a germ at it reads it, as for image."""
-        if self.tau is None:
-            return x
+        """tau_E(x) as far as a germ at it reads it, as for image; only a
+        bisection of the line, which has a tau, has a point to map."""
         a, b = self._line_parts()
         return self.tau.apply(x) if self.is_flat and b else a * x + b
 

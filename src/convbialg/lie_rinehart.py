@@ -72,8 +72,6 @@ class LieRinehart(DeriveOnce):
     def _fn(self, c) -> CoeffFn:
         if isinstance(c, CoeffFn):
             return c
-        if isinstance(c, Polynomial):
-            return CoeffFn(self.chart, c)
         return CoeffFn.const(self.chart, c)
 
     def __eq__(self, other):

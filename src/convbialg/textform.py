@@ -54,9 +54,7 @@ _FLAT_ENTRY = re.compile(
 
 
 def _parse_flat_dict(text: str) -> dict:
-    text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise ParseError(f"bad flat dict {_clipped(repr(text))}")
+    """The dict {k: c} of a "{...}" group of parse_coeff's flat pattern."""
     out = {}
     body = text[1:-1].strip()
     for entry in split_top(body, ",") if body else []:

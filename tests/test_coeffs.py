@@ -25,6 +25,10 @@ class TestPolynomial:
         p = Polynomial.parse("2*x0^2*x1 + -3*x1 + 1/2", 2)
         assert Polynomial.parse(p.text(), 2) == p
 
+    def test_parse_a_leading_minus(self):
+        # "- " reads as "+ -", which leaves an empty first term
+        assert Polynomial.parse("- 1*x0", 1) == -X
+
     def test_arithmetic(self):
         p = Polynomial.parse("x0 + 1", 1)
         q = Polynomial.parse("x0 + -1", 1)

@@ -16,7 +16,7 @@ from convbialg.conv import (
 )
 from convbialg.coeffs import CoeffFn, Polynomial, Q
 from convbialg.errors import NotEtaleElement
-from convbialg.groupoid import Bisection, Diffeo1D, breakpoints, germ_of
+from convbialg.groupoid import Bisection, Diffeo1D, bisection_germ_eq, breakpoints, germ_of
 from convbialg.lie_rinehart import random_polynomial
 from convbialg.models import etale_model, heisenberg_model, model_from_json, pair_model
 from convbialg.textform import parse_conv
@@ -91,6 +91,24 @@ class TestAlgebra:
         a = conv1(pair, "shift", D) + conv1(pair, "dbl", UEAElement.one(A))
         g = eval_germ(a, germ_of(pair.lookup("shift"), (F(2),)))
         assert g.elem == D
+
+    def test_eval_germ_over_a_point(self, h3):
+        # distinct group elements have distinct germs, and over the point
+        # a germ is zero exactly when its element is
+        A = h3.algebroid
+        kx, ky = h3.lookup("kx"), h3.lookup("ky")
+        assert not bisection_germ_eq(kx, ky, ())
+        a = conv1(h3, "kx", UEAElement.generator(A, 0)) + conv1(h3, "ky", UEAElement.one(A))
+        g = eval_germ(a, germ_of(kx, ()))
+        assert g.elem == UEAElement.generator(A, 0) and not g.is_zero
+        assert eval_germ(a - conv1(h3, "kx", UEAElement.generator(A, 0)), germ_of(kx, ())).is_zero
+
+    def test_eval_germ_on_the_etale_model(self, etale):
+        # <2 | d> at source 1 is the arrow (x -> 2x, 1), with target 2
+        A = etale.algebroid
+        two = UEAElement.from_coeff(A, CoeffFn.const(A.chart, 2))
+        g = eval_germ(conv1(etale, "d", two), germ_of(etale.lookup("d"), (F(1),)))
+        assert g.base_point == (2,) and g.elem == two
 
 
 class TestCoalgebra:

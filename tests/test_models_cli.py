@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -11,7 +12,8 @@ import convbialg.cli
 import convbialg.suites
 from convbialg.cli import main
 from convbialg.coeffs import Chart, CoeffFn, Polynomial, Q, parse_rational
-from convbialg.errors import ParseError
+from convbialg.conv import conv_mul
+from convbialg.errors import ParseError, UnsupportedRegistry
 from convbialg.models import (
     builtin_models,
     etale_model,
@@ -62,6 +64,30 @@ class TestModelJson:
     def test_text_that_nests_too_deeply_raises(self):
         with pytest.raises(ParseError):
             model_from_json("[" * 200_000)
+
+    def test_pair_document_round_trips_each_tau_form(self):
+        # an affine map on a restricted domain, a kink whose c are not powers
+        # of two, and one whose c are
+        doc = {"model": "pair", "bisections": [
+            {"id": "A", "tau": {"kind": "affine", "a": "2", "b": "1"}, "domain": [[None, "1"]]},
+            {"id": "K", "tau": {"kind": "flat", "c_neg": "1/3", "c_pos": "3"}},
+            {"id": "P", "tau": {"kind": "flat", "i": 1, "j": 2}}]}
+        model = model_from_json(doc)
+        out = model_to_json(model)
+        again = model_from_json(out)
+        assert again.bid_names() == model.bid_names()
+        assert {name: again.lookup(name).bid for name in "AKP"} == \
+            {name: model.lookup(name).bid for name in "AKP"}
+        assert model_to_json(again) == out
+
+    def test_a_product_with_a_flat_tau_has_no_document_form(self):
+        # shift . E00 has tau = t + 1 + phi(t); written as a bare kink it
+        # would read back as t + phi(t), another bisection
+        model = pair_model()
+        product = conv_mul(parse_conv(model, "<1|shift>"), parse_conv(model, "<1|E00>"))
+        bid = next(iter(product.terms))
+        with pytest.raises(UnsupportedRegistry, match=re.escape(bid)):
+            model_to_json(model)
 
 
 class TestTextForms:
@@ -161,6 +187,21 @@ class TestCli:
         value = float(capsys.readouterr().out)
         assert math.isfinite(value) and value == pytest.approx(2 * float(x))
 
+    @pytest.mark.parametrize("expr, make, want", [
+        ("phi(0)", None, "0"),
+        ("dist_eval(0, x0, 1)", None, "0"),
+        # [[sh, 2]](F)(3) = 2 F(beta_sh(3)), at the arrow with source 3 - 1
+        ("dist_eval([[sh, 2]], x0^2, 3)", etale_model, "8"),
+    ])
+    def test_eval_prints_the_value(self, expr, make, want, tmp_path, capsys):
+        argv = ["eval", expr]
+        if make is not None:
+            path = tmp_path / "model.json"
+            path.write_text(json.dumps(model_to_json(make())))
+            argv += ["--model", str(path)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want + "\n"
+
     def test_unknown_bisection_is_input_error(self, capsys):
         assert main(["eval", "phi(<1|nope>)"]) == 2
 
@@ -218,6 +259,41 @@ class TestCli:
                          {"id": "s", "tau": {"kind": "affine", "a": "2", "b": "0"},
                           "domain": [["0", "1/0"]]}]},
                      id="model-domain-zero-denominator"),
+        # an empty domain is empty for a pair bisection too, not the whole line
+        pytest.param(["eval", "phi(<1|z>)"],
+                     {"model": "pair", "bisections": [
+                         {"id": "z", "tau": {"kind": "affine", "a": "1", "b": "0"},
+                          "domain": []}]},
+                     id="model-pair-domain-empty-list"),
+        pytest.param(["eval", "phi(<1|z>)"],
+                     {"model": "pair", "bisections": [
+                         {"id": "z", "tau": {"kind": "affine", "a": "1", "b": "0"},
+                          "domain": ""}]},
+                     id="model-pair-domain-empty-string"),
+        pytest.param(["eval", "phi(<1|M>)"],
+                     {"model": "pair", "bisections": [
+                         {"id": "z", "tau": {"kind": "affine", "a": "1", "b": "0"},
+                          "domain": [["1", "0"]]}]},
+                     id="model-domain-reversed-interval"),
+        pytest.param(["eval", "phi(<1|M>)"],
+                     {"model": "pair", "bisections": [{"id": "z", "tau": {"kind": "foo"}}]},
+                     id="model-unknown-tau-kind"),
+        pytest.param(["eval", "phi(<1|M>)"],
+                     {"model": "pair", "bisections": [
+                         {"id": "z", "tau": {"kind": "flat", "i": 1, "j": 2},
+                          "domain": [["0", "1"]]}]},
+                     id="model-flat-kink-on-a-restricted-domain"),
+        pytest.param(["eval", "phi(<1|M>)"],
+                     {"model": "etale", "bisections": [{"id": "g", "gamma": ["0", "1"]}]},
+                     id="model-degenerate-gamma"),
+        pytest.param(["eval", "phi(<1|M>, <1|M>)"], None, id="phi-two-arguments"),
+        pytest.param(["eval", "phi()"], None, id="phi-no-argument"),
+        pytest.param(["eval", "phi(<1 M>)"], None, id="phi-term-without-bar"),
+        pytest.param(["eval", "conv_mul(<1|M>)"], None, id="conv-mul-one-argument"),
+        pytest.param(["eval", "dist_eval([[M,1]], x0)"], None, id="dist-eval-two-arguments"),
+        pytest.param(["eval", "phi(< | M>)"], None, id="phi-empty-element"),
+        pytest.param(["eval", "dist_eval([[M,1]], , 1)"], None, id="dist-eval-empty-function"),
+        pytest.param(["eval", "dist_eval(<1|M>, x0, 1)"], None, id="dist-eval-of-a-conv-term"),
         pytest.param(["eval", "phi(<1|k>)"],
                      {"model": "heisenberg", "bisections": [{"id": "k", "k": ["1", "2"]}]},
                      id="model-short-group-element"),

@@ -13,14 +13,21 @@ definition that is not reached does not count, and the scan repeats until
 nothing more drops out.  The tests do not count: a definition that only a
 test calls is API that no verdict reaches.
 
+`tools/reach.py` lists the statements that nothing runs; one test here
+runs its classifier on a fixture, without tracing.
+
     PYTHONPATH=src python -m pytest -q tests/test_reachability.py
 """
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+_SPEC = importlib.util.spec_from_file_location("reach", ROOT / "tools" / "reach.py")
+reach = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(reach)
 LIBRARY = sorted(ROOT.glob("src/convbialg/*.py"))
 CALLERS = sorted(
     p for p in [*LIBRARY, *ROOT.glob("demos/*.py"), *ROOT.glob("tools/*.py"),
@@ -125,6 +132,32 @@ def test_scan_drops_a_chain_of_dead_definitions(tmp_path):
     caller = "from lib import Model, used\n\nprint(used(), Model().hook())\n"
     assert _scan(tmp_path, library, caller) == ["lib.Model.dead_hook", "lib.gone",
                                                  "lib.only_gone"]
+
+
+# A module whose import and whose call get(1) ran lines 10, 12, 14, 16 and
+# 19: the docstring, the import and the def and class headers are no
+# statements, and of the rest only the branches those runs skip are not run.
+CLASSIFIED = ('"""A module."""\n'
+              "import os\n\n\n"
+              "class Box:\n"
+              "    def __repr__(self):\n"
+              "        return 'Box()'\n\n"
+              "    def get(self, key):\n"
+              "        if key is None:\n"
+              "            raise ParseError('no key')\n"
+              "        if key < 0:\n"
+              "            raise ValueError('negative key')\n"
+              "        if key > 9:\n"
+              "            return None\n"
+              "        return key\n\n\n"
+              "if __name__ == '__main__':\n"
+              "    print(Box().get(1), os.sep)\n")
+
+
+def test_reach_sorts_what_is_not_run_into_four_kinds():
+    assert len(reach.statements(ast.parse(CLASSIFIED))) == 10
+    assert reach.classify(CLASSIFIED, {10, 12, 14, 16, 19}) == {
+        "documented": [11], "defensive": [13], "dunder": [7, 20], "other": [15]}
 
 
 STRING_LIBRARY = ('"""traced_by_docstring is named here only."""\n'

@@ -18,6 +18,7 @@ from convbialg.lie_rinehart import (
     tangent_line_algebroid,
 )
 from convbialg.models import heisenberg_model, pair_model
+from convbialg.textform import parse_uea
 from convbialg.uea import (
     TensorElement,
     UEAElement,
@@ -67,6 +68,12 @@ class TestRewriting:
     def test_center(self):
         X, Z = UEAElement.generator(H3, 0), UEAElement.generator(H3, 2)
         assert uea_mul(X, Z) == uea_mul(Z, X)
+
+    def test_zero_prints_as_0_and_reads_back(self):
+        X, Z = UEAElement.generator(H3, 0), UEAElement.generator(H3, 2)
+        zero = uea_mul(X, Z) - uea_mul(Z, X)
+        assert zero.text() == "0"
+        assert parse_uea(H3, "0") == zero
 
     def test_free_algebra_oracle(self):
         rng = random.Random(0xC0FFEE)

@@ -21,7 +21,7 @@ import pytest
 
 import convbialg.suites as suites
 from convbialg.adjoint import ad_uea
-from convbialg.cli import _emit_json
+from convbialg.cli import _emit_json, main
 from convbialg.coeffs import CoeffFn, Polynomial
 from convbialg.conv import ConvElement, ConvTensor
 from convbialg.groupoid import unit_bisection
@@ -156,6 +156,19 @@ def test_planted_failure_reports_a_witness(plant, monkeypatch, capsys):
     assert {c for c, v in checks.items() if "witness" in v and not v["pass"]} == set(broken)
     # the bytes pin which case fails first and the rng draws after it
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_text_report_prints_each_witness(monkeypatch, capsys):
+    # `check --suite` in text form prints a failed check's witness after it
+    suite, plants, _, broken, _ = PLANTS["uea-mul-plus-u"]
+    for attr, make in plants.items():
+        monkeypatch.setattr(suites, attr, make(getattr(suites, attr)))
+    assert main(["check", "--suite", suite]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"{suite}: FAIL" and lines[-1] == "overall: FAIL"
+    for check in broken:
+        head = f"  [FAIL] {check}  -- "
+        assert any(line.startswith(head) and len(line) > len(head) for line in lines)
 
 
 def test_prop43_witness_names_both_operators(monkeypatch):
