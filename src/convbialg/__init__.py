@@ -25,7 +25,6 @@ from .dist import (
     dist_mul,
     dist_mul_defcheck,
     omega_apply,
-    test_bank,
 )
 from .errors import (
     ChartMismatch,

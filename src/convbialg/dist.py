@@ -40,9 +40,6 @@ those values, since side A's (f o tau^{-1})(x0) is f(s0).
 
 from __future__ import annotations
 
-import random
-from itertools import product
-
 from .adjoint import ad_uea
 from .coeffs import CoeffFn, Polynomial, Q
 from .conv import BisectionSum
@@ -494,26 +491,3 @@ def commuting_square_gap_numeric(model, E: Bisection, u: UEAElement, Fs, g):
             b += fs0 * H_jet.a[j] * fact[j]
         gaps.append(abs(a - b))
     return gaps
-
-
-# ---------------------------------------------------------------------------
-# Test banks
-# ---------------------------------------------------------------------------
-
-
-def test_bank(model, seed: int = 0xC0FFEE, max_deg: int = 4):
-    """Polynomial test functions on the arrow chart of a PolynomialGroupoid,
-    separating the desk-scale distributions.  UnsupportedComposition at
-    rank 0, where a test function is a table read with .get (see the module
-    docstring), not a polynomial."""
-    if not model.algebroid.rank:
-        raise UnsupportedComposition("test_bank needs a model of positive rank, "
-                                     "whose test functions are polynomials")
-    rng = random.Random(seed)
-    n = model.arrow_chart.dim
-    bank = [Polynomial(n, {e: 1}) for e in product(range(max_deg + 1), repeat=n)
-            if sum(e) <= max_deg]
-    for _ in range(5):
-        bank.append(model.random_test_function(rng, 3))
-    return bank
-

@@ -47,7 +47,9 @@ class Diffeo1D:
     CoeffFns.  Affine maps carry both; the flat-kink maps carry only the
     forward direction, and their inverses only the backward one.  apply
     reads the forward map, and raises UnsupportedComposition without one;
-    apply_inv solves a missing inverse numerically.
+    apply_inv solves a missing inverse numerically, except at a rational y
+    equal to tau(0): a CoeffFn's flat part vanishes at 0, so tau(0) is exact,
+    and y's preimage is 0.
     """
 
     __slots__ = ("fwd", "inv")
@@ -114,6 +116,8 @@ class Diffeo1D:
     def apply_inv(self, y):
         if self.inv is not None:
             return self.inv.eval((y,))
+        if isinstance(y, (int, Q)) and self.fwd.eval((0,)) == y:
+            return 0  # tau(0) is exact and tau is injective
         return _solve_monotone(self.fwd, y)
 
     # -- composition --------------------------------------------------------
@@ -722,12 +726,10 @@ class Bisection(DeriveOnce):
     alone: its one inverse ("inverse"; never registered, but the registered
     bisection of its id when there is one), the generator images of U(Ad_E)
     ("ad_gens", adjoint), R_E^{-1} as polynomials, the series data of a
-    flat kink per point, the float solves of tau^{-1} per point (a point
-    equal to an earlier one, of any number type, has the same float and so
-    the same solution), the first stage of the defining-formula check
+    flat kink per point, the first stage of the defining-formula check
     per (F, u) (dist), and the inverse group element of an etale
-    bisection ("gamma_inv"), which beta_E applies.  The values beta_E(y)
-    and tau(x) are computed on each call."""
+    bisection ("gamma_inv"), which beta_E applies.  The values beta_E(y),
+    tau(x) and tau^{-1}(y) are computed on each call."""
 
     __slots__ = ("model", "bid", "tau", "domain", "element", "gamma", "is_flat", "derived")
 
@@ -763,11 +765,7 @@ class Bisection(DeriveOnce):
         return self.tau_diffeo().apply(x)
 
     def tau_inv_apply(self, y):
-        """tau^{-1}(y); a float solve (a flat kink) is made once per y."""
-        tau = self.tau_diffeo()
-        if tau.inv is not None:
-            return tau.apply_inv(y)
-        return self.derive_once(("tau_inv_solve", y), lambda: tau.apply_inv(y))
+        return self.tau_diffeo().apply_inv(y)
 
     def to_target(self, f: CoeffFn) -> CoeffFn:
         """f o tau^{-1}: a function over s(E) moved to t(E); f itself when

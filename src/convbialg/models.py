@@ -171,10 +171,9 @@ def _fresh(structure: GroupoidModel) -> GroupoidModel:
 
 # Factories by document key.
 FACTORIES = {"pair": pair_model, "heisenberg": heisenberg_model, "etale": etale_model}
-# Structures by document key.  Documents may also name a model by its kind.
+# Structures by document key.
 _STRUCTURES = {"pair": _pair_structure, "heisenberg": _heisenberg_structure,
-               "etale": _etale_structure, "group": _heisenberg_structure,
-               "etale_action": _etale_structure}
+               "etale": _etale_structure}
 
 
 def builtin_models():

@@ -47,7 +47,6 @@ from .dist import (
     dist_mul,
     dist_mul_defcheck,
     term_products,
-    test_bank,
 )
 from .errors import ConvBialgError
 from .groupoid import bisection_inv, germ_of, unit_bisection
@@ -450,8 +449,9 @@ def suite_phi_homomorphism(seed=0xC0FFEE, models=None):
 # ---------------------------------------------------------------------------
 
 
-def suite_kernel_example(seed=0xC0FFEE, models=None, npoints=20):
-    """The four flat-kink bisections: a nonzero element of ker(Phi)."""
+def suite_kernel_example(seed=0xC0FFEE, models=None):
+    """The four flat-kink bisections: a nonzero element of ker(Phi), decided
+    exactly.  The report does not read the seed."""
     model = _model(models, "pair")
     A = model.algebroid
     f = CoeffFn(A.chart, Polynomial(1, {(0,): Q(1), (1,): Q(1)}))  # 1 + t, f(0) != 0
@@ -467,18 +467,7 @@ def suite_kernel_example(seed=0xC0FFEE, models=None, npoints=20):
     checks.append({"name": "kernel_test(a) = true", "pass": kt["in_kernel"],
                    "witness": kt["witness"]})
 
-    T = phi(a)
-    checks.append({"name": "phi(a) = 0 (stratified exact)", "pass": dist_is_zero(T)})
-
-    rng = random.Random(seed)
-    worst = 0.0
-    bank = test_bank(model, seed=seed, max_deg=3)
-    xs = [rng.uniform(-3, 3) for _ in range(npoints)]
-    for F in bank:
-        for x in xs:
-            worst = max_keep_nan(worst, abs(float(dist_eval_at(T, F, x))))
-    checks.append({"name": f"|phi(a)(F)(x)| < 1e-09 at {npoints} float points",
-                   "pass": worst < 1e-9, "max_abs": worst})
+    checks.append({"name": "phi(a) = 0 (stratified exact)", "pass": dist_is_zero(phi(a))})
 
     return _report("kernel-example", checks,
                    strata=stratify(model, [model.registry[b] for b in a.terms]).table())

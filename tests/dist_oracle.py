@@ -4,10 +4,14 @@ dist_eval(T, F) is T(F) as one coefficient function on the base, built with
 polynomials: [[E, D]](F) = D(F) o beta_E, with beta_E the polynomial map of
 model.beta_polys, and c o s o beta_E = c o tau^{-1}.  The package evaluates
 T(F) at one point at a time (dist.dist_eval_at), through model.test_value;
-the tests compare the two.
+the tests compare the two.  function_bank gives them test functions to
+compare on.
 """
 
-from convbialg.coeffs import CoeffFn
+import random
+from itertools import product
+
+from convbialg.coeffs import CoeffFn, Polynomial
 from convbialg.dist import omega_apply
 from convbialg.errors import UnsupportedRegistry
 
@@ -25,3 +29,13 @@ def dist_eval(T, F):
         for c, P in omega_apply(model, u, F).terms:
             out = out + E.to_target(c) * CoeffFn(model.base, P.substitute(beta))
     return out
+
+
+def function_bank(model, seed=0xC0FFEE, max_deg=4):
+    """Polynomial test functions on the arrow chart of a model of positive
+    rank: every monomial of degree <= max_deg, and five random ones."""
+    rng = random.Random(seed)
+    n = model.arrow_chart.dim
+    bank = [Polynomial(n, {e: 1}) for e in product(range(max_deg + 1), repeat=n)
+            if sum(e) <= max_deg]
+    return bank + [model.random_test_function(rng, 3) for _ in range(5)]

@@ -124,7 +124,7 @@ def test_criterion_07_kernel_example(capsys, models):
     dt = time.monotonic() - t0
     ok = rep["pass"] and dt < 5.0
     report(capsys, 7, ok, "four-kink kernel element: a != 0, Phi(a) = 0 "
-           "(stratified exact + |value| < 1e-9 at 20 points), <5s", dt)
+           "(kernel_test + stratified exact), <5s", dt)
     assert rep["pass"], failures(rep)
     assert_golden(rep)
     assert dt < 5.0

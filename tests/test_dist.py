@@ -20,13 +20,12 @@ from convbialg.dist import (
     omega_apply,
     term_products,
 )
-from convbialg.dist import test_bank as dist_test_bank
 from convbialg.groupoid import bisection_inv
 from convbialg.lie_rinehart import frame_field, random_polynomial
 from convbialg.models import etale_model, heisenberg_model, model_from_json, pair_model
 from convbialg.uea import UEAElement, uea_mul
 
-from dist_oracle import dist_eval
+from dist_oracle import dist_eval, function_bank
 
 
 @pytest.fixture(scope="module")
@@ -182,7 +181,7 @@ class TestEval:
         X, Y, Z = (UEAElement.generator(H, i) for i in range(3))
         for u in (UEAElement.one(H), X, uea_mul(Y, Z)):
             T = TransvDist.single(h3, h3.lookup(name), u)
-            for F3 in dist_test_bank(h3):
+            for F3 in function_bank(h3):
                 assert dist_eval(T, F3) == CoeffFn.const(H.chart, dist_eval_at(T, F3, None))
 
     @pytest.mark.parametrize("name", ["shift", "dbl", "half"])
@@ -194,7 +193,7 @@ class TestEval:
         xs = [F(-3, 2), F(0), F(1, 3), F(5)]
         for u in (UEAElement.one(A), D, uea_mul(f, uea_mul(D, D)) + f):
             T = TransvDist.single(pair, E, u)
-            for F2 in dist_test_bank(pair):
+            for F2 in function_bank(pair):
                 sym = dist_eval(T, F2)
                 assert [sym.eval((x,)) for x in xs] == [dist_eval_at(T, F2, x) for x in xs]
 
@@ -649,16 +648,3 @@ class TestFlatSeriesData:
                 assert first == again == fresh
                 assert all(gap < 1e-9 for gap in first)
         assert ("flat_series", 0.35) in model.lookup("E01").derived
-
-
-def test_test_bank_nonempty(pair, h3):
-    for model in (pair, h3):
-        bank = dist_test_bank(model)
-        assert len(bank) >= 10
-
-
-def test_test_bank_refuses_a_rank_zero_model(etale):
-    # the etale test functions are tables {gamma: f}, so a bank of
-    # polynomials on its arrow chart would fail later, in dist_eval_at
-    with pytest.raises(UnsupportedComposition, match="positive rank"):
-        dist_test_bank(etale)

@@ -34,14 +34,6 @@ def test_commuting_square_series_walks_test_functions_then_arrows(monkeypatch):
     assert pair_check["max_numeric_gap"] == 10.0
 
 
-def test_kernel_example_float_gate(monkeypatch):
-    monkeypatch.setattr(suites, "dist_eval_at", lambda T, F, x: math.nan)
-    report = suites.suite_kernel_example(npoints=2)
-    (check,) = [c for c in report["checks"] if "max_abs" in c]
-    assert check["pass"] is False and report["pass"] is False
-    assert math.isnan(check["max_abs"])
-
-
 def test_fd_sanity_gate(monkeypatch):
     monkeypatch.setattr(coeffs, "_flat_eval", lambda a, t: math.nan)
     report = suites.suite_fd_sanity(npoints=4)

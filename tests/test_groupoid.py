@@ -165,28 +165,35 @@ class TestSolveMonotone:
         with pytest.raises(DomainError, match="failed to bracket"):
             _solve_monotone(pair.lookup("E00").tau_coeff(), y)
 
-    def test_one_solve_per_bisection_and_point(self, monkeypatch):
+    def test_inverted_kinks_and_affine_maps_are_never_solved(self, monkeypatch):
         model = pair_model()
         calls = []
-
-        def counted(f, y):
-            calls.append(y)
-            return _solve_monotone(f, y)
-
-        monkeypatch.setattr(groupoid, "_solve_monotone", counted)
-        E = model.lookup("E01")
-        first = E.tau_inv_apply(0.5)
-        assert E.tau_inv_apply(0.5) == first and E.tau_inv_apply(F(1, 2)) == first
-        assert calls == [0.5]
-        assert first == _solve_monotone(E.tau_coeff(), 0.5)
+        monkeypatch.setattr(groupoid, "_solve_monotone", lambda f, y: calls.append(y))
         # the inverted kink has no forward map: tau is refused, not solved
-        inverted = bisection_inv(E)
+        inverted = bisection_inv(model.lookup("E01"))
         with pytest.raises(UnsupportedComposition):
             inverted.tau_apply(0.5)
-        assert calls == [0.5] and not inverted.derived
         # an affine tau is evaluated, never solved
         assert model.lookup("shift").tau_inv_apply(F(1, 2)) == F(-1, 2)
-        assert len(calls) == 1
+        assert calls == []
+
+    @pytest.mark.parametrize("name, y", [("E00", 0), ("E01", Q(0)), ("E10", 0), ("E11", Q(0)),
+                                         ("shift*E00", 1)])
+    def test_the_preimage_of_tau_at_0_is_exact(self, monkeypatch, name, y):
+        # the flat part vanishes at 0, so tau(0) is exact and is not solved
+        model = pair_model()
+        if name == "shift*E00":
+            E = model.registered_product(model.lookup("shift"), model.lookup("E00"))
+        else:
+            E = model.lookup(name)
+        calls = []
+        monkeypatch.setattr(groupoid, "_solve_monotone", lambda f, y: calls.append(y))
+        assert E.is_flat and E.tau_apply(0) == y
+        assert E.tau_inv_apply(y) == 0 and type(E.tau_inv_apply(y)) is int
+        assert calls == []
+        # a float y is still solved
+        E.tau_inv_apply(float(y))
+        assert calls == [float(y)]
 
 
 class TestBisections:

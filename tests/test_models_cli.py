@@ -192,6 +192,8 @@ class TestCli:
         ("dist_eval(0, x0, 1)", None, "0"),
         # [[sh, 2]](F)(3) = 2 F(beta_sh(3)), at the arrow with source 3 - 1
         ("dist_eval([[sh, 2]], x0^2, 3)", etale_model, "8"),
+        # tau_E01(0) = 0 exactly, so its preimage is not solved in floats
+        ("dist_eval([[E01,1]],x0+x1,0)", None, "0"),
     ])
     def test_eval_prints_the_value(self, expr, make, want, tmp_path, capsys):
         argv = ["eval", expr]
@@ -223,13 +225,13 @@ class TestCli:
         assert first == second
         json.loads(first)  # valid JSON
 
-    def test_kernel_example_uses_its_seed(self, capsys):
-        # the float sample points and the random test functions follow --seed
+    def test_kernel_example_does_not_read_the_seed(self, capsys):
+        # every check is exact and draws nothing, so --seed changes no byte
         args = ["check", "--suite", "kernel-example", "--output", "json"]
         assert main(args) == 0
         default = capsys.readouterr().out
         assert main(args + ["--seed", "1"]) == 0
-        assert capsys.readouterr().out != default
+        assert capsys.readouterr().out == default
 
     @pytest.mark.parametrize("argv, doc", [
         # Ad of the flat E00 needs the inverse map, which is not representable
@@ -306,6 +308,11 @@ class TestCli:
                      id="model-gamma-string"),
         pytest.param(["eval", "phi(<1|M>)"], json.dumps({"model": "pair"}),
                      id="model-document-string"),
+        # a document names its model by document key, not by model kind
+        pytest.param(["eval", "phi(<1|M>)"], {"model": "group", "bisections": []},
+                     id="model-kind-group"),
+        pytest.param(["check", "--suite", "etale-iso"], {"model": "etale_action", "bisections": []},
+                     id="model-kind-etale-action"),
         pytest.param(["check", "--jobs", "0"], None, id="jobs-zero"),
     ])
     def test_library_error_exits_2_without_traceback(self, argv, doc, tmp_path, capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from convbialg import coeffs, groupoid
 from convbialg.conv import ConvElement, conv_is_zero, conv_mul
 from convbialg.coeffs import CoeffFn, Polynomial, Q
 from convbialg.dist import dist_eval_at, dist_mul
@@ -151,6 +152,23 @@ class TestKernel:
         assert not conv_is_zero(a)
         assert kernel_test(a)["in_kernel"]
         assert dist_is_zero(phi(a))
+
+    def test_kernel_example_suite_is_exact(self, monkeypatch):
+        # no float conversion and no float root solve: every verdict is exact
+        calls = {"to_float": 0, "_solve_monotone": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for module in (coeffs, groupoid):
+            monkeypatch.setattr(module, "to_float", counted("to_float", coeffs.to_float))
+        monkeypatch.setattr(groupoid, "_solve_monotone",
+                            counted("_solve_monotone", groupoid._solve_monotone))
+        assert run_suite("kernel-example")["pass"]
+        assert calls == {"to_float": 0, "_solve_monotone": 0}
 
     def test_perturbed_element_not_in_kernel(self, pair):
         a = self.make_kernel_element(pair)
