@@ -46,22 +46,22 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="convolution bialgebra toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, jobs=False):
+    def common(sp, seeded=True):
         sp.add_argument("--model", metavar="PATH", default=None,
                         help="JSON model definition (replaces the builtin of its kind)")
-        sp.add_argument("--seed", type=_seed, default=0xC0FFEE, metavar="U64")
+        if seeded:
+            sp.add_argument("--seed", type=_seed, default=0xC0FFEE, metavar="U64")
         sp.add_argument("--output", choices=("text", "json"), default="text")
-        if jobs:
-            sp.add_argument("--jobs", type=_jobs, default=1, metavar="N")
 
     sp = sub.add_parser("check", help="run invariant suites")
     sp.add_argument("--suite", choices=sorted(SUITES), default=None,
                     help="one suite (default: all)")
-    common(sp, jobs=True)
+    common(sp)
+    sp.add_argument("--jobs", type=_jobs, default=1, metavar="N")
 
     sp = sub.add_parser("eval", help="evaluate an element expression")
     sp.add_argument("expr", help="conv_mul(<a>,<b>) | phi(<a>) | dist_eval(<T>,<F>,<x>)")
-    common(sp)
+    common(sp, seeded=False)
 
     sp = sub.add_parser("demo", help="run a named scenario")
     sp.add_argument("name", choices=DEMOS)
@@ -82,10 +82,10 @@ def _load_model(args):
     return doc, model_from_json(doc)
 
 
-def _print_checks(report, indent="  "):
+def _print_checks(report):
     for c in report["checks"]:
         mark = "ok  " if c["pass"] else "FAIL"
-        line = f"{indent}[{mark}] {c['name']}"
+        line = f"  [{mark}] {c['name']}"
         if not c["pass"] and c.get("witness"):
             line += f"  -- {c['witness']}"
         print(line)

@@ -121,10 +121,10 @@ def check_degree(exp) -> None:
         raise ParseError(f"a term of total degree above {MAX_DEGREE}")
 
 
-def _clipped(text: str, keep: int = 20) -> str:
-    """text for an error message: as it is, or its first keep characters
-    and its length when it is longer."""
-    return text if len(text) <= keep else f"{text[:keep]}... ({len(text)} characters)"
+def _clipped(text: str) -> str:
+    """text for an error message: as it is, or its first 20 characters and
+    its length when it is longer."""
+    return text if len(text) <= 20 else f"{text[:20]}... ({len(text)} characters)"
 
 
 def parse_rational(value) -> Fraction:
@@ -274,10 +274,6 @@ class Chart(Value):
     @staticmethod
     def point(name: str = "pt") -> "Chart":
         return Chart(0, name)
-
-    @staticmethod
-    def space(dim: int, name: str = "chart") -> "Chart":
-        return Chart(dim, name)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +494,7 @@ class Polynomial:
 
     # -- text form ----------------------------------------------------------
 
-    def text(self, varname: str = "x") -> str:
+    def text(self) -> str:
         """Canonical sparse form `c*x0^a0*x1^a1 + ...`."""
         if not self.terms:
             return "0"
@@ -508,9 +504,9 @@ class Polynomial:
             factors = [str(c)]
             for i, k in enumerate(e):
                 if k == 1:
-                    factors.append(f"{varname}{i}")
+                    factors.append(f"x{i}")
                 elif k > 1:
-                    factors.append(f"{varname}{i}^{k}")
+                    factors.append(f"x{i}^{k}")
             parts.append("*".join(factors))
         return " + ".join(parts)
 

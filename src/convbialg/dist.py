@@ -66,12 +66,11 @@ class ArrowFn:
         self.terms = [(c, P) for c, P in terms if not (c.is_zero or P.is_zero)]
 
     @staticmethod
-    def lift(model, P: Polynomial, nvars=None, h_offset=0) -> "ArrowFn":
-        nvars = model.arrow_chart.dim if nvars is None else nvars
-        if P.nvars != nvars:
+    def lift(model, P: Polynomial) -> "ArrowFn":
+        if P.nvars != model.arrow_chart.dim:
             raise ValueError("polynomial variable count mismatch")
         one = CoeffFn.const(model.base, 1)
-        return ArrowFn(model, nvars, h_offset, [(one, P)])
+        return ArrowFn(model, P.nvars, 0, [(one, P)])
 
     def apply_frame(self, i: int) -> "ArrowFn":
         """Apply the left-invariant frame field X-bar_i in the h-block."""

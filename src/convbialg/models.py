@@ -54,7 +54,7 @@ def _pair_structure() -> GroupoidModel:
     model = PairModel(
         name="pair-line",
         base=base,
-        arrow_chart=Chart.space(2, "PairG"),
+        arrow_chart=Chart(2, "PairG"),
         algebroid=A,
         s_map=[v2[1]],
         t_map=[v2[0]],
@@ -101,7 +101,7 @@ def _heisenberg_structure() -> GroupoidModel:
     model = GroupModel(
         name="heisenberg",
         base=A.chart,
-        arrow_chart=Chart.space(3, "H3"),
+        arrow_chart=Chart(3, "H3"),
         algebroid=A,
         s_map=[],
         t_map=[],
@@ -144,7 +144,7 @@ def _etale_structure() -> GroupoidModel:
     model = EtaleActionModel(
         name="affine-action",
         base=base,
-        arrow_chart=Chart.space(2, "EtaleG"),
+        arrow_chart=Chart(2, "EtaleG"),
         algebroid=rank_zero_algebroid(base),
     )
     algebroid_of_groupoid(model)
@@ -186,12 +186,14 @@ def builtin_models():
 
 
 def model_to_json(model: GroupoidModel) -> dict:
+    """The model's document, without the registered bisections whose domain
+    is empty (a product of two that miss each other): no arrow lies on them."""
     names = model.bid_names()
     return {
         "model": model.doc_key,
         "bisections": [
             {"id": names.get(bid, bid), **model.bisection_to_json(E)}
-            for bid, E in sorted(model.registry.items())
+            for bid, E in sorted(model.registry.items()) if E.domain.intervals
         ],
     }
 

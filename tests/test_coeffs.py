@@ -87,7 +87,7 @@ class TestCheckedConstructors:
         with pytest.raises(ValueError):
             Polynomial.var(2, i)
         with pytest.raises(ValueError):
-            CoeffFn.var(Chart.space(2), i)
+            CoeffFn.var(Chart(2), i)
 
     @pytest.mark.parametrize("key", [0.5, -1, True, "0"])
     def test_flat_keys_are_nonnegative_ints(self, key):
@@ -185,7 +185,7 @@ class TestTrustedResults:
 
     @given(line_fns(), line_fns(), RATIONALS, polys(1, 3), polys(2))
     def test_coeff_fn_results(self, f, g, c, p, inner):
-        plane = Chart.space(2)
+        plane = Chart(2)
         results = [f + g, f - g, f - f, f.scale(c), f.derive(), f.derive().derive(),
                    CoeffFn.const(LINE, c), CoeffFn.var(LINE),
                    CoeffFn(LINE, p).compose([CoeffFn(plane, inner)])]

@@ -79,7 +79,7 @@ class TestStructureMaps:
             PairModel(
                 name="broken",
                 base=Chart.line("M"),
-                arrow_chart=Chart.space(2, "G"),
+                arrow_chart=Chart(2, "G"),
                 algebroid=tangent_line_algebroid(),
                 s_map=[v2[1]],
                 t_map=[v2[0]],

@@ -80,6 +80,17 @@ class TestModelJson:
             {name: model.lookup(name).bid for name in "AKP"}
         assert model_to_json(again) == out
 
+    def test_a_product_with_an_empty_domain_is_left_out_of_the_document(self):
+        # w's domain (0,1)u(2,3) misses its own shift, so w.w registers a
+        # bisection with no arrow on it
+        model = etale_model()
+        w = parse_conv(model, "<1|w>")
+        (bid,) = conv_mul(w, w).terms
+        assert not model.registry[bid].domain.intervals
+        again = model_from_json(model_to_json(model))
+        assert set(again.registry) == set(model.registry) - {bid}
+        assert again.aliases == model.aliases
+
     def test_a_product_with_a_flat_tau_has_no_document_form(self):
         # shift . E00 has tau = t + 1 + phi(t); written as a bare kink it
         # would read back as t + phi(t), another bisection
@@ -314,6 +325,9 @@ class TestCli:
         pytest.param(["check", "--suite", "etale-iso"], {"model": "etale_action", "bisections": []},
                      id="model-kind-etale-action"),
         pytest.param(["check", "--jobs", "0"], None, id="jobs-zero"),
+        # eval draws nothing, so it takes no seed
+        pytest.param(["eval", "--seed", "5", "phi(<1|M>)"], None, id="eval-seed"),
+        pytest.param(["eval", "dist_eval([[E01]], x0, 0)"], None, id="dist-term-without-u"),
     ])
     def test_library_error_exits_2_without_traceback(self, argv, doc, tmp_path, capsys):
         if doc is not None:
@@ -331,7 +345,8 @@ class TestCli:
         assert "Traceback" not in captured.err
         lines = captured.err.splitlines()
         if usage:
-            assert lines[-1].startswith("convbialg check: error: ")
+            # a subcommand's parser names it; the top one reports what is left over
+            assert lines[-1].startswith(("convbialg check: error: ", "convbialg: error: "))
         else:
             assert len(lines) == 1
             assert captured.err.startswith("error: ")
@@ -530,7 +545,7 @@ class TestInputCaps:
              "generator"])
     def test_a_parse_error_clips_the_text_it_echoes(self, parse, text, models):
         parsers = {"coeff": lambda: parse_coeff(Chart.line(), text),
-                   "coeff2": lambda: parse_coeff(Chart.space(2), text),
+                   "coeff2": lambda: parse_coeff(Chart(2), text),
                    "uea": lambda: parse_uea(models["heisenberg"].algebroid, text)}
         with pytest.raises(ParseError) as info:
             parsers[parse]()
@@ -586,7 +601,7 @@ class TestRunAll:
         # a model under a key that no factory has, next to the builtin ones
         models = {"pair": pair_model(), "pair2": pair_model()}
         reports = [convbialg.suites.run_suite("prop43", models=models),
-                   convbialg.suites.suite_commuting_square(models=models, nu=1, nf=1)]
+                   convbialg.suites.run_suite("commuting-square", models=models)]
         for report in reports:
             names = [c["name"].split(":")[0] for c in report["checks"] if ":" in c["name"]]
             assert names == ["etale", "heisenberg", "pair", "pair2"]

@@ -63,75 +63,75 @@ def _right_slot_on_unit(real):
 
 
 # plant name: (suite, {name in convbialg.suites -> plant made from the real
-# one}, keyword arguments of the suite, the checks that then fail with a
-# witness, sha256 of the report's canonical JSON)
+# one}, the checks that then fail with a witness, sha256 of the report's
+# canonical JSON)
 PLANTS = {
     "uea-mul-plus-u": (
-        "uea", {"uea_mul": lambda real: lambda u, v: real(u, v).plus([u])}, {},
+        "uea", {"uea_mul": lambda real: lambda u, v: real(u, v).plus([u])},
         ["associativity (100 triples)", "Delta multiplicative (30 pairs)",
          "defining relations [X_i, X_j] and [X_i, f]"],
         "1bb518e470465551889abe659bfe7a22f14fb19aa71237dd24adbd1b474c23c2"),
     "uea-coproduct-doubled": (
-        "uea", {"coproduct": _doubled}, {},
+        "uea", {"coproduct": _doubled},
         ["counit axioms (eps x id, id x eps)", "Delta multiplicative (30 pairs)"],
         "43c5835f0e9b9cbd263652f4b10d054f2dcae1a8a23f091b9454d78c9df4cdb1"),
     "uea-coproduct-plus-u-tensor-1": (
-        "uea", {"coproduct": _plus_u_tensor_one}, {},
+        "uea", {"coproduct": _plus_u_tensor_one},
         ["coassociativity", "counit axioms (eps x id, id x eps)",
          "Delta multiplicative (30 pairs)", "Delta image in the balanced subspace",
          "cocommutativity"],
         "1a53c7d2f7b00e1dd27e5e85da8d5ff3a50b6b96616b2ca494dbf0b42ad7629d"),
     "hopf-etale-counit-plus-one": (
-        "hopf-etale", {"conv_counit": _plus_one_counit}, {},
+        "hopf-etale", {"conv_counit": _plus_one_counit},
         ["(ii) eps restricted to R is the identity", "(iv) eps(ab) = eps(a.eps(b))",
          "(viii) mu(S x id)Delta = eps o S (support-respecting form)"],
         "5a949a4bc2f27f8d465b3c43604511b3aa68f5ce2fdb9033dc2aae78c6a5f8c5"),
     "hopf-etale-coproduct-doubled": (
-        "hopf-etale", {"conv_coproduct": _doubled}, {},
+        "hopf-etale", {"conv_coproduct": _doubled},
         ["(iii) Delta restricted to R is the canonical embedding",
          "(v) Delta(ab) = Delta(a)Delta(b)",
          "(viii) mu(S x id)Delta = eps o S (support-respecting form)"],
         "f8ba6b145bbad4580eebec56f98396e9f0c732bb946c546a2eacdd58e79a68ea"),
     "hopf-etale-coproduct-right-slot-on-unit": (
-        "hopf-etale", {"conv_coproduct": _right_slot_on_unit}, {},
+        "hopf-etale", {"conv_coproduct": _right_slot_on_unit},
         ["(i) Delta(A) in the balanced subspace", "cocommutativity",
          "(viii) mu(S x id)Delta = eps o S (support-respecting form)"],
         "b0341b1fbb1de9426ffbf0a1d600bd5a6384ebd41411ea2ec9a7b3184b13cc8f"),
     "hopf-etale-antipode-plus-a": (
-        "hopf-etale", {"antipode_etale": lambda real: lambda a: real(a) + a}, {},
+        "hopf-etale", {"antipode_etale": lambda real: lambda a: real(a) + a},
         ["(vi) S restricted to R is the identity", "(vii) S(ab) = S(b)S(a)", "S involution",
          "(viii) mu(S x id)Delta = eps o S (support-respecting form)"],
         "184945ccdb326aa43a89017072db843bbadca4e1e77ea68ddd75338925834fae"),
     # the exact side only: the flat kinks keep their series check
     "commuting-square-nonzero-gaps": (
-        "commuting-square", {"commuting_square_gap": _nonzero_gaps}, {"nu": 1, "nf": 1},
-        ["etale: exact on 6 cases", "heisenberg: exact on 5 cases",
-         "pair: exact on 4 cases, series (<1e-9) on 8"],
-        "72fce1069bd3ac14b15141e70dafbbbcf23261e23b6c720448eed70270374cef"),
+        "commuting-square", {"commuting_square_gap": _nonzero_gaps},
+        ["etale: exact on 600 cases", "heisenberg: exact on 500 cases",
+         "pair: exact on 400 cases, series (<1e-9) on 800"],
+        "9c7a17e83f5e39ec8ede34d1a86857699a4d1caee259cb30ed2cecb21d1aaa43"),
     "prop43-defcheck-plus-one": (
-        "prop43", {"dist_mul_defcheck": _plus_one}, {},
+        "prop43", {"dist_mul_defcheck": _plus_one},
         ["etale: 1 term pairs exact", "heisenberg: 1 term pairs exact",
          "pair: 1 term pairs exact"],
         "605fcd11fafc734de110802feac05f77ca3bb29dece21ab852df68884e8ab552"),
     "phi-homomorphism-dist-mul-plus-t1": (
-        "phi-homomorphism", {"dist_mul": lambda real: lambda T2, T1: real(T2, T1) + T1}, {},
+        "phi-homomorphism", {"dist_mul": lambda real: lambda T2, T1: real(T2, T1) + T1},
         ["etale: 100 term pairs exact", "heisenberg: 100 term pairs exact",
          "pair: 100 term pairs exact"],
         "37770606573d2ad478e0798899004a95c21f80a8a1c088169467ca3ccc4d0f51"),
     "cartier-gabriel-in-kernel-and-mul-plus-a1": (
         "cartier-gabriel", {"kernel_test": _always_in_kernel,
-                            "conv_mul": lambda real: lambda a2, a1: real(a2, a1) + a1}, {},
+                            "conv_mul": lambda real: lambda a2, a1: real(a2, a1) + a1},
         ["injective on sums over <= 5 group elements",
          "twisted product delta_k' * Phi<u,k> = Phi(conv product)",
          "grouplike x primitive decomposition up to Ad twist"],
         "2e0a31d21c11d45783565b81a2e776dc644a9bbf1c0691100080313ad29419e1"),
     "cartier-gabriel-ad-plus-u": (
-        "cartier-gabriel", {"ad_uea": lambda real: lambda E, u: real(E, u) + u}, {},
+        "cartier-gabriel", {"ad_uea": lambda real: lambda E, u: real(E, u) + u},
         ["grouplike x primitive decomposition up to Ad twist"],
         "fa8ed79d6fb0c51b19c7ad2e3f84a2f00c56677e2172022876d82033411a7e32"),
     "etale-iso-in-kernel-and-phi-doubled": (
         "etale-iso", {"kernel_test": _always_in_kernel,
-                      "phi": lambda real: lambda a: real(a).scale(2)}, {},
+                      "phi": lambda real: lambda a: real(a).scale(2)},
         ["ker(Phi) = 0: kernel_test agrees with germwise zero",
          "every [[E, f]] has preimage <f o tau^-1, E#>"],
         "3229d11c0c49ac4523be93645f21e5a30c3194ced1294c41c96876221d382f82"),
@@ -140,10 +140,10 @@ PLANTS = {
 
 @pytest.mark.parametrize("plant", sorted(PLANTS))
 def test_planted_failure_reports_a_witness(plant, monkeypatch, capsys):
-    suite, plants, kwargs, broken, sha256 = PLANTS[plant]
+    suite, plants, broken, sha256 = PLANTS[plant]
     for attr, make in plants.items():
         monkeypatch.setattr(suites, attr, make(getattr(suites, attr)))
-    report = suites.SUITES[suite](**kwargs)
+    report = suites.SUITES[suite]()
     assert report["pass"] is False
     _emit_json(report)
     out = capsys.readouterr().out
@@ -160,7 +160,7 @@ def test_planted_failure_reports_a_witness(plant, monkeypatch, capsys):
 
 def test_text_report_prints_each_witness(monkeypatch, capsys):
     # `check --suite` in text form prints a failed check's witness after it
-    suite, plants, _, broken, _ = PLANTS["uea-mul-plus-u"]
+    suite, plants, broken, _ = PLANTS["uea-mul-plus-u"]
     for attr, make in plants.items():
         monkeypatch.setattr(suites, attr, make(getattr(suites, attr)))
     assert main(["check", "--suite", suite]) == 1
