@@ -146,9 +146,10 @@ def parse_rational(value) -> Fraction:
 
 
 class DeriveOnce:
-    """An owner (a model, a bisection, an algebra) whose data never change
-    once built: `derived` keeps each datum derived from them, by key, from
-    its first use on; a computation that raises stores nothing."""
+    """An owner (a model, a model structure, a bisection, an algebra) whose
+    data never change once built: `derived` keeps each datum derived from
+    them, by key, from its first use on; a computation that raises stores
+    nothing."""
 
     __slots__ = ()
 

@@ -28,14 +28,25 @@ f2(s(g2)) f1(s(g1)) F(g2 g1) with g1 = beta_{E1}(s(g2)).
 Functions on the arrow space appearing along the way are kept in the form
 sum (f_i o s) * P_i with f_i a coefficient function on the base and P_i a
 polynomial on the arrow chart; this block is closed under the frame fields.
-Those are the fields stored on the model; lie_rinehart.algebroid_of_groupoid
+Those are the fields kept in the structure store (see GroupoidModel), made
+from the frame stored on the model; lie_rinehart.algebroid_of_groupoid
 derives them independently when the model is built.
 
+Ω(u) is left-invariant and linear in F, so Ω(sum f_a X^a)(F) is
+sum (f_a o s) * Ω(X^a)(F), and Ω(X^a)(F) is sum_m c_m Ω(X^a)(x^m) over the
+terms c_m x^m of F.  The polynomial Ω(X^a)(x^m) is made by the frame walk
+(ArrowFn.lift, then apply_frame along the word of X^a) once per model
+structure, and kept in the model's structure store, which every model of
+the structure shares (see GroupoidModel); omega_apply reads it.
+
 Both branches of the commuting-square check take a list of test functions
-and return one gap per F: the exact one computes U(Ad_E)u once per (E, u),
-and the series one, for flat kinks, builds U(Ad_E)u's operator jets and the
-values f(s0) of u's coefficients once per (E, u, arrow).  Both sides read
-those values, since side A's (f o tau^{-1})(x0) is f(s0).
+and return one gap per F.  The exact one computes U(Ad_E)u once per (E, u)
+and pulls each coefficient of U(Ad_E)u and of u back to the arrow chart
+once per call; each F then costs one Ω(X^a)(F) per term, read from the
+structure store.  The series one, for flat kinks, builds U(Ad_E)u's
+operator jets and the values f(s0) of u's coefficients once per
+(E, u, arrow).  Both sides read those values, since side A's
+(f o tau^{-1})(x0) is f(s0).
 """
 
 from __future__ import annotations
@@ -45,7 +56,7 @@ from .coeffs import CoeffFn, Polynomial, Q
 from .conv import BisectionSum
 from .errors import ChartMismatch, DomainError, UnsupportedComposition
 from .groupoid import Bisection, bisection_inv
-from .uea import UEAElement, act, uea_mul
+from .uea import UEAElement, act, pbw_word, uea_mul
 
 
 # ---------------------------------------------------------------------------
@@ -100,20 +111,6 @@ class ArrowFn:
         # the h-block is consumed; treat the result as plain parameters
         return ArrowFn(self.model, new_nvars, 0, terms)
 
-    def as_polynomial(self) -> Polynomial:
-        """Exact polynomial form when every coefficient is polynomial and the
-        variable space is exactly the arrow chart."""
-        model = self.model
-        n = model.arrow_chart.dim
-        if self.nvars != n or self.h_offset != 0:
-            raise ValueError("not a plain arrow-space function")
-        total = Polynomial(n, {})
-        for c, P in self.terms:
-            if not c.is_poly:
-                raise UnsupportedComposition("flat coefficient has no polynomial form")
-            total = total + model.along_source(c.poly) * P
-        return total
-
     def eval_arrow(self, g, total=0):
         """total plus the value at an arrow (h-block = the whole variable
         space); summed term by term, so float sums keep their order."""
@@ -126,7 +123,8 @@ class ArrowFn:
 def _frame_terms(model, i, nvars, h_offset):
     """The frame field X-bar_i in an h-block at h_offset of nvars variables:
     [(d, frame[i][d], [(m, d/dh_d of s_m), ...]), ...] embedded, the zero
-    entries left out.  Derived once per (model, i, nvars, h_offset)."""
+    entries left out.  Derived once per (model structure, i, nvars,
+    h_offset)."""
 
     def compute():
         fields = []
@@ -142,14 +140,40 @@ def _frame_terms(model, i, nvars, h_offset):
             fields.append((d, pd, dsms))
         return fields
 
-    return model.derive_once(("frame_field", i, nvars, h_offset), compute)
+    return model.structure_store.derive_once(("frame_field", i, nvars, h_offset), compute)
 
 
-def omega_apply(model, u: UEAElement, F) -> ArrowFn:
-    """Ω(u) applied to a test function (a polynomial on the arrow chart)."""
-    if isinstance(F, Polynomial):
-        F = ArrowFn.lift(model, F)
-    return F.apply_uea(u)
+def _omega_walk(model, exp, mono) -> Polynomial:
+    """Ω(X^exp)(x^mono) on the arrow chart, by the frame walk: the lift of
+    x^mono, then X-bar_i for each i of the word of X^exp, last first.  A
+    lift's coefficient is the constant 1, which no frame field derives, so
+    the walk's polynomials are summed as they stand."""
+    n = model.arrow_chart.dim
+    acc = ArrowFn.lift(model, Polynomial._raw(n, {mono: 1}))
+    for i in reversed(pbw_word(exp)):
+        acc = acc.apply_frame(i)
+    return sum((P for _, P in acc.terms), Polynomial(n, {}))
+
+
+def _omega_poly(model, exp, F: Polynomial) -> Polynomial:
+    """Ω(X^exp)(F) = sum_m c_m Ω(X^exp)(x^m) over the terms c_m x^m of F, in
+    F's order; each Ω(X^exp)(x^m) is walked once per model structure."""
+    store = model.structure_store
+    terms = {}
+    for mono, c in F.terms.items():
+        entry = store.derive_once(("omega", exp, mono), lambda: _omega_walk(model, exp, mono))
+        for e, k in entry.terms.items():
+            terms[e] = terms.get(e, 0) + c * k
+    return Polynomial._raw(F.nvars, terms)
+
+
+def omega_apply(model, u: UEAElement, F: Polynomial) -> ArrowFn:
+    """Ω(u) applied to a test function F (a polynomial on the arrow chart):
+    one term (f_a, Ω(X^a)(F)) per term f_a X^a of u."""
+    if F.nvars != model.arrow_chart.dim:
+        raise ValueError("polynomial variable count mismatch")
+    return ArrowFn(model, F.nvars, 0,
+                   [(f, _omega_poly(model, exp, F)) for exp, f in u.terms.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +304,14 @@ def commuting_square_gap(model, E: Bisection, u: UEAElement, Fs):
 
     Both sides of the section-4.1 square are composed with R_E^{-1} so that
     only the forward map tau enters; for the representable (polynomial)
-    cases the gap is returned as a polynomial on the arrow chart.
-    U(Ad_E)u does not depend on F, so it is computed once for all of Fs.
+    cases the gap is returned as a polynomial on the arrow chart:
+
+        sum_a (g_a o tau o s) * (Ω(X^a)(F) o R_E^{-1})
+          - sum_a (f_a o s) * Ω(X^a)(F o R_E^{-1})
+
+    over the terms g_a X^a of U(Ad_E)u and f_a X^a of u.  U(Ad_E)u and the
+    coefficients, pulled back to the arrow chart, do not depend on F, so
+    they are computed once for all of Fs.
     """
     v = ad_uea(E, u)
     if not model.algebroid.rank:
@@ -289,14 +319,27 @@ def commuting_square_gap(model, E: Bisection, u: UEAElement, Fs):
         gap = E.to_source(v.degree0()) - u.degree0()
         return [gap] * len(Fs)
     rinv = _right_translation_inv(E)
-    n = model.arrow_chart.dim
+    # s o R_E^{-1} = tau o s, so (c o s) o R_E^{-1} = (c o tau) o s
+    lhs_terms = [(exp, _along_source(model, E.to_source(g))) for exp, g in v.terms.items()]
+    rhs_terms = [(exp, _along_source(model, f)) for exp, f in u.terms.items()]
+    zero = Polynomial(model.arrow_chart.dim, {})
     gaps = []
     for F in Fs:
-        # s o R_E^{-1} = tau o s, so (c o s) o R_E^{-1} = (c o tau) o s
-        lhs = omega_apply(model, v, F).substitute(n, rinv, E.to_source).as_polynomial()
-        rhs = omega_apply(model, u, F.substitute(rinv)).as_polynomial()
-        gaps.append(lhs - rhs)
+        F_rinv = F.substitute(rinv)
+        gap = zero
+        for exp, c in lhs_terms:
+            gap = gap + c * _omega_poly(model, exp, F).substitute(rinv)
+        for exp, c in rhs_terms:
+            gap = gap - c * _omega_poly(model, exp, F_rinv)
+        gaps.append(gap)
     return gaps
+
+
+def _along_source(model, c: CoeffFn) -> Polynomial:
+    """c o s as a polynomial on the arrow chart."""
+    if not c.is_poly:
+        raise UnsupportedComposition("flat coefficient has no polynomial form")
+    return model.along_source(c.poly)
 
 
 def _right_translation_inv(E: Bisection):

@@ -244,6 +244,16 @@ def _coord(x):
 # ---------------------------------------------------------------------------
 
 
+class StructureStore(DeriveOnce):
+    """The owner of what derives from a model structure alone: one per
+    constructed model, shared by its `fresh()` copies (see GroupoidModel)."""
+
+    __slots__ = ("derived",)
+
+    def __init__(self):
+        self.derived = {}
+
+
 class GroupoidModel(DeriveOnce):
     """A groupoid over a base chart, with a registry of its local bisections.
 
@@ -284,16 +294,21 @@ class GroupoidModel(DeriveOnce):
 
     `derived` (see DeriveOnce) holds what the layers derive from the model
     alone or from two bisections: the conjugation Jacobian (key
-    "conjugation_jacobian"), the frame field X-bar_i embedded in an h-block
-    of nvars variables at h_offset, with the source derivatives it meets
-    (key ("frame_field", i, nvars, h_offset); dist.ArrowFn.apply_frame),
-    and the registered product E2 . E1 (key ("product", bid2, bid1); the
-    registry's object, see registered_product).  What derives from one
-    bisection alone lives on the Bisection.
+    "conjugation_jacobian") and the registered product E2 . E1 (key
+    ("product", bid2, bid1); the registry's object, see
+    registered_product).  What derives from one bisection alone lives on
+    the Bisection.
 
     The models of a kind share one structure (charts, algebroid, structure
     maps and frames, all immutable): each is a `fresh()` copy of one
     verified model (see models), with its own registry, aliases and derived.
+    What derives from the structure alone is kept in `structure_store` (a
+    StructureStore), which every copy shares: the frame field X-bar_i
+    embedded in an h-block of nvars variables at h_offset, with the source
+    derivatives it meets (key ("frame_field", i, nvars, h_offset);
+    dist.ArrowFn.apply_frame), and Omega(X^a)(x^m), the operator of a PBW
+    monomial applied to a monomial of the arrow chart (key ("omega", a, m);
+    dist.omega_apply).
     """
 
     kind = None
@@ -308,10 +323,12 @@ class GroupoidModel(DeriveOnce):
         self.registry = {}
         self.aliases = {}
         self.derived = {}
+        self.structure_store = StructureStore()
 
     def fresh(self) -> "GroupoidModel":
         """A model of this structure with its own empty registry, aliases
-        and derived store; the structure objects are shared, not copied."""
+        and derived store; the structure objects and the structure store
+        are shared, not copied."""
         model = object.__new__(type(self))
         model.__dict__.update(self.__dict__)
         model.registry, model.aliases, model.derived = {}, {}, {}

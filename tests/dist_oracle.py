@@ -2,7 +2,8 @@
 
 dist_eval(T, F) is T(F) as one coefficient function on the base, built with
 polynomials: [[E, D]](F) = D(F) o beta_E, with beta_E the polynomial map of
-model.beta_polys, and c o s o beta_E = c o tau^{-1}.  The package evaluates
+model.beta_polys, and c o s o beta_E = c o tau^{-1}.  D(F) is made by the
+frame walk of dist.ArrowFn, not read from the table of dist.omega_apply.  The package evaluates
 T(F) at one point at a time (dist.dist_eval_at), through model.test_value;
 the tests compare the two.  function_bank gives them test functions to
 compare on.
@@ -12,7 +13,7 @@ import random
 from itertools import product
 
 from convbialg.coeffs import CoeffFn, Polynomial
-from convbialg.dist import omega_apply
+from convbialg.dist import ArrowFn
 from convbialg.errors import UnsupportedRegistry
 
 
@@ -26,7 +27,8 @@ def dist_eval(T, F):
         if not E.target_domain().is_whole:
             raise UnsupportedRegistry(f"dist_eval needs t(E) to be the whole base: {bid}")
         beta = model.beta_polys(E)
-        for c, P in omega_apply(model, u, F).terms:
+        # Ω(u)(F) by the frame walk, not by dist.omega_apply's table
+        for c, P in ArrowFn.lift(model, F).apply_uea(u).terms:
             out = out + E.to_target(c) * CoeffFn(model.base, P.substitute(beta))
     return out
 

@@ -3,6 +3,7 @@ import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import convbialg.dist as dist_module
 from convbialg.coeffs import CoeffFn, Polynomial, Q
@@ -22,7 +23,8 @@ from convbialg.dist import (
 )
 from convbialg.groupoid import bisection_inv
 from convbialg.lie_rinehart import frame_field, random_polynomial
-from convbialg.models import etale_model, heisenberg_model, model_from_json, pair_model
+from convbialg.models import (etale_model, heisenberg_model, model_from_json, model_to_json,
+                              pair_model)
 from convbialg.uea import UEAElement, uea_mul
 
 from dist_oracle import dist_eval, function_bank
@@ -43,6 +45,16 @@ def etale():
     return etale_model()
 
 
+def _as_polynomial(af):
+    """sum (c o s) * P over the terms of an ArrowFn on the arrow chart whose
+    coefficients are polynomials: one polynomial on the arrow chart."""
+    model = af.model
+    total = Polynomial(model.arrow_chart.dim, {})
+    for c, P in af.terms:
+        total = total + model.along_source(c.poly) * P
+    return total
+
+
 class TestOmega:
     def test_pair_derivative_along_source(self, pair):
         # [[graph(x+1), D]](F)(y) = (dF/dx)(y, y-1)
@@ -56,7 +68,7 @@ class TestOmega:
     def test_heisenberg_y_on_ab(self, h3):
         # the left-invariant Y applied to F(a,b,c) = a b gives a at the unit
         Y = UEAElement.generator(h3.algebroid, 1)
-        out = omega_apply(h3, Y, Polynomial.parse("x0*x1", 3)).as_polynomial()
+        out = _as_polynomial(omega_apply(h3, Y, Polynomial.parse("x0*x1", 3)))
         assert out == Polynomial.parse("x0", 3)
 
     def test_left_invariant_extension(self, h3):
@@ -72,8 +84,8 @@ class TestOmega:
             u = UEAElement(H, {exps[0]: CoeffFn.const(H.chart, 1)})
             v = UEAElement(H, {exps[1]: CoeffFn.const(H.chart, 1)})
             F3 = random_polynomial(rng, 3, 3)
-            lhs = omega_apply(h3, uea_mul(u, v), F3).as_polynomial()
-            rhs = omega_apply(h3, u, omega_apply(h3, v, F3).as_polynomial()).as_polynomial()
+            lhs = _as_polynomial(omega_apply(h3, uea_mul(u, v), F3))
+            rhs = _as_polynomial(omega_apply(h3, u, _as_polynomial(omega_apply(h3, v, F3))))
             assert lhs == rhs
 
 
@@ -133,20 +145,24 @@ class TestFrameFieldCache:
                 twice = af.apply_frame(i)
                 assert (self._listed(twice.apply_frame(i).terms)
                         == self._listed(_apply_frame_reference(twice, i)))
-        keys = {k for k in model.derived if k[0] == "frame_field"}
+        # the fields are kept in the structure store, which every model of
+        # the kind shares, not in the model's own store
+        keys = {k for k in model.structure_store.derived if k[0] == "frame_field"}
         assert keys == {("frame_field", i, nvars, h_offset)
                         for i in range(model.algebroid.rank)
                         for nvars, h_offset in ((n, 0), (2 * n, n))}
+        assert not [k for k in model.derived if k[0] == "frame_field"]
 
     def test_derived_once_per_key(self, monkeypatch):
         model = pair_model()
         af = ArrowFn.lift(model, Polynomial.parse("x0^2*x1 + x1", 2))
         af.apply_frame(0)
-        derived = dict(model.derived)
+        derived = dict(model.structure_store.derived)
         assert ("frame_field", 0, 2, 0) in derived
         af.apply_frame(0).apply_frame(0)
-        assert model.derived == derived
-        assert model.derived[("frame_field", 0, 2, 0)] is derived[("frame_field", 0, 2, 0)]
+        assert model.structure_store.derived == derived
+        assert (model.structure_store.derived[("frame_field", 0, 2, 0)]
+                is derived[("frame_field", 0, 2, 0)])
 
 
 class TestEval:
@@ -549,6 +565,103 @@ class TestCommutingSquare:
         gaps = commuting_square_gap_numeric(pair, pair.lookup("E01"), D, Fs, (0.5, 0.35))
         assert len(gaps) == len(Fs)
         assert all(gap < 1e-9 for gap in gaps)
+
+
+def _random_element(rng, A, max_deg):
+    """One to three terms f X^a of A, |a| <= max_deg, each f a polynomial of
+    degree <= 2 on the base."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        exp = [0] * A.rank
+        for _ in range(rng.randint(0, max_deg)):
+            exp[rng.randrange(A.rank)] += 1
+        terms[tuple(exp)] = CoeffFn(A.chart, random_polynomial(rng, A.chart.dim, 2))
+    return UEAElement(A, terms)
+
+
+def _gap_reference(model, E, u, F):
+    """The commuting-square gap of one test function by the frame walk:
+    Ω(U(Ad_E)u)(F) o R_E^{-1}, coefficients moved by E.to_source, minus
+    Ω(u)(F o R_E^{-1}), each summed to one polynomial."""
+    n = model.arrow_chart.dim
+    rinv = dist_module._right_translation_inv(E)
+    v = dist_module.ad_uea(E, u)
+    lhs = ArrowFn.lift(model, F).apply_uea(v).substitute(n, rinv, E.to_source)
+    rhs = ArrowFn.lift(model, F.substitute(rinv)).apply_uea(u)
+    return _as_polynomial(lhs) - _as_polynomial(rhs)
+
+
+class TestOmegaTable:
+    """omega_apply reads Ω(X^a)(x^m) from the structure store; the frame
+    walk of ArrowFn is the reference it must agree with."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["pair", "heisenberg"]))
+    def test_omega_apply_is_the_frame_walk(self, pair, h3, seed, kind):
+        model = pair if kind == "pair" else h3
+        rng = random.Random(seed)
+        u = _random_element(rng, model.algebroid, 3)
+        F3 = random_polynomial(rng, model.arrow_chart.dim, 4)
+        out = omega_apply(model, u, F3)
+        assert _as_polynomial(out) == _as_polynomial(ArrowFn.lift(model, F3).apply_uea(u))
+        # one term per term f X^a of u, carrying f itself
+        assert len(out.terms) <= len(u.terms)
+        assert all(any(c is f for f in u.terms.values()) for c, _ in out.terms)
+
+    def test_pair_terms_are_the_walk_terms_in_order(self, pair):
+        # at a float arrow a polynomial is evaluated term by term in dict
+        # order, so on the pair model (one walk term per PBW term) the terms
+        # must come out as the walk's, each polynomial's terms in order too
+        rng = random.Random(21)
+        for _ in range(20):
+            u = _random_element(rng, pair.algebroid, 3)
+            F2 = random_polynomial(rng, 2, 4)
+            walk = ArrowFn.lift(pair, F2).apply_uea(u).terms
+            out = omega_apply(pair, u, F2).terms
+            assert [(c, list(P.terms.items())) for c, P in out] == [
+                (c, list(P.terms.items())) for c, P in walk]
+
+    @pytest.mark.parametrize("twist", [True, False])
+    def test_gap_is_the_walk_formula(self, pair, h3, monkeypatch, twist):
+        if not twist:
+            # without U(Ad_E) the gaps are nonzero, so the comparison shows
+            monkeypatch.setattr(dist_module, "ad_uea", lambda E, u: u)
+        rng = random.Random(22)
+        zero = []
+        for model, names in ((pair, ("shift", "dbl", "half")), (h3, ("kx", "ky", "k123"))):
+            for name in names:
+                E = model.lookup(name)
+                u = _random_element(rng, model.algebroid, 2)
+                Fs = [random_polynomial(rng, model.arrow_chart.dim, 3) for _ in range(3)]
+                gaps = commuting_square_gap(model, E, u, Fs)
+                assert gaps == [_gap_reference(model, E, u, Fq) for Fq in Fs]
+                zero.extend(gap.is_zero for gap in gaps)
+        assert all(zero) if twist else zero.count(False) >= 5
+
+    @pytest.mark.parametrize("make", [pair_model, heisenberg_model])
+    def test_models_of_a_kind_share_one_entry(self, make, monkeypatch):
+        first = make()
+        other = model_from_json(model_to_json(make()))
+        assert first.structure_store is other.structure_store
+        assert first.derived is not other.derived
+        n = first.arrow_chart.dim
+        # a monomial and a PBW exponent that nothing else walks
+        mono, exp = (11,) * n, (0,) * (first.algebroid.rank - 1) + (3,)
+        key = ("omega", exp, mono)
+        assert key not in first.structure_store.derived
+        calls = []
+        real = dist_module._omega_walk
+        monkeypatch.setattr(dist_module, "_omega_walk",
+                            lambda *args: calls.append(args[1:]) or real(*args))
+        u = UEAElement(first.algebroid, {exp: CoeffFn.const(first.base, 1)})
+        F_mono = Polynomial(n, {mono: 1})
+        results = [omega_apply(model, u, F_mono.scale(k))
+                   for model in (first, other) for k in (1, 2)]
+        assert calls == [(exp, mono)]
+        table = first.structure_store.derived[key]
+        assert [P for r in results for _, P in r.terms] == [
+            table, table.scale(2), table, table.scale(2)]
+        assert not [k for k in first.derived if k[0] == "omega"]
 
 
 ARROWS = ((0.5, 0.35), (-1.25, -0.8))

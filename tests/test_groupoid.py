@@ -397,9 +397,12 @@ class TestDerivedOnce:
         assert builds and set(builds.values()) == {1}
         models = {model for model, _ in builds}
         assert {model.kind for model in models} == {"pair", "group", "etale_action"}
-        # the models keep only data of the model or of two bisections
+        # the models keep only data of the model or of two bisections, and
+        # what derives from the structure alone is in the structure store
         assert {k if isinstance(k, str) else k[0] for model in models
-                for k in model.derived} == {"conjugation_jacobian", "frame_field", "product"}
+                for k in model.derived} == {"conjugation_jacobian", "product"}
+        assert {k[0] for model in models
+                for k in model.structure_store.derived} == {"frame_field", "omega"}
 
 
 class TestGerms:

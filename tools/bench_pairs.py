@@ -5,7 +5,7 @@
 First each tree's reports are hashed: the exit code and the sha256 of
 stdout and stderr of `convbialg check --suite NAME --output json` for every
 suite, `convbialg demo NAME --output json` for every demo, the README's
-`eval` examples and three more `eval` calls, and each script under `demos/`.
+`eval` examples and five more `eval` calls, and each script under `demos/`.
 Each tree names its own suites and demos, `convbialg.suites.SUITES` and
 `convbialg.cli.DEMOS`, read sorted in that tree's environment.
 Then pair i of a workload runs `python3 perfbench/run.py --workload W
@@ -50,10 +50,14 @@ import tempfile
 NAMES = ("import json; from convbialg.cli import DEMOS; from convbialg.suites import SUITES; "
          "print(json.dumps([sorted(SUITES), sorted(DEMOS)]))")
 # the three `eval` examples of the README, a flat kink evaluated exactly at
-# tau(0) and in floats elsewhere, and a product that fails with exit 2
+# tau(0) and in floats elsewhere, a product that fails with exit 2, and
+# Omega(u)(F) with a derivative: exactly (D^2 at a rational point) and in
+# floats (D on a flat kink, whose arrow at 0.35 is a float)
 EVALS = ("conv_mul(<1|shift>,<1|dbl>)", "phi(<1*x0^2 | shift>)",
          "dist_eval([[shift, 1]], x0 + x1, 2)", "dist_eval([[E01,1]],x0+x1,0)",
-         "dist_eval([[E01,1]],x0+x1,1/3)", "conv_mul(<1 * D|E00>,<1 * D|E01>)")
+         "dist_eval([[E01,1]],x0+x1,1/3)", "conv_mul(<1 * D|E00>,<1 * D|E01>)",
+         "dist_eval([[shift, (1 + 1*x0) * D^2]], x0^2*x1^2 + 3*x1^3 + 1/7*x0*x1, -2/5)",
+         "dist_eval([[E01, (2 + -1*x0^2) * D]], x0^3*x1 + 5*x1^4 + -1/3*x0*x1^2, 0.35)")
 CLI = "import sys; from convbialg.cli import main; sys.exit(main(sys.argv[1:]))"
 WORKLOADS = ("suites", "eval", "big-model")
 PAIRS = 10

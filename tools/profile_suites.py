@@ -67,6 +67,8 @@ WATCHED = (
     ("GroupModel.bisection_inv", groupoid.GroupModel.bisection_inv),
     ("EtaleActionModel.bisection_inv", groupoid.EtaleActionModel.bisection_inv),
     ("dist.ArrowFn.apply_frame", dist.ArrowFn.apply_frame),
+    # one per (PBW exponent, monomial) that the structure store misses
+    ("dist._omega_walk", dist._omega_walk),
     ("dist._defcheck_term_pair", dist._defcheck_term_pair),
     ("dist.commuting_square_gap_numeric", dist.commuting_square_gap_numeric),
     # the fixed cost of a CLI call: built or run once per process and kind
