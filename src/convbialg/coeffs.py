@@ -28,6 +28,11 @@ the results of `at`: `Polynomial.substitute` puts polynomials in and adds
 the terms in place into one dict, building no constant per term, and
 `Polynomial.eval` at a rational point sums the terms as one integer
 numerator over one integer denominator, building one Fraction per value.
+`substitute` builds the product of the values for a monomial from the one
+for the monomial with one unit less in its last nonzero variable, as `at`
+associates it, and keeps each product in an images store: a fresh one per
+call, or one that the owner of a fixed map keeps with it, so that each
+product is made once per map.
 
 A Region, the domain of a bisection, is a finite union of open intervals of
 the line: the base of every model is the line or a point.
@@ -408,7 +413,7 @@ class Polynomial:
             terms[tuple(e2)] = terms.get(tuple(e2), 0) + c * e[axis]
         return Polynomial._raw(self.nvars, terms)
 
-    def substitute(self, values: Sequence["Polynomial"]) -> "Polynomial":
+    def substitute(self, values: Sequence["Polynomial"], images=None) -> "Polynomial":
         """Plug a polynomial (on a common target variable set) into each of
         its one or more variables.
 
@@ -417,18 +422,23 @@ class Polynomial:
         multiplied in variable order and then scaled by its coefficient, and
         the terms are added in dict order into one dict, where a key whose
         sum cancels is dropped at once (so it goes to the end if it comes
-        back)."""
+        back).
+
+        images keeps the product of the values for each nonconstant
+        monomial met, by exponent: a fresh dict by default, else a store
+        that its owner keeps for these values alone (see `_image`)."""
         if len(values) != self.nvars:
             raise ValueError("need one value per variable")
         tgt = values[0].nvars
         if any(v.nvars != tgt for v in values):
             raise ValueError("substitution targets disagree")
+        if images is None:
+            images = {}
         total = {}
         for e, c in self.terms.items():
-            term = None
-            for v, k in zip(values, e):
-                for _ in range(k):
-                    term = v if term is None else term * v
+            term = images.get(e)
+            if term is None:
+                term = _image(e, values, images)
             pairs = (((0,) * tgt, c),) if term is None else (
                 (m, c * a) for m, a in term.terms.items())
             for m, a in pairs:
@@ -544,6 +554,25 @@ class Polynomial:
             key = tuple(exp)
             terms[key] = terms.get(key, Q(0)) + coeff
         return Polynomial(nvars, terms)
+
+
+def _image(e: tuple, values: Sequence[Polynomial], images: dict):
+    """The product of the values for the monomial e, which images lacks;
+    None when e is constant.  It is the product for e with one unit taken
+    off its last nonzero variable, times that variable's value: the left to
+    right association of `at`.  The products made are kept in images."""
+    term, pending = None, []
+    while term is None and any(e):
+        j = len(e) - 1
+        while not e[j]:
+            j -= 1
+        pending.append((e, values[j]))
+        e = e[:j] + (e[j] - 1,) + e[j + 1:]
+        term = images.get(e)
+    for e, v in reversed(pending):
+        term = v if term is None else term * v
+        images[e] = term
+    return term
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ and dist_mul_defcheck evaluates the *defining* double formula
     T'(g -> T|_{s(g)}(F o L_g))(x)
 independently via doubled-variable polynomial manipulation, as an oracle.
 term_products yields the rewritten terms of a sweep over term pairs (dist_mul
-is one sweep); E^-1 is the one kept on E (groupoid.bisection_inv), and Adbar
-is computed once per (bid, D') and dropped when the sweep ends.  The first
+is one sweep); E^-1 is the one kept on E (groupoid.bisection_inv), Adbar
+is computed once per (bid, D') and Adbar(D') D once per (right term, D'),
+and both are dropped when the sweep ends.  The first
 stage of the defining formula, which depends on (F, E, D) alone, is kept on
 E (see Bisection).
 
@@ -43,7 +44,10 @@ Both branches of the commuting-square check take a list of test functions
 and return one gap per F.  The exact one computes U(Ad_E)u once per (E, u)
 and pulls each coefficient of U(Ad_E)u and of u back to the arrow chart
 once per call; each F then costs one Ω(X^a)(F) per term, read from the
-structure store.  The series one, for flat kinks, builds U(Ad_E)u's
+structure store, and its pullbacks along R_E^{-1}, which multiply out the
+components of R_E^{-1} once per monomial and bisection: the products are
+kept in an images store that E keeps with R_E^{-1} (see
+Polynomial.substitute).  The series one, for flat kinks, builds U(Ad_E)u's
 operator jets and the values f(s0) of u's coefficients once per
 (E, u, arrow).  Both sides read those values, since side A's
 (f o tau^{-1})(x0) is f(s0).
@@ -219,18 +223,22 @@ def term_products(model, left, right):
     """(bid of E'.E, Adbar_{E^-1}(u') u) for each term (bid', u') of left
     and each term (bid, u) of right, left-major: the terms of
     [[E', u']] * [[E, u]].  Adbar = ad_uea(E^-1, u') is computed once per
-    (bid, value of u') and kept for one sweep only: keeping every image
-    of ad_uea costs more memory than computing it again costs time."""
+    (bid, value of u'), and the product Adbar u once per (right term, value
+    of u'), since a value of u' may come again on another left bisection.
+    Both are kept for one sweep only: keeping every image of ad_uea, or
+    every product, costs more memory than computing it again costs time."""
     right = list(right)
-    adbars = {}
+    adbars, products = {}, {}
     for bid2, u2 in left:
         E2 = model.registry[bid2]
-        for bid1, u1 in right:
+        for i, (bid1, u1) in enumerate(right):
             E1 = model.registry[bid1]
-            adbar = adbars.get((bid1, u2))
-            if adbar is None:
-                adbar = adbars[bid1, u2] = ad_uea(bisection_inv(E1), u2)
-            v = uea_mul(adbar, u1)
+            v = products.get((i, u2))
+            if v is None:
+                adbar = adbars.get((bid1, u2))
+                if adbar is None:
+                    adbar = adbars[bid1, u2] = ad_uea(bisection_inv(E1), u2)
+                v = products[i, u2] = uea_mul(adbar, u1)
             yield model.registered_product(E2, E1).bid, v
 
 
@@ -318,17 +326,17 @@ def commuting_square_gap(model, E: Bisection, u: UEAElement, Fs):
         # rank 0: u is a coefficient; the square reduces to a base identity
         gap = E.to_source(v.degree0()) - u.degree0()
         return [gap] * len(Fs)
-    rinv = _right_translation_inv(E)
+    rinv, images = _right_translation_inv(E)
     # s o R_E^{-1} = tau o s, so (c o s) o R_E^{-1} = (c o tau) o s
     lhs_terms = [(exp, _along_source(model, E.to_source(g))) for exp, g in v.terms.items()]
     rhs_terms = [(exp, _along_source(model, f)) for exp, f in u.terms.items()]
     zero = Polynomial(model.arrow_chart.dim, {})
     gaps = []
     for F in Fs:
-        F_rinv = F.substitute(rinv)
+        F_rinv = F.substitute(rinv, images)
         gap = zero
         for exp, c in lhs_terms:
-            gap = gap + c * _omega_poly(model, exp, F).substitute(rinv)
+            gap = gap + c * _omega_poly(model, exp, F).substitute(rinv, images)
         for exp, c in rhs_terms:
             gap = gap - c * _omega_poly(model, exp, F_rinv)
         gaps.append(gap)
@@ -343,8 +351,10 @@ def _along_source(model, c: CoeffFn) -> Polynomial:
 
 
 def _right_translation_inv(E: Bisection):
-    """R_E^{-1}(g) = g . alpha_E(s(g))^{-1} as polynomials on the arrow
-    chart, derived once per bisection."""
+    """(R_E^{-1}, images): R_E^{-1}(g) = g . alpha_E(s(g))^{-1} as
+    polynomials on the arrow chart, and the images store of pulling back
+    along it (see Polynomial.substitute), derived once per bisection.  The
+    two are one entry, so a store is never read with another map."""
     model = E.model
 
     def compute():
@@ -352,7 +362,7 @@ def _right_translation_inv(E: Bisection):
         gvars = [Polynomial.var(n, k) for k in range(n)]
         alpha_s = [model.along_source(p) for p in model.alpha_polys(E)]
         alpha_inv = [q.substitute(alpha_s) for q in model.inv_map]
-        return [p.substitute(gvars + alpha_inv) for p in model.mult_map]
+        return [p.substitute(gvars + alpha_inv) for p in model.mult_map], {}
 
     return E.derive_once("right_translation_inv", compute)
 

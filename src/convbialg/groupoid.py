@@ -742,11 +742,13 @@ class Bisection(DeriveOnce):
     `derived` (see DeriveOnce) holds what derives from this bisection
     alone: its one inverse ("inverse"; never registered, but the registered
     bisection of its id when there is one), the generator images of U(Ad_E)
-    ("ad_gens", adjoint), R_E^{-1} as polynomials, the series data of a
-    flat kink per point, the first stage of the defining-formula check
-    per (F, u) (dist), and the inverse group element of an etale
-    bisection ("gamma_inv"), which beta_E applies.  The values beta_E(y),
-    tau(x) and tau^{-1}(y) are computed on each call."""
+    ("ad_gens", adjoint), R_E^{-1} as polynomials in one entry with its
+    monomial images, the products of its components for each monomial
+    pulled back along it (dist), the series data of a flat kink per point,
+    the first stage of the defining-formula check per (F, u) (dist), and
+    the inverse group element of an etale bisection ("gamma_inv"), which
+    beta_E applies.  The values beta_E(y), tau(x) and tau^{-1}(y) are
+    computed on each call."""
 
     __slots__ = ("model", "bid", "tau", "domain", "element", "gamma", "is_flat", "derived")
 

@@ -309,6 +309,23 @@ class TestExactFastPaths:
             generic_at(p, [y, -y, y], lambda c: Polynomial.const(1, c)))
 
     @given(st.data())
+    def test_a_shared_images_store_gives_what_a_fresh_one_gives(self, data):
+        n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+        values = [data.draw(polys(m)) for _ in range(n)]
+        exps = st.tuples(*[st.integers(0, 5)] * n).filter(lambda e: sum(e) <= 5)
+        ps = data.draw(st.lists(st.dictionaries(exps, RATIONALS, max_size=4).map(
+            lambda terms: Polynomial(n, terms)), min_size=1, max_size=4))
+        images = {}
+        for p in ps:
+            got = p.substitute(values, images)
+            assert list(got.terms.items()) == list(p.substitute(values).terms.items())
+            assert typed_terms(got) == typed_terms(p.at(values, lambda c: Polynomial.const(m, c)))
+        assert (0,) * n not in images
+        # each kept product is the one for its monomial
+        for e, image in images.items():
+            assert image == Polynomial(n, {e: 1}).at(values, lambda c: Polynomial.const(m, c))
+
+    @given(st.data())
     def test_exact_eval_matches_the_generic_path(self, data):
         n = data.draw(st.integers(1, 3))
         scalars = st.sampled_from([0, 1, -2, 3, F(1, 2), F(-2, 3), F(4, 1)])

@@ -298,9 +298,28 @@ def _operators(model):
     return X, uea_mul(Y, f) + f
 
 
+def _term_products_reference(model, left, right):
+    """term_products' loop with nothing kept: E^-1, Adbar_{E^-1}(u') and
+    Adbar u made again for every pair."""
+    out = []
+    for bid2, u2 in left:
+        for bid1, u1 in right:
+            E2, E1 = model.registry[bid2], model.registry[bid1]
+            w = uea_mul(dist_module.ad_uea(bisection_inv(E1), u2), u1)
+            out.append((model.registered_product(E2, E1).bid, w))
+    return out
+
+
+def _listed(products):
+    """(bid, terms in order) for each product: equal values with their
+    terms in another order do not compare equal."""
+    return [(bid, list(w.terms.items())) for bid, w in products]
+
+
 class TestTermProducts:
-    """term_products derives E^-1 once per bid and Adbar_{E^-1}(u') once per
-    (bid, u') within one sweep; dist_mul goes through it."""
+    """term_products derives E^-1 once per bid, Adbar_{E^-1}(u') once per
+    (bid, u') and Adbar u once per (right term, u') within one sweep;
+    dist_mul goes through it."""
 
     @pytest.mark.parametrize("make, names", [(pair_model, ("shift", "dbl", "half")),
                                              (heisenberg_model, ("kx", "ky", "k123"))])
@@ -348,6 +367,44 @@ class TestTermProducts:
         assert len({(E.bid, u) for E, u in actions[:4]}) == 4
         assert all(E is bisection_inv(E1)
                    for (E, _), E1 in zip(actions, (kx, k123) * 4))
+
+    @pytest.mark.parametrize("make, names", [(pair_model, ("shift", "dbl", "half")),
+                                             (heisenberg_model, ("kx", "ky", "k123"))])
+    def test_one_product_per_right_term_and_operator(self, make, names, monkeypatch):
+        model = make()
+        X, v = _operators(model)
+        a, b, c = (model.lookup(name) for name in names)
+        # u' = X on three left bisections, once as an equal value built anew
+        X_again = UEAElement.generator(model.algebroid, 0)
+        left = [(a.bid, X), (b.bid, v), (c.bid, X_again), (b.bid, X)]
+        # two right terms share a bid, and two share an operator
+        right = [(c.bid, X), (c.bid, v), (a.bid, v)]
+        products = []
+        _counting(monkeypatch, "uea_mul", products)
+        got = list(term_products(model, left, right))
+        assert len(products) == len(right) * len({u2 for _, u2 in left})
+        assert _listed(got) == _listed(_term_products_reference(model, left, right))
+
+    @pytest.mark.parametrize("make", [pair_model, heisenberg_model, etale_model])
+    def test_a_bank_that_repeats_its_operators_on_every_bisection(self, make, monkeypatch):
+        # prop43's bank: the same operators on each bisection (X at positive
+        # rank, three fixed coefficients at rank 0), swept against itself
+        model = make()
+        A = model.algebroid
+        if A.rank:
+            X, v = _operators(model)
+            ops = [X, v, uea_mul(v, X)]
+        else:
+            ops = [UEAElement.from_coeff(A, CoeffFn(A.chart, Polynomial.parse(text, 1)))
+                   for text in ("2", "x0", "x0^2 - 1")]
+        bisections = [E for E in model.registry.values() if not E.is_flat][:3]
+        bank = [(E.bid, u) for E in bisections for u in ops]
+        products = []
+        _counting(monkeypatch, "uea_mul", products)
+        got = list(term_products(model, bank, bank))
+        assert len(got) == len(bank) ** 2
+        assert len(products) == len(bank) * len(ops)
+        assert _listed(got) == _listed(_term_products_reference(model, bank, bank))
 
     def test_an_unsupported_product_still_raises(self, pair):
         # Adbar needs the Ad matrix of E01^-1, an inverted flat kink
@@ -584,7 +641,7 @@ def _gap_reference(model, E, u, F):
     Ω(U(Ad_E)u)(F) o R_E^{-1}, coefficients moved by E.to_source, minus
     Ω(u)(F o R_E^{-1}), each summed to one polynomial."""
     n = model.arrow_chart.dim
-    rinv = dist_module._right_translation_inv(E)
+    rinv, _ = dist_module._right_translation_inv(E)
     v = dist_module.ad_uea(E, u)
     lhs = ArrowFn.lift(model, F).apply_uea(v).substitute(n, rinv, E.to_source)
     rhs = ArrowFn.lift(model, F.substitute(rinv)).apply_uea(u)
@@ -662,6 +719,55 @@ class TestOmegaTable:
         assert [P for r in results for _, P in r.terms] == [
             table, table.scale(2), table, table.scale(2)]
         assert not [k for k in first.derived if k[0] == "omega"]
+
+
+def _gap_formula(model, E, u, F):
+    """commuting_square_gap's formula for one test function, with each
+    pullback along R_E^{-1} made by `at`, so that no images store is read."""
+    n = model.arrow_chart.dim
+    rinv, _ = dist_module._right_translation_inv(E)
+
+    def pull(P):
+        return P.at(rinv, lambda c: Polynomial.const(n, c))
+
+    gap = Polynomial(n, {})
+    for exp, g in dist_module.ad_uea(E, u).terms.items():
+        c = model.along_source(E.to_source(g).poly)
+        gap = gap + c * pull(dist_module._omega_poly(model, exp, F))
+    for exp, f in u.terms.items():
+        gap = gap - model.along_source(f.poly) * dist_module._omega_poly(model, exp, pull(F))
+    return gap
+
+
+class TestRightTranslationImages:
+    """Each bisection keeps its own images store with R_E^{-1}, and a gap
+    read through it is the gap of the formula."""
+
+    @pytest.mark.parametrize("twist", [True, False])
+    @pytest.mark.parametrize("make, names", [(pair_model, ("dbl", "half")),
+                                             (heisenberg_model, ("k123", "ky"))])
+    def test_gaps_on_one_bisection_then_another(self, make, names, monkeypatch, twist):
+        if not twist:
+            # without U(Ad_E) the gaps are nonzero, so the comparison shows
+            monkeypatch.setattr(dist_module, "ad_uea", lambda E, u: u)
+        model = make()
+        rng = random.Random(31)
+        Es = [model.lookup(name) for name in names]
+        u = _random_element(rng, model.algebroid, 2)
+        Fs = [random_polynomial(rng, model.arrow_chart.dim, 3) for _ in range(3)]
+        zero = []
+        for E in Es:
+            gaps = commuting_square_gap(model, E, u, Fs)
+            assert [list(gap.terms.items()) for gap in gaps] == [
+                list(_gap_formula(model, E, u, Fq).terms.items()) for Fq in Fs]
+            zero.append(all(gap.is_zero for gap in gaps))
+        # without the twist each bisection has a nonzero gap
+        assert all(zero) if twist else not any(zero)
+        (rinv, images), (rinv2, images2) = (
+            dist_module._right_translation_inv(E) for E in Es)
+        assert images and images2 and images is not images2
+        # a store read with the other map would give other pullbacks
+        assert any(F.substitute(rinv2, images) != F.substitute(rinv2) for F in Fs)
 
 
 ARROWS = ((0.5, 0.35), (-1.25, -0.8))

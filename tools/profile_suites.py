@@ -47,10 +47,14 @@ WATCHED = (
     ("CoeffFn.__init__", coeffs.CoeffFn.__init__),
     ("_uea_term", uea._uea_term),
     ("Fraction.__new__", Fraction.__new__),
+    # substitute makes a monomial's product once per images store
+    ("Polynomial.__mul__", coeffs.Polynomial.__mul__),
     ("Polynomial.substitute", coeffs.Polynomial.substitute),
     ("Polynomial.at", coeffs.Polynomial.at),
     ("Polynomial.eval", coeffs.Polynomial.eval),
     ("CoeffFn.const", coeffs.CoeffFn.const),
+    # one per (right term, u') in a term_products sweep, in prop43
+    ("uea.uea_mul", uea.uea_mul),
     ("uea._gen_times_monomial", uea._gen_times_monomial),
     ("groupoid._solve_monotone", groupoid._solve_monotone),
     ("groupoid.bisection_mul", groupoid.bisection_mul),
