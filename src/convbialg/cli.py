@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    convbialg check [--suite NAME] [--model FILE] [--seed N] [--output text|json] [--jobs N]
+    convbialg check [--suite NAME] [--model FILE] [--seed N] [--output text|json]
     convbialg eval EXPR [--model FILE] [--output text|json]
     convbialg demo {kernel-example,cartier-gabriel,etale-iso} [--output text|json]
 
@@ -21,7 +21,7 @@ from .dist import dist_eval_at
 from .errors import ConvBialgError, ParseError
 from .models import load_model_doc, model_from_json, pair_model
 from .phi import phi as phi_map
-from .suites import SUITES, run_all, run_suite
+from .suites import SUITES, run_all
 from .textform import parse_conv, parse_dist, split_top
 
 DEMOS = ("kernel-example", "cartier-gabriel", "etale-iso")
@@ -29,13 +29,6 @@ DEMOS = ("kernel-example", "cartier-gabriel", "etale-iso")
 
 def _seed(text):
     return int(text, 0)
-
-
-def _jobs(text):
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
 
 
 @functools.cache
@@ -57,7 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--suite", choices=sorted(SUITES), default=None,
                     help="one suite (default: all)")
     common(sp)
-    sp.add_argument("--jobs", type=_jobs, default=1, metavar="N")
 
     sp = sub.add_parser("eval", help="evaluate an element expression")
     sp.add_argument("expr", help="conv_mul(<a>,<b>) | phi(<a>) | dist_eval(<T>,<F>,<x>)")
@@ -82,6 +74,13 @@ def _load_model(args):
     return doc, model_from_json(doc)
 
 
+def _run_suites(args, names):
+    """run_all on the named suites, with the --model document, which is
+    parsed and checked before any suite runs."""
+    doc, model = _load_model(args)
+    return run_all(seed=args.seed, docs={model.doc_key: doc} if model else None, names=names)
+
+
 def _print_checks(report):
     for c in report["checks"]:
         mark = "ok  " if c["pass"] else "FAIL"
@@ -92,15 +91,7 @@ def _print_checks(report):
 
 
 def cmd_check(args) -> int:
-    doc, model = _load_model(args)
-    if args.suite:
-        models = {model.doc_key: model} if model else None
-        report = {"pass": None, "suites": [run_suite(args.suite, seed=args.seed,
-                                                     models=models)]}
-        report["pass"] = report["suites"][0]["pass"]
-    else:
-        docs = {model.doc_key: doc} if model else None
-        report = run_all(seed=args.seed, docs=docs, jobs=args.jobs)
+    report = _run_suites(args, [args.suite] if args.suite else None)
     if args.output == "json":
         _emit_json(report)
     else:
@@ -146,9 +137,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    _, model = _load_model(args)
-    models = {model.doc_key: model} if model else None
-    report = run_suite(args.name, seed=args.seed, models=models)
+    [report] = _run_suites(args, [args.name])["suites"]
     if args.output == "json":
         _emit_json(report)
         return 0 if report["pass"] else 1

@@ -9,9 +9,10 @@ computed from the seed; no global state.  A suite reads only the models it
 is given or builds, so its report does not depend on what ran before it.
 Every float gate lives here, as a law that a NaN fails; no report holds a float.
 
-Most checks are laws, checked by lie_rinehart.law on a stream of cases: the
-witness is the first case that fails, and no case after it is drawn, so the
-rng is drawn as far as that case and no further.
+Every check that can fail on a case is a law, checked by lie_rinehart.law
+on a lazy stream of cases: the witness is the first case that fails, and no
+case after it is drawn, so the rng is drawn as far as that case and no
+further.  A count in a law's name is of the cases it plans, not those reached.
 
 phi-homomorphism checks its bilinear law on every ordered pair of a bank
 of single terms (_single_terms), which covers the span of the bank.  The
@@ -22,7 +23,7 @@ model.
 from __future__ import annotations
 
 import random
-from itertools import product, repeat
+from itertools import product
 
 from .adjoint import ad_uea
 from .coeffs import Chart, CoeffFn, Polynomial, Q
@@ -370,34 +371,32 @@ def _term_bank(model, rng):
 
 def suite_prop43(seed=0xC0FFEE, models=None):
     rng = random.Random(seed)
+    xs = [Q(0), Q(1, 3), Q(-7, 5)]
+
+    def cases(model, bank, fbank):
+        """Cases (E2, u2, E1, u1, x, lhs, rhs) on every ordered pair of the
+        bank, E2 outer: lhs from the rewriting side that term_products
+        yields in the same order, rhs from the defining formula."""
+        terms = [(E.bid, u) for E, u in bank]
+        singles = [TransvDist.single(model, E, u) for E, u in bank]
+        pairs = product(zip(bank, singles), repeat=2)
+        for i, ((((E2, u2), T2), ((E1, u1), T1)), prod) in enumerate(
+                zip(pairs, term_products(model, terms, terms))):
+            F, x = fbank[i % len(fbank)], xs[i % len(xs)]
+            yield (E2, u2, E1, u1, x, dist_eval_at(TransvDist(model, [prod]), F, x),
+                   dist_mul_defcheck(T2, T1, F, x))
+
     checks = []
     total_pairs = 0
     for mname, model in sorted(_all_models(models).items()):
         bank = _term_bank(model, rng)
         fbank = [model.random_test_function(rng, 2) for _ in range(2)]
-        xs = [Q(0), Q(1, 3), Q(-7, 5)]
-        ok, witness, count = True, None, 0
-        # the rewriting side of each pair, in the order of the loops below
-        terms = [(E.bid, u) for E, u in bank]
-        products = term_products(model, terms, terms)
-        singles = [TransvDist.single(model, E, u) for E, u in bank]
-        for (E2, u2), T2 in zip(bank, singles):
-            for (E1, u1), T1 in zip(bank, singles):
-                prod = TransvDist(model, [next(products)])
-                F = fbank[count % len(fbank)]
-                x = xs[count % len(xs)]
-                lhs = dist_eval_at(prod, F, x)
-                rhs = dist_mul_defcheck(T2, T1, F, x)
-                count += 1
-                if lhs != rhs:
-                    ok, witness = False, (f"{E2.bid}*{E1.bid} with u2={u2.text()}, "
-                                          f"u1={u1.text()} at x={x}: {lhs} != {rhs}")
-                    break
-            if not ok:
-                break
-        total_pairs += count
-        checks.append({"name": f"{mname}: {count} term pairs exact", "pass": ok,
-                       "witness": witness})
+        total_pairs += len(bank) ** 2
+        checks.append(law(
+            f"{mname}: {len(bank) ** 2} term pairs exact", cases(model, bank, fbank),
+            lambda E2, u2, E1, u1, x, lhs, rhs: lhs == rhs,
+            lambda E2, u2, E1, u1, x, lhs, rhs: (f"{E2.bid}*{E1.bid} with u2={u2.text()}, "
+                                                 f"u1={u1.text()} at x={x}: {lhs} != {rhs}")))
     checks.append({"name": f">= 100 pairs total (got {total_pairs})",
                    "pass": total_pairs >= 100})
     return _report("prop43", checks)
@@ -619,28 +618,14 @@ def run_suite(name, seed=0xC0FFEE, models=None):
         raise
 
 
-def _run_on_new_models(name, seed, docs):
-    models = {key: model_from_json(doc) for key, doc in docs.items()}
-    return run_suite(name, seed=seed, models=models)
-
-
-def run_all(seed=0xC0FFEE, docs=None, jobs=1):
-    """Every suite in sorted order, each on newly built models.
+def run_all(seed=0xC0FFEE, docs=None, names=None):
+    """The report of the named suites (default: all) in sorted order, each
+    on newly built models.
 
     docs maps document keys to JSON model documents that replace the
-    builtin models of their kind; each suite loads them again.  With
-    jobs > 1 the suites run in that many worker processes.
+    builtin models of their kind; each suite loads them again.
     """
-    docs = docs or {}
-    names = sorted(SUITES)
-    if jobs > 1:
-        # imported here: they add a fifth to the import time of the package
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as ex:
-            reports = list(ex.map(_run_on_new_models, names, repeat(seed), repeat(docs)))
-    else:
-        reports = [_run_on_new_models(n, seed, docs) for n in names]
+    reports = [run_suite(name, seed=seed,
+                         models={key: model_from_json(doc) for key, doc in (docs or {}).items()})
+               for name in sorted(names or SUITES)]
     return {"pass": all(r["pass"] for r in reports), "suites": reports}

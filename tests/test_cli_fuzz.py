@@ -147,17 +147,16 @@ def test_unreadable_model_file_exits_2_with_one_error_line(docs, capsys, doc):
 
 @FUZZ
 @given(suite=st.one_of(st.none(), junk), seed=st.one_of(st.none(), junk, st.just("7")),
-       jobs=st.one_of(st.none(), junk, st.just("2")),
        doc=st.one_of(st.none(), st.sampled_from(MALFORMED_DOCS),
                      junk.filter(lambda t: "model" not in t)))
-def test_check_with_a_bad_model_exits_2(docs, capsys, suite, seed, jobs, doc):
+def test_check_with_a_bad_model_exits_2(docs, capsys, suite, seed, doc):
     path = docs["scratch"]
     if doc is None:
         path.unlink(missing_ok=True)
     else:
         path.write_text(doc)
     argv = ["check", "--model", str(path)]
-    for flag, value in (("--suite", suite), ("--seed", seed), ("--jobs", jobs)):
+    for flag, value in (("--suite", suite), ("--seed", seed)):
         if value is not None:
             argv += [flag, value]
     assert _run(argv, capsys) == 2

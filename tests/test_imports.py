@@ -6,8 +6,7 @@ when it is read anywhere in the module, including inside a string
 annotation, or listed in `__all__`.
 
 No library module imports inside a function, where an import can hide a
-cycle between modules.  The one exemption is the pair of imports that
-`suites.run_all` makes only when it starts worker processes.
+cycle between modules.
 
 The one submodule that a package attribute shadows is `phi`, whose
 function `__init__.py` re-exports under the module's name.
@@ -32,10 +31,6 @@ MODULES = sorted(
     if p.name != "__init__.py"
 )
 LIBRARY = sorted(ROOT.glob("src/convbialg/*.py"))
-# (module, function, imported module): run_all imports these only for
-# jobs > 1, because they add a fifth to the import time of the package
-DEFERRED = {("suites", "run_all", "multiprocessing"),
-            ("suites", "run_all", "concurrent.futures")}
 
 
 def _imported(tree):
@@ -103,8 +98,7 @@ def function_imports(path):
 @pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
 def test_no_import_inside_a_function(path):
     found = [f"{path.stem}:{line} imports {module} in {fn}()"
-             for fn, module, line in function_imports(path)
-             if (path.stem, fn, module) not in DEFERRED]
+             for fn, module, line in function_imports(path)]
     assert not found, "; ".join(found)
 
 

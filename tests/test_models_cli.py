@@ -223,9 +223,24 @@ class TestCli:
         bad.write_text("{nope")
         assert main(["check", "--suite", "lie-rinehart", "--model", str(bad)]) == 2
 
-    def test_demo_names(self, capsys):
+    def test_demo_names(self, tmp_path, capsys):
         assert main(["demo", "etale-iso"]) == 0
         assert "etale-iso" in capsys.readouterr().out
+
+        def json_out(argv):
+            assert main(argv + ["--output", "json"]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        # demo, check --suite and check run each suite the same way
+        for name in convbialg.cli.DEMOS:
+            [report] = json_out(["check", "--suite", name])["suites"]
+            assert json_out(["demo", name]) == report
+        path = tmp_path / "heisenberg.json"
+        path.write_text(json.dumps(model_to_json(heisenberg_model())))
+        model = ["--model", str(path)]
+        [report] = json_out(["check", "--suite", "cartier-gabriel"] + model)["suites"]
+        everything = {r["suite"]: r for r in json_out(["check"] + model)["suites"]}
+        assert everything["cartier-gabriel"] == report
 
     def test_json_determinism(self, capsys):
         args = ["check", "--suite", "fd-sanity", "--output", "json"]
@@ -324,7 +339,8 @@ class TestCli:
                      id="model-kind-group"),
         pytest.param(["check", "--suite", "etale-iso"], {"model": "etale_action", "bisections": []},
                      id="model-kind-etale-action"),
-        pytest.param(["check", "--jobs", "0"], None, id="jobs-zero"),
+        # check has no --jobs option
+        pytest.param(["check", "--jobs", "2"], None, id="jobs"),
         # eval draws nothing, so it takes no seed
         pytest.param(["eval", "--seed", "5", "phi(<1|M>)"], None, id="eval-seed"),
         pytest.param(["eval", "dist_eval([[E01]], x0, 0)"], None, id="dist-term-without-u"),
@@ -388,7 +404,7 @@ class TestCli:
                  ["eval", "conv_mul(<(1*x0) | d>,<(2) | sh>)", "--model", str(paths["etale"]),
                   "--output", "json"],
                  ["check", "--suite", "fd-sanity", "--output", "json"],
-                 ["check", "--jobs", "0"]]
+                 ["check", "--jobs", "2"]]
         fresh = subprocess.run([sys.executable, "-c", FORK_PER_ARGV], input=json.dumps(argvs),
                                capture_output=True, text=True, timeout=120,
                                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
@@ -613,11 +629,10 @@ class TestRunAll:
         for r in report["suites"]:
             assert r == convbialg.suites.run_suite(r["suite"])
 
-    def test_jobs_same_all_suite_report(self, suite_subset, capsys):
-        base = ["check", "--output", "json"]
-        assert main(base) == 0
-        serial = capsys.readouterr().out
-        assert main(base + ["--jobs", "2"]) == 0
-        parallel = capsys.readouterr().out
-        assert [r["suite"] for r in json.loads(serial)["suites"]] == sorted(SUBSET)
-        assert serial == parallel
+    def test_names_runs_only_those_suites_in_sorted_order(self):
+        names = ["kernel-example", "fd-sanity", "etale-iso"]
+        report = convbialg.suites.run_all(seed=7, names=names)
+        assert [r["suite"] for r in report["suites"]] == sorted(names)
+        for r in report["suites"]:
+            assert r == convbialg.suites.run_suite(r["suite"], seed=7)
+        assert report["pass"] is all(r["pass"] for r in report["suites"])

@@ -110,9 +110,9 @@ PLANTS = {
         "9c7a17e83f5e39ec8ede34d1a86857699a4d1caee259cb30ed2cecb21d1aaa43"),
     "prop43-defcheck-plus-one": (
         "prop43", {"dist_mul_defcheck": _plus_one},
-        ["etale: 1 term pairs exact", "heisenberg: 1 term pairs exact",
-         "pair: 1 term pairs exact"],
-        "605fcd11fafc734de110802feac05f77ca3bb29dece21ab852df68884e8ab552"),
+        ["etale: 324 term pairs exact", "heisenberg: 225 term pairs exact",
+         "pair: 144 term pairs exact"],
+        "9d00cf907e12833499b27a49e6639adaecf27421e2d1c992d7eadc2dc58e1ff6"),
     "phi-homomorphism-dist-mul-plus-t1": (
         "phi-homomorphism", {"dist_mul": lambda real: lambda T2, T1: real(T2, T1) + T1},
         ["etale: 100 term pairs exact", "heisenberg: 100 term pairs exact",
@@ -151,9 +151,9 @@ def test_planted_failure_reports_a_witness(plant, monkeypatch, capsys):
     for check in broken:
         assert checks[check]["pass"] is False
         assert checks[check]["witness"] is not None
-    # every other check with a witness passes (a count check without one,
-    # like prop43's total, fails when the first failure cuts the loops short)
-    assert {c for c, v in checks.items() if "witness" in v and not v["pass"]} == set(broken)
+    # every other check passes: a law's name and prop43's total count the
+    # cases planned, so a first failure that cuts a law short fails no count
+    assert {c for c, v in checks.items() if not v["pass"]} == set(broken)
     # the bytes pin which case fails first and the rng draws after it
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 

@@ -11,8 +11,8 @@ that one of them starts:
   (text and JSON), each demo of `cli.DEMOS` (text and JSON), each `eval`
   call of `tools/bench_pairs.EVALS`, and each script under `demos/`
   through `runpy`;
-* Tier-1, `python -m pytest -q`, whose CLI tests run in subprocesses and
-  whose `check --jobs 2` runs in worker processes.
+* Tier-1, `python -m pytest -q`, whose CLI tests run in subprocesses, some
+  of them forked.
 
 Each child starts with a `sitecustomize.py`, written into a temporary
 directory first on its PYTHONPATH, that installs a line tracer limited to
