@@ -34,6 +34,15 @@ associates it, and keeps each product in an images store: a fresh one per
 call, or one that the owner of a fixed map keeps with it, so that each
 product is made once per map.
 
+Coefficient arithmetic that does nothing costs nothing: a `CoeffFn`
+product with a zero factor returns that zero and one with a factor 1 the
+other factor itself, a sum with a zero summand returns the other summand,
+and `scale(1)` returns the function itself (no `Polynomial` or `CoeffFn`
+is ever mutated, so a result may be an operand).  A product or a sum of
+two rational constants, as every coefficient on a point chart is, is one
+rational operation, built by `CoeffFn.const`.  Each result equals the
+general path's, key for key, in order and in scalar type.
+
 A Region, the domain of a bisection, is a finite union of open intervals of
 the line: the base of every model is the line or a point.
 """
@@ -702,10 +711,21 @@ class CoeffFn:
 
     @property
     def is_zero(self) -> bool:
-        return self.poly.is_zero and self.is_poly
+        return not self.poly.terms and not self.flat_neg and not self.flat_pos
 
-    def is_rational_const(self) -> bool:
-        return self.is_poly and self.poly.is_constant
+    def _constant(self):
+        """The value of self when it is a rational constant (0 when it is
+        zero), else None."""
+        if self.flat_neg or self.flat_pos:
+            return None
+        terms = self.poly.terms
+        if not terms:
+            return 0
+        if len(terms) == 1:
+            (e, c), = terms.items()
+            if not any(e):
+                return c
+        return None
 
     def phi_coeffs(self):
         """(c_neg, c_pos) if self is polynomial + c*phi branchwise, else None."""
@@ -740,6 +760,13 @@ class CoeffFn:
 
     def __add__(self, other: "CoeffFn") -> "CoeffFn":
         self._check(other)
+        a, b = self._constant(), other._constant()
+        if a == 0:
+            return other
+        if b == 0:
+            return self
+        if a is not None and b is not None:
+            return CoeffFn.const(self.chart, a + b)
         return CoeffFn._raw(
             self.chart,
             self.poly + other.poly,
@@ -755,6 +782,8 @@ class CoeffFn:
 
     def scale(self, c) -> "CoeffFn":
         c = _q(c)
+        if c == 1:
+            return self
         return CoeffFn._raw(
             self.chart,
             self.poly.scale(c),
@@ -764,12 +793,19 @@ class CoeffFn:
 
     def __mul__(self, other: "CoeffFn") -> "CoeffFn":
         self._check(other)
+        a, b = self._constant(), other._constant()
+        if a == 0 or b == 1:
+            return self
+        if b == 0 or a == 1:
+            return other
+        if a is not None and b is not None:
+            return CoeffFn.const(self.chart, a * b)
+        if a is not None:
+            return other.scale(a)
+        if b is not None:
+            return self.scale(b)
         if self.is_poly and other.is_poly:
             return CoeffFn._raw(self.chart, self.poly * other.poly, {}, {})
-        if self.is_rational_const():
-            return other.scale(self.poly.constant_value())
-        if other.is_rational_const():
-            return self.scale(other.poly.constant_value())
         raise UnsupportedProduct(
             "only Poly*Poly and rational*FlatPiece products are representable"
         )

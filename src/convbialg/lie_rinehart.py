@@ -23,7 +23,8 @@ from .errors import ParentMismatch, VerificationFailed
 
 
 def random_polynomial(rng: random.Random, nvars: int, max_deg: int = 2) -> Polynomial:
-    """Small random polynomial with coefficients in {-3..3}."""
+    """Small random polynomial with coefficients in {-3..3}, built by the
+    trusted constructor: its terms are int tuples with int values."""
     terms = {}
     for _ in range(rng.randint(1, 4)):
         exp = [0] * nvars
@@ -31,7 +32,7 @@ def random_polynomial(rng: random.Random, nvars: int, max_deg: int = 2) -> Polyn
             if nvars:
                 exp[rng.randrange(nvars)] += 1
         terms[tuple(exp)] = terms.get(tuple(exp), 0) + rng.randint(-3, 3)
-    return Polynomial(nvars, terms)
+    return Polynomial._raw(nvars, terms)
 
 
 def law(name, cases, holds, describe):

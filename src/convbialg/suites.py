@@ -93,14 +93,15 @@ def _pair_text(i, a, b):
 
 
 def _random_uea(rng, A, max_deg=2):
+    """A random element of U(A), built by the trusted constructors."""
     terms = {}
     for _ in range(rng.randint(1, 2)):
         exp = [0] * A.rank
         for _ in range(rng.randint(0, max_deg)):
             if A.rank:
                 exp[rng.randrange(A.rank)] += 1
-        terms[tuple(exp)] = CoeffFn(A.chart, random_polynomial(rng, A.chart.dim, 2))
-    return UEAElement(A, terms)
+        terms[tuple(exp)] = CoeffFn._raw(A.chart, random_polynomial(rng, A.chart.dim, 2), {}, {})
+    return UEAElement._raw(A, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -61,13 +61,22 @@ class TermSum:
     def merge(pairs) -> dict:
         """The canonical form of a list of terms: zero values are skipped,
         values with equal keys are added in the order the keys first
-        appear, and keys whose values cancel are dropped."""
+        appear, and keys whose values cancel are dropped.  A key that
+        cancels keeps its place, so one that comes back later stays where
+        it first appeared; the dict is filtered, in a second pass, only
+        when some addition cancelled."""
         out = {}
+        cancelled = False
         for k, v in pairs:
             if v.is_zero:
                 continue
             prev = out.get(k)
-            out[k] = v if prev is None else prev + v
+            if prev is not None:
+                v = prev + v
+                cancelled = cancelled or v.is_zero
+            out[k] = v
+        if not cancelled:
+            return out
         return {k: v for k, v in out.items() if not v.is_zero}
 
     @classmethod

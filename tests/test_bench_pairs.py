@@ -5,6 +5,7 @@ and the names it reads from a tree.
 """
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -55,11 +56,40 @@ def test_each_tree_writes_its_bytecode_cache(tmp_path, monkeypatch):
 
 def test_the_hashed_suites_and_demos_are_the_trees_own(tmp_path, monkeypatch):
     # each report is named, not run: the names come from the tree itself
-    monkeypatch.setattr(bench_pairs, "_hash_run", lambda tree, env, argv: None)
+    monkeypatch.setattr(bench_pairs, "_hash_run", lambda tree, env, argv: argv)
     envs = bench_pairs.tree_envs(str(tmp_path))
-    hashes = bench_pairs._report_hashes(str(ROOT), envs["change"])
-    assert [key[len("check "):] for key in hashes if key.startswith("check ")] == sorted(SUITES)
+    docs = {"pair": "pair.json", "etale": "etale.json"}
+    hashes = bench_pairs._report_hashes(str(ROOT), envs["change"], docs)
+    suites = [key[len("check "):] for key in hashes
+              if key.startswith("check ") and "--model" not in key]
+    assert suites == sorted(SUITES)
     assert [key[len("demo "):] for key in hashes if key.startswith("demo ")] == sorted(DEMOS)
+    # the Fraction-heavy reports: two suites on each big-model document
+    big = {key: argv[3:] for key, argv in hashes.items() if "--model" in key}
+    assert big == {f"check {name} --model big-model-{key}":
+                   ["check", "--suite", name, "--model", path, "--output", "json"]
+                   for name in ("commuting-square", "prop43") for key, path in docs.items()}
+
+
+def test_the_big_model_documents_are_perfbenchs(tmp_path):
+    envs = bench_pairs.tree_envs(str(tmp_path))
+    paths = bench_pairs.write_big_model_docs(str(ROOT), envs["change"], str(tmp_path))
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        from workloads import big_model_docs
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    want = json.loads(json.dumps(big_model_docs(1001, 8)))
+    assert sorted(paths) == sorted(want) == ["etale", "heisenberg", "pair"]
+    for key, path in paths.items():
+        assert Path(path).parent == tmp_path
+        assert json.loads(Path(path).read_text(encoding="utf-8")) == want[key]
+
+
+def test_differing_keys_names_changed_and_missing_reports():
+    base = {"a": 1, "b": 2, "c": 3}
+    assert bench_pairs.differing_keys(base, dict(base)) == []
+    assert bench_pairs.differing_keys(base, {"a": 1, "b": 5, "d": 4}) == ["b", "c", "d"]
 
 
 def test_each_metric_is_better_as_the_benchmark_declares():

@@ -8,7 +8,12 @@ from hypothesis import given, strategies as st
 
 from convbialg.coeffs import Chart, CoeffFn, Polynomial, Q, Region, _q
 from convbialg.conv import Stratum
-from convbialg.errors import DomainError, UnsupportedComposition, UnsupportedProduct
+from convbialg.errors import (
+    ChartMismatch,
+    DomainError,
+    UnsupportedComposition,
+    UnsupportedProduct,
+)
 from convbialg.groupoid import AffineMap, GermArrow, _region_from_json, _region_to_json
 from convbialg.suites import run_suite
 
@@ -189,7 +194,7 @@ class TestTrustedResults:
         results = [f + g, f - g, f - f, f.scale(c), f.derive(), f.derive().derive(),
                    CoeffFn.const(LINE, c), CoeffFn.var(LINE),
                    CoeffFn(LINE, p).compose([CoeffFn(plane, inner)])]
-        if f.is_poly and g.is_poly or f.is_rational_const() or g.is_rational_const():
+        if f.is_poly and g.is_poly or f._constant() is not None or g._constant() is not None:
             results.append(f * g)
         for r in results:
             assert_fn_canonical(r)
@@ -255,6 +260,103 @@ class TestConstantFactor:
             assert got == CoeffFn(LINE, loop_product(p, k.poly),
                                   {0: -c_neg * c}, {0: c_pos * c})
             assert_fn_canonical(got)
+
+
+def general_scale(f, c):
+    c = _q(c)
+    return CoeffFn._raw(f.chart, f.poly.scale(c), {k: c * v for k, v in f.flat_neg.items()},
+                        {k: c * v for k, v in f.flat_pos.items()})
+
+
+def general_add(f, g):
+    """f + g by the general path: polynomials and flat parts added key by
+    key, with no zero or constant summand taken apart."""
+    flats = []
+    for a, b in ((f.flat_neg, g.flat_neg), (f.flat_pos, g.flat_pos)):
+        out = dict(a)
+        for k, c in b.items():
+            out[k] = out.get(k, 0) + c
+        flats.append(out)
+    return CoeffFn._raw(f.chart, f.poly + g.poly, *flats)
+
+
+def general_mul(f, g):
+    """f * g by the general path: no zero, unit or constant factor taken
+    apart."""
+    if f.is_poly and g.is_poly:
+        return CoeffFn._raw(f.chart, f.poly * g.poly, {}, {})
+    if f.is_poly and f.poly.is_constant:
+        return general_scale(g, f.poly.constant_value())
+    if g.is_poly and g.poly.is_constant:
+        return general_scale(f, g.poly.constant_value())
+    raise UnsupportedProduct("flat piece times a nonconstant function")
+
+
+def typed_fn(f):
+    return (f.chart, typed_terms(f.poly), [(k, type(c), c) for k, c in f.flat_neg.items()],
+            [(k, type(c), c) for k, c in f.flat_pos.items()])
+
+
+POINT = Chart.point("pt")
+
+
+@st.composite
+def short_circuit_operands(draw):
+    """(a, b): a a polynomial coefficient on the point or on the line, or a
+    flat piece; b on a's chart, 0, 1, a rational constant or a polynomial."""
+    a = draw(st.one_of(polys(0).map(lambda p: CoeffFn(POINT, p)),
+                       polys(1, 3).map(lambda p: CoeffFn(LINE, p)), line_fns()))
+    chart = a.chart
+    b = draw(st.one_of(st.sampled_from([0, 1]).map(lambda c: CoeffFn.const(chart, c)),
+                       RATIONALS.map(lambda c: CoeffFn.const(chart, c)),
+                       CONSTANTS.map(lambda c: CoeffFn.const(chart, c)),
+                       polys(chart.dim, 3).map(lambda p: CoeffFn(chart, p))))
+    return a, b
+
+
+class TestShortCircuits:
+    """A product with a factor 0 or 1, a sum with a summand 0, a product or
+    sum of two constants and scale(1) take short paths; each result is the
+    general path's, key for key, in order and in scalar type, and no
+    operand changes."""
+
+    @given(short_circuit_operands())
+    def test_match_the_general_path(self, ab):
+        a, b = ab
+        before = typed_fn(a), typed_fn(b)
+        for x, y in ((a, b), (b, a)):
+            try:
+                want = general_mul(x, y)
+            except UnsupportedProduct:
+                with pytest.raises(UnsupportedProduct):
+                    x * y
+            else:
+                got = x * y
+                assert typed_fn(got) == typed_fn(want)
+                assert_fn_canonical(got)
+        for got, want in ((a + b, general_add(a, b)), (b + a, general_add(b, a)),
+                          (a - b, general_add(a, general_scale(b, -1))),
+                          (a.scale(1), general_scale(a, 1))):
+            assert typed_fn(got) == typed_fn(want)
+            assert_fn_canonical(got)
+        for f in (a, b):
+            assert f.is_zero == (f.poly.is_zero and f.is_poly)
+        assert (typed_fn(a), typed_fn(b)) == before
+
+    @pytest.mark.parametrize("f, zero", [
+        (CoeffFn(LINE, Polynomial(1, {})), True), (CoeffFn.const(POINT, 0), True),
+        (CoeffFn.const(POINT, 1), False), (CoeffFn(LINE, Polynomial(1, {}), {1: 1}, {}), False),
+        (CoeffFn(LINE, Polynomial(1, {}), {}, {1: 1}), False), (CoeffFn.phi(LINE), False)])
+    def test_is_zero_reads_every_part(self, f, zero):
+        assert f.is_zero is zero
+
+    def test_a_chart_mismatch_comes_first(self):
+        for f in (CoeffFn.const(POINT, 0), CoeffFn.const(POINT, 1)):
+            for x, y in ((f, CoeffFn.const(LINE, 0)), (CoeffFn.const(LINE, 1), f)):
+                with pytest.raises(ChartMismatch):
+                    x * y
+                with pytest.raises(ChartMismatch):
+                    x + y
 
 
 def generic_at(p, values, const):

@@ -11,7 +11,7 @@ from convbialg.conv import ConvElement, ConvTensor
 from convbialg.dist import TransvDist
 from convbialg.errors import ParentMismatch
 from convbialg.models import pair_model
-from convbialg.uea import TensorElement, UEAElement
+from convbialg.uea import TensorElement, TermSum, UEAElement
 
 PAIR = pair_model()
 A = PAIR.algebroid
@@ -91,3 +91,34 @@ def test_addition_is_associative_and_commutative(xyz):
     assert (x + y) + z == x + (y + z)
     assert x + y == y + x
     assert (x - x).is_zero
+
+
+def two_pass_merge(pairs):
+    """The merge rule in two passes: add every pair, then drop the keys
+    whose values cancelled."""
+    out = {}
+    for k, v in pairs:
+        if v.is_zero:
+            continue
+        prev = out.get(k)
+        out[k] = v if prev is None else prev + v
+    return {k: v for k, v in out.items() if not v.is_zero}
+
+
+# few keys and few values, with opposites, so that keys repeat and cancel
+MERGE_VALUES = st.sampled_from([fn(1), fn(-1), fn(0, 1), fn(0, -1), fn(2, 1), fn(0)])
+MERGE_PAIRS = st.lists(st.tuples(st.integers(0, 3), MERGE_VALUES), max_size=10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(MERGE_PAIRS,
+                 MERGE_PAIRS.map(lambda pairs: [(k, UEAElement(A, {(1,): v})) for k, v in pairs])))
+def test_merge_matches_the_two_pass_merge(pairs):
+    assert list(TermSum.merge(pairs).items()) == list(two_pass_merge(pairs).items())
+
+
+def test_merge_keeps_the_place_of_a_key_that_cancels_and_comes_back():
+    pairs = [(0, fn(1)), (1, fn(2)), (0, fn(-1)), (2, fn(3)), (0, fn(0, 1))]
+    merged = TermSum.merge(pairs)
+    assert list(merged.items()) == list(two_pass_merge(pairs).items())
+    assert list(merged) == [0, 1, 2]

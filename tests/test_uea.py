@@ -15,9 +15,11 @@ from convbialg.lie_rinehart import (
     LieRinehart,
     heisenberg_algebra,
     random_polynomial,
+    rank_zero_algebroid,
     tangent_line_algebroid,
 )
 from convbialg.models import heisenberg_model, pair_model
+from convbialg.suites import _random_uea
 from convbialg.textform import parse_uea
 from convbialg.uea import (
     TensorElement,
@@ -372,3 +374,57 @@ def test_ad_uea_results_are_canonical(seed, which):
 def test_from_coeff_checks_the_chart():
     with pytest.raises(ChartMismatch):
         UEAElement.from_coeff(LINE, CoeffFn.const(H3.chart, 1))
+
+
+def checked_random_polynomial(rng, nvars, max_deg=2):
+    """lie_rinehart.random_polynomial, built by the checked constructor."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exp = [0] * nvars
+        for _ in range(rng.randint(0, max_deg)):
+            if nvars:
+                exp[rng.randrange(nvars)] += 1
+        terms[tuple(exp)] = terms.get(tuple(exp), 0) + rng.randint(-3, 3)
+    return Polynomial(nvars, terms)
+
+
+def checked_random_uea(rng, A, max_deg=2):
+    """suites._random_uea, built by the checked constructors."""
+    terms = {}
+    for _ in range(rng.randint(1, 2)):
+        exp = [0] * A.rank
+        for _ in range(rng.randint(0, max_deg)):
+            if A.rank:
+                exp[rng.randrange(A.rank)] += 1
+        terms[tuple(exp)] = CoeffFn(A.chart, checked_random_polynomial(rng, A.chart.dim, 2))
+    return UEAElement(A, terms)
+
+
+def typed_poly(p):
+    return p.nvars, [(e, type(c), c) for e, c in p.terms.items()]
+
+
+def typed_uea(u):
+    return [(e, f.chart, typed_poly(f.poly), f.flat_neg, f.flat_pos) for e, f in u.terms.items()]
+
+
+def test_random_draws_match_the_checked_constructors():
+    """The suites' random draws, built by the trusted constructors, are
+    what the checked ones build, term for term, in order and in scalar
+    type, and leave the generator in the same state."""
+    algebras = (LINE, H3, LINE2, rank_zero_algebroid(LINE.chart))
+    for seed in range(200):
+        trusted, checked = random.Random(seed), random.Random(seed)
+        for nvars in range(4):
+            for max_deg in range(1, 5):
+                got = random_polynomial(trusted, nvars, max_deg)
+                want = checked_random_polynomial(checked, nvars, max_deg)
+                assert typed_poly(got) == typed_poly(want)
+                assert trusted.getstate() == checked.getstate()
+        for A in algebras:
+            for max_deg in range(1, 5):
+                got = _random_uea(trusted, A, max_deg)
+                want = checked_random_uea(checked, A, max_deg)
+                assert got.parent is want.parent
+                assert typed_uea(got) == typed_uea(want)
+                assert trusted.getstate() == checked.getstate()

@@ -7,7 +7,12 @@ stdout and stderr of `convbialg check --suite NAME --output json` for every
 suite, `convbialg demo NAME --output json` for every demo, the README's
 `eval` examples and five more `eval` calls, and each script under `demos/`.
 Each tree names its own suites and demos, `convbialg.suites.SUITES` and
-`convbialg.cli.DEMOS`, read sorted in that tree's environment.
+`convbialg.cli.DEMOS`, read sorted in that tree's environment.  The
+Fraction-heavy reports are hashed too: `check --suite S --model DOC
+--output json` for S in commuting-square and prop43 and each of the three
+documents of perfbench's `big_model_docs(1001, 8)`, which the change tree's
+perfbench writes once per comparison into the temporary directory.  When the
+two trees' reports differ, the keys that differ are printed.
 Then pair i of a workload runs `python3 perfbench/run.py --workload W
 --seed 1001+i --seconds 20 --trace 0` once in each tree, one run at a time;
 10 pairs on each workload, the fewest that can show a 9-in-10 win or tell a
@@ -59,6 +64,12 @@ EVALS = ("conv_mul(<1|shift>,<1|dbl>)", "phi(<1*x0^2 | shift>)",
          "dist_eval([[shift, (1 + 1*x0) * D^2]], x0^2*x1^2 + 3*x1^3 + 1/7*x0*x1, -2/5)",
          "dist_eval([[E01, (2 + -1*x0^2) * D]], x0^3*x1 + 5*x1^4 + -1/3*x0*x1^2, 0.35)")
 CLI = "import sys; from convbialg.cli import main; sys.exit(main(sys.argv[1:]))"
+# perfbench's big-model documents at the first benchmark seed, 8 extra
+# bisections each, as one JSON object by model key
+BIG_MODEL_DOCS = ("import json, sys; sys.path.insert(0, 'perfbench'); "
+                  "from workloads import big_model_docs; "
+                  "print(json.dumps(big_model_docs(1001, 8)))")
+BIG_MODEL_SUITES = ("commuting-square", "prop43")
 WORKLOADS = ("suites", "eval", "big-model")
 PAIRS = 10
 SECONDS = 20
@@ -116,7 +127,22 @@ def _hash_run(tree, env, argv):
             "stderr": hashlib.sha256(out.stderr).hexdigest()}
 
 
-def _report_hashes(tree, env):
+def write_big_model_docs(tree, env, scratch):
+    """The paths of perfbench's big-model documents, by model key, as the
+    tree's perfbench makes them, each written as JSON into scratch."""
+    out = subprocess.run([sys.executable, "-c", BIG_MODEL_DOCS], cwd=tree, env=env,
+                         capture_output=True, text=True, check=True)
+    paths = {}
+    for key, doc in json.loads(out.stdout).items():
+        paths[key] = os.path.join(scratch, f"big-model-{key}.json")
+        with open(paths[key], "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+    return paths
+
+
+def _report_hashes(tree, env, docs):
+    """The hash of each report of the tree; docs maps a model key to the
+    path of a model document."""
     cli = [sys.executable, "-c", CLI]
     suites, demos = tree_names(tree, env)
     hashes = {}
@@ -125,6 +151,10 @@ def _report_hashes(tree, env):
                                                               "--output", "json"])
     for name in demos:
         hashes[f"demo {name}"] = _hash_run(tree, env, cli + ["demo", name, "--output", "json"])
+    for name in BIG_MODEL_SUITES:
+        for key, path in sorted(docs.items()):
+            hashes[f"check {name} --model big-model-{key}"] = _hash_run(
+                tree, env, cli + ["check", "--suite", name, "--model", path, "--output", "json"])
     for expr in EVALS:
         hashes[f"eval {expr}"] = _hash_run(tree, env, cli + ["eval", expr])
     for script in sorted(f for f in os.listdir(os.path.join(tree, "demos"))
@@ -162,11 +192,20 @@ def _summary(runs, better):
     return summary
 
 
-def compare(base, change, envs):
+def differing_keys(base_hashes, change_hashes):
+    """The report keys whose hashes differ or that one side lacks, sorted."""
+    return sorted(k for k in base_hashes.keys() | change_hashes.keys()
+                  if base_hashes.get(k) != change_hashes.get(k))
+
+
+def compare(base, change, envs, scratch):
     better = metric_better(change)
-    base_hashes = _report_hashes(base, envs["base"])
-    change_hashes = _report_hashes(change, envs["change"])
+    docs = write_big_model_docs(change, envs["change"], scratch)
+    base_hashes = _report_hashes(base, envs["base"], docs)
+    change_hashes = _report_hashes(change, envs["change"], docs)
     print("reports identical:", base_hashes == change_hashes, file=sys.stderr, flush=True)
+    for key in differing_keys(base_hashes, change_hashes):
+        print("report differs:", key, file=sys.stderr, flush=True)
     workloads = {}
     for workload in WORKLOADS:
         runs = {"base": [], "change": []}
@@ -195,7 +234,7 @@ def main(argv=None):
     args = p.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
         result = compare(os.path.abspath(args.base), os.path.abspath(args.change),
-                         tree_envs(scratch))
+                         tree_envs(scratch), scratch)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")
